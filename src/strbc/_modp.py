@@ -94,3 +94,24 @@ def in_row_space(vec: np.ndarray, basis: np.ndarray, p: int) -> bool:
     if basis.size == 0:
         return not np.any(vec % p)
     return rank(np.vstack([basis, vec]), p) == rank(basis, p)
+
+
+def complete_basis(lower: np.ndarray, upper: np.ndarray, p: int) -> np.ndarray:
+    """Rows of `upper`, taken greedily in order, completing a basis of
+    `lower` to one of `upper`."""
+    want = rank(upper, p) - rank(lower, p)
+    span = [row % p for row in lower]
+    out: list[np.ndarray] = []
+    for v in upper:
+        if len(out) == want:
+            break
+        if span:
+            if in_row_space(v, np.array(span), p):
+                continue
+        elif not np.any(v % p):
+            continue
+        out.append(v % p)
+        span.append(v % p)
+    if len(out) != want:
+        raise AssertionError("could not complete the basis")
+    return np.array(out, dtype=np.int64).reshape(want, upper.shape[1])

@@ -233,13 +233,6 @@ class CycNum:
             return None
         return self.coeffs[0]
 
-    def to_complex(self) -> complex:
-        """Floating-point display helper only; never used in computations."""
-        import cmath
-
-        z = cmath.exp(2j * cmath.pi / self.modulus)
-        return sum(c * z**i for i, c in enumerate(self.coeffs))
-
 
 def cyc_root(modulus: int, k: int) -> CycNum:
     """The root of unity zeta_M^k as an exact element of Z[zeta_M]."""

@@ -21,7 +21,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cyclotomic import CycNum, cyc_is_rational_sign_times, cyc_root
-from .finite_field import AddChar, FqElem, FqField, quadratic_residue_char
+from .finite_field import (
+    AddChar,
+    FqElem,
+    FqField,
+    get_field,
+    quadratic_residue_char,
+)
 
 DEFAULT_ENUMERATION_BOUND = 10**7
 
@@ -150,9 +156,8 @@ class QuadSpace:
         return gram
 
 
-def _phase_histogram(gram: np.ndarray, p: int, npoints_log: int,
-                     threads: int = 1) -> np.ndarray:
-    """Counts of x^T G x mod p over all of F_p^d, d = npoints_log."""
+def _phase_histogram(gram: np.ndarray, p: int, threads: int = 1) -> np.ndarray:
+    """Counts of x^T G x mod p over all of F_p^d, d = gram.shape[0]."""
     d = gram.shape[0]
     total = p**d
     counts = np.zeros(p, dtype=np.int64)
@@ -181,6 +186,13 @@ def _phase_histogram(gram: np.ndarray, p: int, npoints_log: int,
     return counts
 
 
+def phase_sum(gram: np.ndarray, p: int, threads: int = 1) -> CycNum:
+    """Sum of zeta_p^(x^T G x) over all of F_p^d, exactly; 1 when d = 0."""
+    if gram.shape[0] == 0:
+        return CycNum.one(p)
+    return CycNum(p, _phase_histogram(gram, p, threads=threads).tolist())
+
+
 def gauss_sum_brute(space: QuadSpace, psi: AddChar,
                     bound: int = DEFAULT_ENUMERATION_BOUND,
                     threads: int = 1) -> CycNum:
@@ -191,15 +203,7 @@ def gauss_sum_brute(space: QuadSpace, psi: AddChar,
     npoints = fld.q**space.dim
     if npoints > bound:
         raise EnumerationTooLarge(f"{npoints} points exceeds bound {bound}")
-    if space.dim == 0:
-        return CycNum.one()
-    gram = space.prime_gram(psi)
-    counts = _phase_histogram(gram, fld.p, space.dim * fld.f, threads=threads)
-    total = CycNum.zero(fld.p)
-    for t in range(fld.p):
-        if counts[t]:
-            total = total + int(counts[t]) * cyc_root(fld.p, t)
-    return total
+    return phase_sum(space.prime_gram(psi), fld.p, threads=threads)
 
 
 def gauss_sum_brute_slow(space: QuadSpace, psi: AddChar,
@@ -299,8 +303,6 @@ def normalized_sign(space: QuadSpace, psi: AddChar,
 
 
 def get_prime_field(field: FqField) -> FqField:
-    from .finite_field import get_field
-
     return get_field(field.p, 1)
 
 

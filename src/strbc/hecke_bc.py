@@ -14,7 +14,7 @@ from enum import Enum
 from fractions import Fraction
 from math import isqrt
 
-from .cyclotomic import CycNum, cyc_root
+from .cyclotomic import CycNum, cyc_embed, cyc_root
 from .finite_field import FqField, MultChar, quadratic_residue_char
 from .gauss import SignResult
 from .local_model import TowerSpec
@@ -43,8 +43,6 @@ FOURTH_ROOTS = tuple(cyc_root(4, k) for k in range(4))
 
 def _as_fourth_root(v) -> CycNum:
     if isinstance(v, CycNum):
-        from .cyclotomic import cyc_embed
-
         return cyc_embed(v, 4)
     if v == 1:
         return cyc_root(4, 0)
@@ -172,13 +170,6 @@ class HeckeParams:
                     f"b_{w} = {got} does not match the invariant value {want}"
                 )
         return expect
-
-    def b_value(self, w: str) -> int:
-        """b_w as a plain integer (valid whenever (c_w/q_E)^{1/2} is)."""
-        b = getattr(self, f"b_{w}")
-        if b.is_zero():
-            return 0
-        return (self.q_E - 1) * b.as_int(self.q_E)
 
     def __repr__(self):
         return (

@@ -22,20 +22,15 @@ index counts are all computed by small exact linear algebra over k.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from functools import lru_cache
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import _modp
-from .finite_field import FqElem, FqField, get_field, pow_fq
+from .finite_field import FqElem, get_field, pow_fq
 
 
 class EvenRamification(ValueError):
-    pass
-
-
-class WildRamification(ValueError):
     pass
 
 
@@ -478,8 +473,7 @@ class TowerSpec:
         kk = get_field(q)  # validates q = p odd prime
         # p | e (wild, inseparable in the equal-characteristic model) is
         # supported: the Hermitian pairing below avoids the field trace,
-        # which would vanish identically there.  WildRamification stays
-        # reserved for genuinely unsupported data (even e is caught above).
+        # which would vanish identically there.
         levels = config.levels
         if levels is None:
             if config.d != 0:
@@ -533,7 +527,16 @@ class TowerSpec:
         self.form_shift = e - 1
         self.H = self._build_gram(self.form_shift)
         self.Hinv = inverse_series_matrix(self.H)
-        self._cent_cache: dict = {}
+        self._memo: dict = {}
+
+    def memo(self, key, build):
+        """The derived tower data stored under a content key, built once.
+
+        Values are shared between callers and must never be mutated."""
+        hit = self._memo.get(key)
+        if hit is None:
+            hit = self._memo[key] = build()
+        return hit
 
     # -- E-element helpers ---------------------------------------------------
 
@@ -669,9 +672,6 @@ class TowerSpec:
 
     # -- graded layers -------------------------------------------------------
 
-    def layer_dim(self) -> int:
-        return self.n * self.f
-
     def mat_from_layer(self, m: int, vec: np.ndarray, fprec: int | None = None) -> "MatF":
         """The homogeneous degree-m map with layer coordinates vec.
 
@@ -746,53 +746,36 @@ class TowerSpec:
                 return m
         raise ZeroElement("no nonzero layer inside the precision window")
 
-    def homogeneous_part(self, X: "MatF", m: int) -> "MatF":
-        return self.mat_from_layer(m, self.layer_coords(X, m), fprec=X.fprec)
+    # -- centralizer layers --------------------------------------------------
+
+    def layer_basis(self, m: int) -> list["MatF"]:
+        """The degree-m maps of the unit coordinate vectors, in order."""
+        return self.memo(("layer-basis", m), lambda: [
+            self.mat_from_layer(m, vec)
+            for vec in np.eye(self.n * self.f, dtype=np.int64)
+        ])
 
     # -- centralizer layers --------------------------------------------------
 
     def cent_layer(self, gens: tuple[EElem, ...], m: int) -> np.ndarray:
         """Basis (rows) of the degree-m layer of the centralizer of gens."""
-        key = (tuple(g.key() for g in gens), m)
-        hit = self._cent_cache.get(key)
-        if hit is not None:
-            return hit
-        dim = self.n * self.f
+        return self.memo(("cent", tuple(g.key() for g in gens), m),
+                         lambda: self._build_cent_layer(gens, m))
+
+    def _build_cent_layer(self, gens: tuple[EElem, ...], m: int) -> np.ndarray:
         if not gens:
-            out = np.eye(dim, dtype=np.int64)
-            self._cent_cache[key] = out
-            return out
+            return np.eye(self.n * self.f, dtype=np.int64)
         # Brackets with distinct-grade monomial parts vanish independently,
         # so each generator splits into one constraint per w_E-exponent.
-        mono: list[EElem] = []
+        maps = []
         for g in gens:
             for i, c in g.coeffs.items():
-                mono.append(self.e_monomial(i, c, prec=g.prec))
-        mats = [(self.m_of(g), g.val()) for g in mono]
-        maps = []
-        for mg, vg in mats:
-            cols = []
-            for k in range(dim):
-                vec = np.zeros(dim, dtype=np.int64)
-                vec[k] = 1
-                Xk = self.mat_from_layer(m, vec)
-                C = (Xk @ mg) - (mg @ Xk)
-                cols.append(self.layer_coords(C, m + vg))
-            maps.append(np.array(cols, dtype=np.int64).T)
-        stacked = np.vstack(maps)
-        out = _modp.nullspace(stacked, self.p)
-        out = _modp.row_space_basis(out, self.p) if out.size else out
-        self._cent_cache[key] = out
-        return out
-
-    def e_layer(self, m: int) -> np.ndarray:
-        """Degree-m layer of the image of E (constant d across columns)."""
-        f, dim = self.f, self.n * self.f
-        rows = np.zeros((f, dim), dtype=np.int64)
-        for k in range(f):
-            for c in range(self.n):
-                rows[k, c * f + k] = 1
-        return rows
+                mg = self.m_of(self.e_monomial(i, c, prec=g.prec))
+                cols = [self.layer_coords((Xk @ mg) - (mg @ Xk), m + i)
+                        for Xk in self.layer_basis(m)]
+                maps.append(np.array(cols, dtype=np.int64).T)
+        out = _modp.nullspace(np.vstack(maps), self.p)
+        return _modp.row_space_basis(out, self.p) if out.size else out
 
     def __repr__(self):
         return (
@@ -842,12 +825,6 @@ class GradedSpace:
         basis = self.grades.get(m)
         return 0 if basis is None else basis.shape[0]
 
-    def contains(self, m: int, vec: np.ndarray) -> bool:
-        basis = self.grades.get(m)
-        if basis is None or basis.size == 0:
-            return not vec.any()
-        return _modp.in_row_space(vec, basis, self.tower.p)
-
 
 def embed_E_in_matrices(tower: TowerSpec) -> dict:
     """Build m_x on generators and verify the embedding relations."""
@@ -879,10 +856,6 @@ def embed_E_in_matrices(tower: TowerSpec) -> dict:
             if lhs.truncated(rhs.fprec) != rhs.truncated(lhs.fprec):
                 raise AssertionError(f"alpha(m_x) != -m_sigma(x) at x = {x}")
     return {"varpi_E": we, "varpi_F": wf, "zeta": mz}
-
-
-def valuation(tower: TowerSpec, X: MatF) -> int:
-    return tower.valuation(X)
 
 
 def centralizer_filtration(
@@ -987,14 +960,8 @@ def _orthogonal_complement(tower, stratum, j, m, upper, lower) -> np.ndarray:
     if dual.shape[0] == 0:
         return upper
     umats = [tower.mat_from_layer(-m, v) for v in dual]
-    cond = np.zeros((dual.shape[0], tower.n * tower.f), dtype=np.int64)
-    dim = tower.n * tower.f
-    for col in range(dim):
-        vec = np.zeros(dim, dtype=np.int64)
-        vec[col] = 1
-        Xc = tower.mat_from_layer(m, vec)
-        for r, U in enumerate(umats):
-            cond[r, col] = (Xc @ U).trace().coeff(0)
+    cond = np.array([[(Xc @ U).trace().coeff(0) for Xc in tower.layer_basis(m)]
+                     for U in umats], dtype=np.int64)
     kern = _modp.nullspace(cond, p)
     ortho = intersect_row_spaces(upper, kern, p)
     want = upper.shape[0] - lower.shape[0]
@@ -1007,20 +974,7 @@ def _orthogonal_complement(tower, stratum, j, m, upper, lower) -> np.ndarray:
     # of an inseparable extension is zero), so orthogonality no longer splits
     # off a complement.  Complete a basis greedily, preferring orthogonal
     # vectors so the tame normalization is kept wherever it makes sense.
-    span = [row for row in lower]
-    comp_rows: list[np.ndarray] = []
-    for v in list(ortho) + list(upper):
-        if len(comp_rows) == want:
-            break
-        if span and _modp.in_row_space(v, np.array(span), p):
-            continue
-        if not span and not np.any(v % p):
-            continue
-        comp_rows.append(v % p)
-        span.append(v % p)
-    if len(comp_rows) != want:
-        raise AssertionError("could not complete a layer complement basis")
-    return np.array(comp_rows, dtype=np.int64).reshape(want, upper.shape[1])
+    return _modp.complete_basis(lower, np.vstack([ortho, upper]), p)
 
 
 def intersect_row_spaces(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
@@ -1094,19 +1048,29 @@ def e_full_gens(tower: TowerSpec, stratum) -> tuple[EElem, ...]:
     raise NotInSubfield("stratum carries no generator of E over F")
 
 
+def _alpha_matrix(tower: TowerSpec, m: int) -> np.ndarray:
+    """Matrix of alpha on degree-m layer coordinates (columns are images)."""
+    return tower.memo(("alpha", m), lambda: np.array(
+        [tower.layer_coords(tower.alpha(X), m) for X in tower.layer_basis(m)],
+        dtype=np.int64,
+    ).T)
+
+
+def _alpha_fixed_basis(tower: TowerSpec, m: int) -> np.ndarray:
+    """Basis (rows) of the degree-m coordinate vectors that alpha fixes."""
+    def build():
+        amat = _alpha_matrix(tower, m)
+        eye = np.eye(amat.shape[0], dtype=np.int64)
+        return _modp.nullspace((amat - eye) % tower.p, tower.p)
+
+    return tower.memo(("alpha-fixed", m), build)
+
+
 def _alpha_fixed_dim(tower: TowerSpec, space: np.ndarray, m: int) -> int:
     """Dimension of the alpha-fixed part of a subspace of the degree-m layer."""
     if space.size == 0:
         return 0
-    dim = tower.n * tower.f
-    amat = np.zeros((dim, dim), dtype=np.int64)
-    for col in range(dim):
-        vec = np.zeros(dim, dtype=np.int64)
-        vec[col] = 1
-        amat[:, col] = tower.layer_coords(tower.alpha(tower.mat_from_layer(m, vec)), m)
-    # Coordinate vectors v with amat v = v.
-    fixed = _modp.nullspace((amat - np.eye(dim, dtype=np.int64)) % tower.p, tower.p)
-    return intersect_row_spaces(space, fixed, tower.p).shape[0]
+    return intersect_row_spaces(space, _alpha_fixed_basis(tower, m), tower.p).shape[0]
 
 
 def _index_exponent(tower, big: GradedLattice, small: GradedLattice,

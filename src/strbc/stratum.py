@@ -42,21 +42,25 @@ from .gauss import (
     NonUnitQuotient,
     QuadSpace,
     SignResult,
-    _phase_histogram,
     normalized_sign,
+    phase_sum,
 )
 from .local_model import (
     EElem,
     EvenExponent,
+    FSeries,
     MatF,
     NotInSubfield,
     PrecisionTooLow,
     TowerConfig,
     TowerSpec,
     ZeroElement,
+    _alpha_fixed_basis,
+    _alpha_matrix,
     _is_in_F,
     build_tower,
     build_Wz,
+    det_series,
     h1_lattice,
     intersect_row_spaces,
     inverse_one_plus_nil,
@@ -64,7 +68,6 @@ from .local_model import (
     iwahori_indices,
     j0_lattice,
     level_gens,
-    valuation,
 )
 
 
@@ -109,70 +112,7 @@ class PathMismatch(AssertionError):
 
 
 # ---------------------------------------------------------------------------
-# Small graded linear-algebra helpers.
-
-
-def _tower_cache(tower: TowerSpec) -> dict:
-    cache = getattr(tower, "_stratum_cache", None)
-    if cache is None:
-        cache = {}
-        tower._stratum_cache = cache
-    return cache
-
-
-def _alpha_matrix(tower: TowerSpec, m: int) -> np.ndarray:
-    """Matrix of alpha on degree-m layer coordinates (columns are images)."""
-    cache = _tower_cache(tower)
-    key = ("alpha", m)
-    hit = cache.get(key)
-    if hit is not None:
-        return hit
-    dim = tower.n * tower.f
-    amat = np.zeros((dim, dim), dtype=np.int64)
-    for col in range(dim):
-        vec = np.zeros(dim, dtype=np.int64)
-        vec[col] = 1
-        amat[:, col] = tower.layer_coords(
-            tower.alpha(tower.mat_from_layer(m, vec)), m
-        )
-    cache[key] = amat
-    return amat
-
-
-def _alpha_fixed_basis(tower: TowerSpec, m: int) -> np.ndarray:
-    cache = _tower_cache(tower)
-    key = ("alpha-fixed", m)
-    hit = cache.get(key)
-    if hit is not None:
-        return hit
-    dim = tower.n * tower.f
-    amat = _alpha_matrix(tower, m)
-    fixed = _modp.nullspace(
-        (amat - np.eye(dim, dtype=np.int64)) % tower.p, tower.p
-    )
-    cache[key] = fixed
-    return fixed
-
-
-def _complete_basis(lower: np.ndarray, upper: np.ndarray, p: int) -> np.ndarray:
-    """Rows of `upper` completing a basis of `lower` to one of `upper`."""
-    want = _modp.rank(upper, p) - _modp.rank(lower, p)
-    cols = upper.shape[1]
-    span = [row % p for row in lower]
-    out: list[np.ndarray] = []
-    for v in upper:
-        if len(out) == want:
-            break
-        if span:
-            if _modp.in_row_space(v, np.array(span), p):
-                continue
-        elif not np.any(v % p):
-            continue
-        out.append(v % p)
-        span.append(v % p)
-    if len(out) != want:
-        raise AssertionError("could not complete the basis")
-    return np.array(out, dtype=np.int64).reshape(want, cols)
+# Subfield membership.
 
 
 def _in_level(tower: TowerSpec, x: EElem, level: int) -> bool:
@@ -359,7 +299,7 @@ def quotient_form(t: TowerSpec, c: EElem, y: FqElem) -> QuadSpace:
     # Complete from the full E-line: the form descends to the complement
     # for any c, and its radical there detects non-minimality.
     lower = t.cent_layer(_declared_gens(t, 0), grade)
-    comp = _complete_basis(lower, np.eye(t.n * t.f, dtype=np.int64), t.p)
+    comp = _modp.complete_basis(lower, np.eye(t.n * t.f, dtype=np.int64), t.p)
     raw = _block_gram_raw(
         t, c, comp, grade, t.e_monomial(1, y.inverse()), c_first=False
     )
@@ -426,12 +366,7 @@ def epsilon_z(s: StratumSpec, psi: AddChar, threads: int = 1,
         # trace residue on a whole block); the raw sum is then a higher
         # power of p and there is no sign to extract.
         twist = psi.twist.coeffs[0]
-        counts = _phase_histogram(gram * twist % tower.p, tower.p, wz.dim_k,
-                                  threads=threads)
-        total = CycNum.zero(tower.p)
-        for t in range(tower.p):
-            if counts[t]:
-                total = total + int(counts[t]) * cyc_root(tower.p, t)
+        total = phase_sum(gram * twist % tower.p, tower.p, threads=threads)
         root = CycNum.integer(math.isqrt(wz.size), tower.p)
         if total == root:
             return SignResult(1, "+1", total, wz.size, root)
@@ -555,8 +490,6 @@ def default_chars(s: StratumSpec, psi: AddChar | None = None,
 
 
 def _fseries_inv_unit(series, p):
-    from .local_model import FSeries
-
     a0 = series.coeff(0)
     if a0 % p == 0:
         raise ZeroDivisionError("series is not a unit")
@@ -573,8 +506,6 @@ def _fseries_inv_unit(series, p):
 def det_unit(X: MatF):
     """Determinant of a unit matrix by elimination with unit pivots; falls
     back to exact Laplace expansion when a pivot is missing."""
-    from .local_model import FSeries, det_series
-
     tower = X.tower
     p, n = tower.p, tower.n
     if X.g != 0 or X.fprec < 1:
@@ -605,7 +536,7 @@ def _domain_check(chi: SimpleCharSpec, g: MatF) -> MatF:
         raise PrecisionTooLow("need at least two coefficient layers")
     W = g - MatF.identity(tower, g.fprec)
     if not W.is_zero():
-        if valuation(tower, W) < 1:
+        if tower.valuation(W) < 1:
             raise NotInDomain("g - 1 must have positive valuation")
         h1 = h1_lattice(tower, s)
         for m in range(1, s.s_list[0] + 1):
@@ -798,7 +729,7 @@ def _y_side_zbases(s: StratumSpec) -> list[tuple[int, np.ndarray]]:
         fix = _alpha_fixed_basis(tower, m)
         fh = intersect_row_spaces(h1.layer(m), fix, p)
         fj = intersect_row_spaces(jw.layer(m), fix, p)
-        comp = _complete_basis(fj, fh, p)
+        comp = _modp.complete_basis(fj, fh, p)
         if comp.shape[0]:
             out.append((m, comp))
     # The two profiles must agree immediately past the window.
@@ -905,15 +836,7 @@ def bz_oracle(s: StratumSpec, chars, rho_tilde,
     for y in units:
         gram = _gauss_gram(s, wz, tower.e_monomial(1, y.inverse() * inv2))
         grams[y.coeffs] = gram
-        if dim:
-            counts = _phase_histogram(gram * twist % p, p, dim,
-                                      threads=threads)
-            gy = CycNum.zero(p)
-            for tt in range(p):
-                if counts[tt]:
-                    gy = gy + int(counts[tt]) * cyc_root(p, tt)
-        else:
-            gy = CycNum.one(p)
+        gy = phase_sum(gram * twist % p, p, threads=threads)
         total_b = total_b + mu(-y).as_int() * gy
     # Path A: direct evaluation through the solved representatives.
     blocks = wz.blocks
