@@ -50,9 +50,8 @@ class ConfigError(ValueError):
 _TOP_KEYS = {"schema_version", "case", "tower", "stratum", "character", "run"}
 _TOWER_KEYS = {"q", "e", "f", "d", "N", "levels", "u"}
 _STRATUM_KEYS = {"c"}
-_CHAR_KEYS = {"rho_sign", "rho_signs", "mu_power", "psi_twist", "bhat"}
-_RUN_KEYS = {"bound", "threads", "seed", "sample", "grid_q", "grid_n",
-             "grid_count"}
+_CHAR_KEYS = {"psi_twist"}
+_RUN_KEYS = {"seed", "sample", "grid_q", "grid_n", "grid_count"}
 
 
 def _check_keys(block: dict, allowed: set, where: str):
@@ -87,6 +86,11 @@ class ExperimentConfig:
         _check_keys(cfg.stratum, _STRATUM_KEYS, "stratum block")
         _check_keys(cfg.character, _CHAR_KEYS, "character block")
         _check_keys(cfg.run, _RUN_KEYS, "run block")
+        sample = cfg.run.get("sample")
+        if sample is not None and (
+            isinstance(sample, bool) or not isinstance(sample, int) or sample < 1
+        ):
+            raise ConfigError(f"run.sample must be an integer >= 1, got {sample!r}")
         if cfg.case is None and not cfg.tower:
             raise ConfigError("config needs either a case or a tower block")
         if cfg.case is not None and cfg.case not in BUILTIN_CASE_NAMES:
@@ -357,6 +361,13 @@ def cmd_base_change(cfg: ExperimentConfig, args) -> int:
 # entry point
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="strbc",
@@ -373,7 +384,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="built-in desk instance")
         p.add_argument("--bound", type=int, default=10**7,
                        help="enumeration cap")
-        p.add_argument("--threads", type=int, default=1)
+        p.add_argument("--threads", type=_positive_int, default=1)
         p.add_argument("--seed", type=int, default=None,
                        help="seed for randomized sampling")
         p.add_argument("--json", metavar="PATH",

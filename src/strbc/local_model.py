@@ -746,8 +746,6 @@ class TowerSpec:
                 return m
         raise ZeroElement("no nonzero layer inside the precision window")
 
-    # -- centralizer layers --------------------------------------------------
-
     def layer_basis(self, m: int) -> list["MatF"]:
         """The degree-m maps of the unit coordinate vectors, in order."""
         return self.memo(("layer-basis", m), lambda: [

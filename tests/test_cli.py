@@ -32,11 +32,31 @@ def test_config_rejects_unknown_keys():
             {"schema_version": 1, "tower": {"q": 3, "e": 1, "f": 1,
                                             "ramification": 3}}
         )
+    # Keys that nothing reads are rejected rather than silently ignored.
+    for block, key in [("run", "bound"), ("run", "threads"),
+                       ("character", "rho_sign"), ("character", "rho_signs"),
+                       ("character", "mu_power"), ("character", "bhat")]:
+        with pytest.raises(ConfigError):
+            ExperimentConfig.from_dict(
+                {"schema_version": 1, "case": "u1", block: {key: 1}}
+            )
 
 
 def test_config_rejects_unknown_case():
     with pytest.raises(ConfigError):
         ExperimentConfig.from_dict({"schema_version": 1, "case": "e7f3"})
+
+
+@pytest.mark.parametrize("sample", [0, -3, True, 2.5, "40"])
+def test_config_rejects_bad_sample(sample, capsys, tmp_path):
+    data = {"schema_version": 1, "case": "u1", "run": {"sample": sample}}
+    with pytest.raises(ConfigError):
+        ExperimentConfig.from_dict(data)
+    cfgp = tmp_path / "cfg.json"
+    cfgp.write_text(json.dumps(data))
+    code, _, err = run(["reducibility", str(cfgp)], capsys)
+    assert code == 2
+    assert "run.sample" in err
 
 
 def test_config_needs_case_or_tower():
@@ -140,6 +160,13 @@ def test_cli_missing_config_errors(capsys):
     code, _, err = run(["sign"], capsys)
     assert code == 2
     assert "config" in err
+
+
+def test_cli_rejects_zero_threads(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["gauss", "--threads", "0"])
+    assert exc.value.code == 2
+    assert "--threads" in capsys.readouterr().err
 
 
 def test_cli_bad_config_path(capsys):
