@@ -9,8 +9,11 @@ Four subcommands assemble the library into reproducible experiments:
 
 Experiments are selected either with ``--case <name>`` (one of the built-in
 desk instances) or with a JSON config file (schema_version 1; unknown keys
-are errors).  ``--json <path>`` writes the machine-readable payload; the
-process exits 0 only if every internal cross-check passed.
+are errors).  ``--json <path>`` writes the machine-readable payload.
+
+Exit codes: 0 every internal cross-check passed, 1 a cross-check failed,
+2 bad input (arguments or config), 3 the experiment lies outside what the
+library computes (a one-line ``error:`` message names the reason).
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ import sys
 from dataclasses import dataclass, field
 
 from .finite_field import AddChar, MultChar, get_field, pow_fq
-from .gauss import QuadSpace, gauss_sum_brute, gauss_sum_closed
+from .gauss import NonUnitQuotient, QuadSpace, gauss_sum_brute, gauss_sum_closed
 from .hecke_bc import (
     HeckeParams,
     LevelZeroChar,
@@ -34,6 +37,7 @@ from .hecke_bc import (
 from .local_model import TowerConfig, build_tower, iwahori_indices
 from .stratum import (
     BUILTIN_CASE_NAMES,
+    LinearizationInvalid,
     StratumSpec,
     builtin_case,
     by_oracle,
@@ -413,6 +417,9 @@ def main(argv=None) -> int:
     except (ConfigError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except (NonUnitQuotient, LinearizationInvalid) as exc:
+        print(f"error: out of scope: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

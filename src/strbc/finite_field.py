@@ -151,7 +151,8 @@ class FqField:
         for _ in range(self.f):
             acc = acc + y
             y = pow_fq(y, self.p)
-        assert not any(acc.coeffs[1:]), "trace must land in the prime field"
+        if any(acc.coeffs[1:]):
+            raise AssertionError("trace must land in the prime field")
         return acc.coeffs[0]
 
     def __eq__(self, other):
@@ -283,7 +284,8 @@ class MultChar:
     def sign(self, x: FqElem) -> int:
         """Value as +-1; only valid for characters of order dividing 2."""
         v = self(x).as_int()
-        assert v in (1, -1)
+        if v not in (1, -1):
+            raise ValueError(f"{self!r} at {x!r} is not a sign")
         return v
 
     def is_trivial(self) -> bool:

@@ -260,8 +260,8 @@ class SignResult:
     reference: CycNum
 
     def __post_init__(self):
-        if self.value is not None:
-            assert self.value * self.value == 1
+        if self.value not in (None, 1, -1):
+            raise ValueError(f"sign value must be +1, -1 or None, got {self.value!r}")
 
 
 def normalized_sign(space: QuadSpace, psi: AddChar,

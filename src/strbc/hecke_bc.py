@@ -206,8 +206,12 @@ def normalized_spectrum(hp: HeckeParams) -> dict[str, tuple[int, int]]:
         lo, hi = raw[w]
         scale = -lo  # the negative root rescales to -1
         r = (hi.half - lo.half) // 2
-        assert (hi.half - lo.half) % 2 == 0
-        assert (scale * QPower(hi.sign * scale.sign, hi.half - lo.half)).sign
+        if (hi.half - lo.half) % 2:
+            raise InconsistentParams(
+                f"spectrum of T_{w} is not q_E^r apart for an integer r"
+            )
+        if not (scale * QPower(hi.sign * scale.sign, hi.half - lo.half)).sign:
+            raise InconsistentParams(f"spectrum of T_{w} rescales to zero")
         out[w] = (-1, hp.q_E**r)
         if r != getattr(hp, f"r_{w}"):
             raise InconsistentParams(
@@ -316,7 +320,8 @@ def p_primary_extension(e: int, known, minus_one) -> ExtensionChar:
         raise NoConsistentValue(
             f"no 4-th root z with z^{e} = {known!r} and z^2 = {minus_one!r}"
         )
-    assert len(hits) == 1, "solution must be unique for odd e"
+    if len(hits) != 1:
+        raise AssertionError("solution must be unique for odd e")
     return ExtensionChar(varpi_E_value=hits[0], minus_one=minus_one)
 
 

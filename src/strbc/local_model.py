@@ -23,6 +23,7 @@ index counts are all computed by small exact linear algebra over k.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -250,8 +251,9 @@ class MatF:
     """An n x n matrix over F, stored as stacked w_F-coefficient layers.
 
     arr[k] holds the mod-p matrix of the coefficient of w_F^(g+k); layers
-    with index >= fprec are unknown.  The zero-mod-precision matrix has an
-    empty layer stack and g == fprec.
+    past the stack are zero up to w_F^(fprec-1) and unknown from there on.
+    The stack starts and ends with a nonzero layer; the zero-mod-precision
+    matrix has an empty layer stack and g == fprec.
     """
 
     __slots__ = ("tower", "g", "arr", "fprec")
@@ -259,11 +261,13 @@ class MatF:
     def __init__(self, tower: "TowerSpec", g: int, arr: np.ndarray, fprec: int):
         p, n = tower.p, tower.n
         arr = arr % p
-        # Trim zero layers from the front.
-        while arr.shape[0] and not arr[0].any():
-            arr = arr[1:]
-            g += 1
-        if not arr.shape[0]:
+        live = arr.reshape(arr.shape[0], n * n).any(axis=1).tolist()
+        if True in live:
+            lo, hi = live.index(True), len(live) - live[::-1].index(True)
+            if lo or hi < len(live):
+                g += lo
+                arr = arr[lo:hi]
+        else:
             g = fprec
             arr = np.zeros((0, n, n), dtype=np.int64)
         self.tower = tower
@@ -337,12 +341,16 @@ class MatF:
         L = fp - g
         if L <= 0:
             return MatF.zero(t, fp)
-        arr = np.zeros((L, t.n, t.n), dtype=np.int64)
-        for i in range(self.arr.shape[0]):
-            for j in range(other.arr.shape[0]):
-                k = i + j
-                if k < L:
-                    arr[k] = (arr[k] + self.arr[i] @ other.arr[j]) % t.p
+        n = t.n
+        a, b = self.arr[:L], other.arr[:L]
+        la, lb = a.shape[0], b.shape[0]
+        # Layer k of the product is sum_j a[k - j] @ b[j]: one product of the
+        # block-Toeplitz matrix of a (block (k, j) = a[k - j]) with b stacked.
+        L = min(L, la + lb - 1)
+        padded = np.concatenate([a, np.zeros((1, n, n), dtype=np.int64)])
+        toeplitz = padded[_toeplitz_slots(L, la, lb)]
+        toeplitz = toeplitz.transpose(0, 2, 1, 3).reshape(L * n, lb * n)
+        arr = (toeplitz @ b.reshape(lb * n, n)).reshape(L, n, n)
         return MatF(t, g, arr, fp)
 
     def scale_int(self, c: int) -> "MatF":
@@ -384,6 +392,16 @@ class MatF:
             f"MatF(g={self.g}, layers={self.arr.shape[0]}, fprec={self.fprec}, "
             f"n={self.tower.n})"
         )
+
+
+@lru_cache(maxsize=None)
+def _toeplitz_slots(L: int, la: int, lb: int) -> np.ndarray:
+    """Index k - j of the left factor's layer in block (k, j) of the L x lb
+    block-Toeplitz matrix, or la (a zero layer) where k - j is out of range."""
+    k_minus_j = np.arange(L)[:, None] - np.arange(lb)[None, :]
+    rows = np.where((k_minus_j >= 0) & (k_minus_j < la), k_minus_j, la)
+    rows.setflags(write=False)
+    return rows
 
 
 def inverse_unit(X: "MatF") -> "MatF":
@@ -532,10 +550,13 @@ class TowerSpec:
     def memo(self, key, build):
         """The derived tower data stored under a content key, built once.
 
-        Values are shared between callers and must never be mutated."""
+        Values are shared between callers and must never be mutated; an
+        array value is stored read-only."""
         hit = self._memo.get(key)
         if hit is None:
             hit = self._memo[key] = build()
+            if isinstance(hit, np.ndarray):
+                hit.setflags(write=False)
         return hit
 
     # -- E-element helpers ---------------------------------------------------
@@ -575,6 +596,9 @@ class TowerSpec:
 
     def m_of(self, x: EElem) -> "MatF":
         """Matrix of multiplication by x on the basis w_E^a zeta^b."""
+        return self.memo(("m_of", x.key(), x.prec), lambda: self._build_m_of(x))
+
+    def _build_m_of(self, x: EElem) -> "MatF":
         e, f, n, p = self.e, self.f, self.n, self.p
         fprec = -((e - 1 - x.prec) // e)
         if x.is_zero():
@@ -601,7 +625,9 @@ class TowerSpec:
                             arr[t - gmin, self.basis_index(a2, b2), self.basis_index(a, b)]
                             + coords[b2]
                         ) % p
-        return MatF(self, gmin, arr, fprec)
+        out = MatF(self, gmin, arr, fprec)
+        out.arr.setflags(write=False)
+        return out
 
     def e_from_mat(self, X: "MatF") -> EElem:
         """Image of 1 = w_{0,0} under X, as an element of E."""
@@ -678,54 +704,83 @@ class TowerSpec:
         Coordinates: X w_{a,b} = d_{a,b} * zeta^b * w_E^{a+m} with d_{a,b}
         in k_E; vec stacks the polynomial-basis coefficients of d_{a,b}.
         """
-        e, f, n, p = self.e, self.f, self.n, self.p
         fp = self.fcap if fprec is None else fprec
-        ts = [(m + a) // e for a in range(e)]
-        g = min(ts)
-        L = fp - g
+        g, tensor = self._layer_map(m)
+        L = min(fp - g, tensor.shape[0])
         if L <= 0:
             return MatF.zero(self, fp)
-        arr = np.zeros((L, n, n), dtype=np.int64)
-        for a in range(e):
-            mm = m + a
-            a2, t = mm % e, mm // e
-            if t >= fp:
-                continue
-            ut = pow_fq(self.u, t)
-            for b in range(f):
-                d = self.kE.element(
-                    tuple(int(vec[(self.basis_index(a, b)) * f + k]) for k in range(f))
-                )
-                if not d:
-                    continue
-                val = d * pow_fq(self.zeta, b) * ut
-                coords = self.Zinv @ np.array(val.coeffs, dtype=np.int64) % p
-                for b2 in range(f):
-                    arr[t - g, self.basis_index(a2, b2), self.basis_index(a, b)] = coords[b2]
-        return MatF(self, g, arr, fp)
+        return MatF(self, g, tensor[:L] @ np.asarray(vec, dtype=np.int64), fp)
 
     def layer_coords(self, X: "MatF", m: int) -> np.ndarray:
         """Degree-m layer coordinates of X (reads each position exactly once)."""
-        e, f, p = self.e, self.f, self.p
-        out = np.zeros(self.n * f, dtype=np.int64)
-        for a in range(e):
-            mm = m + a
-            a2, t = mm % e, mm // e
-            if t >= X.fprec:
-                raise PrecisionTooLow(
-                    f"degree-{m} layer needs w_F^{t}, precision is {X.fprec}"
-                )
-            lay = X.layer(t)
-            for b in range(f):
-                col = self.basis_index(a, b)
-                poly = np.array(
-                    [lay[self.basis_index(a2, b2), col] for b2 in range(f)],
-                    dtype=np.int64,
-                )
-                kappa = self.kE.element(tuple((self.Zmat @ poly) % p))
-                d = kappa * pow_fq(self.u, -t) * pow_fq(self.zeta, -b)
-                out[col * f : (col + 1) * f] = d.coeffs
-        return out
+        ts, slots, kmat = self._coords_map(m)
+        if ts[-1] >= X.fprec:
+            t = next(t for t in ts if t >= X.fprec)
+            raise PrecisionTooLow(
+                f"degree-{m} layer needs w_F^{t}, precision is {X.fprec}"
+            )
+        stack = np.stack([X.layer(t) for t in range(ts[0], ts[-1] + 1)])
+        return kmat @ stack[slots] % self.p
+
+    def _kE_mul(self, c: FqElem) -> np.ndarray:
+        """Matrix of x -> c x on polynomial-basis coordinates of k_E."""
+        units = np.eye(self.f, dtype=np.int64)
+        return np.array([(c * self.kE.element(v)).coeffs for v in units],
+                        dtype=np.int64).T
+
+    def _layer_map(self, m: int) -> tuple[int, np.ndarray]:
+        """(g, T) with T @ vec the w_F-layer stack, from w_F^g on, of
+        mat_from_layer(m, vec).
+
+        Column (a, b) of layer t = (m + a) // e holds d_{a,b} zeta^b u^t at
+        rows (a2, .), a2 = (m + a) % e, in Teichmueller coordinates.
+        """
+        def build():
+            e, f, n, p = self.e, self.f, self.n, self.p
+            ts = [(m + a) // e for a in range(e)]
+            g = ts[0]
+            tensor = np.zeros((ts[-1] - g + 1, n, n, n * f), dtype=np.int64)
+            for a, t in enumerate(ts):
+                a2 = (m + a) % e
+                ut = pow_fq(self.u, t)
+                for b in range(f):
+                    col = self.basis_index(a, b)
+                    block = self.Zinv @ self._kE_mul(pow_fq(self.zeta, b) * ut) % p
+                    tensor[t - g, a2 * f : (a2 + 1) * f, col, col * f : (col + 1) * f] = block
+            tensor.setflags(write=False)
+            return g, tensor
+
+        return self.memo(("layer-map", m), build)
+
+    def _coords_map(self, m: int) -> tuple[tuple[int, ...], tuple, np.ndarray]:
+        """(ts, slots, K) with layer_coords(X, m) = K @ stack[slots], where
+        stack holds the w_F-layers ts[0]..ts[-1] of X.
+
+        The slots gather, for each column (a, b), the Teichmueller
+        coordinates kappa of its entry at rows (a2, .) of layer t; the block
+        diagonal K turns them into d = kappa u^-t zeta^-b in the polynomial
+        basis.
+        """
+        def build():
+            e, f, n, p = self.e, self.f, self.n, self.p
+            ts = tuple((m + a) // e for a in range(e))
+            layer, row, col = (np.zeros(n * f, dtype=np.int64) for _ in range(3))
+            kmat = np.zeros((n * f, n * f), dtype=np.int64)
+            for a, t in enumerate(ts):
+                a2 = (m + a) % e
+                for b in range(f):
+                    c = self.basis_index(a, b)
+                    out = slice(c * f, (c + 1) * f)
+                    layer[out] = t - ts[0]
+                    row[out] = np.arange(a2 * f, (a2 + 1) * f)
+                    col[out] = c
+                    scale = pow_fq(self.u, -t) * pow_fq(self.zeta, -b)
+                    kmat[out, out] = self._kE_mul(scale) @ self.Zmat % p
+            for arr in (layer, row, col, kmat):
+                arr.setflags(write=False)
+            return ts, (layer, row, col), kmat
+
+        return self.memo(("coords-map", m), build)
 
     def layer_span(self, m: int) -> tuple[int, int]:
         """Range of w_F layers that carry the degree-m component."""
@@ -806,7 +861,8 @@ def build_tower(config: TowerConfig) -> TowerSpec:
     acc = tower.e_monomial(0)
     for _ in range(tower.e):
         acc = acc * we
-    assert acc == tower.varpi_F().scale(tower.u)
+    if acc != tower.varpi_F().scale(tower.u):
+        raise AssertionError("w_E^e != u w_F in the tower model")
     return tower
 
 
@@ -888,17 +944,17 @@ def _check_support(tower: TowerSpec, gamma: EElem) -> None:
         raise NotInSubfield("zero element generates nothing")
 
 
-@dataclass
+@dataclass(frozen=True)
 class WzBlock:
     j: int
     grade: int
     basis: np.ndarray  # rows are layer coordinates at the given grade
 
 
-@dataclass
+@dataclass(frozen=True)
 class WzSpace:
     tower: TowerSpec
-    blocks: list[WzBlock]
+    blocks: tuple[WzBlock, ...]
 
     @property
     def dim_k(self) -> int:
@@ -906,7 +962,10 @@ class WzSpace:
 
     @property
     def dim_kE(self) -> int:
-        assert self.dim_k % self.tower.f == 0
+        if self.dim_k % self.tower.f:
+            raise AssertionError(
+                f"dim_k W_z = {self.dim_k} is not a multiple of f = {self.tower.f}"
+            )
         return self.dim_k // self.tower.f
 
     @property
@@ -926,10 +985,18 @@ def level_gens(stratum, j: int) -> tuple[EElem, ...]:
 
 def build_Wz(tower: TowerSpec, stratum) -> WzSpace:
     """Graded coset space W_z = sum_j of layer quotients, with bases taken
-    inside the trace-orthogonal complement of the lower level."""
+    inside the trace-orthogonal complement of the lower level.
+
+    Built once per stratum content; the block bases are read-only."""
     for r in stratum.r_list:
         if r % 2 == 0:
             raise EvenExponent(f"exponent r = {r} must be odd")
+    key = ("Wz", stratum.d, tuple(c.key() for c in stratum.c_elems),
+           tuple(stratum.s_list))
+    return tower.memo(key, lambda: _build_Wz(tower, stratum))
+
+
+def _build_Wz(tower: TowerSpec, stratum) -> WzSpace:
     blocks: list[WzBlock] = []
     for j in range(stratum.d + 1):
         s_j = stratum.s_list[j]
@@ -941,8 +1008,9 @@ def build_Wz(tower: TowerSpec, stratum) -> WzSpace:
                 "orthogonal complement dimension mismatch at level "
                 f"{j}: {comp.shape[0]} vs {upper.shape[0] - lower.shape[0]}"
             )
+        comp.setflags(write=False)
         blocks.append(WzBlock(j, s_j, comp))
-    space = WzSpace(tower, blocks)
+    space = WzSpace(tower, tuple(blocks))
     if space.dim_kE != tower.f * tower.e - 1:
         raise AssertionError(
             f"dim_kE W_z = {space.dim_kE}, expected fe - 1 = {tower.f * tower.e - 1}"
@@ -1010,11 +1078,13 @@ class GradedLattice:
         )
 
     def layer(self, m: int) -> np.ndarray:
-        rows = [
-            self.tower.cent_layer(gens, m)
-            for gens, thr in self.terms
-            if m >= thr
-        ]
+        """Row-reduced basis of the degree-m layer, built once per content."""
+        active = tuple(gens for gens, thr in self.terms if m >= thr)
+        key = ("lattice-layer", tuple(tuple(g.key() for g in gens) for gens in active), m)
+        return self.tower.memo(key, lambda: self._build_layer(active, m))
+
+    def _build_layer(self, active, m: int) -> np.ndarray:
+        rows = [self.tower.cent_layer(gens, m) for gens in active]
         rows = [r for r in rows if r.size]
         if not rows:
             return np.zeros((0, self.tower.n * self.tower.f), dtype=np.int64)

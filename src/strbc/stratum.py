@@ -769,12 +769,7 @@ def by_oracle(s: StratumSpec, chars, rho_signs: tuple[int, int],
     count = (kE.q - 1) * p**zdim
     inv2 = kE.from_int(2).inverse()
     ident = MatF.identity(tower)
-    units = list(kE.units())
-    zvecs = list(itertools.product(range(p), repeat=zdim))
-    reps = [(t, zv) for t in units for zv in zvecs]
-    if sample is not None and sample < len(reps):
-        rng = random.Random(seed)
-        reps = [reps[0]] + rng.sample(reps[1:], sample - 1)
+    reps, _ = _terms(list(kE.units()), p, zdim, sample, seed)
     const = None
     for t, zv in reps:
         zmat = MatF.zero(tower)
@@ -798,6 +793,32 @@ def by_oracle(s: StratumSpec, chars, rho_signs: tuple[int, int],
                 "integrand is not constant across representatives"
             )
     return (rho1 * rho2 * count) * const
+
+
+def _terms(units: list, p: int, dim: int, sample: int | None, seed: int):
+    """The oracle terms (unit, coordinate tuple) and whether they are sampled.
+
+    Unsampled, every unit is paired with every vector of F_p^dim, streamed
+    in itertools.product order.  Sampled, the list holds term 0 and a seeded
+    draw of sample - 1 further terms, each decoded from its index in that
+    order; this is the draw ``[terms[0]] + rng.sample(terms[1:], sample - 1)``
+    would make, without building the terms.
+    """
+    per_unit = p**dim
+    total = len(units) * per_unit
+    if sample is None or sample >= total:
+        stream = ((u, v) for u in units
+                  for v in itertools.product(range(p), repeat=dim))
+        return stream, False
+    rng = random.Random(seed)
+    picks = [0] + rng.sample(range(1, total), sample - 1)
+    return [(units[i // per_unit], _base_p_digits(i % per_unit, p, dim))
+            for i in picks], True
+
+
+def _base_p_digits(index: int, p: int, dim: int) -> tuple[int, ...]:
+    """The index-th vector of itertools.product(range(p), repeat=dim)."""
+    return tuple(index // p**(dim - 1 - k) % p for k in range(dim))
 
 
 def bz_oracle(s: StratumSpec, chars, rho_tilde,
@@ -839,16 +860,8 @@ def bz_oracle(s: StratumSpec, chars, rho_tilde,
         gy = phase_sum(gram * twist % p, p, threads=threads)
         total_b = total_b + mu(-y).as_int() * gy
     # Path A: direct evaluation through the solved representatives.
-    blocks = wz.blocks
-    sizes = [b.basis.shape[0] for b in blocks]
-    xvecs = list(itertools.product(range(p), repeat=dim))
-    terms = [(y, xv) for y in units for xv in xvecs]
-    sampled = sample is not None and sample < len(terms)
-    if sampled:
-        rng = random.Random(seed)
-        chosen = [terms[0]] + rng.sample(terms[1:], sample - 1)
-    else:
-        chosen = terms
+    sizes = [b.basis.shape[0] for b in wz.blocks]
+    chosen, sampled = _terms(units, p, dim, sample, seed)
     total_a = CycNum.zero(p)
     for y, xv in chosen:
         val = _bz_term(s, big, root, wz, y, xv, sizes)

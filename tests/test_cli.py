@@ -173,3 +173,11 @@ def test_cli_bad_config_path(capsys):
     code, _, err = run(["sign", "/nonexistent/x.json"], capsys)
     assert code == 2
     assert "error" in err
+
+
+@pytest.mark.parametrize("command", ["sign", "reducibility", "base-change"])
+def test_cli_out_of_scope_case_exits_3(command, capsys):
+    code, _, err = run([command, "--case", "d1-tower"], capsys)
+    assert code == 3
+    lines = err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: out of scope: ")

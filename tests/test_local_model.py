@@ -1,8 +1,12 @@
-import numpy as np
-import pytest
+import functools
 from types import SimpleNamespace
 
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
 from strbc import _modp
+from strbc.finite_field import pow_fq
 from strbc.local_model import (
     BadChain,
     EvenExponent,
@@ -27,6 +31,7 @@ from strbc.local_model import (
     level_gens,
     zeta_conjugation_index,
 )
+from strbc.stratum import BUILTIN_CASE_NAMES, builtin_case
 
 
 def mk_stratum(t, c_list, r_list):
@@ -407,3 +412,186 @@ def test_zeta_conjugation_index_is_cy_times_cz():
         t, st = get_case(name)
         cy, cz = iwahori_indices(t, st)
         assert zeta_conjugation_index(t, st) == cy * cz
+
+
+# -- array kernels against their per-entry definitions ------------------------
+
+
+def ref_matmul(A, B):
+    """The layer convolution as a double loop over layer pairs."""
+    t = A.tower
+    fp = min(A.fprec + B.g, B.fprec + A.g)
+    if A.is_zero() or B.is_zero():
+        return MatF.zero(t, fp)
+    g = A.g + B.g
+    L = fp - g
+    if L <= 0:
+        return MatF.zero(t, fp)
+    arr = np.zeros((L, t.n, t.n), dtype=np.int64)
+    for i in range(A.arr.shape[0]):
+        for j in range(B.arr.shape[0]):
+            if i + j < L:
+                arr[i + j] = (arr[i + j] + A.arr[i] @ B.arr[j]) % t.p
+    return MatF(t, g, arr, fp)
+
+
+def ref_mat_from_layer(t, m, vec, fprec=None):
+    """mat_from_layer entry by entry through k_E arithmetic."""
+    e, f, n, p = t.e, t.f, t.n, t.p
+    fp = t.fcap if fprec is None else fprec
+    g = min((m + a) // e for a in range(e))
+    L = fp - g
+    if L <= 0:
+        return MatF.zero(t, fp)
+    arr = np.zeros((L, n, n), dtype=np.int64)
+    for a in range(e):
+        a2, tt = (m + a) % e, (m + a) // e
+        if tt >= fp:
+            continue
+        for b in range(f):
+            col = t.basis_index(a, b)
+            d = t.kE.element(tuple(int(vec[col * f + k]) for k in range(f)))
+            if not d:
+                continue
+            val = d * pow_fq(t.zeta, b) * pow_fq(t.u, tt)
+            coords = t.Zinv @ np.array(val.coeffs, dtype=np.int64) % p
+            for b2 in range(f):
+                arr[tt - g, t.basis_index(a2, b2), col] = coords[b2]
+    return MatF(t, g, arr, fp)
+
+
+def ref_layer_coords(t, X, m):
+    """layer_coords entry by entry through k_E arithmetic."""
+    e, f, p = t.e, t.f, t.p
+    out = np.zeros(t.n * f, dtype=np.int64)
+    for a in range(e):
+        a2, tt = (m + a) % e, (m + a) // e
+        if tt >= X.fprec:
+            raise PrecisionTooLow(
+                f"degree-{m} layer needs w_F^{tt}, precision is {X.fprec}"
+            )
+        lay = X.layer(tt)
+        for b in range(f):
+            col = t.basis_index(a, b)
+            poly = np.array([lay[t.basis_index(a2, b2), col] for b2 in range(f)])
+            kappa = t.kE.element(tuple((t.Zmat @ poly) % p))
+            d = kappa * pow_fq(t.u, -tt) * pow_fq(t.zeta, -b)
+            out[col * f : (col + 1) * f] = d.coeffs
+    return out
+
+
+def same_matf(X, Y):
+    return X.g == Y.g and X.fprec == Y.fprec and np.array_equal(X.arr, Y.arr)
+
+
+@functools.lru_cache(maxsize=None)
+def builtin_tower(name):
+    s = builtin_case(name)
+    return s.tower, s
+
+
+def index_window(name):
+    """Every grade iwahori_indices reads, edge checks included."""
+    t, s = builtin_tower(name)
+    s0 = s.s_list[0]
+    return range(-(s0 + 2 * t.e + 2) - 1, s0 + 2 * t.e + 2 + 2)
+
+
+def random_matf(t, rng, g, layers, extra):
+    """A series matrix with some all-zero layers and fprec g + layers + extra."""
+    arr = rng.integers(0, t.p, size=(layers, t.n, t.n))
+    arr[rng.random(layers) < 0.3] = 0
+    return MatF(t, g, arr, g + layers + extra)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(BUILTIN_CASE_NAMES), st.integers(0, 2**32 - 1),
+       st.integers(-3, 3), st.integers(0, 5), st.integers(0, 3),
+       st.integers(-3, 3), st.integers(0, 5), st.integers(0, 3))
+def test_matmul_matches_layer_pair_loop(name, seed, ga, la, xa, gb, lb, xb):
+    t, _ = builtin_tower(name)
+    rng = np.random.default_rng(seed)
+    A = random_matf(t, rng, ga, la, xa)
+    B = random_matf(t, rng, gb, lb, xb)
+    assert same_matf(A @ B, ref_matmul(A, B))
+    assert same_matf(B @ A, ref_matmul(B, A))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(BUILTIN_CASE_NAMES), st.integers(0, 2**32 - 1),
+       st.one_of(st.none(), st.integers(-4, 6)))
+def test_mat_from_layer_matches_per_entry_definition(name, seed, fprec):
+    t, _ = builtin_tower(name)
+    rng = np.random.default_rng(seed)
+    for m in index_window(name):
+        vec = rng.integers(-t.p, 2 * t.p, size=t.n * t.f)
+        assert same_matf(t.mat_from_layer(m, vec, fprec),
+                         ref_mat_from_layer(t, m, vec, fprec))
+
+
+@settings(max_examples=10, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_layer_coords_inverts_mat_from_layer_on_every_builtin_tower(seed):
+    rng = np.random.default_rng(seed)
+    for name in BUILTIN_CASE_NAMES:
+        t, _ = builtin_tower(name)
+        for m in index_window(name):
+            vec = rng.integers(0, t.p, size=t.n * t.f)
+            assert np.array_equal(t.layer_coords(t.mat_from_layer(m, vec), m), vec)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(BUILTIN_CASE_NAMES), st.integers(0, 2**32 - 1),
+       st.integers(-3, 2), st.integers(0, 4), st.integers(0, 2))
+def test_layer_coords_matches_per_entry_definition(name, seed, g, layers, extra):
+    t, _ = builtin_tower(name)
+    X = random_matf(t, np.random.default_rng(seed), g, layers, extra)
+    for m in range(g * t.e - t.e, (X.fprec + 1) * t.e):
+        try:
+            want = ref_layer_coords(t, X, m)
+        except PrecisionTooLow as exc:
+            with pytest.raises(PrecisionTooLow) as got:
+                t.layer_coords(X, m)
+            assert str(got.value) == str(exc)
+        else:
+            assert np.array_equal(t.layer_coords(X, m), want)
+
+
+def test_layer_coords_past_precision_raises():
+    t, _ = builtin_tower("e3f2")
+    X = t.mat_from_layer(4, np.ones(t.n * t.f, dtype=np.int64), fprec=2)
+    # Degree 4 spans w_F^1 (a = 0, 1) and w_F^2 (a = 2).
+    with pytest.raises(PrecisionTooLow, match=r"^degree-4 layer needs w_F\^2, precision is 2$"):
+        t.layer_coords(X, 4)
+    with pytest.raises(PrecisionTooLow, match=r"^degree-6 layer needs w_F\^2, precision is 2$"):
+        t.layer_coords(X, 6)
+    # The message names the first missing layer, not the last.
+    with pytest.raises(PrecisionTooLow, match=r"^degree-4 layer needs w_F\^1, precision is 1$"):
+        t.layer_coords(MatF.zero(t, 1), 4)
+
+
+def test_build_Wz_is_memoised_and_read_only():
+    t, st_ = get_case("e3f1")
+    wz = build_Wz(t, st_)
+    assert build_Wz(t, mk_stratum(t, [t.e_monomial(-1)], [1])) is wz
+    assert wz.blocks[0].basis.shape[0] == 2
+    with pytest.raises(ValueError, match="read-only"):
+        wz.blocks[0].basis[0, 0] = 1
+    with pytest.raises(ValueError, match="read-only"):
+        t.cent_layer((), 0)[0, 0] = 1
+    # The EvenExponent check still runs on a memo hit.
+    with pytest.raises(EvenExponent):
+        build_Wz(t, mk_stratum(t, [t.e_monomial(-1)], [2]))
+
+
+def test_lattice_layer_memo_matches_fresh_reduction():
+    t, st_ = get_case("e3f2")
+    h1 = h1_lattice(t, st_)
+    for m in range(-4, 6):
+        first = h1.layer(m)
+        rows = [t.cent_layer(g, m) for g, thr in h1.terms if m >= thr]
+        rows = [r for r in rows if r.size]
+        fresh = (_modp.row_space_basis(np.vstack(rows), t.p) if rows
+                 else np.zeros((0, t.n * t.f), dtype=np.int64))
+        assert np.array_equal(first, fresh)
+        assert h1_lattice(t, st_).layer(m) is first

@@ -1,9 +1,10 @@
+import itertools
 import random
 
 import numpy as np
 import pytest
 
-from strbc import _modp
+from strbc import _modp, stratum
 from strbc.cyclotomic import CycNum
 from strbc.finite_field import AddChar, MultChar, quadratic_residue_char
 from strbc.gauss import NonUnitQuotient, normalized_sign
@@ -450,3 +451,72 @@ def test_bz_oracle_rejects_higher_order_restriction():
     chars = default_chars(s)
     with pytest.raises(ValueError):
         bz_oracle(s, chars, MultChar(s.tower.kE, 1))
+
+
+# -- streamed term enumeration -----------------------------------------------
+
+
+def ref_terms(units, p, dim):
+    """The full term list the oracles used to build."""
+    return [(u, v) for u in units for v in itertools.product(range(p), repeat=dim)]
+
+
+def ref_draw(terms, sample, seed):
+    """The seeded sample the oracles used to draw from the full list."""
+    if sample is None or sample >= len(terms):
+        return terms
+    rng = random.Random(seed)
+    return [terms[0]] + rng.sample(terms[1:], sample - 1)
+
+
+@pytest.mark.parametrize("name", ["e1f2", "e3f2", "e5f1"])
+def test_streamed_draw_matches_list_draw(name):
+    s = builtin_case(name)
+    t = s.tower
+    units = list(t.kE.units())
+    for dim in sorted({build_Wz(t, s).dim_k, 0, 1}):
+        terms = ref_terms(units, t.p, dim)
+        samples = [1, 2, 40, 120]
+        if len(terms) <= 5000:
+            samples += [len(terms) - 1, len(terms), None]
+        for sample in samples:
+            for seed in (0, 1, 7, 12345, 2**31 - 1):
+                got, sampled = stratum._terms(units, t.p, dim, sample, seed)
+                assert list(got) == ref_draw(terms, sample, seed)
+                assert sampled == (sample is not None and sample < len(terms))
+
+
+def record_bz_terms(monkeypatch):
+    seen = []
+    original = stratum._bz_term
+
+    def spy(s, big, root, wz, y, xv, sizes, aux=None):
+        seen.append((y, tuple(xv)))
+        return original(s, big, root, wz, y, xv, sizes, aux=aux)
+
+    monkeypatch.setattr(stratum, "_bz_term", spy)
+    return seen
+
+
+def test_bz_oracle_sampled_terms_match_list_draw(monkeypatch):
+    s = builtin_case("e3f2")
+    t = s.tower
+    chars = default_chars(s)
+    mu = MultChar(t.kE, (t.kE.q - 1) // 2 * (t.f - 1))
+    seen = record_bz_terms(monkeypatch)
+    terms = ref_terms(list(t.kE.units()), t.p, build_Wz(t, s).dim_k)
+    for seed in (0, 3):
+        seen.clear()
+        bz_oracle(s, chars, mu, sample=6, seed=seed)
+        assert seen == ref_draw(terms, 6, seed)
+
+
+def test_bz_oracle_exhaustive_e1f2_term_count(monkeypatch):
+    s = builtin_case("e1f2")
+    t = s.tower
+    seen = record_bz_terms(monkeypatch)
+    mu = MultChar(t.kE, (t.kE.q - 1) // 2 * (t.f - 1))
+    bz_oracle(s, default_chars(s), mu)
+    dim = build_Wz(t, s).dim_k
+    assert len(seen) == (t.kE.q - 1) * t.p**dim == 72
+    assert len(set(seen)) == len(seen)
