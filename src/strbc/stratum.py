@@ -812,13 +812,11 @@ def _terms(units: list, p: int, dim: int, sample: int | None, seed: int):
         return stream, False
     rng = random.Random(seed)
     picks = [0] + rng.sample(range(1, total), sample - 1)
-    return [(units[i // per_unit], _base_p_digits(i % per_unit, p, dim))
+    # Term i pairs unit i // p^dim with the base-p digits of i % p^dim,
+    # most significant first, as itertools.product orders them.
+    return [(units[i // per_unit],
+             tuple(i // p**(dim - 1 - k) % p for k in range(dim)))
             for i in picks], True
-
-
-def _base_p_digits(index: int, p: int, dim: int) -> tuple[int, ...]:
-    """The index-th vector of itertools.product(range(p), repeat=dim)."""
-    return tuple(index // p**(dim - 1 - k) % p for k in range(dim))
 
 
 def bz_oracle(s: StratumSpec, chars, rho_tilde,
