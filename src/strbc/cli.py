@@ -12,8 +12,9 @@ desk instances) or with a JSON config file (schema_version 1; unknown keys
 are errors).  ``--json <path>`` writes the machine-readable payload.
 
 Exit codes: 0 every internal cross-check passed, 1 a cross-check failed,
-2 bad input (arguments or config), 3 the experiment lies outside what the
-library computes (a one-line ``error:`` message names the reason).
+2 bad input (arguments, config, or an enumeration past ``--bound``), 3 the
+experiment lies outside what the library computes (a one-line ``error:``
+message names the reason).
 """
 
 from __future__ import annotations
@@ -25,7 +26,13 @@ import sys
 from dataclasses import dataclass, field
 
 from .finite_field import AddChar, MultChar, get_field, pow_fq
-from .gauss import NonUnitQuotient, QuadSpace, gauss_sum_brute, gauss_sum_closed
+from .gauss import (
+    EnumerationTooLarge,
+    NonUnitQuotient,
+    QuadSpace,
+    gauss_sum_brute,
+    gauss_sum_closed,
+)
 from .hecke_bc import (
     HeckeParams,
     LevelZeroChar,
@@ -224,7 +231,8 @@ def cmd_sign(cfg: ExperimentConfig, args) -> int:
     s = cfg.build_stratum()
     twist = cfg.character.get("psi_twist", 1)
     psi = AddChar(s.tower.k, twist)
-    report = epsilon_z_invariance(s, psi, threads=args.threads)
+    report = epsilon_z_invariance(s, psi, threads=args.threads,
+                                  bound=args.bound)
     base = report["base"]
     rows = [{"check": "base sign", "value": base.value,
              "ok": base.value in (-1, 1)}]
@@ -329,7 +337,8 @@ def cmd_base_change(cfg: ExperimentConfig, args) -> int:
     tower = s.tower
     twist = cfg.character.get("psi_twist", 1)
     psi = AddChar(tower.k, twist)
-    report = epsilon_z_invariance(s, psi, threads=args.threads)
+    report = epsilon_z_invariance(s, psi, threads=args.threads,
+                                  bound=args.bound)
     eps = report["base"]
     half = (tower.kE.q - 1) // 2
     rows = []
@@ -386,7 +395,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("config", nargs="?", help="JSON config file")
         p.add_argument("--case", choices=BUILTIN_CASE_NAMES,
                        help="built-in desk instance")
-        p.add_argument("--bound", type=int, default=10**7,
+        p.add_argument("--bound", type=_positive_int, default=10**7,
                        help="enumeration cap")
         p.add_argument("--threads", type=_positive_int, default=1)
         p.add_argument("--seed", type=int, default=None,
@@ -414,7 +423,7 @@ def main(argv=None) -> int:
             print("error: need a config file or --case", file=sys.stderr)
             return 2
         return args.fn(cfg, args)
-    except (ConfigError, FileNotFoundError) as exc:
+    except (ConfigError, FileNotFoundError, EnumerationTooLarge) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (NonUnitQuotient, LinearizationInvalid) as exc:

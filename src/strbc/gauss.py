@@ -16,7 +16,9 @@ parity in force the result is a plain sign.
 
 from __future__ import annotations
 
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from itertools import product
 
 import numpy as np
 
@@ -134,56 +136,64 @@ class QuadSpace:
 
     def prime_gram(self, psi: AddChar) -> np.ndarray:
         """Gram of the F_p-quadratic form x -> Tr(a Q(x)) after restriction
-        of scalars, on the coordinates of the F_p-basis of F_q^n."""
+        of scalars, on the coordinates of the F_p-basis of F_q^n.
+
+        The entry at (i, b), (j, c) is the bilinear form Tr(a S_ij w_b w_c)
+        on the basis vectors w_b e_i and w_c e_j, with w_b = t^b."""
         fld, n, f, p = self.field, self.dim, self.field.f, self.field.p
-        basis: list[list[FqElem]] = []
+        monos = [fld.element((0,) * b + (1,)) for b in range(f)]
+        prods = [[wb * wc for wc in monos] for wb in monos]
+        # Tr is F_p-linear: a dot product with the traces of the t^k.
+        traces = [fld.trace(w) for w in monos]
+
+        def trace(x: FqElem) -> int:
+            return sum(c * t for c, t in zip(x.coeffs, traces)) % p
+
+        gram = np.zeros((n * f, n * f), dtype=np.int64)
         for i in range(n):
-            for b in range(f):
-                vec = [fld.zero()] * n
-                vec[i] = fld.element(tuple(1 if k == b else 0 for k in range(f)))
-                basis.append(vec)
-        d = n * f
-        gram = np.zeros((d, d), dtype=np.int64)
-        half = pow((p + 1) // 2, 1, p)  # inverse of 2 mod p
-        diag = [psi.residue_phase(self.evaluate(v)) for v in basis]
-        for i in range(d):
-            gram[i, i] = diag[i]
-        for i in range(d):
-            for j in range(i + 1, d):
-                w = [a + b for a, b in zip(basis[i], basis[j])]
-                mixed = (psi.residue_phase(self.evaluate(w)) - diag[i] - diag[j]) % p
-                gram[i, j] = gram[j, i] = mixed * half % p
+            for j in range(i, n):
+                scaled = psi.twist * self.gram[i][j]
+                # Symmetric in (b, c), so it also fills the (j, i) block.
+                block = np.array([[trace(scaled * w) for w in row] for row in prods])
+                gram[i * f:(i + 1) * f, j * f:(j + 1) * f] = block
+                gram[j * f:(j + 1) * f, i * f:(i + 1) * f] = block
         return gram
 
 
-def _phase_histogram(gram: np.ndarray, p: int, threads: int = 1) -> np.ndarray:
-    """Counts of x^T G x mod p over all of F_p^d, d = gram.shape[0]."""
-    d = gram.shape[0]
-    total = p**d
-    counts = np.zeros(p, dtype=np.int64)
-    chunk = 1 << 16
-    idx = np.arange(d)
-    powers = p ** idx
+def _digit_table(p: int, k: int) -> np.ndarray:
+    """All points of F_p^k as rows, coordinate 0 varying fastest."""
+    return np.arange(p**k, dtype=np.int64)[:, None] // p ** np.arange(k) % p
 
-    def process(start, stop):
-        local = np.zeros(p, dtype=np.int64)
-        ks = np.arange(start, stop, dtype=np.int64)
-        pts = (ks[:, None] // powers[None, :]) % p
-        vals = np.einsum("ki,ij,kj->k", pts, gram, pts) % p
-        local += np.bincount(vals, minlength=p)
-        return local
+
+def _phase_histogram(gram: np.ndarray, p: int, threads: int = 1) -> np.ndarray:
+    """Counts of x^T G x mod p over all of F_p^d, d = gram.shape[0].
+
+    Every point is evaluated, in integers, through split coordinates
+    x = (x_lo, x_hi): Q(x) = Q_lo(x_lo) + Q_hi(x_hi) + x_hi^T C x_lo with
+    C = G_hl + G_lh^T.  Q_lo and Q_hi are tabulated once; each block of x_hi
+    rows pays one matmul for the cross term.  A block holds about 2^16
+    points, or one x_hi row when the x_lo table is longer than that."""
+    d = gram.shape[0]
+    g = np.asarray(gram, dtype=np.int64) % p
+    m = (d + 1) // 2
+    lo, hi = _digit_table(p, m), _digit_table(p, d - m)
+    q_lo = ((lo @ g[:m, :m]) * lo).sum(axis=1) % p
+    q_hi = ((hi @ g[m:, m:]) * hi).sum(axis=1) % p
+    cross = hi @ (g[m:, :m] + g[:m, m:].T) % p
+    rows = max(1, (1 << 16) // len(lo))
+
+    def process(start):
+        vals = cross[start:start + rows] @ lo.T
+        vals += q_hi[start:start + rows, None]
+        vals += q_lo
+        return np.bincount((vals % p).ravel(), minlength=p)
+
+    blocks = range(0, len(hi), rows)
 
     if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        spans = [(s, min(s + chunk, total)) for s in range(0, total, chunk)]
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            for local in pool.map(lambda sp: process(*sp), spans):
-                counts += local
-    else:
-        for s in range(0, total, chunk):
-            counts += process(s, min(s + chunk, total))
-    return counts
+            return sum(pool.map(process, blocks))
+    return sum(map(process, blocks))
 
 
 def phase_sum(gram: np.ndarray, p: int, threads: int = 1) -> CycNum:
@@ -209,8 +219,6 @@ def gauss_sum_brute(space: QuadSpace, psi: AddChar,
 def gauss_sum_brute_slow(space: QuadSpace, psi: AddChar,
                          bound: int = 10**5) -> CycNum:
     """Pure point-by-point enumeration; cross-checks the vectorized route."""
-    from itertools import product
-
     if psi.is_trivial():
         raise TrivialAdditiveCharacter("brute Gauss sum needs nontrivial psi")
     fld = space.field
@@ -284,9 +292,7 @@ def normalized_sign(space: QuadSpace, psi: AddChar,
         ref = CycNum.integer(fld.p ** (pdim // 2))
         s = cyc_is_rational_sign_times(closed, ref)
         if s is None:
-            # chi(-1) = -1 with pdim = 2 mod 4 makes g^n = -N^(1/2) * i-free?
-            # No: g^2 = chi(-1) q keeps g^n rational for even n; reaching this
-            # point signals a modeling bug.
+            # The sum is +-g_p^pdim and g_p^2 = chi(-1) p: a sign times p^(pdim/2).
             raise NonUnitQuotient("normalized quotient is not +-1")
         quadrant = "+1" if s == 1 else "-1"
         return SignResult(s, quadrant, closed, npoints, ref)

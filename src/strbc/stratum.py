@@ -39,6 +39,8 @@ from .finite_field import (
     quadratic_residue_char,
 )
 from .gauss import (
+    DEFAULT_ENUMERATION_BOUND,
+    EnumerationTooLarge,
     NonUnitQuotient,
     QuadSpace,
     SignResult,
@@ -346,13 +348,16 @@ def _gauss_gram(s: StratumSpec, wz, scalar: EElem) -> np.ndarray:
 
 
 def epsilon_z(s: StratumSpec, psi: AddChar, threads: int = 1,
-              scale_unit: FqElem | None = None) -> SignResult:
+              scale_unit: FqElem | None = None,
+              bound: int = DEFAULT_ENUMERATION_BOUND) -> SignResult:
     """The sign of the normalized quadratic Gauss sum attached to the stratum.
 
     Evaluates sum over X in W_z of psi(Tr(w_E (c_j X - X c_j) alpha(X)))
     brute force, cross-checks against the closed diagonalized form, divides
     by the square root of #W_z, and asserts the quotient is +-1.  Passing
     ``scale_unit`` u computes the sign for the rechosen uniformizer u w_E.
+    Brute force runs only on spaces of at most ``bound`` points; a degenerate
+    form past the bound, which has no closed form, raises EnumerationTooLarge.
     """
     tower = s.tower
     unit = tower.kE.one() if scale_unit is None else scale_unit
@@ -365,6 +370,8 @@ def epsilon_z(s: StratumSpec, psi: AddChar, threads: int = 1,
         # The phase form can degenerate (a wild sub-extension kills the
         # trace residue on a whole block); the raw sum is then a higher
         # power of p and there is no sign to extract.
+        if wz.size > bound:
+            raise EnumerationTooLarge(f"{wz.size} points exceeds bound {bound}")
         twist = psi.twist.coeffs[0]
         total = phase_sum(gram * twist % tower.p, tower.p, threads=threads)
         root = CycNum.integer(math.isqrt(wz.size), tower.p)
@@ -375,7 +382,7 @@ def epsilon_z(s: StratumSpec, psi: AddChar, threads: int = 1,
         raise NonUnitQuotient(
             "degenerate phase form: the normalized sum is not a unit"
         )
-    res = normalized_sign(space, psi, threads=threads)
+    res = normalized_sign(space, psi, bound=bound, threads=threads)
     if res.value is None:
         raise AssertionError("Gauss-sum quotient is not a rational sign")
     # Cross-check against the D-form assembly at y = 1 (opposite bracket
@@ -384,14 +391,15 @@ def epsilon_z(s: StratumSpec, psi: AddChar, threads: int = 1,
         d_forms = build_Dj_forms(s, tower.kE.one())
         d_sign = 1
         for f in d_forms:
-            d_sign *= normalized_sign(f, psi, threads=threads).value
+            d_sign *= normalized_sign(f, psi, bound=bound, threads=threads).value
         if d_sign != res.value:
             raise AssertionError("D-form sign disagrees with the Gauss sign")
     return res
 
 
 def epsilon_z_invariance(s: StratumSpec, psi: AddChar | None = None,
-                         threads: int = 1) -> dict:
+                         threads: int = 1,
+                         bound: int = DEFAULT_ENUMERATION_BOUND) -> dict:
     """Exhaustive invariance suite for the sign.
 
     (a) psi-twists by every residue of F-bullet-cross leave the sign alone;
@@ -402,16 +410,18 @@ def epsilon_z_invariance(s: StratumSpec, psi: AddChar | None = None,
     tower = s.tower
     if psi is None:
         psi = AddChar(tower.k, 1)
-    base = epsilon_z(s, psi, threads=threads)
+    base = epsilon_z(s, psi, threads=threads, bound=bound)
     chi = quadratic_residue_char(tower.kE)
     psi_rows = []
     for a in tower.k.units():
-        sign_a = epsilon_z(s, AddChar(tower.k, a), threads=threads).value
+        sign_a = epsilon_z(s, AddChar(tower.k, a), threads=threads,
+                           bound=bound).value
         psi_rows.append({"twist": a.coeffs[0], "sign": sign_a,
                          "matches": sign_a == base.value})
     unit_rows = []
     for u in tower.kE.units():
-        sign_u = epsilon_z(s, psi, threads=threads, scale_unit=u).value
+        sign_u = epsilon_z(s, psi, threads=threads, scale_unit=u,
+                           bound=bound).value
         predicted = base.value * chi.sign(u) ** (tower.f - 1)
         unit_rows.append({"unit": u.coeffs, "sign": sign_u,
                           "predicted": predicted,

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from strbc import gauss
 from strbc.cli import ConfigError, ExperimentConfig, main
 
 
@@ -181,3 +182,39 @@ def test_cli_out_of_scope_case_exits_3(command, capsys):
     assert code == 3
     lines = err.strip().splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: out of scope: ")
+
+
+def test_cli_gauss_past_bound_exits_2(capsys):
+    code, _, err = run(["gauss", "--bound", "10"], capsys)
+    assert code == 2
+    lines = err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
+def test_cli_rejects_zero_bound(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["sign", "--case", "e3f2", "--bound", "0"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert [ln for ln in err.splitlines() if "error:" in ln] == [
+        "strbc sign: error: argument --bound: must be at least 1, got 0"
+    ]
+
+
+@pytest.mark.parametrize("command", ["sign", "base-change"])
+def test_cli_bound_skips_brute_force(command, capsys, monkeypatch):
+    calls = []
+    brute = gauss.gauss_sum_brute
+
+    def counted(*args, **kwargs):
+        calls.append(args[0].dim)
+        return brute(*args, **kwargs)
+
+    monkeypatch.setattr(gauss, "gauss_sum_brute", counted)
+    code, out, _ = run([command, "--case", "e3f2", "--bound", "100"], capsys)
+    assert code == 0
+    assert "epsilon = 1" in out
+    assert calls == []
+    # The same run at the default bound does enumerate.
+    assert run([command, "--case", "e3f2"], capsys)[0] == 0
+    assert calls

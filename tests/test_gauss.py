@@ -1,6 +1,8 @@
 import random
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from strbc.cyclotomic import CycNum, cyc_root
 from strbc.finite_field import AddChar, get_field, quadratic_residue_char
@@ -9,6 +11,7 @@ from strbc.gauss import (
     EnumerationTooLarge,
     QuadSpace,
     TrivialAdditiveCharacter,
+    _phase_histogram,
     gauss_sum_brute,
     gauss_sum_brute_slow,
     gauss_sum_closed,
@@ -164,3 +167,93 @@ def test_psi_twist_scales_by_quadratic_character():
     base = gauss_sum_brute(sp, std_psi(f5))
     for a in f5.units():
         assert gauss_sum_brute(sp, AddChar(f5, a)) == chi(a).as_int() * base
+
+
+# -- the kernels against their point-by-point definitions ---------------------
+
+
+def einsum_histogram(gram, p):
+    """The direct kernel: decode every point index, evaluate x^T G x."""
+    d = gram.shape[0]
+    total = p**d
+    counts = np.zeros(p, dtype=np.int64)
+    powers = p ** np.arange(d)
+    for s in range(0, total, 1 << 16):
+        ks = np.arange(s, min(s + (1 << 16), total), dtype=np.int64)
+        pts = (ks[:, None] // powers[None, :]) % p
+        vals = np.einsum("ki,ij,kj->k", pts, gram, pts) % p
+        counts += np.bincount(vals, minlength=p)
+    return counts
+
+
+def polarized_prime_gram(space, psi):
+    """Prime Gram by polarization: evaluate Q on basis vectors and sums."""
+    fld, n, f, p = space.field, space.dim, space.field.f, space.field.p
+    basis = []
+    for i in range(n):
+        for b in range(f):
+            vec = [fld.zero()] * n
+            vec[i] = fld.element(tuple(1 if k == b else 0 for k in range(f)))
+            basis.append(vec)
+    d = n * f
+    gram = np.zeros((d, d), dtype=np.int64)
+    half = (p + 1) // 2
+    diag = [psi.residue_phase(space.evaluate(v)) for v in basis]
+    for i in range(d):
+        gram[i, i] = diag[i]
+    for i in range(d):
+        for j in range(i + 1, d):
+            w = [a + b for a, b in zip(basis[i], basis[j])]
+            mixed = (psi.residue_phase(space.evaluate(w)) - diag[i] - diag[j]) % p
+            gram[i, j] = gram[j, i] = mixed * half % p
+    return gram
+
+
+def unreduced_gram(p, d, seed, symmetric):
+    """Integer Gram with entries in [-3p, 3p), symmetric or not."""
+    g = np.random.default_rng(seed).integers(-3 * p, 3 * p, size=(d, d))
+    return g + g.T if symmetric else g
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([3, 5, 7, 11]), st.integers(0, 7),
+       st.integers(0, 2**32 - 1), st.booleans())
+def test_phase_histogram_matches_einsum(p, d, seed, symmetric):
+    d = min(d, max(k for k in range(8) if p**k <= 20_000))
+    gram = unreduced_gram(p, d, seed, symmetric)
+    assert _phase_histogram(gram, p).tolist() == einsum_histogram(gram, p).tolist()
+
+
+@pytest.mark.parametrize("p,d", [(3, 12), (5, 8), (7, 7), (11, 5)])
+def test_phase_histogram_matches_einsum_many_blocks(p, d):
+    gram = unreduced_gram(p, d, seed=p * 100 + d, symmetric=False)
+    assert _phase_histogram(gram, p).tolist() == einsum_histogram(gram, p).tolist()
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.sampled_from([(3, 11), (3, 12), (3, 13), (5, 8), (5, 9), (11, 6)]),
+       st.integers(0, 2**32 - 1))
+def test_phase_histogram_thread_count_invariant(pd, seed):
+    p, d = pd
+    gram = unreduced_gram(p, d, seed, symmetric=True)
+    serial = _phase_histogram(gram, p).tolist()
+    assert sum(serial) == p**d
+    for threads in (2, 3):
+        assert _phase_histogram(gram, p, threads=threads).tolist() == serial
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([(3, 1), (5, 1), (3, 2), (5, 2), (3, 3)]),
+       st.integers(0, 3), st.randoms(use_true_random=False))
+def test_prime_gram_matches_polarization(pf, n, rng):
+    fld = get_field(*pf)
+    elems = list(fld.elements())
+    m = [[None] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            m[i][j] = m[j][i] = rng.choice(elems)
+    space = QuadSpace(fld, m)
+    psi = AddChar(fld, rng.choice(elems[1:]))
+    fast, slow = space.prime_gram(psi), polarized_prime_gram(space, psi)
+    assert fast.shape == slow.shape == (n * fld.f, n * fld.f)
+    assert fast.dtype == slow.dtype and (fast == slow).all()

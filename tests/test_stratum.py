@@ -7,7 +7,7 @@ import pytest
 from strbc import _modp, stratum
 from strbc.cyclotomic import CycNum
 from strbc.finite_field import AddChar, MultChar, quadratic_residue_char
-from strbc.gauss import NonUnitQuotient, normalized_sign
+from strbc.gauss import EnumerationTooLarge, NonUnitQuotient, normalized_sign
 from strbc.local_model import (
     MatF,
     NotInSubfield,
@@ -209,6 +209,16 @@ def test_epsilon_d1_not_a_unit_quotient():
     s = builtin_case("d1-tower")
     with pytest.raises(NonUnitQuotient):
         epsilon_z(s, std_psi(s.tower))
+
+
+def test_epsilon_degenerate_form_honours_bound(monkeypatch):
+    def no_enumeration(*args, **kwargs):
+        raise AssertionError("enumerated past the bound")
+
+    monkeypatch.setattr(stratum, "phase_sum", no_enumeration)
+    s = builtin_case("d1-tower")
+    with pytest.raises(EnumerationTooLarge):
+        epsilon_z(s, std_psi(s.tower), bound=3**10 - 1)
 
 
 def test_epsilon_invariance_suite():
