@@ -278,14 +278,14 @@ def cmd_reducibility(cfg: ExperimentConfig, args) -> int:
     seed = args.seed if args.seed is not None else cfg.run.get("seed", 0)
     sample = cfg.run.get("sample")
     chars = default_chars(s)
-    by_val = by_oracle(s, chars, (1, 1), sample=sample, seed=seed).as_int()
+    by_val = by_oracle(s, chars, (1, 1), sample=sample, seed=seed,
+                       bound=args.bound).as_int()
     half = (qE - 1) // 2
     mu_lo = MultChar(tower.kE, half * (tower.f - 1))
     mu_hi = MultChar(tower.kE, half * tower.f)
-    bz_lo = bz_oracle(s, chars, mu_lo, sample=sample, seed=seed,
-                      threads=args.threads).as_int()
-    bz_hi = bz_oracle(s, chars, mu_hi, sample=sample, seed=seed,
-                      threads=args.threads).as_int()
+    bz_lo, bz_hi = (v.as_int() for v in bz_oracle(
+        s, chars, (mu_lo, mu_hi), sample=sample, seed=seed,
+        threads=args.threads, bound=args.bound))
     c_y, c_z = iwahori_indices(tower, s)
     eps_y = 1 if by_val > 0 else -1
     eps_z = 1 if bz_lo > 0 else -1

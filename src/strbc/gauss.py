@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import product
 
 import numpy as np
@@ -79,60 +80,60 @@ class QuadSpace:
                 acc = acc + xs[i] * self.gram[i][j] * xs[j]
         return acc
 
-    def det(self) -> FqElem:
-        m = [list(row) for row in self.gram]
-        n, det = self.dim, self.field.one()
-        for i in range(n):
-            piv = next((r for r in range(i, n) if m[r][i]), None)
-            if piv is None:
-                return self.field.zero()
-            if piv != i:
-                m[i], m[piv] = m[piv], m[i]
-                det = -det
-            det = det * m[i][i]
-            inv = m[i][i].inverse()
-            for r in range(i + 1, n):
-                f = m[r][i] * inv
-                if f:
-                    m[r] = [a - f * b for a, b in zip(m[r], m[i])]
-        return det
+    @cached_property
+    def _diagonal(self) -> tuple[FqElem, ...]:
+        """Diagonal of the congruence-diagonalized Gram matrix, computed once.
 
-    def is_nondegenerate(self) -> bool:
-        return bool(self.field.from_int(2) * self.det())
-
-    def diagonalize(self) -> list[FqElem]:
-        """Diagonal entries of a congruence-diagonalized Gram matrix."""
-        m = [list(row) for row in self.gram]
-        n = self.dim
+        Int64 elimination on the (n, n, f) coefficient array: each pivot
+        clears its row and column with one Schur step on the trailing block,
+        multiplying through the field's f x f x f structure tensor."""
+        fld, n, p = self.field, self.dim, self.field.p
+        # Structure tensor: t^j t^k = sum_l mul[j, k, l] t^l.
+        monos = [fld.element((0,) * j + (1,)) for j in range(fld.f)]
+        mul = np.array([[(a * b).coeffs for b in monos] for a in monos],
+                       dtype=np.int64)
+        m = np.array([[x.coeffs for x in row] for row in self.gram],
+                     dtype=np.int64).reshape(n, n, fld.f)
+        diag = []
         for i in range(n):
-            if not m[i][i]:
-                piv = next((r for r in range(i + 1, n) if m[r][r]), None)
+            if not m[i, i].any():
+                piv = next((r for r in range(i + 1, n) if m[r, r].any()), None)
                 if piv is not None:
-                    m[i], m[piv] = m[piv], m[i]
-                    for row in m:
-                        row[i], row[piv] = row[piv], row[i]
+                    m[[i, piv]] = m[[piv, i]]
+                    m[:, [i, piv]] = m[:, [piv, i]]
                 else:
                     # Standard char != 2 pivot repair: e_i <- e_i + e_j with
                     # B(e_i, e_j) != 0 turns the zero diagonal entry into
                     # 2 S_ij != 0.
-                    piv = next((r for r in range(i + 1, n) if m[i][r]), None)
-                    if piv is None:
-                        continue  # row is in the radical
-                    for c in range(n):
-                        m[i][c] = m[i][c] + m[piv][c]
-                    for r in range(n):
-                        m[r][i] = m[r][i] + m[r][piv]
-            if not m[i][i]:
-                continue
-            inv = m[i][i].inverse()
-            for r in range(i + 1, n):
-                f = m[r][i] * inv
-                if f:
-                    for c in range(n):
-                        m[r][c] = m[r][c] - f * m[i][c]
-                    for r2 in range(n):
-                        m[r2][r] = m[r2][r] - f * m[r2][i]
-        return [m[i][i] for i in range(n)]
+                    piv = next((r for r in range(i + 1, n) if m[i, r].any()), None)
+                    if piv is not None:
+                        m[i] += m[piv]
+                        m[:, i] += m[:, piv]
+                        m %= p
+            pivot = fld.element(tuple(m[i, i].tolist()))
+            diag.append(pivot)
+            if pivot:
+                # Schur step: S_rc -= (S_ri / S_ii) S_ic on the trailing block.
+                inv = np.array(pivot.inverse().coeffs, dtype=np.int64)
+                quot = np.einsum("rj,k,jkl->rl", m[i + 1:, i], inv, mul) % p
+                m[i + 1:, i + 1:] -= np.einsum("rj,ck,jkl->rcl", quot, m[i, i + 1:], mul)
+                m %= p
+        return tuple(diag)
+
+    def det(self) -> FqElem:
+        """det S: every congruence step has determinant +-1, which squares
+        to 1, so it is the product of the diagonal."""
+        det = self.field.one()
+        for d in self._diagonal:
+            det = det * d
+        return det
+
+    def is_nondegenerate(self) -> bool:
+        return all(self._diagonal)
+
+    def diagonalize(self) -> list[FqElem]:
+        """Diagonal entries of a congruence-diagonalized Gram matrix."""
+        return list(self._diagonal)
 
     def prime_gram(self, psi: AddChar) -> np.ndarray:
         """Gram of the F_p-quadratic form x -> Tr(a Q(x)) after restriction
@@ -248,12 +249,8 @@ def gauss_sum_closed(space: QuadSpace, psi: AddChar) -> CycNum:
     if space.dim == 0:
         return CycNum.one()
     chi = quadratic_residue_char(fld)
-    diag = space.diagonalize()
     g = one_dim_gauss_value(fld, psi)
-    det = fld.one()
-    for d in diag:
-        det = det * d
-    return chi.sign(det) * g**space.dim
+    return chi.sign(space.det()) * g**space.dim
 
 
 @dataclass(frozen=True)

@@ -256,23 +256,32 @@ def minimality_check(t: TowerSpec, c: EElem) -> bool:
 def _block_gram_raw(tower: TowerSpec, c: EElem, basis: np.ndarray, grade: int,
                     scalar: EElem, c_first: bool) -> np.ndarray:
     """Raw (unsymmetrized) Gram of X -> Tr(scalar * [c, X] * alpha(X)) at the
-    residue level, on the given degree-`grade` coordinate basis."""
-    p = tower.p
+    residue level, on the given degree-`grade` coordinate basis.
+
+    Entry (a, b) is the w_F^0 coefficient of Tr(left_a @ alpha(X_b)): the
+    sum over k of Tr(left_a[k] @ alpha(X_b)[-k]), one contraction over the
+    layers laid out on a symmetric degree window."""
+    p, n = tower.p, tower.n
     cm = tower.m_of(c)
     wmat = tower.m_of(scalar)
     mats = [tower.mat_from_layer(grade, row) for row in basis]
     amats = [tower.alpha(M) for M in mats]
-    nb = len(mats)
-    raw = np.zeros((nb, nb), dtype=np.int64)
-    for a in range(nb):
-        if c_first:
-            br = (cm @ mats[a]) - (mats[a] @ cm)
-        else:
-            br = (mats[a] @ cm) - (cm @ mats[a])
-        left = wmat @ br
-        for b in range(nb):
-            raw[a, b] = (left @ amats[b]).trace().coeff(0) % p
-    return raw
+    lefts = [wmat @ (cm @ M - M @ cm if c_first else M @ cm - cm @ M)
+             for M in mats]
+    # left @ amat knows its w_F^0 coefficient only below its precision.
+    for left in lefts:
+        for amat in amats:
+            fprec = min(left.fprec + amat.g, amat.fprec + left.g)
+            if fprec <= 0:
+                raise PrecisionTooLow(f"w_F^0 beyond precision {fprec}")
+    span = max((max(-M.g, M.g + len(M.arr) - 1)
+                for M in lefts + amats if not M.is_zero()), default=0)
+    L, R = (np.zeros((len(mats), 2 * span + 1, n, n), dtype=np.int64)
+            for _ in range(2))
+    for out, ms in ((L, lefts), (R, amats)):
+        for a, M in enumerate(ms):
+            out[a, span + M.g:span + M.g + len(M.arr)] = M.arr
+    return np.einsum("akij,bkji->ab", L, R[:, ::-1]) % p
 
 
 def _symmetrized_space(tower: TowerSpec, raw: np.ndarray) -> QuadSpace:
@@ -752,7 +761,8 @@ def _y_side_zbases(s: StratumSpec) -> list[tuple[int, np.ndarray]]:
 
 
 def by_oracle(s: StratumSpec, chars, rho_signs: tuple[int, int],
-              sample: int | None = None, seed: int = 0) -> CycNum:
+              sample: int | None = None, seed: int = 0,
+              bound: int = DEFAULT_ENUMERATION_BOUND) -> CycNum:
     """Enumerates the first-generator coset representatives, checks that the
     normalized integrand is one and the same value at every representative,
     and returns the full sum.
@@ -760,7 +770,8 @@ def by_oracle(s: StratumSpec, chars, rho_signs: tuple[int, int],
     ``rho_signs`` carries the two residue-character constants (the value of
     the big character at -2 and of its square root at -1).  With ``sample``
     set, constancy is verified on that many deterministically chosen
-    representatives and the sum is count * constant.
+    representatives and the sum is count * constant.  A run over more than
+    ``bound`` representatives raises EnumerationTooLarge up front.
     """
     _check_window(s, "by_oracle")
     big, root = _check_char_pair(s, chars)
@@ -777,6 +788,7 @@ def by_oracle(s: StratumSpec, chars, rho_signs: tuple[int, int],
             "representative count disagrees with the lattice index"
         )
     count = (kE.q - 1) * p**zdim
+    _check_term_count(count, sample, bound)
     inv2 = kE.from_int(2).inverse()
     ident = MatF.identity(tower)
     reps, _ = _terms(list(kE.units()), p, zdim, sample, seed)
@@ -805,6 +817,13 @@ def by_oracle(s: StratumSpec, chars, rho_signs: tuple[int, int],
     return (rho1 * rho2 * count) * const
 
 
+def _check_term_count(total: int, sample: int | None, bound: int):
+    """Refuse an oracle run that would evaluate more than ``bound`` terms."""
+    count = total if sample is None else min(sample, total)
+    if count > bound:
+        raise EnumerationTooLarge(f"{count} terms exceeds bound {bound}")
+
+
 def _terms(units: list, p: int, dim: int, sample: int | None, seed: int):
     """The oracle terms (unit, coordinate tuple) and whether they are sampled.
 
@@ -831,7 +850,7 @@ def _terms(units: list, p: int, dim: int, sample: int | None, seed: int):
 
 def bz_oracle(s: StratumSpec, chars, rho_tilde,
               sample: int | None = None, seed: int = 0,
-              threads: int = 1) -> CycNum:
+              threads: int = 1, bound: int = DEFAULT_ENUMERATION_BOUND):
     """The second-generator coefficient, by two independent routes.
 
     Path A evaluates, for each (y, X), the simple characters at the solved
@@ -841,36 +860,47 @@ def bz_oracle(s: StratumSpec, chars, rho_tilde,
     totals must agree exactly.  With ``sample`` set, path A is verified on
     that many deterministically chosen terms and the path-B total is
     returned (the per-term identity is what makes the totals equal).
+
+    ``rho_tilde`` may be a tuple of characters: both paths then run once,
+    only the mu(-y) weighting is per character, and a tuple of totals comes
+    back in the same order.  A phase sum of more than ``bound`` points, or
+    more than ``bound`` path-A terms, raises EnumerationTooLarge up front.
     """
     _check_window(s, "bz_oracle")
     big, root = _check_char_pair(s, chars)
     tower = s.tower
     p, kE = tower.p, tower.kE
-    mu = getattr(rho_tilde, "mu_part", rho_tilde)
-    if not isinstance(mu, MultChar) or mu.field != kE:
-        raise ValueError("need a multiplicative character on the residue "
-                         "field of E")
-    if mu.exponent not in (0, (kE.q - 1) // 2):
-        raise ValueError("the restriction to the Teichmueller units must be "
-                         "at most quadratic")
+    many = isinstance(rho_tilde, tuple)
+    mus = [getattr(r, "mu_part", r) for r in (rho_tilde if many else (rho_tilde,))]
+    for mu in mus:
+        if not isinstance(mu, MultChar) or mu.field != kE:
+            raise ValueError("need a multiplicative character on the residue "
+                             "field of E")
+        if mu.exponent not in (0, (kE.q - 1) // 2):
+            raise ValueError("the restriction to the Teichmueller units must be "
+                             "at most quadratic")
     psi = big.psi
     twist = psi.twist.coeffs[0]
     wz = build_Wz(tower, s)
     dim = wz.dim_k
-    inv2 = kE.from_int(2).inverse()
     units = list(kE.units())
+    if p**dim > bound:
+        raise EnumerationTooLarge(f"{p**dim} points exceeds bound {bound}")
+    _check_term_count(len(units) * p**dim, sample, bound)
+    inv2 = kE.from_int(2).inverse()
+    signs = {y.coeffs: [mu(-y).as_int() for mu in mus] for y in units}
     # Path B: blockwise Gauss sums, one per y.
-    total_b = CycNum.zero(p)
+    totals_b = [CycNum.zero(p)] * len(mus)
     grams: dict[tuple, np.ndarray] = {}
     for y in units:
         gram = _gauss_gram(s, wz, tower.e_monomial(1, y.inverse() * inv2))
         grams[y.coeffs] = gram
         gy = phase_sum(gram * twist % p, p, threads=threads)
-        total_b = total_b + mu(-y).as_int() * gy
+        totals_b = [t + w * gy for t, w in zip(totals_b, signs[y.coeffs])]
     # Path A: direct evaluation through the solved representatives.
     sizes = [b.basis.shape[0] for b in wz.blocks]
     chosen, sampled = _terms(units, p, dim, sample, seed)
-    total_a = CycNum.zero(p)
+    totals_a = [CycNum.zero(p)] * len(mus)
     for y, xv in chosen:
         val = _bz_term(s, big, root, wz, y, xv, sizes)
         phase = int(np.array(xv) @ grams[y.coeffs] @ np.array(xv)) % p
@@ -879,10 +909,10 @@ def bz_oracle(s: StratumSpec, chars, rho_tilde,
             raise PathMismatch(
                 "direct term value disagrees with its Gauss-sum phase"
             )
-        total_a = total_a + mu(-y).as_int() * val
-    if not sampled and total_a != total_b:
+        totals_a = [t + w * val for t, w in zip(totals_a, signs[y.coeffs])]
+    if not sampled and totals_a != totals_b:
         raise PathMismatch("the two evaluation routes disagree")
-    return total_b
+    return tuple(totals_b) if many else totals_b[0]
 
 
 def _bz_term(s: StratumSpec, big: SimpleCharSpec, root: SimpleCharSpec,

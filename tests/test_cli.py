@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from strbc import gauss
+from strbc import gauss, stratum
 from strbc.cli import ConfigError, ExperimentConfig, main
 
 
@@ -218,3 +218,20 @@ def test_cli_bound_skips_brute_force(command, capsys, monkeypatch):
     # The same run at the default bound does enumerate.
     assert run([command, "--case", "e3f2"], capsys)[0] == 0
     assert calls
+
+
+def test_cli_reducibility_honours_bound(capsys, monkeypatch):
+    # e1f2: 24 b_y representatives, 72 b_z terms over phase sums of 9 points.
+    calls = []
+    evaluate = stratum.eval_simple_char
+    monkeypatch.setattr(stratum, "eval_simple_char",
+                        lambda *a: calls.append(a) or evaluate(*a))
+    code, out, err = run(["reducibility", "--case", "e1f2", "--bound", "8"], capsys)
+    assert code == 2 and out == ""
+    lines = err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    # Refused before the first b_y representative is evaluated.
+    assert calls == []
+    code, out, _ = run(["reducibility", "--case", "e1f2", "--bound", "100"], capsys)
+    assert code == 0
+    assert "reducibility suite: pass" in out

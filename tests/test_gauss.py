@@ -257,3 +257,122 @@ def test_prime_gram_matches_polarization(pf, n, rng):
     fast, slow = space.prime_gram(psi), polarized_prime_gram(space, psi)
     assert fast.shape == slow.shape == (n * fld.f, n * fld.f)
     assert fast.dtype == slow.dtype and (fast == slow).all()
+
+
+# -- the congruence diagonalization against the FqElem eliminations ----------
+
+
+def elementwise_det(gram):
+    """Determinant by row elimination on FqElem entries."""
+    m = [list(row) for row in gram]
+    n = len(m)
+    fld = m[0][0].field if n else None
+    det = fld.one() if n else None
+    for i in range(n):
+        piv = next((r for r in range(i, n) if m[r][i]), None)
+        if piv is None:
+            return fld.zero()
+        if piv != i:
+            m[i], m[piv] = m[piv], m[i]
+            det = -det
+        det = det * m[i][i]
+        inv = m[i][i].inverse()
+        for r in range(i + 1, n):
+            f = m[r][i] * inv
+            if f:
+                m[r] = [a - f * b for a, b in zip(m[r], m[i])]
+    return det
+
+
+def elementwise_diagonalize(gram):
+    """Congruence diagonalization on FqElem entries, one row and column
+    operation at a time, with the same pivot choices."""
+    m = [list(row) for row in gram]
+    n = len(m)
+    for i in range(n):
+        if not m[i][i]:
+            piv = next((r for r in range(i + 1, n) if m[r][r]), None)
+            if piv is not None:
+                m[i], m[piv] = m[piv], m[i]
+                for row in m:
+                    row[i], row[piv] = row[piv], row[i]
+            else:
+                piv = next((r for r in range(i + 1, n) if m[i][r]), None)
+                if piv is None:
+                    continue
+                for c in range(n):
+                    m[i][c] = m[i][c] + m[piv][c]
+                for r in range(n):
+                    m[r][i] = m[r][i] + m[r][piv]
+        if not m[i][i]:
+            continue
+        inv = m[i][i].inverse()
+        for r in range(i + 1, n):
+            f = m[r][i] * inv
+            if f:
+                for c in range(n):
+                    m[r][c] = m[r][c] - f * m[i][c]
+                for r2 in range(n):
+                    m[r2][r] = m[r2][r] - f * m[r2][i]
+    return [m[i][i] for i in range(n)]
+
+
+def assert_diagonalization_matches(fld, gram):
+    space = QuadSpace(fld, gram)
+    assert space.diagonalize() == elementwise_diagonalize(gram)
+    if gram:
+        det = elementwise_det(gram)
+        assert space.det() == det
+        assert space.is_nondegenerate() == bool(fld.from_int(2) * det)
+    else:
+        assert space.det() == fld.one() and space.is_nondegenerate()
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from([(3, 1), (5, 1), (7, 1), (3, 2), (5, 2), (3, 3)]),
+       st.integers(0, 6), st.sampled_from([0.0, 0.5, 0.8, 1.0]),
+       st.booleans(), st.randoms(use_true_random=False))
+def test_diagonalization_matches_elementwise(pf, n, zero_rate, zero_diag, rng):
+    # Sparse Grams and zero diagonals drive the row swap, the e_i += e_j
+    # repair and the radical skip; the zero rate 1.0 is the zero form.
+    fld = get_field(*pf)
+    elems = list(fld.elements())
+    m = [[fld.zero()] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            if rng.random() >= zero_rate and not (zero_diag and i == j):
+                m[i][j] = m[j][i] = rng.choice(elems)
+    assert_diagonalization_matches(fld, m)
+
+
+@pytest.mark.parametrize("rows", [
+    [[0, 1], [1, 0]],                     # hyperbolic plane: pivot repair
+    [[0, 0, 1], [0, 0, 0], [1, 0, 0]],    # repair, then a radical row
+    [[0, 0], [0, 2]],                     # row and column swap
+    [[1, 2], [2, 4]],                     # rank one: degenerate
+    [[0, 1, 1], [1, 0, 1], [1, 1, 0]],
+])
+def test_diagonalization_pivot_cases(rows):
+    for q in (3, 5, 7):
+        fld = get_field(q)
+        gram = [[fld.from_int(c) for c in row] for row in rows]
+        assert_diagonalization_matches(fld, gram)
+
+
+def test_diagonalization_is_computed_once_and_lazily(monkeypatch):
+    fld = get_field(3, 2)
+    space = QuadSpace.from_ints(fld, [[1, 1, 0], [1, 0, 1], [0, 1, 1]])
+    assert "_diagonal" not in vars(space)
+    calls = []
+    inverse = type(fld.one()).inverse
+
+    def counted(x):
+        calls.append(x)
+        return inverse(x)
+
+    monkeypatch.setattr(type(fld.one()), "inverse", counted)
+    space.is_nondegenerate()
+    first = len(calls)
+    assert first == 3
+    space.det(), space.diagonalize(), gauss_sum_closed(space, std_psi(fld))
+    assert len(calls) == first

@@ -3,6 +3,7 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from strbc import _modp, stratum
 from strbc.cyclotomic import CycNum
@@ -12,6 +13,7 @@ from strbc.local_model import (
     MatF,
     NotInSubfield,
     EvenExponent,
+    PrecisionTooLow,
     TowerConfig,
     build_tower,
     build_Wz,
@@ -530,3 +532,153 @@ def test_bz_oracle_exhaustive_e1f2_term_count(monkeypatch):
     dim = build_Wz(t, s).dim_k
     assert len(seen) == (t.kE.q - 1) * t.p**dim == 72
     assert len(set(seen)) == len(seen)
+
+
+# -- the phase Gram contraction against the per-pair products ----------------
+
+_R1_CASES = {}
+
+
+def r1_case(name):
+    if name not in _R1_CASES:
+        _R1_CASES[name] = builtin_case(name)
+    return _R1_CASES[name]
+
+
+def loop_block_gram_raw(tower, c, basis, grade, scalar, c_first):
+    """The raw Gram one full MatF product per pair: the w_F^0 coefficient
+    of Tr(scalar [c, X_a] alpha(X_b))."""
+    p = tower.p
+    cm = tower.m_of(c)
+    wmat = tower.m_of(scalar)
+    mats = [tower.mat_from_layer(grade, row) for row in basis]
+    amats = [tower.alpha(M) for M in mats]
+    raw = np.zeros((len(mats), len(mats)), dtype=np.int64)
+    for a, M in enumerate(mats):
+        br = (cm @ M) - (M @ cm) if c_first else (M @ cm) - (cm @ M)
+        left = wmat @ br
+        for b, A in enumerate(amats):
+            raw[a, b] = (left @ A).trace().coeff(0) % p
+    return raw
+
+
+def gram_or_error(fn, *args):
+    try:
+        raw = fn(*args)
+    except PrecisionTooLow as exc:
+        return "PrecisionTooLow", str(exc)
+    assert raw.dtype == np.int64
+    return raw.shape, raw.tolist()
+
+
+@pytest.mark.parametrize("name", R1_CASE_NAMES)
+def test_block_gram_matches_pair_products_on_wz(name):
+    s = r1_case(name)
+    t = s.tower
+    wz = build_Wz(t, s)
+    units = list(t.kE.units())
+    bases = [(b.basis, b.grade) for b in wz.blocks]
+    lower = t.cent_layer(stratum._declared_gens(t, 0), s.s_list[0])
+    bases.append((_modp.complete_basis(
+        lower, np.eye(t.n * t.f, dtype=np.int64), t.p), s.s_list[0]))
+    nonzero = False
+    for basis, grade in bases:
+        for k, i in [(1, 0), (1, -1), (0, 1), (-1, 2)]:
+            scalar = t.e_monomial(k, units[i % len(units)])
+            for c_first in (True, False):
+                args = (t, s.c_elems[0], basis, grade, scalar, c_first)
+                fast = gram_or_error(stratum._block_gram_raw, *args)
+                assert fast == gram_or_error(loop_block_gram_raw, *args)
+                nonzero = nonzero or np.any(fast[1])
+    # u1 has n = 1, where every commutator vanishes.
+    assert nonzero == (name != "u1")
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(R1_CASE_NAMES), st.integers(-3, 5),
+       st.sampled_from([0, 0, 0, -1, 1, 3]),
+       st.sampled_from([None, None, None, -1, 1, 2, 4, 8]), st.integers(0, 7),
+       st.booleans(), st.integers(1, 5), st.integers(0, 2**32 - 1))
+def test_block_gram_matches_pair_products(name, grade, shift, prec, unit,
+                                          c_first, rows, seed):
+    s = r1_case(name)
+    t = s.tower
+    y = list(t.kE.units())[unit % (t.kE.q - 1)]
+    # The product is homogeneous of degree v(scalar) + v(c) + 2 grade =
+    # shift; its trace has a w_F^0 coefficient only at shift 0.
+    k = s.r_list[0] - 2 * grade + shift
+    scalar = t.e_monomial(k, y, prec=prec)
+    basis = np.random.default_rng(seed).integers(0, t.p, size=(rows, t.n * t.f))
+    args = (t, s.c_elems[0], basis, grade, scalar, c_first)
+    fast = gram_or_error(stratum._block_gram_raw, *args)
+    assert fast == gram_or_error(loop_block_gram_raw, *args)
+
+
+def test_block_gram_precision_error_matches():
+    # Negative grades against a short scalar leave w_F^0 unknown.
+    s = r1_case("e3f1")
+    t = s.tower
+    basis = np.eye(t.n * t.f, dtype=np.int64)[:2]
+    args = (t, s.c_elems[0], basis, -2, t.e_monomial(0, t.kE.one(), prec=1), True)
+    fast = gram_or_error(stratum._block_gram_raw, *args)
+    assert fast[0] == "PrecisionTooLow"
+    assert fast == gram_or_error(loop_block_gram_raw, *args)
+
+
+# -- one oracle pass for several characters ----------------------------------
+
+
+def mu_pair(t):
+    half = (t.kE.q - 1) // 2
+    return MultChar(t.kE, half * (t.f - 1)), MultChar(t.kE, half * t.f)
+
+
+@pytest.mark.parametrize("name,sample", [("e1f2", None), ("e5f1", None),
+                                         ("e3f2", 12)])
+def test_bz_oracle_tuple_matches_single_calls(name, sample):
+    s = r1_case(name)
+    chars = default_chars(s)
+    mu_lo, mu_hi = mu_pair(s.tower)
+    both = bz_oracle(s, chars, (mu_lo, mu_hi), sample=sample, seed=3)
+    assert isinstance(both, tuple)
+    assert both == (bz_oracle(s, chars, mu_lo, sample=sample, seed=3),
+                    bz_oracle(s, chars, mu_hi, sample=sample, seed=3))
+    assert bz_oracle(s, chars, (mu_hi,), sample=sample, seed=3) == both[1:]
+
+
+def test_bz_oracle_tuple_evaluates_each_term_once(monkeypatch):
+    s = r1_case("e1f2")
+    t = s.tower
+    seen = record_bz_terms(monkeypatch)
+    bz_oracle(s, default_chars(s), mu_pair(t))
+    assert len(seen) == len(set(seen)) == (t.kE.q - 1) * t.p**2 == 72
+
+
+def test_bz_oracle_tuple_checks_every_character():
+    s = r1_case("e1f2")
+    with pytest.raises(ValueError):
+        bz_oracle(s, default_chars(s), (mu_pair(s.tower)[0], MultChar(s.tower.kE, 1)))
+
+
+def test_oracles_refuse_past_bound(monkeypatch):
+    s = r1_case("e1f2")
+    t = s.tower
+    chars = default_chars(s)
+    seen = record_bz_terms(monkeypatch)
+    # One phase sum is p^dim = 9 points; path A has 72 terms, or the sample.
+    with pytest.raises(EnumerationTooLarge):
+        bz_oracle(s, chars, mu_pair(t), bound=8)
+    with pytest.raises(EnumerationTooLarge):
+        bz_oracle(s, chars, mu_pair(t), bound=71)
+    with pytest.raises(EnumerationTooLarge):
+        bz_oracle(s, chars, mu_pair(t), sample=10, bound=9)
+    with pytest.raises(EnumerationTooLarge):
+        bz_oracle(s, chars, mu_pair(t), sample=5, bound=8)
+    assert seen == []
+    bz_oracle(s, chars, mu_pair(t), sample=9, bound=9)
+    assert len(seen) == 9
+    # by_oracle: (q_E - 1) p^zdim = 24 representatives, or the sample.
+    with pytest.raises(EnumerationTooLarge):
+        by_oracle(s, chars, (1, 1), bound=23)
+    assert by_oracle(s, chars, (1, 1), bound=24) == CycNum.integer(24, t.p)
+    assert by_oracle(s, chars, (1, 1), sample=5, bound=5) == CycNum.integer(24, t.p)
