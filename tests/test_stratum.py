@@ -536,15 +536,6 @@ def test_bz_oracle_exhaustive_e1f2_term_count(monkeypatch):
 
 # -- the phase Gram contraction against the per-pair products ----------------
 
-_R1_CASES = {}
-
-
-def r1_case(name):
-    if name not in _R1_CASES:
-        _R1_CASES[name] = builtin_case(name)
-    return _R1_CASES[name]
-
-
 def loop_block_gram_raw(tower, c, basis, grade, scalar, c_first):
     """The raw Gram one full MatF product per pair: the w_F^0 coefficient
     of Tr(scalar [c, X_a] alpha(X_b))."""
@@ -573,7 +564,7 @@ def gram_or_error(fn, *args):
 
 @pytest.mark.parametrize("name", R1_CASE_NAMES)
 def test_block_gram_matches_pair_products_on_wz(name):
-    s = r1_case(name)
+    s = builtin_case(name)
     t = s.tower
     wz = build_Wz(t, s)
     units = list(t.kE.units())
@@ -601,7 +592,7 @@ def test_block_gram_matches_pair_products_on_wz(name):
        st.booleans(), st.integers(1, 5), st.integers(0, 2**32 - 1))
 def test_block_gram_matches_pair_products(name, grade, shift, prec, unit,
                                           c_first, rows, seed):
-    s = r1_case(name)
+    s = builtin_case(name)
     t = s.tower
     y = list(t.kE.units())[unit % (t.kE.q - 1)]
     # The product is homogeneous of degree v(scalar) + v(c) + 2 grade =
@@ -616,7 +607,7 @@ def test_block_gram_matches_pair_products(name, grade, shift, prec, unit,
 
 def test_block_gram_precision_error_matches():
     # Negative grades against a short scalar leave w_F^0 unknown.
-    s = r1_case("e3f1")
+    s = builtin_case("e3f1")
     t = s.tower
     basis = np.eye(t.n * t.f, dtype=np.int64)[:2]
     args = (t, s.c_elems[0], basis, -2, t.e_monomial(0, t.kE.one(), prec=1), True)
@@ -636,7 +627,7 @@ def mu_pair(t):
 @pytest.mark.parametrize("name,sample", [("e1f2", None), ("e5f1", None),
                                          ("e3f2", 12)])
 def test_bz_oracle_tuple_matches_single_calls(name, sample):
-    s = r1_case(name)
+    s = builtin_case(name)
     chars = default_chars(s)
     mu_lo, mu_hi = mu_pair(s.tower)
     both = bz_oracle(s, chars, (mu_lo, mu_hi), sample=sample, seed=3)
@@ -647,7 +638,7 @@ def test_bz_oracle_tuple_matches_single_calls(name, sample):
 
 
 def test_bz_oracle_tuple_evaluates_each_term_once(monkeypatch):
-    s = r1_case("e1f2")
+    s = builtin_case("e1f2")
     t = s.tower
     seen = record_bz_terms(monkeypatch)
     bz_oracle(s, default_chars(s), mu_pair(t))
@@ -655,13 +646,13 @@ def test_bz_oracle_tuple_evaluates_each_term_once(monkeypatch):
 
 
 def test_bz_oracle_tuple_checks_every_character():
-    s = r1_case("e1f2")
+    s = builtin_case("e1f2")
     with pytest.raises(ValueError):
         bz_oracle(s, default_chars(s), (mu_pair(s.tower)[0], MultChar(s.tower.kE, 1)))
 
 
 def test_oracles_refuse_past_bound(monkeypatch):
-    s = r1_case("e1f2")
+    s = builtin_case("e1f2")
     t = s.tower
     chars = default_chars(s)
     seen = record_bz_terms(monkeypatch)
