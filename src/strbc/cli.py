@@ -58,17 +58,49 @@ class ConfigError(ValueError):
     pass
 
 
+def _is_int(v, lowest: int | None = None) -> bool:
+    return (isinstance(v, int) and not isinstance(v, bool)
+            and (lowest is None or v >= lowest))
+
+
+def _or_null(kind: tuple) -> tuple:
+    return f"{kind[0]} or null", lambda v: v is None or kind[1](v)
+
+
+# What each key of a block holds, as (description, check).
+_INT = ("an integer", _is_int)
+_POS = ("an integer >= 1", lambda v: _is_int(v, 1))
+_NAT = ("an integer >= 0", lambda v: _is_int(v, 0))
+_INTS = ("a list of integers", lambda v: isinstance(v, list) and all(map(_is_int, v)))
+_PAIRS = ("a list of integer pairs", lambda v: isinstance(v, list) and all(
+    isinstance(x, list) and len(x) == 2 and all(map(_is_int, x)) for x in v))
 _TOP_KEYS = {"schema_version", "case", "tower", "stratum", "character", "run"}
-_TOWER_KEYS = {"q", "e", "f", "d", "N", "levels", "u"}
-_STRATUM_KEYS = {"c"}
-_CHAR_KEYS = {"psi_twist"}
-_RUN_KEYS = {"seed", "sample", "grid_q", "grid_n", "grid_count"}
+_SCHEMA = {
+    "tower": {"q": _POS, "e": _POS, "f": _POS, "d": _NAT, "N": _or_null(_INT),
+              "levels": _or_null(_PAIRS), "u": _INT},
+    "stratum": {"c": _PAIRS},
+    "character": {"psi_twist": _INT},
+    "run": {"seed": _INT, "sample": _or_null(_POS), "grid_q": _INTS,
+            "grid_n": _NAT, "grid_count": _NAT},
+}
 
 
-def _check_keys(block: dict, allowed: set, where: str):
-    bad = set(block) - allowed
+def _check_keys(block: dict, allowed, where: str):
+    bad = set(block) - set(allowed)
     if bad:
         raise ConfigError(f"unknown keys in {where}: {sorted(bad)}")
+
+
+def _check_block(data: dict, name: str) -> dict:
+    block = data.get(name, {})
+    if not isinstance(block, dict):
+        raise ConfigError(f"{name} block must be a JSON object")
+    _check_keys(block, _SCHEMA[name], f"{name} block")
+    for key, v in block.items():
+        text, fits = _SCHEMA[name][key]
+        if not fits(v):
+            raise ConfigError(f"{name}.{key} must be {text}, got {v!r}")
+    return dict(block)
 
 
 @dataclass
@@ -86,22 +118,8 @@ class ExperimentConfig:
         _check_keys(data, _TOP_KEYS, "config")
         if data.get("schema_version") != 1:
             raise ConfigError("config must declare schema_version: 1")
-        cfg = ExperimentConfig(
-            case=data.get("case"),
-            tower=dict(data.get("tower", {})),
-            stratum=dict(data.get("stratum", {})),
-            character=dict(data.get("character", {})),
-            run=dict(data.get("run", {})),
-        )
-        _check_keys(cfg.tower, _TOWER_KEYS, "tower block")
-        _check_keys(cfg.stratum, _STRATUM_KEYS, "stratum block")
-        _check_keys(cfg.character, _CHAR_KEYS, "character block")
-        _check_keys(cfg.run, _RUN_KEYS, "run block")
-        sample = cfg.run.get("sample")
-        if sample is not None and (
-            isinstance(sample, bool) or not isinstance(sample, int) or sample < 1
-        ):
-            raise ConfigError(f"run.sample must be an integer >= 1, got {sample!r}")
+        cfg = ExperimentConfig(case=data.get("case"),
+                               **{name: _check_block(data, name) for name in _SCHEMA})
         if cfg.case is None and not cfg.tower:
             raise ConfigError("config needs either a case or a tower block")
         if cfg.case is not None and cfg.case not in BUILTIN_CASE_NAMES:
@@ -122,25 +140,32 @@ class ExperimentConfig:
         return ExperimentConfig.from_dict(data)
 
     def build_stratum(self) -> StratumSpec:
-        """Re-runs every tower/stratum constraint on the loaded data."""
+        """Re-runs every tower, stratum and character constraint on the
+        loaded data; a violated one is a ConfigError."""
         if self.case is not None:
-            return builtin_case(self.case)
-        t = self.tower
-        levels = t.get("levels")
-        if levels is not None:
-            levels = tuple(tuple(x) for x in levels)
-        tower = build_tower(TowerConfig(
-            q=t["q"], e=t["e"], f=t["f"], d=t.get("d", 0),
-            N=t.get("N"), levels=levels, u=t.get("u", 1),
-        ))
-        c_data = self.stratum.get("c")
-        if not c_data:
+            s = builtin_case(self.case)
+        elif not self.stratum.get("c"):
             raise ConfigError("stratum block needs a nonempty c list")
-        c_elems = [
-            tower.e_monomial(int(expo), pow_fq(tower.zeta, int(zp)))
-            for zp, expo in c_data
-        ]
-        return StratumSpec(tower, c_elems)
+        elif {"q", "e", "f"} - set(self.tower):
+            raise ConfigError("tower block needs q, e and f")
+        else:
+            t = self.tower
+            levels = t.get("levels")
+            try:
+                tower = build_tower(TowerConfig(
+                    q=t["q"], e=t["e"], f=t["f"], d=t.get("d", 0),
+                    N=t.get("N"), u=t.get("u", 1),
+                    levels=None if levels is None else tuple(map(tuple, levels)),
+                ))
+                s = StratumSpec(tower, [
+                    tower.e_monomial(expo, pow_fq(tower.zeta, zp))
+                    for zp, expo in self.stratum["c"]
+                ])
+            except (ValueError, ArithmeticError) as exc:
+                raise ConfigError(f"invalid tower or stratum: {exc}") from exc
+        if self.character.get("psi_twist", 1) % s.tower.p == 0:
+            raise ConfigError("character.psi_twist must be nonzero mod p")
+        return s
 
 
 def _stratum_provenance(s: StratumSpec, psi_twist: int) -> dict:

@@ -325,6 +325,13 @@ class AddChar:
     def is_trivial(self) -> bool:
         return not self.twist
 
+    def __eq__(self, other):
+        return (isinstance(other, AddChar)
+                and (self.field, self.twist) == (other.field, other.twist))
+
+    def __hash__(self):
+        return hash((self.field, self.twist))
+
     def __repr__(self):
         return f"AddChar(a={self.twist.coeffs} over F_{self.field.q})"
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import product
 
 import numpy as np
@@ -231,8 +231,9 @@ def gauss_sum_brute_slow(space: QuadSpace, psi: AddChar,
     return total
 
 
+@lru_cache(maxsize=None)
 def one_dim_gauss_value(field: FqField, psi: AddChar) -> CycNum:
-    """g(psi) = sum over t of psi(t^2)."""
+    """g(psi) = sum over t of psi(t^2); computed once per (field, psi)."""
     total = CycNum.zero(field.p)
     for t in field.elements():
         total = total + cyc_root(field.p, psi.residue_phase(t * t))

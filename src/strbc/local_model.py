@@ -11,8 +11,10 @@ because e is odd).
 Elements of E are truncated Laurent series (EElem).  F-linear endomorphisms
 of V = E are matrices over truncated F-series in the basis w_{a,b} =
 w_E^a zeta^b (MatF), stored as a stack of mod-p coefficient layers indexed
-by the power of w_F.  Precision is tracked explicitly and reads past the
-known window raise PrecisionTooLow instead of silently truncating.
+by the power of w_F.  A scalar F-series, such as a determinant, is a layer
+array too: the int64 vector of its w_F^0, w_F^1, ... coefficients.
+Precision is tracked explicitly and reads past the known window raise
+PrecisionTooLow instead of silently truncating.
 
 The valuation grading is E-normalized: v(w_E) = 1, and the degree-m
 homogeneous layer of the algebra is an n*f-dimensional k-space.  Graded
@@ -53,79 +55,6 @@ class EvenExponent(ValueError):
 
 class PrecisionTooLow(ArithmeticError):
     pass
-
-
-# ---------------------------------------------------------------------------
-# Truncated F-series (coefficients in the prime residue field k).
-
-
-class FSeries:
-    """sum_k c_k w_F^k with c_k in k = F_p, known for k < prec."""
-
-    __slots__ = ("p", "coeffs", "prec")
-
-    def __init__(self, p: int, coeffs: dict[int, int], prec: int):
-        self.p = p
-        self.coeffs = {k: c % p for k, c in coeffs.items() if c % p and k < prec}
-        self.prec = prec
-
-    def coeff(self, k: int) -> int:
-        if k >= self.prec:
-            raise PrecisionTooLow(f"w_F^{k} beyond precision {self.prec}")
-        return self.coeffs.get(k, 0)
-
-    def val(self) -> int:
-        if not self.coeffs:
-            raise ZeroElement("valuation of a series that is zero mod precision")
-        return min(self.coeffs)
-
-    def lower_bound(self) -> int:
-        # A valuation lower bound that is defined for the truncated zero too.
-        return min(self.coeffs) if self.coeffs else self.prec
-
-    def __add__(self, other: "FSeries") -> "FSeries":
-        prec = min(self.prec, other.prec)
-        out = dict(self.coeffs)
-        for k, c in other.coeffs.items():
-            out[k] = out.get(k, 0) + c
-        return FSeries(self.p, out, prec)
-
-    def __neg__(self) -> "FSeries":
-        return FSeries(self.p, {k: -c for k, c in self.coeffs.items()}, self.prec)
-
-    def __sub__(self, other: "FSeries") -> "FSeries":
-        return self + (-other)
-
-    def __mul__(self, other: "FSeries") -> "FSeries":
-        va, vb = self.lower_bound(), other.lower_bound()
-        prec = min(self.prec + vb, other.prec + va)
-        out: dict[int, int] = {}
-        for i, a in self.coeffs.items():
-            for j, b in other.coeffs.items():
-                if i + j < prec:
-                    out[i + j] = out.get(i + j, 0) + a * b
-        return FSeries(self.p, out, prec)
-
-    def scale(self, c: int) -> "FSeries":
-        return FSeries(self.p, {k: v * c for k, v in self.coeffs.items()}, self.prec)
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def __eq__(self, other):
-        if not isinstance(other, FSeries):
-            return NotImplemented
-        prec = min(self.prec, other.prec)
-        keys = set(self.coeffs) | set(other.coeffs)
-        return all(
-            self.coeffs.get(k, 0) == other.coeffs.get(k, 0)
-            for k in keys
-            if k < prec
-        )
-
-    def __repr__(self):
-        terms = " + ".join(f"{c}*wF^{k}" for k, c in sorted(self.coeffs.items()))
-        return f"FSeries({terms or '0'}; prec {self.prec})"
 
 
 # ---------------------------------------------------------------------------
@@ -298,13 +227,6 @@ class MatF:
             return np.zeros((self.tower.n, self.tower.n), dtype=np.int64)
         return self.arr[i]
 
-    def entry(self, i: int, j: int) -> FSeries:
-        return FSeries(
-            self.tower.p,
-            {self.g + k: int(self.arr[k, i, j]) for k in range(self.arr.shape[0])},
-            self.fprec,
-        )
-
     def is_zero(self) -> bool:
         return self.arr.shape[0] == 0
 
@@ -372,16 +294,6 @@ class MatF:
         keep = max(0, fp - self.g)
         return MatF(self.tower, self.g, self.arr[:keep], fp)
 
-    def trace(self) -> FSeries:
-        return FSeries(
-            self.tower.p,
-            {
-                self.g + k: int(np.trace(self.arr[k]) % self.tower.p)
-                for k in range(self.arr.shape[0])
-            },
-            self.fprec,
-        )
-
     def __eq__(self, other):
         if not isinstance(other, MatF):
             return NotImplemented
@@ -423,47 +335,61 @@ def inverse_unit(X: "MatF") -> "MatF":
     return Z
 
 
-def inverse_one_plus_nil(X: "MatF") -> "MatF":
-    """Inverse of X = I + A with A of positive valuation, by Neumann series."""
+def det_unit(X: "MatF") -> np.ndarray:
+    """det X for integral X, as its w_F^0 .. w_F^(fprec-1) coefficients.
+
+    Gaussian elimination on the (n, n, fprec) layer stack, pivoting in each
+    column on an entry of least w_F-valuation v, so every multiplier is
+    integral.  Clearing with that pivot leaves the entries below it known
+    only under w_F^(fprec - v), but the pivot puts w_F^v into the product,
+    so the result is exact to the full fprec, for non-units too.
+    """
     t = X.tower
-    A = X - MatF.identity(t, X.fprec)
-    acc = MatF.identity(t, X.fprec)
-    term = MatF.identity(t, X.fprec)
-    for _ in range(t.n * max(1, X.fprec) * max(1, t.e) + 2):
-        term = -(term @ A)
-        if term.fprec > X.fprec:
-            term = term.truncated(X.fprec)
-        if term.is_zero():
+    if X.g < 0:
+        raise ValueError("det_unit expects an integral matrix")
+    p, n, P = t.p, t.n, X.fprec
+    a = np.zeros((n, n, P), dtype=np.int64)
+    layers = X.arr[: max(P - X.g, 0)]
+    a[:, :, X.g : X.g + layers.shape[0]] = layers.transpose(1, 2, 0)
+    det = np.eye(1, P, dtype=np.int64)[0]
+    for i in range(n):
+        live = a[i:, i] != 0
+        vals = np.where(live.any(axis=1), live.argmax(axis=1), P)
+        r = int(vals.argmin())
+        v = int(vals[r])
+        if v == P:
+            return np.zeros(P, dtype=np.int64)
+        if r:
+            a[[i, i + r]] = a[[i + r, i]]
+            det = -det
+        det = np.convolve(det, a[i, i])[:P] % p
+        if i + 1 == n:
             break
-        acc = acc + term
-    else:
-        raise ValueError("Neumann series did not terminate; A is not topologically nilpotent")
-    return acc
+        # Multipliers a[r, i] / a[i, i], known below w_F^(P - v).
+        mult = np.zeros((n - i - 1, P), dtype=np.int64)
+        mult[:, : P - v] = a[i + 1 :, i, v:] @ _series_toeplitz(
+            _series_inverse(a[i, i, v:], p)).T % p
+        below = _series_toeplitz(mult).reshape(-1, P) @ a[i, i + 1 :].T
+        a[i + 1 :, i + 1 :] -= below.reshape(n - i - 1, P, -1).transpose(0, 2, 1)
+        a[i + 1 :, i + 1 :] %= p
+    return det
 
 
-def det_series(X: "MatF") -> FSeries:
-    """Exact determinant of X as a truncated F-series (Laplace expansion)."""
-    t = X.tower
-    n = t.n
-    entries = [[X.entry(i, j) for j in range(n)] for i in range(n)]
-    return _det_recursive(entries, list(range(n)), list(range(n)), t.p, X.fprec)
+def _series_toeplitz(s: np.ndarray) -> np.ndarray:
+    """T[..., k, j] = s[..., k - j] (zero for k < j): the matrix of
+    multiplication by the series s on coefficient vectors of its length."""
+    L = s.shape[-1]
+    padded = np.concatenate([s, np.zeros(s.shape[:-1] + (1,), dtype=np.int64)], -1)
+    return padded[..., _toeplitz_slots(L, L, L)]
 
 
-def _det_recursive(entries, rows, cols, p, fprec) -> FSeries:
-    if not rows:
-        return FSeries(p, {0: 1}, fprec)
-    i = rows[0]
-    total = FSeries(p, {}, fprec)
-    sign = 1
-    for pos, j in enumerate(cols):
-        e = entries[i][j]
-        if not e.is_zero():
-            sub = _det_recursive(
-                entries, rows[1:], cols[:pos] + cols[pos + 1 :], p, fprec
-            )
-            total = total + (e * sub).scale(sign)
-        sign = -sign
-    return total
+def _series_inverse(u: np.ndarray, p: int) -> np.ndarray:
+    """1 / u modulo w_F^len(u), for a series u whose w_F^0 coefficient is a unit."""
+    c = u.tolist()
+    out = [pow(c[0], -1, p)]
+    for k in range(1, len(c)):
+        out.append(-out[0] * sum(c[j] * out[k - j] for j in range(1, k + 1)) % p)
+    return np.array(out, dtype=np.int64)
 
 
 # ---------------------------------------------------------------------------
@@ -544,7 +470,7 @@ class TowerSpec:
         # is unchanged by any E-monomial rescaling of the form (tested).
         self.form_shift = e - 1
         self.H = self._build_gram(self.form_shift)
-        self.Hinv = inverse_series_matrix(self.H)
+        self.Hinv = inverse_unit(self.H)
         self._memo: dict = {}
 
     def memo(self, key, build):
@@ -576,8 +502,9 @@ class TowerSpec:
         # w_F = u^{-1} w_E^e.
         return self.e_monomial(self.e, self.u.inverse())
 
-    def trace_EF(self, x: EElem) -> FSeries:
-        """Tr_{E/F}(x): e * Tr_{k_E/k}(a_{et} u^t) at w_F^t, zero off e|i."""
+    def trace_EF(self, x: EElem) -> tuple[dict[int, int], int]:
+        """Tr_{E/F}(x) as ({t: c} nonzero w_F^t coefficients, fprec):
+        e * Tr_{k_E/k}(a_{et} u^t) at w_F^t, zero off e|i."""
         coeffs: dict[int, int] = {}
         for i, c in x.coeffs.items():
             if i % self.e == 0:
@@ -587,7 +514,7 @@ class TowerSpec:
                     coeffs[t] = val
         # Precision: w_F^t is known iff e*t < x.prec.
         fprec = -((-x.prec) // self.e)
-        return FSeries(self.p, coeffs, fprec)
+        return coeffs, fprec
 
     # -- the regular representation ------------------------------------------
 
@@ -651,8 +578,9 @@ class TowerSpec:
 
     # -- the Hermitian structure ---------------------------------------------
 
-    def tau(self, x: EElem, shift: int | None = None) -> FSeries:
-        """Extraction functional: sum_t Tr_{k_E/k}(a_{et+shift} u^t) w_F^t.
+    def tau(self, x: EElem, shift: int | None = None) -> tuple[dict[int, int], int]:
+        """Extraction functional: sum_t Tr_{k_E/k}(a_{et+shift} u^t) w_F^t,
+        as ({t: c} nonzero coefficients, fprec).
 
         F-linear E -> F; nonzero, hence the associated pairing on E is
         nondegenerate in every characteristic."""
@@ -665,26 +593,19 @@ class TowerSpec:
                 if val:
                     coeffs[t] = val
         fprec = -((w0 - x.prec) // self.e)
-        return FSeries(self.p, coeffs, fprec)
+        return coeffs, fprec
 
     def _build_gram(self, shift: int) -> "MatF":
         n = self.n
-        entries = []
-        for a in range(self.e):
-            for b in range(self.f):
-                wi = self.e_monomial(a, pow_fq(self.zeta, b))
-                row = []
-                for a2 in range(self.e):
-                    for b2 in range(self.f):
-                        wj = self.e_monomial(a2, pow_fq(self.zeta, b2))
-                        row.append(self.tau(wi * wj.sigma(), shift))
-                entries.append(row)
-        g = min(s.lower_bound() for row in entries for s in row)
-        fprec = min(s.prec for row in entries for s in row)
+        basis = [self.e_monomial(a, pow_fq(self.zeta, b))
+                 for a in range(self.e) for b in range(self.f)]
+        entries = [[self.tau(wi * wj.sigma(), shift) for wj in basis] for wi in basis]
+        fprec = min(fp for row in entries for _, fp in row)
+        g = min(min(cs, default=fprec) for row in entries for cs, _ in row)
         arr = np.zeros((fprec - g, n, n), dtype=np.int64)
-        for i in range(n):
-            for j in range(n):
-                for k, c in entries[i][j].coeffs.items():
+        for i, row in enumerate(entries):
+            for j, (cs, _) in enumerate(row):
+                for k, c in cs.items():
                     arr[k - g, i, j] = c
         return MatF(self, g, arr, fprec)
 
@@ -834,24 +755,6 @@ class TowerSpec:
         return (
             f"TowerSpec(q={self.p}, e={self.e}, f={self.f}, d={self.d}, N={self.N})"
         )
-
-
-def inverse_series_matrix(H: MatF) -> MatF:
-    """Inverse of an invertible series matrix, layer by layer."""
-    t = H.tower
-    p, n = t.p, t.n
-    H0 = H.layer(H.g)
-    G0 = _modp.mat_inv(H0, p)
-    L = H.fprec - H.g
-    out = np.zeros((L, n, n), dtype=np.int64)
-    out[0] = G0
-    for m in range(1, L):
-        acc = np.zeros((n, n), dtype=np.int64)
-        for k in range(1, m + 1):
-            if k < H.arr.shape[0]:
-                acc = (acc + H.arr[k] @ out[m - k]) % p
-        out[m] = (-G0 @ acc) % p
-    return MatF(t, -H.g, out, H.fprec - 2 * H.g)
 
 
 def build_tower(config: TowerConfig) -> TowerSpec:
@@ -1026,7 +929,7 @@ def _orthogonal_complement(tower, stratum, j, m, upper, lower) -> np.ndarray:
     if dual.shape[0] == 0:
         return upper
     umats = [tower.mat_from_layer(-m, v) for v in dual]
-    cond = np.array([[(Xc @ U).trace().coeff(0) for Xc in tower.layer_basis(m)]
+    cond = np.array([[np.trace((Xc @ U).layer(0)) % p for Xc in tower.layer_basis(m)]
                      for U in umats], dtype=np.int64)
     kern = _modp.nullspace(cond, p)
     ortho = intersect_row_spaces(upper, kern, p)

@@ -45,7 +45,7 @@ from strbc.local_model import (
     _is_in_F,
     build_Wz,
     build_tower,
-    inverse_one_plus_nil,
+    inverse_unit,
     iwahori_indices,
 )
 from strbc.stratum import (
@@ -95,7 +95,7 @@ def _random_unitary(s, rng, depth=3):
         if vec.any():
             A = A + t.mat_from_layer(m, vec)
     ident = MatF.identity(t, A.fprec)
-    return (ident + A) @ inverse_one_plus_nil(ident - A)
+    return (ident + A) @ inverse_unit(ident - A)
 
 
 def test_criterion_1_gauss_cross_validation():

@@ -1,6 +1,7 @@
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from strbc import gauss, stratum
 from strbc.cli import ConfigError, ExperimentConfig, main
@@ -235,3 +236,79 @@ def test_cli_reducibility_honours_bound(capsys, monkeypatch):
     code, out, _ = run(["reducibility", "--case", "e1f2", "--bound", "100"], capsys)
     assert code == 0
     assert "reducibility suite: pass" in out
+
+
+# ---------------------------------------------------------------------------
+# Malformed config values are bad input: exit 2 with one error line.
+
+GOOD_TOWER = {"q": 3, "e": 1, "f": 1}
+
+
+@pytest.mark.parametrize("patch", [
+    {"tower": {"q": 3, "e": 1}},                     # missing f
+    {"tower": {"q": "3", "e": 1, "f": 1}},
+    {"tower": [1]},
+    {"tower": {"q": 4, "e": 1, "f": 1}},
+    {"tower": {"q": 3, "e": 1, "f": 0}},
+    {"stratum": {"c": [5]}},
+    {"character": {"psi_twist": "a"}},
+    {"character": {"psi_twist": 0}},
+    {"run": {"seed": "x"}},
+])
+def test_cli_bad_config_value_exits_2(patch, capsys, tmp_path):
+    data = {"schema_version": 1, "tower": GOOD_TOWER,
+            "stratum": {"c": [[0, -1]]}, **patch}
+    cfgp = tmp_path / "cfg.json"
+    cfgp.write_text(json.dumps(data))
+    code, out, err = run(["sign", str(cfgp)], capsys)
+    assert code == 2 and out == ""
+    lines = err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
+# Integers stay small so that no draw builds a tower beyond q = 3, e = 3,
+# f = 4 or q = 5, e = 1, f = 4.
+_VALUES = st.recursive(
+    st.integers(-2, 4) | st.text(max_size=2) | st.none() | st.booleans(),
+    lambda inner: st.lists(inner, max_size=3), max_leaves=6)
+_KEYS = {None: ["schema_version", "case", "tower", "stratum", "character",
+                "run"],
+         "tower": ["q", "e", "f", "d", "N", "levels", "u"],
+         "stratum": ["c"], "character": ["psi_twist"],
+         "run": ["seed", "sample", "grid_q", "grid_n", "grid_count"]}
+
+
+@st.composite
+def _configs(draw):
+    """A well-formed config over a small tower, then up to three edits that
+    each set or delete one key, known or not, at the top or in a block."""
+    data = {"schema_version": 1,
+            "tower": {"q": draw(st.sampled_from([3, 5])),
+                      "e": draw(st.sampled_from([1, 3])),
+                      "f": draw(st.integers(1, 2))},
+            "stratum": {"c": draw(st.sampled_from([[[0, -1]], [[1, -1]]])
+                                  | st.lists(st.lists(st.integers(-3, 3),
+                                                      min_size=2, max_size=2),
+                                             min_size=1, max_size=2))}}
+    for _ in range(draw(st.integers(0, 3))):
+        block = draw(st.sampled_from(list(_KEYS)))
+        target = data if block is None else data.setdefault(block, {})
+        if not isinstance(target, dict):
+            continue
+        key = draw(st.sampled_from(_KEYS[block] + ["x"]))
+        if key in target and draw(st.booleans()):
+            del target[key]
+        else:
+            target[key] = draw(_VALUES)
+    return data
+
+
+@settings(max_examples=300, deadline=None)
+@given(_configs())
+def test_config_fuzz_builds_or_raises_config_error(data):
+    try:
+        cfg = ExperimentConfig.from_dict(data)
+        s = cfg.build_stratum()
+    except ConfigError:
+        return
+    assert s.tower.n >= 1

@@ -376,3 +376,21 @@ def test_diagonalization_is_computed_once_and_lazily(monkeypatch):
     assert first == 3
     space.det(), space.diagonalize(), gauss_sum_closed(space, std_psi(fld))
     assert len(calls) == first
+
+
+def test_one_dim_gauss_value_memoised_per_character(monkeypatch):
+    fld = get_field(5, 2)
+    space = QuadSpace.from_ints(fld, [[1, 0], [0, 2]])
+    calls = []
+    phase = AddChar.residue_phase
+    monkeypatch.setattr(AddChar, "residue_phase",
+                        lambda self, x: calls.append(x) or phase(self, x))
+    one_dim_gauss_value.cache_clear()
+    first = gauss_sum_closed(space, AddChar(fld, 2))
+    assert len(calls) == fld.q
+    # An equal character built afresh hits the memo: g(psi) is not summed again.
+    assert gauss_sum_closed(space, AddChar(fld, 2)) == first
+    assert len(calls) == fld.q
+    assert AddChar(fld, 2) == AddChar(fld, 2) and AddChar(fld, 2) != AddChar(fld, 3)
+    gauss_sum_closed(space, AddChar(fld, 3))
+    assert len(calls) == 2 * fld.q

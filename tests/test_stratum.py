@@ -17,7 +17,7 @@ from strbc.local_model import (
     TowerConfig,
     build_tower,
     build_Wz,
-    inverse_one_plus_nil,
+    inverse_unit,
 )
 from strbc.stratum import (
     BUILTIN_CASE_NAMES,
@@ -269,7 +269,7 @@ def random_unitary_element(s, rng, depth=3):
         if vec.any():
             A = A + t.mat_from_layer(m, vec)
     ident = MatF.identity(t, A.fprec)
-    return (ident + A) @ inverse_one_plus_nil(ident - A)
+    return (ident + A) @ inverse_unit(ident - A)
 
 
 def test_eval_identity_is_one():
@@ -549,7 +549,10 @@ def loop_block_gram_raw(tower, c, basis, grade, scalar, c_first):
         br = (cm @ M) - (M @ cm) if c_first else (M @ cm) - (cm @ M)
         left = wmat @ br
         for b, A in enumerate(amats):
-            raw[a, b] = (left @ A).trace().coeff(0) % p
+            prod = left @ A
+            if prod.fprec <= 0:
+                raise PrecisionTooLow(f"w_F^0 beyond precision {prod.fprec}")
+            raw[a, b] = np.trace(prod.layer(0)) % p
     return raw
 
 
