@@ -6,6 +6,8 @@ are tiny (at most a few dozen rows), so plain Gaussian elimination is fine.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
 
@@ -13,13 +15,24 @@ def inv_mod(a: int, p: int) -> int:
     return pow(int(a) % p, p - 2, p)
 
 
-def rref(mat: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
-    """Row-reduced echelon form and pivot column list."""
+@lru_cache(maxsize=None)
+def inverse_table(p: int) -> np.ndarray:
+    """The inverse of each residue mod p, indexed by the residue (0 at 0)."""
+    table = np.array([0] + [inv_mod(c, p) for c in range(1, p)], dtype=np.int64)
+    table.setflags(write=False)
+    return table
+
+
+def rref(mat: np.ndarray, p: int,
+         pivot_cols: int | None = None) -> tuple[np.ndarray, list[int]]:
+    """Row-reduced echelon form and pivot column list; with ``pivot_cols``
+    set, only the first that many columns are reduced (the row operations
+    still act on whole rows)."""
     m = mat.copy() % p
     rows, cols = m.shape
     pivots: list[int] = []
     r = 0
-    for c in range(cols):
+    for c in range(cols if pivot_cols is None else pivot_cols):
         if r >= rows:
             break
         piv = None
@@ -68,26 +81,33 @@ def nullspace(mat: np.ndarray, p: int) -> np.ndarray:
     return basis
 
 
-def solve(mat: np.ndarray, rhs: np.ndarray, p: int) -> np.ndarray | None:
-    """One particular solution x of mat @ x = rhs, or None."""
-    rows, cols = mat.shape
-    aug = np.concatenate([mat % p, rhs.reshape(rows, 1) % p], axis=1)
-    red, piv = rref(aug, p)
-    if cols in piv:
-        return None
-    x = np.zeros(cols, dtype=np.int64)
-    for r, pc in enumerate(piv):
-        x[pc] = red[r, cols]
-    return x
-
-
 def mat_inv(mat: np.ndarray, p: int) -> np.ndarray:
-    n = mat.shape[0]
-    aug = np.concatenate([mat % p, np.eye(n, dtype=np.int64)], axis=1)
-    red, piv = rref(aug, p)
-    if piv != list(range(n)):
-        raise ZeroDivisionError("matrix is singular mod p")
-    return red[:, n:]
+    """Inverse mod p of a square matrix, or of each matrix of a stack
+    (leading axes), by Gauss-Jordan elimination on the first live pivot."""
+    n = mat.shape[-1]
+    a = np.concatenate([mat % p, np.broadcast_to(
+        np.eye(n, dtype=np.int64), mat.shape)], axis=-1).reshape(-1, n, 2 * n)
+    rows = np.arange(a.shape[0])
+    inverses = inverse_table(p)
+    singular = np.zeros(a.shape[0], dtype=bool)
+    for c in range(n):
+        # A singular matrix goes on with a zero pivot row, so that every
+        # singular matrix of the stack is found.
+        live = a[:, c:, c] != 0
+        singular |= ~live.any(axis=1)
+        r = c + live.argmax(axis=1)
+        pivot_row = a[rows, r]
+        a[rows, r] = a[:, c]
+        a[:, c] = pivot_row * inverses[pivot_row[:, c]][:, None] % p
+        factors = a[:, :, c].copy()
+        factors[:, c] = 0
+        a -= factors[:, :, None] * a[:, None, c]
+        a %= p
+    if singular.any():
+        where = (f" (stack index {int(np.flatnonzero(singular)[0])})"
+                 if mat.ndim > 2 else "")
+        raise ZeroDivisionError(f"matrix is singular mod p{where}")
+    return a[:, :, n:].reshape(mat.shape)
 
 
 def in_row_space(vec: np.ndarray, basis: np.ndarray, p: int) -> bool:

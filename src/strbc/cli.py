@@ -25,7 +25,7 @@ import random
 import sys
 from dataclasses import dataclass, field
 
-from .finite_field import AddChar, MultChar, get_field, pow_fq
+from .finite_field import AddChar, MultChar, _is_prime, get_field, pow_fq
 from .gauss import (
     EnumerationTooLarge,
     NonUnitQuotient,
@@ -71,7 +71,8 @@ def _or_null(kind: tuple) -> tuple:
 _INT = ("an integer", _is_int)
 _POS = ("an integer >= 1", lambda v: _is_int(v, 1))
 _NAT = ("an integer >= 0", lambda v: _is_int(v, 0))
-_INTS = ("a list of integers", lambda v: isinstance(v, list) and all(map(_is_int, v)))
+_PRIMES = ("a list of odd primes", lambda v: isinstance(v, list) and all(
+    _is_int(x, 3) and _is_prime(x) for x in v))
 _PAIRS = ("a list of integer pairs", lambda v: isinstance(v, list) and all(
     isinstance(x, list) and len(x) == 2 and all(map(_is_int, x)) for x in v))
 _TOP_KEYS = {"schema_version", "case", "tower", "stratum", "character", "run"}
@@ -80,7 +81,7 @@ _SCHEMA = {
               "levels": _or_null(_PAIRS), "u": _INT},
     "stratum": {"c": _PAIRS},
     "character": {"psi_twist": _INT},
-    "run": {"seed": _INT, "sample": _or_null(_POS), "grid_q": _INTS,
+    "run": {"seed": _INT, "sample": _or_null(_POS), "grid_q": _PRIMES,
             "grid_n": _NAT, "grid_count": _NAT},
 }
 
@@ -302,7 +303,8 @@ def cmd_reducibility(cfg: ExperimentConfig, args) -> int:
     qE = tower.kE.q
     seed = args.seed if args.seed is not None else cfg.run.get("seed", 0)
     sample = cfg.run.get("sample")
-    chars = default_chars(s)
+    twist = cfg.character.get("psi_twist", 1)
+    chars = default_chars(s, AddChar(tower.k, twist))
     by_val = by_oracle(s, chars, (1, 1), sample=sample, seed=seed,
                        bound=args.bound).as_int()
     half = (qE - 1) // 2
@@ -346,7 +348,7 @@ def cmd_reducibility(cfg: ExperimentConfig, args) -> int:
         "spectra": {w: list(v) for w, v in spec.items()},
         "spectrum_rank0_z": list(normalized_spectrum(hp0)["z"]),
         "candidates": rows,
-        "provenance": _stratum_provenance(s, 1),
+        "provenance": _stratum_provenance(s, twist),
         "ok": ok,
     }
     _emit(payload, args.json)

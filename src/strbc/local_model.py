@@ -11,7 +11,8 @@ because e is odd).
 Elements of E are truncated Laurent series (EElem).  F-linear endomorphisms
 of V = E are matrices over truncated F-series in the basis w_{a,b} =
 w_E^a zeta^b (MatF), stored as a stack of mod-p coefficient layers indexed
-by the power of w_F.  A scalar F-series, such as a determinant, is a layer
+by the power of w_F; leading batch axes hold many such matrices, which every
+operation treats at once.  A scalar F-series, such as a determinant, is a layer
 array too: the int64 vector of its w_F^0, w_F^1, ... coefficients.
 Precision is tracked explicitly and reads past the known window raise
 PrecisionTooLow instead of silently truncating.
@@ -177,28 +178,34 @@ class EElem:
 
 
 class MatF:
-    """An n x n matrix over F, stored as stacked w_F-coefficient layers.
+    """An n x n matrix over F, or a stack of them, stored as stacked
+    w_F-coefficient layers.
 
-    arr[k] holds the mod-p matrix of the coefficient of w_F^(g+k); layers
-    past the stack are zero up to w_F^(fprec-1) and unknown from there on.
-    The stack starts and ends with a nonzero layer; the zero-mod-precision
-    matrix has an empty layer stack and g == fprec.
+    arr[..., k, :, :] holds the mod-p matrix of the coefficient of
+    w_F^(g+k); layers past the stack are zero up to w_F^(fprec-1) and unknown
+    from there on.  Leading axes of arr before the layer axis, if any, are
+    batch axes: arr[b] is the layer stack of the b-th matrix, and every
+    matrix of the stack shares g and fprec.  Operations broadcast over the
+    batch axes.  The stack starts and ends with a layer that is nonzero in
+    some matrix; the zero-mod-precision stack has no layers and g == fprec.
     """
 
     __slots__ = ("tower", "g", "arr", "fprec")
 
     def __init__(self, tower: "TowerSpec", g: int, arr: np.ndarray, fprec: int):
-        p, n = tower.p, tower.n
-        arr = arr % p
-        live = arr.reshape(arr.shape[0], n * n).any(axis=1).tolist()
+        arr = arr % tower.p
+        live = arr.any(axis=(-2, -1))
+        if live.ndim > 1:
+            live = live.any(axis=tuple(range(live.ndim - 1)))
+        live = live.tolist()
         if True in live:
             lo, hi = live.index(True), len(live) - live[::-1].index(True)
             if lo or hi < len(live):
                 g += lo
-                arr = arr[lo:hi]
+                arr = arr[..., lo:hi, :, :]
         else:
             g = fprec
-            arr = np.zeros((0, n, n), dtype=np.int64)
+            arr = arr[..., :0, :, :]
         self.tower = tower
         self.g = g
         self.arr = arr
@@ -207,9 +214,11 @@ class MatF:
     # -- constructors --------------------------------------------------------
 
     @staticmethod
-    def zero(tower: "TowerSpec", fprec: int | None = None) -> "MatF":
+    def zero(tower: "TowerSpec", fprec: int | None = None,
+             batch: tuple[int, ...] = ()) -> "MatF":
         fp = tower.fcap if fprec is None else fprec
-        return MatF(tower, fp, np.zeros((0, tower.n, tower.n), dtype=np.int64), fp)
+        n = tower.n
+        return MatF(tower, fp, np.zeros(batch + (0, n, n), dtype=np.int64), fp)
 
     @staticmethod
     def identity(tower: "TowerSpec", fprec: int | None = None) -> "MatF":
@@ -217,82 +226,123 @@ class MatF:
         arr = np.eye(tower.n, dtype=np.int64)[None, :, :]
         return MatF(tower, 0, arr, fp)
 
+    @staticmethod
+    def stack(mats: list["MatF"]) -> "MatF":
+        """One stack of the given matrices, or of the matrices of the given
+        stacks, in order, at their common precision."""
+        t, n = mats[0].tower, mats[0].tower.n
+        fp = min(M.fprec for M in mats)
+        g = min(M.g for M in mats)
+        top = max(min(M.g + M.arr.shape[-3], fp) for M in mats)
+        parts = []
+        for M in mats:
+            k = max(min(M.arr.shape[-3], fp - M.g), 0)
+            count = int(np.prod(M.batch))
+            part = np.zeros((count, max(top - g, 0), n, n), dtype=np.int64)
+            part[:, M.g - g : M.g - g + k] = M.arr[..., :k, :, :].reshape(
+                (count, k, n, n))
+            parts.append(part)
+        return MatF(t, g, np.concatenate(parts), fp)
+
+    # -- batch access --------------------------------------------------------
+
+    @property
+    def batch(self) -> tuple[int, ...]:
+        return self.arr.shape[:-3]
+
+    def take(self, index) -> "MatF":
+        """The matrices at the given positions of the first batch axis."""
+        return MatF(self.tower, self.g, self.arr[index], self.fprec)
+
+    def nonzero_mask(self) -> np.ndarray:
+        """Per matrix of the stack, whether it is nonzero mod precision."""
+        return self.arr.any(axis=(-3, -2, -1))
+
     # -- layer access --------------------------------------------------------
 
     def layer(self, k: int) -> np.ndarray:
         if k >= self.fprec:
             raise PrecisionTooLow(f"w_F^{k} layer beyond precision {self.fprec}")
         i = k - self.g
-        if i < 0 or i >= self.arr.shape[0]:
-            return np.zeros((self.tower.n, self.tower.n), dtype=np.int64)
-        return self.arr[i]
+        if i < 0 or i >= self.arr.shape[-3]:
+            n = self.tower.n
+            return np.zeros(self.batch + (n, n), dtype=np.int64)
+        return self.arr[..., i, :, :]
 
     def is_zero(self) -> bool:
-        return self.arr.shape[0] == 0
+        """Whether every matrix of the stack is zero mod precision."""
+        return self.arr.shape[-3] == 0
 
     # -- arithmetic ----------------------------------------------------------
 
+    def _batch_with(self, other: "MatF") -> tuple[int, ...]:
+        a, b = self.batch, other.batch
+        return a if a == b else np.broadcast_shapes(a, b)
+
     def __add__(self, other: "MatF") -> "MatF":
-        t = self.tower
-        fp = min(self.fprec, other.fprec)
-        if self.is_zero():
-            return other.truncated(fp)
-        if other.is_zero():
-            return self.truncated(fp)
-        g = min(self.g, other.g)
-        L = fp - g
-        arr = np.zeros((max(L, 0), t.n, t.n), dtype=np.int64)
-        for src in (self, other):
-            lo, hi = src.g, min(src.g + src.arr.shape[0], fp)
-            if hi > lo:
-                arr[lo - g : hi - g] += src.arr[: hi - lo]
-        return MatF(t, g, arr, fp)
+        return self._plus(other, 1)
 
     def __neg__(self) -> "MatF":
         return MatF(self.tower, self.g, -self.arr, self.fprec)
 
     def __sub__(self, other: "MatF") -> "MatF":
-        return self + (-other)
+        return self._plus(other, -1)
+
+    def _plus(self, other: "MatF", sign: int) -> "MatF":
+        """self + sign * other, for sign = 1 or -1."""
+        t = self.tower
+        fp = min(self.fprec, other.fprec)
+        batch = self._batch_with(other)
+        if self.is_zero() and other.batch == batch:
+            return (other if sign == 1 else -other).truncated(fp)
+        if other.is_zero() and self.batch == batch:
+            return self.truncated(fp)
+        g = min(self.g, other.g)
+        top = min(fp, max(self.g + self.arr.shape[-3], other.g + other.arr.shape[-3]))
+        arr = np.zeros(batch + (max(top - g, 0), t.n, t.n), dtype=np.int64)
+        for src, s in ((self, 1), (other, sign)):
+            lo, hi = src.g, min(src.g + src.arr.shape[-3], fp)
+            if hi > lo:
+                arr[..., lo - g : hi - g, :, :] += s * src.arr[..., : hi - lo, :, :]
+        return MatF(t, g, arr, fp)
 
     def __matmul__(self, other: "MatF") -> "MatF":
         t = self.tower
         fp = min(self.fprec + other.g, other.fprec + self.g)
         if self.is_zero() or other.is_zero():
-            return MatF.zero(t, fp)
+            return MatF.zero(t, fp, self._batch_with(other))
         g = self.g + other.g
         L = fp - g
         if L <= 0:
-            return MatF.zero(t, fp)
+            return MatF.zero(t, fp, self._batch_with(other))
         n = t.n
-        a, b = self.arr[:L], other.arr[:L]
-        la, lb = a.shape[0], b.shape[0]
+        a, b = self.arr[..., :L, :, :], other.arr[..., :L, :, :]
+        la, lb = a.shape[-3], b.shape[-3]
         # Layer k of the product is sum_j a[k - j] @ b[j]: one product of the
         # block-Toeplitz matrix of a (block (k, j) = a[k - j]) with b stacked.
         L = min(L, la + lb - 1)
-        padded = np.concatenate([a, np.zeros((1, n, n), dtype=np.int64)])
-        toeplitz = padded[_toeplitz_slots(L, la, lb)]
-        toeplitz = toeplitz.transpose(0, 2, 1, 3).reshape(L * n, lb * n)
-        arr = (toeplitz @ b.reshape(lb * n, n)).reshape(L, n, n)
-        return MatF(t, g, arr, fp)
+        ba, bb = a.shape[:-3], b.shape[:-3]
+        padded = np.concatenate([a, np.zeros(ba + (1, n, n), dtype=np.int64)], axis=-3)
+        toeplitz = padded[..., _toeplitz_slots(L, la, lb), :, :]
+        toeplitz = toeplitz.swapaxes(-3, -2).reshape(ba + (L * n, lb * n))
+        arr = toeplitz @ b.reshape(bb + (lb * n, n))
+        return MatF(t, g, arr.reshape(arr.shape[:-2] + (L, n, n)), fp)
 
     def scale_int(self, c: int) -> "MatF":
         return MatF(self.tower, self.g, self.arr * (c % self.tower.p), self.fprec)
 
     def conj(self) -> "MatF":
         """Entrywise sigma on F: negate odd powers of w_F."""
-        arr = self.arr.copy()
-        for k in range(arr.shape[0]):
-            if (self.g + k) % 2:
-                arr[k] = -arr[k] % self.tower.p
-        return MatF(self.tower, self.g, arr, self.fprec)
+        signs = 1 - 2 * ((self.g + np.arange(self.arr.shape[-3])) % 2)
+        return MatF(self.tower, self.g, self.arr * signs[:, None, None], self.fprec)
 
     def transpose(self) -> "MatF":
-        return MatF(self.tower, self.g, self.arr.transpose(0, 2, 1), self.fprec)
+        return MatF(self.tower, self.g, self.arr.swapaxes(-2, -1), self.fprec)
 
     def truncated(self, fprec: int) -> "MatF":
         fp = min(self.fprec, fprec)
         keep = max(0, fp - self.g)
-        return MatF(self.tower, self.g, self.arr[:keep], fp)
+        return MatF(self.tower, self.g, self.arr[..., :keep, :, :], fp)
 
     def __eq__(self, other):
         if not isinstance(other, MatF):
@@ -301,7 +351,7 @@ class MatF:
 
     def __repr__(self):
         return (
-            f"MatF(g={self.g}, layers={self.arr.shape[0]}, fprec={self.fprec}, "
+            f"MatF(g={self.g}, layers={self.arr.shape[-3]}, fprec={self.fprec}, "
             f"n={self.tower.n})"
         )
 
@@ -317,7 +367,8 @@ def _toeplitz_slots(L: int, la: int, lb: int) -> np.ndarray:
 
 
 def inverse_unit(X: "MatF") -> "MatF":
-    """Inverse of X when its w_F^0 layer is invertible (v(X) = 0 units).
+    """Inverse of X when its w_F^0 layer is invertible (v(X) = 0 units), for
+    each matrix of a stack.
 
     Newton iteration Z <- Z(2I - XZ) doubles the number of correct layers.
     """
@@ -327,7 +378,7 @@ def inverse_unit(X: "MatF") -> "MatF":
     if X.g > 0 or X.is_zero():
         raise ZeroElement("inverse_unit needs a unit with a w_F^0 layer")
     z0 = _modp.mat_inv(X.layer(0), t.p)
-    Z = MatF(t, 0, z0[None, :, :], 1)
+    Z = MatF(t, 0, z0[..., None, :, :], 1)
     two_i = MatF.identity(t, X.fprec).scale_int(2)
     while Z.fprec < X.fprec:
         Z = MatF(t, Z.g, Z.arr, min(2 * Z.fprec, X.fprec))
@@ -336,43 +387,59 @@ def inverse_unit(X: "MatF") -> "MatF":
 
 
 def det_unit(X: "MatF") -> np.ndarray:
-    """det X for integral X, as its w_F^0 .. w_F^(fprec-1) coefficients.
+    """det X for integral X, as its w_F^0 .. w_F^(fprec-1) coefficients; for
+    a stack, one coefficient row per matrix.
 
-    Gaussian elimination on the (n, n, fprec) layer stack, pivoting in each
-    column on an entry of least w_F-valuation v, so every multiplier is
-    integral.  Clearing with that pivot leaves the entries below it known
-    only under w_F^(fprec - v), but the pivot puts w_F^v into the product,
-    so the result is exact to the full fprec, for non-units too.
+    Gaussian elimination on each (n, n, fprec) layer stack, pivoting in each
+    column on an entry of least w_F-valuation v (the first such row), so
+    every multiplier is integral.  Clearing with that pivot leaves the
+    entries below it known only under w_F^(fprec - v), but the pivot puts
+    w_F^v into the product, so the result is exact to the full fprec, for
+    non-units too.  A column with no live entry makes the pivot, and so the
+    determinant, zero.
     """
     t = X.tower
     if X.g < 0:
         raise ValueError("det_unit expects an integral matrix")
     p, n, P = t.p, t.n, X.fprec
-    a = np.zeros((n, n, P), dtype=np.int64)
-    layers = X.arr[: max(P - X.g, 0)]
-    a[:, :, X.g : X.g + layers.shape[0]] = layers.transpose(1, 2, 0)
-    det = np.eye(1, P, dtype=np.int64)[0]
+    batch = X.batch
+    B = int(np.prod(batch))
+    rows = np.arange(B)
+    layers = X.arr[..., : max(P - X.g, 0), :, :]
+    a = np.zeros((B, n, n, P), dtype=np.int64)
+    a[..., X.g : X.g + layers.shape[-3]] = np.moveaxis(
+        layers.reshape((B,) + layers.shape[-3:]), 1, -1)
+    det = np.zeros((B, P), dtype=np.int64)
+    det[:, 0] = 1
     for i in range(n):
-        live = a[i:, i] != 0
-        vals = np.where(live.any(axis=1), live.argmax(axis=1), P)
-        r = int(vals.argmin())
-        v = int(vals[r])
-        if v == P:
-            return np.zeros(P, dtype=np.int64)
-        if r:
-            a[[i, i + r]] = a[[i + r, i]]
-            det = -det
-        det = np.convolve(det, a[i, i])[:P] % p
+        live = a[:, i:, i] != 0
+        vals = np.where(live.any(axis=2), live.argmax(axis=2), P)
+        r = vals.argmin(axis=1)
+        v = vals[rows, r]
+        if r.any():
+            r += i
+            pivot_row = a[rows, r]
+            a[rows, r] = a[:, i]
+            a[:, i] = pivot_row
+            det[r != i] *= -1
+        det = (_series_toeplitz(det) @ a[:, i, i, :, None])[..., 0] % p
         if i + 1 == n:
             break
-        # Multipliers a[r, i] / a[i, i], known below w_F^(P - v).
-        mult = np.zeros((n - i - 1, P), dtype=np.int64)
-        mult[:, : P - v] = a[i + 1 :, i, v:] @ _series_toeplitz(
-            _series_inverse(a[i, i, v:], p)).T % p
-        below = _series_toeplitz(mult).reshape(-1, P) @ a[i, i + 1 :].T
-        a[i + 1 :, i + 1 :] -= below.reshape(n - i - 1, P, -1).transpose(0, 2, 1)
-        a[i + 1 :, i + 1 :] %= p
-    return det
+        # Multipliers a[r, i] / a[i, i]: both series shifted down by v,
+        # known below w_F^(P - v).  What they hold past that only reaches
+        # the rows below at w_F^(P - v) and up, and so the determinant past
+        # w_F^(P - 1), since the pivot carries w_F^v.  A dead column
+        # (v = P) is all zero, and so are its multipliers.
+        pivot, col = a[:, i, i], a[:, i + 1 :, i]
+        if v.any():
+            shift = np.minimum(np.arange(P) + np.where(v == P, 0, v)[:, None], P - 1)
+            pivot = np.take_along_axis(pivot, shift, axis=1)
+            col = np.take_along_axis(col, shift[:, None, :], axis=2)
+        mult = col @ _series_inverse(pivot, p).swapaxes(-1, -2) % p
+        a[:, i + 1 :, i + 1 :] -= (_series_toeplitz(mult)[:, :, None]
+                                   @ a[:, i, None, i + 1 :, :, None])[..., 0]
+        a[:, i + 1 :, i + 1 :] %= p
+    return det.reshape(batch + (P,))
 
 
 def _series_toeplitz(s: np.ndarray) -> np.ndarray:
@@ -384,12 +451,19 @@ def _series_toeplitz(s: np.ndarray) -> np.ndarray:
 
 
 def _series_inverse(u: np.ndarray, p: int) -> np.ndarray:
-    """1 / u modulo w_F^len(u), for a series u whose w_F^0 coefficient is a unit."""
-    c = u.tolist()
-    out = [pow(c[0], -1, p)]
-    for k in range(1, len(c)):
-        out.append(-out[0] * sum(c[j] * out[k - j] for j in range(1, k + 1)) % p)
-    return np.array(out, dtype=np.int64)
+    """The multiplication matrix (as in _series_toeplitz) of 1 / u modulo
+    w_F^len(u), for series u (over leading axes) whose w_F^0 coefficient is
+    a unit (zero where it is zero): Newton steps Z <- Z (2 - u Z) double
+    the correct coefficients."""
+    L = u.shape[-1]
+    eye = np.eye(L, dtype=np.int64)
+    T = _series_toeplitz(u)
+    Z = _modp.inverse_table(p)[u[..., 0]][..., None, None] * eye
+    known = 1
+    while known < L:
+        Z = Z @ (2 * eye - T @ Z % p) % p
+        known *= 2
+    return Z
 
 
 # ---------------------------------------------------------------------------
@@ -620,28 +694,33 @@ class TowerSpec:
     # -- graded layers -------------------------------------------------------
 
     def mat_from_layer(self, m: int, vec: np.ndarray, fprec: int | None = None) -> "MatF":
-        """The homogeneous degree-m map with layer coordinates vec.
+        """The homogeneous degree-m map with layer coordinates vec, or the
+        stack of them for the rows of a (..., n*f) vec.
 
         Coordinates: X w_{a,b} = d_{a,b} * zeta^b * w_E^{a+m} with d_{a,b}
         in k_E; vec stacks the polynomial-basis coefficients of d_{a,b}.
         """
         fp = self.fcap if fprec is None else fprec
+        vec = np.asarray(vec, dtype=np.int64)
         g, tensor = self._layer_map(m)
         L = min(fp - g, tensor.shape[0])
         if L <= 0:
-            return MatF.zero(self, fp)
-        return MatF(self, g, tensor[:L] @ np.asarray(vec, dtype=np.int64), fp)
+            return MatF.zero(self, fp, vec.shape[:-1])
+        n = self.n
+        arr = vec @ tensor[:L].reshape(L * n * n, -1).T
+        return MatF(self, g, arr.reshape(vec.shape[:-1] + (L, n, n)), fp)
 
     def layer_coords(self, X: "MatF", m: int) -> np.ndarray:
-        """Degree-m layer coordinates of X (reads each position exactly once)."""
+        """Degree-m layer coordinates of X, one row per matrix of a stack
+        (reads each position exactly once)."""
         ts, slots, kmat = self._coords_map(m)
         if ts[-1] >= X.fprec:
             t = next(t for t in ts if t >= X.fprec)
             raise PrecisionTooLow(
                 f"degree-{m} layer needs w_F^{t}, precision is {X.fprec}"
             )
-        stack = np.stack([X.layer(t) for t in range(ts[0], ts[-1] + 1)])
-        return kmat @ stack[slots] % self.p
+        stack = np.stack([X.layer(t) for t in range(ts[0], ts[-1] + 1)], axis=-3)
+        return stack[(...,) + slots] @ kmat.T % self.p
 
     def _kE_mul(self, c: FqElem) -> np.ndarray:
         """Matrix of x -> c x on polynomial-basis coordinates of k_E."""
@@ -708,18 +787,21 @@ class TowerSpec:
         ts = [(m + a) // self.e for a in range(self.e)]
         return min(ts), max(ts)
 
-    def valuation(self, X: "MatF") -> int:
-        """v(X) = max{k : X L(m) in L(m+k) for all m}, E-normalized."""
-        if X.is_zero():
+    def valuation(self, X: "MatF"):
+        """v(X) = max{k : X L(m) in L(m+k) for all m}, E-normalized; for a
+        stack, the array of the valuations of its matrices."""
+        if not X.nonzero_mask().all():
             raise ZeroElement("valuation of a matrix that is zero mod precision")
         lo = X.g * self.e - (self.e - 1)
         hi = X.fprec * self.e
+        found = np.full(X.batch, hi)
         for m in range(lo, hi):
             _, tmax = self.layer_span(m)
             if tmax >= X.fprec:
                 break
-            if self.layer_coords(X, m).any():
-                return m
+            found[self.layer_coords(X, m).any(axis=-1) & (found == hi)] = m
+            if (found < hi).all():
+                return found if X.batch else int(found)
         raise ZeroElement("no nonzero layer inside the precision window")
 
     def layer_basis(self, m: int) -> list["MatF"]:

@@ -16,7 +16,8 @@ minimal at its level.  On top of a stratum sit:
   algebra for the relation X alpha(X) = Y - alpha(Y));
 * the two enumeration oracles ``by_oracle`` and ``bz_oracle`` that recompute
   the quadratic-relation coefficients from first principles and cross-check
-  every identity they rely on term by term.
+  every identity they rely on term by term.  The terms run in chunks on the
+  batch axis of MatF, and a failing check names its term.
 
 All values are exact cyclotomic integers; enumerations refuse to approximate.
 """
@@ -26,6 +27,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -258,28 +260,70 @@ def _block_gram_raw(tower: TowerSpec, c: EElem, basis: np.ndarray, grade: int,
 
     Entry (a, b) is the w_F^0 coefficient of Tr(left_a @ alpha(X_b)): the
     sum over k of Tr(left_a[k] @ alpha(X_b)[-k]), one contraction over the
-    layers laid out on a symmetric degree window."""
-    p, n = tower.p, tower.n
-    cm = tower.m_of(c)
-    wmat = tower.m_of(scalar)
-    mats = [tower.mat_from_layer(grade, row) for row in basis]
-    amats = [tower.alpha(M) for M in mats]
-    lefts = [wmat @ (cm @ M - M @ cm if c_first else M @ cm - cm @ M)
-             for M in mats]
-    # left @ amat knows its w_F^0 coefficient only below its precision.
-    for left in lefts:
-        for amat in amats:
-            fprec = min(left.fprec + amat.g, amat.fprec + left.g)
-            if fprec <= 0:
-                raise PrecisionTooLow(f"w_F^0 beyond precision {fprec}")
-    span = max((max(-M.g, M.g + len(M.arr) - 1)
-                for M in lefts + amats if not M.is_zero()), default=0)
-    L, R = (np.zeros((len(mats), 2 * span + 1, n, n), dtype=np.int64)
-            for _ in range(2))
-    for out, ms in ((L, lefts), (R, amats)):
-        for a, M in enumerate(ms):
-            out[a, span + M.g:span + M.g + len(M.arr)] = M.arr
-    return np.einsum("akij,bkji->ab", L, R[:, ::-1]) % p
+    layers of the two stacks.  The basis rows run as one stack with the
+    precision bound lifted, so every product is exact, while each row keeps
+    the valuation and precision its own products would carry: a pair whose
+    w_F^0 coefficient lies past that precision raises, first pair in row
+    order.  Once every pair is known, a layer of one row past its precision
+    meets only layers of the other row below that row's valuation, which
+    are zero, so the contraction reads the exact layers as they are."""
+    rows = basis.shape[0]
+    if rows == 0:
+        return np.zeros((0, 0), dtype=np.int64)
+
+    def track(M, fprec):
+        # (exact layers, per-row valuation, per-row precision)
+        lifted = MatF(tower, M.g, M.arr, _UNBOUNDED)
+        return lifted, _first_live(lifted, fprec), fprec
+
+    def times(a, b):
+        return track(a[0] @ b[0], np.minimum(a[2] + b[1], b[2] + a[1]))
+
+    mats = tower.mat_from_layer(grade, basis)
+    X = track(mats, mats.fprec)
+    cm, w, Hinv, H = (track(M, M.fprec) for M in (
+        tower.m_of(c), tower.m_of(scalar), tower.Hinv, tower.H))
+    # alpha(X) = -(H^-1 X-bar^T H), tracked product by product.
+    R, ga, fa = times(times(Hinv, (X[0].conj().transpose(),) + X[1:]), H)
+    R = -R
+    a, b = (cm, X) if c_first else (X, cm)
+    ab, ba = times(a, b), times(b, a)
+    L, gl, fl = times(w, track(ab[0] - ba[0], np.minimum(ab[2], ba[2])))
+    fprec = np.minimum(fl[:, None] + ga[None, :], fa[None, :] + gl[:, None])
+    if (fprec <= 0).any():
+        raise PrecisionTooLow(
+            f"w_F^0 beyond precision {fprec.flat[np.argmax(fprec.ravel() <= 0)]}")
+    lo = max(L.g, 1 - R.g - R.arr.shape[-3])
+    hi = min(L.g + L.arr.shape[-3], 1 - R.g)
+    if hi <= lo:
+        return np.zeros((rows, rows), dtype=np.int64)
+    left = _layer_window(L, lo, hi)
+    right = _layer_window(R, 1 - hi, 1 - lo)[:, ::-1]
+    return np.einsum("akij,bkji->ab", left, right) % tower.p
+
+
+# Precision bound of a stack whose products are to be computed exactly.
+_UNBOUNDED = 1 << 40
+
+
+def _first_live(M: MatF, fprec) -> np.ndarray:
+    """Per matrix of a stack, its first nonzero layer below fprec (fprec if
+    there is none)."""
+    if M.is_zero():
+        return np.broadcast_to(fprec, M.batch)
+    layers = M.g + np.arange(M.arr.shape[-3])
+    live = M.arr.any(axis=(-2, -1)) & (layers < np.asarray(fprec)[..., None])
+    return np.where(live.any(axis=-1), M.g + live.argmax(axis=-1), fprec)
+
+
+def _layer_window(M: MatF, lo: int, hi: int) -> np.ndarray:
+    """Layers lo .. hi-1 of each matrix of a stack."""
+    n = M.tower.n
+    out = np.zeros((M.arr.shape[0], hi - lo, n, n), dtype=np.int64)
+    a, b = max(lo, M.g), min(hi, M.g + M.arr.shape[-3])
+    if b > a:
+        out[:, a - lo : b - lo] = M.arr[:, a - M.g : b - M.g]
+    return out
 
 
 def _symmetrized_space(tower: TowerSpec, raw: np.ndarray) -> QuadSpace:
@@ -507,32 +551,37 @@ def default_chars(s: StratumSpec, psi: AddChar | None = None,
 
 
 def _domain_check(chi: SimpleCharSpec, g: MatF) -> MatF:
-    """Validate membership of g in the character's domain; returns g - 1."""
+    """Validate membership of g (each matrix of a stack) in the character's
+    domain; returns g - 1."""
     s = chi.stratum
     tower = s.tower
     if g.fprec < 2:
         raise PrecisionTooLow("need at least two coefficient layers")
     W = g - MatF.identity(tower, g.fprec)
-    if not W.is_zero():
-        if tower.valuation(W) < 1:
-            raise NotInDomain("g - 1 must have positive valuation")
+    live = W.nonzero_mask()
+    if live.any():
+        terms = np.flatnonzero(live)
+        v = tower.valuation(W if live.all() else W.take(terms))
+        _fail_first(np.asarray(v) < 1, NotInDomain,
+                    "g - 1 must have positive valuation", terms)
         h1 = h1_lattice(tower, s)
         for m in range(1, s.s_list[0] + 1):
             layer = h1.layer(m)
             if layer.shape[0] == tower.n * tower.f:
                 continue
-            coords = tower.layer_coords(W, m)
-            if not _modp.in_row_space(coords, layer, tower.p):
-                raise NotInDomain(f"degree-{m} component escapes the lattice")
+            escapes = tower.layer_coords(W, m) @ _annihilator(tower, layer).T % tower.p
+            _fail_first(escapes.any(axis=-1), NotInDomain,
+                        f"degree-{m} component escapes the lattice")
     if chi.side == "u":
         prod = tower.adjoint(g) @ g
-        if prod != MatF.identity(tower, prod.fprec):
-            raise NotInDomain("g is not compatible with the Hermitian form")
+        _fail_first((prod - MatF.identity(tower, prod.fprec)).nonzero_mask(),
+                    NotInDomain, "g is not compatible with the Hermitian form")
     return W
 
 
-def eval_simple_char(chi: SimpleCharSpec, g: MatF) -> CycNum:
-    """Exact value of the simple character at g.
+def eval_simple_char(chi: SimpleCharSpec, g: MatF):
+    """Exact value of the simple character at g: a CycNum, or for a stack
+    the list of the values at its matrices.
 
     Valid on the linearization window d = 0, r_0 = 1, where the character
     is the product of a det-residue part and one additive trace part, both
@@ -546,41 +595,113 @@ def eval_simple_char(chi: SimpleCharSpec, g: MatF) -> CycNum:
             "full evaluation requires the d = 0, r_0 = 1 window"
         )
     p = tower.p
-    phase = 0
+    phase = np.zeros(g.batch, dtype=np.int64)
     if not W.is_zero():
-        phase = int(np.trace((tower.m_of(chi.c_eff[0]) @ W).layer(0))) % p
+        prod = tower.m_of(chi.c_eff[0]) @ W
+        phase = np.trace(prod.layer(0), axis1=-2, axis2=-1) % p
     if chi.bhat:
         det = det_unit(g.truncated(2))
-        if det[0] != 1:
-            raise NotInDomain("determinant is not a one-unit")
-        phase += chi.bhat * int(det[1])
-    return cyc_root(p, chi.psi.residue_phase(tower.k.from_int(phase)))
+        _fail_first(det[..., 0] != 1, NotInDomain, "determinant is not a one-unit")
+        phase = phase + chi.bhat * det[..., 1]
+    roots = tower.memo(("psi-roots", chi.psi.twist.coeffs), lambda: tuple(
+        cyc_root(p, chi.psi.residue_phase(tower.k.from_int(j))) for j in range(p)))
+    values = [roots[ph] for ph in (phase % p).ravel().tolist()]
+    return values if g.batch else values[0]
+
+
+# ---------------------------------------------------------------------------
+# Stacks of oracle terms.
+
+
+def _fail_first(bad, exc: type, message: str, index=None):
+    """Raise exc(message) if a check failed; for a stack of checks, name the
+    stack index of the first failure (``index`` maps positions to it)."""
+    bad = np.asarray(bad)
+    if bad.any():
+        if bad.ndim:
+            k = int(np.flatnonzero(bad)[0])
+            message += f" (stack index {k if index is None else int(index[k])})"
+        raise exc(message)
+
+
+def _annihilator(tower: TowerSpec, basis: np.ndarray) -> np.ndarray:
+    """Rows N with v in the row space of basis exactly when N v = 0."""
+    key = ("annihilator", basis.shape, basis.tobytes())
+    return tower.memo(key, lambda: _modp.nullspace(basis % tower.p, tower.p))
+
+
+def _unit_mats(tower: TowerSpec, i: int, units, power: int = 1) -> MatF:
+    """m_of(c^power w_E^i) for a unit c, or the stack of them for a sequence
+    of units (sliced from the stack over all units, built once)."""
+    if isinstance(units, FqElem):
+        return tower.m_of(tower.e_monomial(i, pow_fq(units, power)))
+
+    def build():
+        every = list(tower.kE.units())
+        mats = MatF.stack([tower.m_of(tower.e_monomial(i, pow_fq(c, power)))
+                           for c in every])
+        return {c.coeffs: k for k, c in enumerate(every)}, mats
+
+    where, mats = tower.memo(("unit-mats", i, power), build)
+    return mats.take([where[c.coeffs] for c in units])
+
+
+def _products(xs: list, ys: list) -> list:
+    """Entrywise products of two lists of CycNum that repeat a few values."""
+    seen: dict = {}
+    out = []
+    for a, b in zip(xs, ys):
+        key = (a.coeffs, b.coeffs)
+        if key not in seen:
+            seen[key] = a * b
+        out.append(seen[key])
+    return out
 
 
 # ---------------------------------------------------------------------------
 # Coset representative solvers.
 
 
-def _solve_one_minus_alpha(tower: TowerSpec, m: int, sub_basis: np.ndarray,
+def _one_minus_alpha_solver(tower: TowerSpec, gens: tuple, m: int):
+    """(S, C) for Z - alpha(Z) = rhs with Z in the degree-m layer of the
+    centralizer of gens: rhs is reached exactly when C rhs = 0, and Z then
+    has coordinates rhs @ S.
+
+    The row operations that bring the matrix A of (1 - alpha) on that layer
+    to reduced echelon form give both: the rows past the rank are the
+    consistency conditions, and the pivot rows the particular solution whose
+    free variables are zero.  Built once per (level, degree)."""
+    def build():
+        p, nf = tower.p, tower.n * tower.f
+        sub = tower.cent_layer(gens, m)
+        amat = _alpha_matrix(tower, m)
+        A = (sub - sub @ amat.T).T % p
+        red, piv = _modp.rref(
+            np.concatenate([A, np.eye(nf, dtype=np.int64)], axis=1), p,
+            pivot_cols=A.shape[1])
+        ops = red[:, A.shape[1]:]
+        x = np.zeros((sub.shape[0], nf), dtype=np.int64)
+        x[piv] = ops[: len(piv)]
+        S, C = x.T @ sub % p, ops[len(piv):]
+        S.setflags(write=False)
+        C.setflags(write=False)
+        return S, C
+
+    return tower.memo(("one-minus-alpha", tuple(g.key() for g in gens), m), build)
+
+
+def _solve_one_minus_alpha(tower: TowerSpec, m: int, gens: tuple,
                            rhs: np.ndarray) -> np.ndarray:
-    """Coordinates (at degree m) of some Z in span(sub_basis) with
-    Z - alpha(Z) = rhs; raises NoSolution when inconsistent."""
-    p = tower.p
-    if not rhs.any():
-        return np.zeros(tower.n * tower.f, dtype=np.int64)
-    if sub_basis.shape[0] == 0:
-        raise NoSolution("empty solution space for a nonzero right side")
-    amat = _alpha_matrix(tower, m)
-    cols = [(row - amat @ row) % p for row in sub_basis]
-    A = np.array(cols, dtype=np.int64).T
-    x = _modp.solve(A, rhs % p, p)
-    if x is None:
-        raise NoSolution("(1 - alpha) does not reach the right side")
-    return x @ sub_basis % p
+    """Coordinates (at degree m) of the Z in the degree-m layer of the
+    centralizer of gens with Z - alpha(Z) = rhs, one row per right side;
+    raises NoSolution when one is inconsistent."""
+    S, C = _one_minus_alpha_solver(tower, gens, m)
+    _fail_first((rhs @ C.T % tower.p).any(axis=-1), NoSolution,
+                "(1 - alpha) does not reach the right side")
+    return rhs @ S % tower.p
 
 
-def solve_Y_from_X(s: StratumSpec, x_coords, y: FqElem,
-                   aux: EElem | None = None):
+def solve_Y_from_X(s: StratumSpec, x_coords, y, aux: EElem | None = None):
     """Solve the coset relation for Y given a W_z representative X.
 
     ``x_coords`` lists one coordinate vector per graded block of W_z; ``aux``
@@ -588,12 +709,19 @@ def solve_Y_from_X(s: StratumSpec, x_coords, y: FqElem,
     (Y', P, Q) with Y' = sum(P_j + Q_j) satisfying, for the assembled X,
     X alpha(X) = Y - alpha(Y) with Y = y w_E^-1 (1 + Y'); the identity is
     verified exactly before returning.
+
+    With ``y`` a sequence of B units and each coordinate entry a (B, n f)
+    array, B terms are solved at once: Y', P and Q are stacks, and a term
+    that fails a check is named by its stack index.
     """
     tower = s.tower
-    if not y:
+    p, nf = tower.p, tower.n * tower.f
+    units = [y] if isinstance(y, FqElem) else list(y)
+    if not all(units):
         raise ZeroY("y must be a unit")
+    batch = () if isinstance(y, FqElem) else (len(units),)
     wz = build_Wz(tower, s)
-    x_coords = [np.asarray(v, dtype=np.int64) % tower.p for v in x_coords]
+    x_coords = [np.asarray(v, dtype=np.int64) % p for v in x_coords]
     if len(x_coords) != len(wz.blocks):
         raise DegenerateX(
             f"need {len(wz.blocks)} block components, got {len(x_coords)}"
@@ -613,26 +741,22 @@ def solve_Y_from_X(s: StratumSpec, x_coords, y: FqElem,
         comps.append(tower.m_of(aux))
         grades.append(0)
     for block, vec in zip(wz.blocks, x_coords):
-        if vec.shape != (tower.n * tower.f,):
+        if vec.shape != batch + (nf,):
             raise DegenerateX("component has the wrong coordinate length")
-        if vec.any() and not _modp.in_row_space(vec, block.basis, tower.p):
-            raise DegenerateX(
-                f"component at level {block.j} escapes its block"
-            )
+        _fail_first((vec @ _annihilator(tower, block.basis).T % p).any(axis=-1),
+                    DegenerateX, f"component at level {block.j} escapes its block")
         comps.append(tower.mat_from_layer(block.grade, vec))
         grades.append(block.grade)
     alphas = [tower.alpha(C) for C in comps]
-    winv = tower.m_of(tower.e_monomial(1, y.inverse()))
+    winv = _unit_mats(tower, 1, y if not batch else units, -1)
     P: dict[int, MatF] = {}
     Q: dict[int, MatF] = {}
     for t in range(len(comps)):
+        gens = level_gens(s, t)
         # Q_t: the diagonal square term, a single homogeneous degree.
         gq = 2 * grades[t]
-        rhs_mat = comps[t] @ alphas[t]
-        rhs = _coords_or_zero(tower, rhs_mat, gq)
-        zq = _solve_one_minus_alpha(
-            tower, gq, tower.cent_layer(level_gens(s, t), gq), rhs
-        )
+        rhs = _coords_or_zero(tower, comps[t] @ alphas[t], gq)
+        zq = _solve_one_minus_alpha(tower, gq, gens, rhs)
         Q[t] = winv @ tower.mat_from_layer(gq, zq)
         # P_t: cross terms with max index t, grouped by degree.
         by_grade: dict[int, MatF] = {}
@@ -646,29 +770,27 @@ def solve_Y_from_X(s: StratumSpec, x_coords, y: FqElem,
         pt = MatF.zero(tower)
         for gkl, mat in by_grade.items():
             rhs = _coords_or_zero(tower, mat, gkl)
-            zp = _solve_one_minus_alpha(
-                tower, gkl, tower.cent_layer(level_gens(s, t), gkl), rhs
-            )
+            zp = _solve_one_minus_alpha(tower, gkl, gens, rhs)
             pt = pt + (winv @ tower.mat_from_layer(gkl, zp))
         P[t] = pt
     yp = MatF.zero(tower)
     for t in P:
         yp = yp + P[t] + Q[t]
-    wmat = tower.m_of(tower.e_monomial(-1, y))
+    wmat = _unit_mats(tower, -1, y if not batch else units)
     Y = wmat @ (MatF.identity(tower, yp.fprec) + yp)
     xtot = comps[0]
     for C in comps[1:]:
         xtot = xtot + C
     lhs = xtot @ tower.alpha(xtot)
     rhs_full = Y - tower.alpha(Y)
-    if lhs != rhs_full:
-        raise NoSolution("assembled Y fails the defining relation")
+    _fail_first((lhs - rhs_full).nonzero_mask(), NoSolution,
+                "assembled Y fails the defining relation")
     return yp, P, Q
 
 
 def _coords_or_zero(tower: TowerSpec, mat: MatF, m: int) -> np.ndarray:
     if mat.is_zero():
-        return np.zeros(tower.n * tower.f, dtype=np.int64)
+        return np.zeros(mat.batch + (tower.n * tower.f,), dtype=np.int64)
     return tower.layer_coords(mat, m)
 
 
@@ -730,7 +852,8 @@ def by_oracle(s: StratumSpec, chars, rho_signs: tuple[int, int],
     the big character at -2 and of its square root at -1).  With ``sample``
     set, constancy is verified on that many deterministically chosen
     representatives and the sum is count * constant.  A run over more than
-    ``bound`` representatives raises EnumerationTooLarge up front.
+    ``bound`` representatives raises EnumerationTooLarge up front.  The
+    representatives run in chunks of _CHUNK on the batch axis of MatF.
     """
     _check_window(s, "by_oracle")
     big, root = _check_char_pair(s, chars)
@@ -752,27 +875,29 @@ def by_oracle(s: StratumSpec, chars, rho_signs: tuple[int, int],
     ident = MatF.identity(tower)
     reps, _ = _terms(list(kE.units()), p, zdim, sample, seed)
     const = None
-    for t, zv in reps:
-        zmat = MatF.zero(tower)
+    for start, ts, zv in _chunks(reps):
+        zmat = MatF.zero(tower, batch=(len(ts),))
         at = 0
         for m, basis in zbases:
             k = basis.shape[0]
-            coeffs = np.array(zv[at : at + k], dtype=np.int64)
+            zmat = zmat + tower.mat_from_layer(m, zv[:, at : at + k] @ basis % p)
             at += k
-            if coeffs.any():
-                zmat = zmat + tower.mat_from_layer(m, coeffs @ basis % p)
-        y0 = -(t * t) * inv2
-        Y = tower.m_of(tower.e_monomial(0, y0)) + zmat
-        yp = tower.m_of(tower.e_monomial(0, y0.inverse())) @ zmat
-        xm = tower.m_of(tower.e_monomial(0, t))
+        y0 = [-(t * t) * inv2 for t in ts]
+        Y = _unit_mats(tower, 0, y0) + zmat
+        yp = _unit_mats(tower, 0, y0, -1) @ zmat
+        xm = _unit_mats(tower, 0, ts)
         g = ident - (tower.alpha(xm) @ inverse_unit(Y) @ xm)
-        val = eval_simple_char(big, ident + yp) * eval_simple_char(root, -g)
-        if const is None:
-            const = val
-        elif val != const:
-            raise ConstancyViolated(
-                "integrand is not constant across representatives"
-            )
+        with _chunk_context(start):
+            vals = _products(eval_simple_char(big, ident + yp),
+                             eval_simple_char(root, -g))
+        for k, val in enumerate(vals):
+            if const is None:
+                const = val
+            elif val != const:
+                raise ConstancyViolated(
+                    f"integrand is not constant across representatives "
+                    f"(term {start + k})"
+                )
     return (rho1 * rho2 * count) * const
 
 
@@ -781,6 +906,32 @@ def _check_term_count(total: int, sample: int | None, bound: int):
     count = total if sample is None else min(sample, total)
     if count > bound:
         raise EnumerationTooLarge(f"{count} terms exceeds bound {bound}")
+
+
+# Oracle terms evaluated together on the batch axis of MatF.  A chunk may
+# mix units; its working set is a few MB at n = 6.
+_CHUNK = 64
+
+
+def _chunks(terms):
+    """The oracle terms in chunks of _CHUNK, in order: (index of the first
+    term, its units, one coordinate row per term)."""
+    it = iter(terms)
+    start = 0
+    while chunk := list(itertools.islice(it, _CHUNK)):
+        yield (start, [u for u, _ in chunk],
+               np.array([v for _, v in chunk], dtype=np.int64))
+        start += len(chunk)
+
+
+@contextmanager
+def _chunk_context(start: int):
+    """Name the chunk of a per-term check that fails inside it: its stack
+    index plus the chunk's first term index is the term's index."""
+    try:
+        yield
+    except (NoSolution, NotInDomain, PathMismatch) as exc:
+        raise type(exc)(f"{exc}, in the chunk from term {start}") from exc
 
 
 def _terms(units: list, p: int, dim: int, sample: int | None, seed: int):
@@ -818,7 +969,9 @@ def bz_oracle(s: StratumSpec, chars, rho_tilde,
     phase, the determinant exchange identity is asserted on it, and the two
     totals must agree exactly.  With ``sample`` set, path A is verified on
     that many deterministically chosen terms and the path-B total is
-    returned (the per-term identity is what makes the totals equal).
+    returned (the per-term identity is what makes the totals equal).  Path A
+    runs in chunks of _CHUNK terms on the batch axis of MatF; a failing term
+    is named by its index in the enumeration.
 
     ``rho_tilde`` may be a tuple of characters: both paths then run once,
     only the mu(-y) weighting is per character, and a tuple of totals comes
@@ -847,68 +1000,74 @@ def bz_oracle(s: StratumSpec, chars, rho_tilde,
         raise EnumerationTooLarge(f"{p**dim} points exceeds bound {bound}")
     _check_term_count(len(units) * p**dim, sample, bound)
     inv2 = kE.from_int(2).inverse()
-    signs = {y.coeffs: [mu(-y).as_int() for mu in mus] for y in units}
+    signs = {y: [mu(-y).as_int() for mu in mus] for y in units}
     # Path B: blockwise Gauss sums, one per y.
     totals_b = [CycNum.zero(p)] * len(mus)
-    grams: dict[tuple, np.ndarray] = {}
+    grams: dict[FqElem, np.ndarray] = {}
     for y in units:
         gram = _gauss_gram(s, wz, tower.e_monomial(1, y.inverse() * inv2))
-        grams[y.coeffs] = gram
+        grams[y] = gram
         gy = phase_sum(gram * twist % p, p, threads=threads)
-        totals_b = [t + w * gy for t, w in zip(totals_b, signs[y.coeffs])]
-    # Path A: direct evaluation through the solved representatives.
-    sizes = [b.basis.shape[0] for b in wz.blocks]
+        totals_b = [t + w * gy for t, w in zip(totals_b, signs[y])]
+    # Path A: direct evaluation through the solved representatives.  Each
+    # checked term adds its weight at its root of unity zeta_p^e.
     chosen, sampled = _terms(units, p, dim, sample, seed)
-    totals_a = [CycNum.zero(p)] * len(mus)
-    for y, xv in chosen:
-        val = _bz_term(s, big, root, wz, y, xv, sizes)
-        phase = int(np.array(xv) @ grams[y.coeffs] @ np.array(xv)) % p
-        expect = cyc_root(p, twist * phase % p)
-        if val != expect:
-            raise PathMismatch(
-                "direct term value disagrees with its Gauss-sum phase"
-            )
-        totals_a = [t + w * val for t, w in zip(totals_a, signs[y.coeffs])]
+    weights = np.zeros((len(mus), p), dtype=np.int64)
+    roots = [cyc_root(p, e) for e in range(p)]
+    for start, ys, X in _chunks(chosen):
+        with _chunk_context(start):
+            vals = _bz_chunk(s, big, root, wz, ys, X)
+        G = np.stack([grams[y] for y in ys])
+        expo = twist * np.einsum("bi,bij,bj->b", X, G, X) % p
+        for k, (val, e) in enumerate(zip(vals, expo.tolist())):
+            if val != roots[e]:
+                raise PathMismatch(
+                    "direct term value disagrees with its Gauss-sum phase "
+                    f"(term {start + k})"
+                )
+        np.add.at(weights.T, expo, [signs[y] for y in ys])
+    totals_a = [CycNum(p, row.tolist()) for row in weights]
     if not sampled and totals_a != totals_b:
         raise PathMismatch("the two evaluation routes disagree")
     return tuple(totals_b) if many else totals_b[0]
 
 
-def _bz_term(s: StratumSpec, big: SimpleCharSpec, root: SimpleCharSpec,
-             wz, y: FqElem, xv, sizes, aux: EElem | None = None) -> CycNum:
-    """One path-A term: the product of the two simple-character values at
-    the representative determined by (y, X), with the exchange identity on
-    determinants asserted along the way."""
+def _bz_chunk(s: StratumSpec, big: SimpleCharSpec, root: SimpleCharSpec,
+              wz, ys: list, X: np.ndarray, aux: EElem | None = None) -> list:
+    """Path-A values of a chunk of terms (unit ys[b], W_z coordinates X[b]):
+    per term, the product of the two simple-character values at the
+    representative determined by (y, X), with the exchange identity on
+    determinants asserted for every term with X != 0."""
     tower = s.tower
     p = tower.p
     ident = MatF.identity(tower)
     x_coords = []
     at = 0
-    for k in sizes:
-        coeffs = np.array(xv[at : at + k], dtype=np.int64)
+    for block in wz.blocks:
+        k = block.basis.shape[0]
+        x_coords.append(X[:, at : at + k] @ block.basis % p)
         at += k
-        block = wz.blocks[len(x_coords)]
-        x_coords.append(coeffs @ block.basis % p if k else
-                        np.zeros(tower.n * tower.f, dtype=np.int64))
-    yp, _, _ = solve_Y_from_X(s, x_coords, y, aux=aux)
+    yp, _, _ = solve_Y_from_X(s, x_coords, ys, aux=aux)
     xtot = MatF.zero(tower) if aux is None else tower.m_of(aux)
     for block, vec in zip(wz.blocks, x_coords):
-        if vec.any():
-            xtot = xtot + tower.mat_from_layer(block.grade, vec)
+        xtot = xtot + tower.mat_from_layer(block.grade, vec)
     one_plus = ident + yp
-    if xtot.is_zero():
-        g = ident
-    else:
-        yinv = inverse_unit(one_plus) @ tower.m_of(
-            tower.e_monomial(1, y.inverse())
-        )
+    g = MatF.zero(tower, batch=(len(ys),)) + ident
+    live = np.broadcast_to(xtot.nonzero_mask(), g.batch)
+    if live.any():
+        yinv = inverse_unit(one_plus) @ _unit_mats(tower, 1, ys, -1)
         w = tower.alpha(xtot) @ yinv
         g = ident - (w @ xtot)
-        # Exchange identity behind the multiplicative-part cancellation.
-        lhs, rhs = det_unit(g), det_unit(ident - (xtot @ w))
-        if not np.array_equal(lhs[: len(rhs)], rhs[: len(lhs)]):
-            raise PathMismatch("determinant exchange identity fails")
-    return eval_simple_char(big, one_plus) * eval_simple_char(root, g)
+        # Exchange identity behind the multiplicative-part cancellation,
+        # both sides in one stack, compared on their common precision.
+        terms = np.flatnonzero(live)
+        sides = [g, ident - (xtot @ w)]
+        if not live.all():
+            sides = [M.take(terms) for M in sides]
+        dets = det_unit(MatF.stack(sides))
+        _fail_first((dets[: len(terms)] != dets[len(terms) :]).any(axis=-1),
+                    PathMismatch, "determinant exchange identity fails", terms)
+    return _products(eval_simple_char(big, one_plus), eval_simple_char(root, g))
 
 
 def bz_aux_independence(s: StratumSpec, chars, y: FqElem, xv,
@@ -917,12 +1076,10 @@ def bz_aux_independence(s: StratumSpec, chars, y: FqElem, xv,
     degree-0 component choice."""
     big, root = _check_char_pair(s, chars)
     wz = build_Wz(s.tower, s)
-    sizes = [b.basis.shape[0] for b in wz.blocks]
-    base = _bz_term(s, big, root, wz, y, xv, sizes, aux=None)
-    return all(
-        _bz_term(s, big, root, wz, y, xv, sizes, aux=a) == base
-        for a in aux_list
-    )
+    X = np.array([xv], dtype=np.int64).reshape(1, wz.dim_k)
+    base = _bz_chunk(s, big, root, wz, [y], X)[0]
+    return all(_bz_chunk(s, big, root, wz, [y], X, aux=a)[0] == base
+               for a in aux_list)
 
 
 # ---------------------------------------------------------------------------

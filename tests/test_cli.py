@@ -238,6 +238,39 @@ def test_cli_reducibility_honours_bound(capsys, monkeypatch):
     assert "reducibility suite: pass" in out
 
 
+def test_cli_reducibility_honours_psi_twist(capsys, tmp_path, monkeypatch):
+    seen = []
+    oracle = stratum.bz_oracle
+
+    def spy(s, chars, *args, **kwargs):
+        seen.append(chars[0].psi)
+        return oracle(s, chars, *args, **kwargs)
+
+    monkeypatch.setattr("strbc.cli.bz_oracle", spy)
+    cfgp, path = tmp_path / "cfg.json", tmp_path / "r.json"
+    cfgp.write_text(json.dumps({
+        "schema_version": 1, "tower": {"q": 3, "e": 3, "f": 1, "N": 8},
+        "stratum": {"c": [[0, -1]]}, "character": {"psi_twist": 2}}))
+    code, out, _ = run(["reducibility", str(cfgp), "--json", str(path)], capsys)
+    assert code == 0
+    payload = json.loads(path.read_text())
+    assert payload["provenance"]["psi_twist"] == 2
+    assert (payload["b_y"], payload["b_z_low"], payload["b_z_high"]) == (6, 6, 0)
+    assert [psi.twist.coeffs for psi in seen] == [(2,)]
+
+
+@pytest.mark.parametrize("grid_q", [[4], [2], [9], [1], [3, 15]])
+def test_cli_gauss_rejects_non_odd_prime_grid(grid_q, capsys, tmp_path):
+    cfgp = tmp_path / "cfg.json"
+    cfgp.write_text(json.dumps({"schema_version": 1, "case": "u1",
+                                "run": {"grid_q": grid_q}}))
+    code, out, err = run(["gauss", str(cfgp)], capsys)
+    assert code == 2 and out == ""
+    lines = err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert "odd primes" in lines[0]
+
+
 # ---------------------------------------------------------------------------
 # Malformed config values are bad input: exit 2 with one error line.
 

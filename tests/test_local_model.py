@@ -704,3 +704,169 @@ def test_inverse_unit_matches_neumann_series(name, g, layers, fprec, seed):
         A = A + t.mat_from_layer(m, rng.integers(0, t.p, size=t.n * t.f), fprec)
     X = MatF.identity(t, fprec) + A
     assert same_matf(inverse_unit(X), neumann_inverse(X))
+
+
+# -- the batch axis of MatF against the unbatched operations -----------------
+
+
+def random_stack(t, rng, size, g, layers, fprec):
+    """A stack of `size` matrices sharing fprec, each starting at its own
+    layer g .. g + 2 and with some all-zero members and layers."""
+    mats = []
+    for _ in range(size):
+        arr = rng.integers(0, t.p, size=(layers, t.n, t.n))
+        arr[rng.random(layers) < 0.3] = 0
+        if rng.random() < 0.15:
+            arr[:] = 0
+        mats.append(MatF(t, g + int(rng.integers(0, 3)), arr, fprec).truncated(fprec))
+    return MatF.stack(mats), mats
+
+
+def agrees(stacked, k, single):
+    """Member k of a stacked result is the unbatched result at the stack's
+    precision, which the shared valuation can only lower."""
+    assert stacked.fprec <= single.fprec
+    return same_matf(stacked.take(k), single.truncated(stacked.fprec))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(BUILTIN_CASE_NAMES), st.integers(0, 2**32 - 1),
+       st.integers(1, 5), st.integers(-2, 2), st.integers(0, 4), st.integers(0, 6),
+       st.integers(-2, 2), st.integers(0, 4))
+def test_stack_operations_match_each_member(name, seed, size, ga, la, xa, gb, lb):
+    t, _ = builtin_tower(name)
+    rng = np.random.default_rng(seed)
+    A, As = random_stack(t, rng, size, ga, la, ga + la + xa)
+    B, Bs = random_stack(t, rng, size, gb, lb, gb + lb + xa)
+    C = random_matf(t, rng, gb, lb, 2)
+    for k in range(size):
+        assert same_matf(A.take(k), As[k].truncated(A.fprec))
+        assert agrees(A @ B, k, As[k] @ Bs[k])
+        assert agrees(A @ C, k, As[k] @ C)
+        assert agrees(C @ A, k, C @ As[k])
+        assert agrees(A + B, k, As[k] + Bs[k])
+        assert agrees(A - C, k, As[k] - C)
+        assert agrees(A.conj().transpose(), k, As[k].conj().transpose())
+        assert agrees(t.alpha(A), k, t.alpha(As[k]))
+        assert agrees(A.truncated(ga + 2), k, As[k].truncated(ga + 2))
+    assert (A @ B).batch == (A + C).batch == (C @ A).batch == (size,)
+    assert np.array_equal(A.nonzero_mask(), [not M.is_zero() for M in As])
+    # Members that share the stack's valuation keep their own precision.
+    if all(M.g == A.g for M in As) and all(M.g == B.g for M in Bs):
+        for k in range(size):
+            assert same_matf((A @ B).take(k), As[k] @ Bs[k])
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(BUILTIN_CASE_NAMES), st.integers(0, 2**32 - 1),
+       st.integers(1, 6), st.integers(-3, 4))
+def test_layer_maps_on_stacks_match_each_row(name, seed, size, m):
+    t, _ = builtin_tower(name)
+    rng = np.random.default_rng(seed)
+    vecs = rng.integers(0, t.p, size=(size, t.n * t.f))
+    vecs[rng.random(size) < 0.2] = 0
+    X = t.mat_from_layer(m, vecs)
+    assert X.batch == (size,)
+    for k in range(size):
+        assert agrees(X, k, t.mat_from_layer(m, vecs[k]))
+    assert np.array_equal(t.layer_coords(X, m), vecs)
+    live = vecs.any(axis=1)
+    if live.any():
+        # Some members lose their degree-m part: valuations m and m + 1 mix.
+        keep = rng.random(int(live.sum())) < 0.5
+        upper = rng.integers(1, t.p, size=(int(live.sum()), t.n * t.f))
+        Y = (t.mat_from_layer(m, vecs[live] * keep[:, None])
+             + t.mat_from_layer(m + 1, upper))
+        assert t.valuation(Y).tolist() == [t.valuation(Y.take(k))
+                                           for k in range(Y.batch[0])]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([(3, 1, 2), (3, 3, 1), (5, 3, 1), (3, 3, 2)]),
+       st.integers(1, 6), st.integers(0, 1), st.integers(1, 6), st.integers(0, 6),
+       st.integers(0, 2**32 - 1))
+def test_det_unit_on_stacks_matches_each_member(tower, size, g, fprec, layers, seed):
+    # Units, singular w_F^0 layers (pivots of positive valuation, swaps) and
+    # dead columns, mixed in one stack.
+    t = small_tower(*tower)
+    rng = np.random.default_rng(seed)
+    arr = rng.integers(0, t.p, size=(size, layers, t.n, t.n))
+    arr[rng.random((size, layers)) < 0.25] = 0
+    if layers:
+        units = rng.random(size) < 0.5
+        arr[units, 0] = np.eye(t.n, dtype=np.int64)
+        dead = rng.random(size) < 0.2
+        arr[dead, :, :, rng.integers(t.n)] = 0
+    X = MatF(t, g, arr, fprec)
+    got = det_unit(X)
+    assert got.shape == (size, fprec)
+    for k in range(size):
+        assert got[k].tolist() == det_unit(X.take(k)).tolist()
+        assert got[k].tolist() == det_unit(MatF(t, g, arr[k], fprec)).tolist()
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(["e3f1", "e1f2", "e3f2", "e5f1"]), st.integers(1, 5),
+       st.integers(1, 3), st.integers(0, 3), st.integers(1, 8),
+       st.integers(0, 2**32 - 1))
+def test_inverse_unit_on_stacks_matches_each_member(name, size, g, layers, fprec, seed):
+    t, _ = builtin_tower(name)
+    rng = np.random.default_rng(seed)
+    A = MatF(t, g, rng.integers(0, t.p, size=(size, layers, t.n, t.n)), fprec)
+    A = A + t.mat_from_layer(1, rng.integers(0, t.p, size=(size, t.n * t.f)), fprec)
+    X = MatF.identity(t, fprec) + A
+    Z = inverse_unit(X)
+    for k in range(size):
+        assert same_matf(Z.take(k), inverse_unit(X.take(k)))
+        assert same_matf(Z.take(k), neumann_inverse(X.take(k)))
+
+
+def rref_mat_inv(mat, p):
+    """Test-local copy of the one-matrix inverse through rref."""
+    n = mat.shape[0]
+    aug = np.concatenate([mat % p, np.eye(n, dtype=np.int64)], axis=1)
+    red, piv = _modp.rref(aug, p)
+    if piv != list(range(n)):
+        raise ZeroDivisionError("matrix is singular mod p")
+    return red[:, n:]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([3, 5, 7]), st.integers(1, 6), st.integers(1, 5),
+       st.integers(0, 2**32 - 1))
+def test_mat_inv_on_stacks_matches_rref(p, n, size, seed):
+    rng = np.random.default_rng(seed)
+    mats = rng.integers(0, p, size=(size, n, n))
+    mats[rng.random(size) < 0.3] = np.eye(n, dtype=np.int64)[rng.permutation(n)]
+    refs = []
+    for M in mats:
+        try:
+            refs.append(rref_mat_inv(M, p))
+        except ZeroDivisionError:
+            refs.append(None)
+    for k, M in enumerate(mats):
+        if refs[k] is None:
+            with pytest.raises(ZeroDivisionError):
+                _modp.mat_inv(M, p)
+        else:
+            assert np.array_equal(_modp.mat_inv(M, p), refs[k])
+    singular = [k for k, r in enumerate(refs) if r is None]
+    if singular:
+        with pytest.raises(ZeroDivisionError, match=f"stack index {singular[0]}"):
+            _modp.mat_inv(mats, p)
+    else:
+        assert np.array_equal(_modp.mat_inv(mats, p), np.array(refs))
+
+
+def test_stack_aligns_valuations_and_precisions():
+    t, _ = builtin_tower("e3f1")
+    eye = MatF.identity(t, 6)
+    shifted = MatF(t, 2, np.eye(t.n, dtype=np.int64)[None], 4)
+    zero = MatF.zero(t, 9)
+    S = MatF.stack([eye, shifted, zero])
+    assert (S.g, S.fprec, S.batch) == (0, 4, (3,))
+    assert same_matf(S.take(0), eye.truncated(4))
+    assert same_matf(S.take(1), shifted)
+    assert S.take(2).is_zero() and S.take(2).fprec == 4
+    both = MatF.stack([S, S.take([1])])
+    assert both.batch == (4,) and same_matf(both.take(3), shifted)

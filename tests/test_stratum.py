@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from strbc import _modp, stratum
-from strbc.cyclotomic import CycNum
+from strbc.cyclotomic import CycNum, cyc_root
 from strbc.finite_field import AddChar, MultChar, quadratic_residue_char
 from strbc.gauss import EnumerationTooLarge, NonUnitQuotient, normalized_sign
 from strbc.local_model import (
@@ -17,6 +17,7 @@ from strbc.local_model import (
     TowerConfig,
     build_tower,
     build_Wz,
+    det_unit,
     inverse_unit,
 )
 from strbc.stratum import (
@@ -414,11 +415,11 @@ def test_bz_term_independent_of_aux():
 
 
 def test_by_oracle_closed_form():
+    # Exhaustive on every tower: e3f2 has 1,944 representatives.
     for name in R1_CASE_NAMES:
         s = builtin_case(name)
         chars = default_chars(s)
-        sample = 120 if name == "e3f2" else None
-        val = by_oracle(s, chars, (1, 1), sample=sample)
+        val = by_oracle(s, chars, (1, 1))
         assert val == CycNum.integer(CLOSED_MAGNITUDE[name], s.tower.p)
 
 
@@ -499,14 +500,15 @@ def test_streamed_draw_matches_list_draw(name):
 
 
 def record_bz_terms(monkeypatch):
+    """Spy on the path-A chunks: the (unit, coordinates) of every term."""
     seen = []
-    original = stratum._bz_term
+    original = stratum._bz_chunk
 
-    def spy(s, big, root, wz, y, xv, sizes, aux=None):
-        seen.append((y, tuple(xv)))
-        return original(s, big, root, wz, y, xv, sizes, aux=aux)
+    def spy(s, big, root, wz, ys, X, aux=None):
+        seen.extend((y, tuple(int(c) for c in xv)) for y, xv in zip(ys, X))
+        return original(s, big, root, wz, ys, X, aux=aux)
 
-    monkeypatch.setattr(stratum, "_bz_term", spy)
+    monkeypatch.setattr(stratum, "_bz_chunk", spy)
     return seen
 
 
@@ -619,6 +621,23 @@ def test_block_gram_precision_error_matches():
     assert fast == gram_or_error(loop_block_gram_raw, *args)
 
 
+@pytest.mark.parametrize("name,grade,k,y,c_first,basis,first", [
+    # The first unknown pair in row order is not the least precise one.
+    ("e5f1", -1, 3, 0, True,
+     [[0, 1, 2, 2, 1], [0, 0, 0, 0, 0], [0, 0, 0, 0, 0], [1, 1, 2, 2, 0]], -2),
+    ("e3f1", 0, 4, 0, True, [[2, 1, 2], [0, 0, 2], [0, 0, 0], [2, 1, 1]], -1),
+])
+def test_block_gram_precision_error_names_first_pair(name, grade, k, y, c_first,
+                                                     basis, first):
+    s = builtin_case(name)
+    t = s.tower
+    scalar = t.e_monomial(k, list(t.kE.units())[y], prec=-1)
+    args = (t, s.c_elems[0], np.array(basis), grade, scalar, c_first)
+    fast = gram_or_error(stratum._block_gram_raw, *args)
+    assert fast == ("PrecisionTooLow", f"w_F^0 beyond precision {first}")
+    assert fast == gram_or_error(loop_block_gram_raw, *args)
+
+
 # -- one oracle pass for several characters ----------------------------------
 
 
@@ -676,3 +695,442 @@ def test_oracles_refuse_past_bound(monkeypatch):
         by_oracle(s, chars, (1, 1), bound=23)
     assert by_oracle(s, chars, (1, 1), bound=24) == CycNum.integer(24, t.p)
     assert by_oracle(s, chars, (1, 1), sample=5, bound=5) == CycNum.integer(24, t.p)
+
+
+# -- chunked path A against the per-term code it replaced --------------------
+
+
+def ref_bz_term(s, big, root, wz, y, xv, sizes):
+    """Test-local copy of the one-term path-A evaluation the chunks replaced.
+
+    Returns the term value with the quantities its checks compare: Y', the
+    two matrices the characters are evaluated at, and the two sides of the
+    exchange identity on their common length (None at X = 0)."""
+    tower = s.tower
+    p = tower.p
+    ident = MatF.identity(tower)
+    x_coords = []
+    at = 0
+    for k in sizes:
+        coeffs = np.array(xv[at : at + k], dtype=np.int64)
+        at += k
+        block = wz.blocks[len(x_coords)]
+        x_coords.append(coeffs @ block.basis % p if k else
+                        np.zeros(tower.n * tower.f, dtype=np.int64))
+    yp, _, _ = solve_Y_from_X(s, x_coords, y)
+    xtot = MatF.zero(tower)
+    for block, vec in zip(wz.blocks, x_coords):
+        if vec.any():
+            xtot = xtot + tower.mat_from_layer(block.grade, vec)
+    one_plus = ident + yp
+    exchange = None
+    if xtot.is_zero():
+        g = ident
+    else:
+        yinv = inverse_unit(one_plus) @ tower.m_of(
+            tower.e_monomial(1, y.inverse())
+        )
+        w = tower.alpha(xtot) @ yinv
+        g = ident - (w @ xtot)
+        lhs, rhs = det_unit(g), det_unit(ident - (xtot @ w))
+        n = min(len(lhs), len(rhs))
+        assert np.array_equal(lhs[:n], rhs[:n])
+        exchange = (lhs[:n], rhs[:n])
+    value = eval_simple_char(big, one_plus) * eval_simple_char(root, g)
+    return {"value": value, "yp": yp, "gl": one_plus, "u": g, "exchange": exchange}
+
+
+def ref_by_term(s, big, root, zbases, t, zv):
+    """Test-local copy of the one-representative by_oracle loop body, with the
+    two matrices the characters are evaluated at."""
+    tower = s.tower
+    p, kE = tower.p, tower.kE
+    ident = MatF.identity(tower)
+    zmat = MatF.zero(tower)
+    at = 0
+    for m, basis in zbases:
+        k = basis.shape[0]
+        coeffs = np.array(zv[at : at + k], dtype=np.int64)
+        at += k
+        if coeffs.any():
+            zmat = zmat + tower.mat_from_layer(m, coeffs @ basis % p)
+    y0 = -(t * t) * kE.from_int(2).inverse()
+    Y = tower.m_of(tower.e_monomial(0, y0)) + zmat
+    yp = tower.m_of(tower.e_monomial(0, y0.inverse())) @ zmat
+    xm = tower.m_of(tower.e_monomial(0, t))
+    g = ident - (tower.alpha(xm) @ inverse_unit(Y) @ xm)
+    value = eval_simple_char(big, ident + yp) * eval_simple_char(root, -g)
+    return {"value": value, "gl": ident + yp, "u": -g}
+
+
+def same_member(stack, k, single, exact=True):
+    """Member k of a stacked quantity against the one-term quantity: the same
+    layers and precision.  The one-term code keeps 0 and 1 (Y' and g at
+    X = 0) at the tower's cap, and its valuation can sit above the stack's
+    shared one; a stack member can then only carry the stack's precision,
+    which is never more.  With ``exact`` the second case must not occur."""
+    member = stack.take(k)
+    t = single.tower
+    constant = single.fprec == t.fcap and (single.is_zero() or
+                                           single == MatF.identity(t))
+    if member.fprec == single.fprec:
+        return same_matf(member, single)
+    return (constant or not exact) and member.fprec < single.fprec and \
+        same_matf(member, single.truncated(member.fprec))
+
+
+def same_matf(X, Y):
+    return X.g == Y.g and X.fprec == Y.fprec and np.array_equal(X.arr, Y.arr)
+
+
+def spy_chunks(monkeypatch):
+    """Record, per path-A chunk, its terms and values and the stacked
+    quantities its checks compare."""
+    chunks = []
+    solve, evaluate = stratum.solve_Y_from_X, stratum.eval_simple_char
+    det, bz_chunk = stratum.det_unit, stratum._bz_chunk
+    inside = []
+
+    def spy_solve(s, x_coords, y, aux=None):
+        out = solve(s, x_coords, y, aux=aux)
+        if inside == ["chunk"]:
+            chunks[-1]["yp"] = out[0]
+        return out
+
+    def spy_eval(chi, g):
+        inside.append("eval")
+        try:
+            values = evaluate(chi, g)
+        finally:
+            inside.pop()
+        if inside == ["chunk"]:
+            chunks[-1].setdefault("values", {})[chi.side] = values
+            chunks[-1][chi.side] = g
+        return values
+
+    def spy_det(X):
+        out = det(X)
+        if inside == ["chunk"]:
+            chunks[-1]["exchange"] = out
+        return out
+
+    def spy_chunk(s, big, root, wz, ys, X, aux=None):
+        chunks.append({"ys": list(ys), "X": X.copy()})
+        inside.append("chunk")
+        try:
+            chunks[-1]["result"] = bz_chunk(s, big, root, wz, ys, X, aux=aux)
+        finally:
+            inside.pop()
+        return chunks[-1]["result"]
+
+    for name, fn in [("solve_Y_from_X", spy_solve), ("eval_simple_char", spy_eval),
+                     ("det_unit", spy_det), ("_bz_chunk", spy_chunk)]:
+        monkeypatch.setattr(stratum, name, fn)
+    return chunks
+
+
+# Sampled e3f2 runs 150 terms: two full chunks and a partial one.
+PIN_SAMPLE = {"e3f2": 150}
+
+
+@pytest.mark.parametrize("name", R1_CASE_NAMES)
+def test_chunked_bz_oracle_matches_one_term_code(name, monkeypatch):
+    s = builtin_case(name)
+    t = s.tower
+    chars = default_chars(s)
+    wz = build_Wz(t, s)
+    sizes = [b.basis.shape[0] for b in wz.blocks]
+    chunks = spy_chunks(monkeypatch)
+    sample = PIN_SAMPLE.get(name)
+    bz_oracle(s, chars, mu_pair(t), sample=sample, seed=5)
+    terms, _ = stratum._terms(list(t.kE.units()), t.p, wz.dim_k, sample, 5)
+    terms = list(terms)
+    assert [len(c["ys"]) for c in chunks] == [
+        min(64, len(terms) - i) for i in range(0, len(terms), 64)]
+    at = 0
+    for chunk in chunks:
+        live = []
+        for k, y in enumerate(chunk["ys"]):
+            xv = tuple(int(c) for c in chunk["X"][k])
+            assert (y, xv) == terms[at + k]
+            ref = ref_bz_term(s, *chars, wz, y, xv, sizes)
+            assert chunk["result"][k] == ref["value"]
+            for side, chi in zip(("gl", "u"), chars):
+                assert chunk["values"][side][k] == eval_simple_char(chi, ref[side])
+                assert same_member(chunk[side], k, ref[side])
+            assert same_member(chunk["yp"], k, ref["yp"])
+            if ref["exchange"] is not None:
+                live.append(ref["exchange"])
+        at += len(chunk["ys"])
+        if live:
+            dets = chunk["exchange"]
+            assert dets.shape == (2 * len(live), len(live[0][0]))
+            for j, (lhs, rhs) in enumerate(live):
+                assert dets[j].tolist() == lhs.tolist()
+                assert dets[len(live) + j].tolist() == rhs.tolist()
+        else:
+            assert "exchange" not in chunk
+    assert at == len(terms)
+
+
+@pytest.mark.parametrize("name", R1_CASE_NAMES)
+def test_chunked_by_oracle_matches_one_term_code(name, monkeypatch):
+    s = builtin_case(name)
+    t = s.tower
+    big, root = chars = default_chars(s)
+    zbases = stratum._y_side_zbases(s)
+    zdim = sum(b.shape[0] for _, b in zbases)
+    evaluated = []
+    evaluate = stratum.eval_simple_char
+
+    def spy_eval(chi, g):
+        values = evaluate(chi, g)
+        evaluated.append((chi.side, g, values))
+        return values
+
+    monkeypatch.setattr(stratum, "eval_simple_char", spy_eval)
+    sample = PIN_SAMPLE.get(name)
+    total = by_oracle(s, chars, (1, 1), sample=sample, seed=5)
+    assert total == CycNum.integer(CLOSED_MAGNITUDE[name], t.p)
+    reps, _ = stratum._terms(list(t.kE.units()), t.p, zdim, sample, 5)
+    reps = list(reps)
+    assert [side for side, _, _ in evaluated] == ["gl", "u"] * len(evaluated[::2])
+    at = 0
+    for (_, gl, big_vals), (_, u, root_vals) in zip(evaluated[::2], evaluated[1::2]):
+        for k in range(len(big_vals)):
+            ref = ref_by_term(s, big, root, zbases, *reps[at + k])
+            assert big_vals[k] * root_vals[k] == ref["value"]
+            # Y' of a representative whose lowest layer vanishes has a higher
+            # valuation alone than in its stack (e3f2: 6 layers against 5).
+            assert same_member(gl, k, ref["gl"], exact=False)
+            assert same_member(u, k, ref["u"], exact=False)
+            assert min(gl.fprec, u.fprec) >= 2
+        at += len(big_vals)
+    assert at == len(reps)
+
+
+@st.composite
+def path_a_terms(draw):
+    """A tower and a list of (unit, X) terms, about a fifth with X = 0."""
+    name = draw(st.sampled_from(R1_CASE_NAMES))
+    s = builtin_case(name)
+    t = s.tower
+    units = list(t.kE.units())
+    dim = build_Wz(t, s).dim_k
+    count = draw(st.integers(1, 70 if name == "e3f2" else 140))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    terms = [(rng.choice(units),
+              (0,) * dim if rng.random() < 0.2
+              else tuple(rng.randrange(t.p) for _ in range(dim)))
+             for _ in range(count)]
+    return s, terms
+
+
+@settings(max_examples=20, deadline=None)
+@given(path_a_terms())
+def test_bz_chunks_match_one_term_code_on_random_terms(case):
+    s, terms = case
+    chars = default_chars(s)
+    wz = build_Wz(s.tower, s)
+    sizes = [b.basis.shape[0] for b in wz.blocks]
+    starts = []
+    for start, ys, X in stratum._chunks(iter(terms)):
+        starts.append(start)
+        got = stratum._bz_chunk(s, *chars, wz, ys, X)
+        for k, (y, xv) in enumerate(terms[start : start + len(ys)]):
+            assert got[k] == ref_bz_term(s, *chars, wz, y, xv, sizes)["value"]
+    assert starts == list(range(0, len(terms), 64))
+
+
+@pytest.mark.parametrize("term", [0, 63, 64, 100, 149])
+def test_bz_oracle_names_a_term_whose_phase_disagrees(term, monkeypatch):
+    # e3f2's sample of 150 makes chunks from terms 0, 64 and 128; term 100
+    # sits in the middle of the second.
+    s = builtin_case("e3f2")
+    p = s.tower.p
+    original = stratum._bz_chunk
+    start = [0]
+
+    def corrupt(s, big, root, wz, ys, X, aux=None):
+        values = original(s, big, root, wz, ys, X, aux=aux)
+        if start[0] <= term < start[0] + len(ys):
+            values[term - start[0]] = values[term - start[0]] * cyc_root(p, 1)
+        start[0] += len(ys)
+        return values
+
+    monkeypatch.setattr(stratum, "_bz_chunk", corrupt)
+    with pytest.raises(stratum.PathMismatch, match=rf"\(term {term}\)"):
+        bz_oracle(s, default_chars(s), mu_pair(s.tower), sample=150, seed=5)
+
+
+def test_exchange_identity_failure_names_its_term(monkeypatch):
+    # Term 0 has X = 0 and no exchange identity; the two others do, in one
+    # det_unit stack of four rows (both left sides, then both right sides).
+    s = builtin_case("e1f2")
+    t = s.tower
+    wz = build_Wz(t, s)
+    det = stratum.det_unit
+
+    def corrupt(X):
+        out = det(X)
+        if X.batch == (4,):
+            out = out.copy()
+            out[1, 0] = (out[1, 0] + 1) % t.p
+        return out
+
+    monkeypatch.setattr(stratum, "det_unit", corrupt)
+    X = np.array([[0, 0], [1, 0], [0, 2]])
+    with pytest.raises(stratum.PathMismatch,
+                       match=r"exchange identity fails \(stack index 2\)"):
+        stratum._bz_chunk(s, *default_chars(s), wz, [t.kE.one()] * 3, X)
+
+
+def test_by_oracle_names_a_term_that_breaks_constancy(monkeypatch):
+    s = builtin_case("e1f2")
+    p = s.tower.p
+    evaluate = stratum.eval_simple_char
+
+    def corrupt(chi, g):
+        values = evaluate(chi, g)
+        if chi.side == "u":
+            values[13] = values[13] * cyc_root(p, 1)
+        return values
+
+    monkeypatch.setattr(stratum, "eval_simple_char", corrupt)
+    with pytest.raises(stratum.ConstancyViolated, match=r"\(term 13\)"):
+        by_oracle(s, default_chars(s), (1, 1))
+
+
+def test_chunk_failure_names_the_term(monkeypatch):
+    # A check inside a chunk names its stack index and the chunk's start.
+    s = builtin_case("e1f2")
+    chars = default_chars(s)
+    evaluate = stratum.eval_simple_char
+
+    def refuse(chi, g):
+        # The 72 e1f2 terms make a chunk of 64 and one of 8: refuse term 71.
+        if chi.side == "u" and g.batch == (8,):
+            stratum._fail_first(np.arange(8) == 7, stratum.NotInDomain, "refused")
+        return evaluate(chi, g)
+
+    monkeypatch.setattr(stratum, "eval_simple_char", refuse)
+    with pytest.raises(stratum.NotInDomain,
+                       match=r"refused \(stack index 7\), in the chunk from term 64"):
+        bz_oracle(s, chars, mu_pair(s.tower))
+
+
+# -- the precomputed (1 - alpha) solver against the elimination it replaced --
+
+
+def ref_solve(mat, rhs, p):
+    """Test-local copy of the one-right-side solver: the particular solution
+    with every free variable zero, or None."""
+    rows, cols = mat.shape
+    aug = np.concatenate([mat % p, rhs.reshape(rows, 1) % p], axis=1)
+    red, piv = _modp.rref(aug, p)
+    if cols in piv:
+        return None
+    x = np.zeros(cols, dtype=np.int64)
+    for r, pc in enumerate(piv):
+        x[pc] = red[r, cols]
+    return x
+
+
+@pytest.mark.parametrize("name", BUILTIN_CASE_NAMES)
+def test_one_minus_alpha_solver_matches_elimination(name):
+    s = builtin_case(name)
+    t = s.tower
+    p, nf = t.p, t.n * t.f
+    rng = np.random.default_rng(sum(map(ord, name)))
+    checked = {True: 0, False: 0}
+    for level in range(s.d + 2):
+        gens = stratum.level_gens(s, level)
+        for m in range(-2, 2 * max(s.s_list) + 2):
+            sub = t.cent_layer(gens, m)
+            amat = stratum._alpha_matrix(t, m)
+            A = np.array([(row - amat @ row) % p for row in sub],
+                         dtype=np.int64).reshape(-1, nf).T
+            reach = (rng.integers(0, p, size=(6, sub.shape[0])) @ A.T % p
+                     if sub.shape[0] else np.zeros((0, nf), dtype=np.int64))
+            rhs = np.vstack([reach, rng.integers(0, p, size=(6, nf)),
+                             np.zeros((1, nf), dtype=np.int64)])
+            for v in rhs:
+                x = ref_solve(A, v, p) if sub.shape[0] else (
+                    None if v.any() else np.zeros(0, dtype=np.int64))
+                if x is None:
+                    with pytest.raises(stratum.NoSolution):
+                        stratum._solve_one_minus_alpha(t, m, gens, v)
+                else:
+                    want = x @ sub % p if sub.shape[0] else np.zeros(nf, dtype=np.int64)
+                    got = stratum._solve_one_minus_alpha(t, m, gens, v)
+                    assert got.tolist() == want.tolist()
+                checked[x is None] += 1
+            # One call on all right sides names the first inconsistent one.
+            bad = [k for k, v in enumerate(rhs)
+                   if (ref_solve(A, v, p) if sub.shape[0] else
+                       (None if v.any() else 0)) is None]
+            if bad:
+                with pytest.raises(stratum.NoSolution,
+                                   match=rf"stack index {bad[0]}\)"):
+                    stratum._solve_one_minus_alpha(t, m, gens, rhs)
+    assert checked[True] and checked[False]
+
+
+# -- per-member checks on stacks ---------------------------------------------
+
+
+def test_domain_checks_name_the_failing_member():
+    s = builtin_case("e3f1")
+    t = s.tower
+    big, root = default_chars(s)
+    ident = MatF.identity(t)
+    inside = ident + t.mat_from_layer(1, np.array([1, 0, 2]))
+    outside = ident + t.mat_from_layer(0, np.array([0, 1, 0]))
+    # Member 0 is 1 itself (g - 1 = 0); member 2 has a degree-0 part.
+    stack = MatF.stack([ident, inside, outside, inside])
+    with pytest.raises(NotInDomain,
+                       match=r"positive valuation \(stack index 2\)"):
+        eval_simple_char(big, stack)
+    values = eval_simple_char(big, MatF.stack([ident, inside]))
+    assert values == [eval_simple_char(big, ident), eval_simple_char(big, inside)]
+    # A generic one-unit is not unitary; 1 is.
+    with pytest.raises(NotInDomain, match=r"Hermitian form \(stack index 1\)"):
+        eval_simple_char(root, MatF.stack([ident, inside]))
+
+
+def test_lattice_check_names_the_failing_member():
+    # r_0 = 3 gives s_0 = 1: the degree-1 part of g - 1 must lie in the
+    # H-tilde-1 lattice layer before the window check refuses the stratum.
+    t = build_tower(TowerConfig(q=3, e=5, f=1, N=12))
+    s = StratumSpec(t, [t.e_monomial(-3)])
+    layer = stratum.h1_lattice(t, s).layer(1)
+    assert 0 < layer.shape[0] < t.n * t.f
+    eye = np.eye(t.n * t.f, dtype=np.int64)
+    escapes = [v for v in eye if not _modp.in_row_space(v, layer, t.p)]
+    assert len(escapes) >= 2
+    ident = MatF.identity(t)
+    big, _ = default_chars(s)
+    for v in escapes:
+        members = [ident + t.mat_from_layer(1, w) for w in (layer[0], v)]
+        with pytest.raises(NotInDomain, match=r"degree-1 component escapes "
+                                              r"the lattice \(stack index 1\)"):
+            eval_simple_char(big, MatF.stack(members))
+    with pytest.raises(LinearizationInvalid):
+        eval_simple_char(big, MatF.stack(members[:1]))
+
+
+@pytest.mark.parametrize("name", ["e3f1", "e3f2"])
+def test_solve_names_a_member_outside_its_block(name):
+    s = builtin_case(name)
+    t = s.tower
+    (block,) = build_Wz(t, s).blocks
+    eye = np.eye(t.n * t.f, dtype=np.int64)
+    escapes = [v for v in eye if not _modp.in_row_space(v, block.basis, t.p)]
+    assert escapes
+    for escape in escapes:
+        coords = np.stack([block.basis[0], (block.basis[0] + escape) % t.p])
+        with pytest.raises(DegenerateX, match=r"escapes its block \(stack index 1\)"):
+            solve_Y_from_X(s, [coords], [t.kE.one()] * 2)
+    yp, _, _ = solve_Y_from_X(s, [block.basis[:2]], [t.kE.one()] * 2)
+    for k in range(2):
+        assert same_member(yp, k, solve_Y_from_X(s, [block.basis[k]], t.kE.one())[0])
