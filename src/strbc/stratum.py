@@ -260,70 +260,41 @@ def _block_gram_raw(tower: TowerSpec, c: EElem, basis: np.ndarray, grade: int,
 
     Entry (a, b) is the w_F^0 coefficient of Tr(left_a @ alpha(X_b)): the
     sum over k of Tr(left_a[k] @ alpha(X_b)[-k]), one contraction over the
-    layers of the two stacks.  The basis rows run as one stack with the
-    precision bound lifted, so every product is exact, while each row keeps
-    the valuation and precision its own products would carry: a pair whose
-    w_F^0 coefficient lies past that precision raises, first pair in row
-    order.  Once every pair is known, a layer of one row past its precision
-    meets only layers of the other row below that row's valuation, which
-    are zero, so the contraction reads the exact layers as they are."""
+    layers of the two stacks.  A pair whose left_a @ alpha(X_b) does not know
+    its w_F^0 coefficient raises, first pair in row order."""
     rows = basis.shape[0]
     if rows == 0:
         return np.zeros((0, 0), dtype=np.int64)
-
-    def track(M, fprec):
-        # (exact layers, per-row valuation, per-row precision)
-        lifted = MatF(tower, M.g, M.arr, _UNBOUNDED)
-        return lifted, _first_live(lifted, fprec), fprec
-
-    def times(a, b):
-        return track(a[0] @ b[0], np.minimum(a[2] + b[1], b[2] + a[1]))
-
     mats = tower.mat_from_layer(grade, basis)
-    X = track(mats, mats.fprec)
-    cm, w, Hinv, H = (track(M, M.fprec) for M in (
-        tower.m_of(c), tower.m_of(scalar), tower.Hinv, tower.H))
-    # alpha(X) = -(H^-1 X-bar^T H), tracked product by product.
-    R, ga, fa = times(times(Hinv, (X[0].conj().transpose(),) + X[1:]), H)
-    R = -R
-    a, b = (cm, X) if c_first else (X, cm)
-    ab, ba = times(a, b), times(b, a)
-    L, gl, fl = times(w, track(ab[0] - ba[0], np.minimum(ab[2], ba[2])))
-    fprec = np.minimum(fl[:, None] + ga[None, :], fa[None, :] + gl[:, None])
-    if (fprec <= 0).any():
-        raise PrecisionTooLow(
-            f"w_F^0 beyond precision {fprec.flat[np.argmax(fprec.ravel() <= 0)]}")
-    lo = max(L.g, 1 - R.g - R.arr.shape[-3])
-    hi = min(L.g + L.arr.shape[-3], 1 - R.g)
+    left, right = _gram_sides(tower, c, mats, scalar, c_first)
+    if min(left.fprec + right.g, right.fprec + left.g) <= 0:
+        # A stack carries the least valuation and precision of its rows, so
+        # the rows' own sides decide which pairs are unknown.
+        sides = [_gram_sides(tower, c, mats.take(a), scalar, c_first)
+                 for a in range(rows)]
+        for la, _ in sides:
+            for _, rb in sides:
+                fprec = (la @ rb).fprec
+                if fprec <= 0:
+                    raise PrecisionTooLow(f"w_F^0 beyond precision {fprec}")
+        left, right = (MatF.stack(list(ms)) for ms in zip(*sides))
+    # Layers k of left pairing with layers -k of right: lo <= k < hi.
+    lo = max(left.g, 1 - right.g - right.arr.shape[-3])
+    hi = min(left.g + left.arr.shape[-3], 1 - right.g)
     if hi <= lo:
         return np.zeros((rows, rows), dtype=np.int64)
-    left = _layer_window(L, lo, hi)
-    right = _layer_window(R, 1 - hi, 1 - lo)[:, ::-1]
-    return np.einsum("akij,bkji->ab", left, right) % tower.p
+    L = left.arr[:, lo - left.g : hi - left.g]
+    R = right.arr[:, 1 - hi - right.g : 1 - lo - right.g]
+    return np.einsum("akij,bkji->ab", L, R[:, ::-1]) % tower.p
 
 
-# Precision bound of a stack whose products are to be computed exactly.
-_UNBOUNDED = 1 << 40
-
-
-def _first_live(M: MatF, fprec) -> np.ndarray:
-    """Per matrix of a stack, its first nonzero layer below fprec (fprec if
-    there is none)."""
-    if M.is_zero():
-        return np.broadcast_to(fprec, M.batch)
-    layers = M.g + np.arange(M.arr.shape[-3])
-    live = M.arr.any(axis=(-2, -1)) & (layers < np.asarray(fprec)[..., None])
-    return np.where(live.any(axis=-1), M.g + live.argmax(axis=-1), fprec)
-
-
-def _layer_window(M: MatF, lo: int, hi: int) -> np.ndarray:
-    """Layers lo .. hi-1 of each matrix of a stack."""
-    n = M.tower.n
-    out = np.zeros((M.arr.shape[0], hi - lo, n, n), dtype=np.int64)
-    a, b = max(lo, M.g), min(hi, M.g + M.arr.shape[-3])
-    if b > a:
-        out[:, a - lo : b - lo] = M.arr[:, a - M.g : b - M.g]
-    return out
+def _gram_sides(tower: TowerSpec, c: EElem, X: MatF, scalar: EElem,
+                c_first: bool) -> tuple[MatF, MatF]:
+    """(scalar [c, X], alpha(X)) for X or a stack of them; the bracket is
+    X c - c X when not c_first."""
+    cm = tower.m_of(c)
+    bracket = cm @ X - X @ cm if c_first else X @ cm - cm @ X
+    return tower.m_of(scalar) @ bracket, tower.alpha(X)
 
 
 def _symmetrized_space(tower: TowerSpec, raw: np.ndarray) -> QuadSpace:
@@ -632,10 +603,7 @@ def _annihilator(tower: TowerSpec, basis: np.ndarray) -> np.ndarray:
 
 def _unit_mats(tower: TowerSpec, i: int, units, power: int = 1) -> MatF:
     """m_of(c^power w_E^i) for a unit c, or the stack of them for a sequence
-    of units (sliced from the stack over all units, built once)."""
-    if isinstance(units, FqElem):
-        return tower.m_of(tower.e_monomial(i, pow_fq(units, power)))
-
+    of units (taken from the stack over all units, built once)."""
     def build():
         every = list(tower.kE.units())
         mats = MatF.stack([tower.m_of(tower.e_monomial(i, pow_fq(c, power)))
@@ -643,6 +611,8 @@ def _unit_mats(tower: TowerSpec, i: int, units, power: int = 1) -> MatF:
         return {c.coeffs: k for k, c in enumerate(every)}, mats
 
     where, mats = tower.memo(("unit-mats", i, power), build)
+    if isinstance(units, FqElem):
+        return mats.take(where[units.coeffs])
     return mats.take([where[c.coeffs] for c in units])
 
 

@@ -638,6 +638,33 @@ def test_block_gram_precision_error_names_first_pair(name, grade, k, y, c_first,
     assert fast == gram_or_error(loop_block_gram_raw, *args)
 
 
+@pytest.mark.parametrize("name", [n for n in R1_CASE_NAMES if n != "u1"])
+def test_block_gram_rows_decide_when_stack_is_short(name, monkeypatch):
+    # A stack shorter than its rows must fall back to the rows' own sides,
+    # which know every pair here, and still give the Gram of those rows.
+    # (u1 has no W_z rows.)
+    s = builtin_case(name)
+    t = s.tower
+    sides = stratum._gram_sides
+    shortened = []
+
+    def short_stack(tower, c, X, scalar, c_first):
+        left, right = sides(tower, c, X, scalar, c_first)
+        if X.batch:
+            shortened.append(X.batch)
+            left = left.truncated(-right.g)
+        return left, right
+
+    monkeypatch.setattr(stratum, "_gram_sides", short_stack)
+    scalar = t.e_monomial(1, list(t.kE.units())[-1])
+    for block in build_Wz(t, s).blocks:
+        args = (t, s.c_elems[block.j], block.basis, block.grade, scalar, True)
+        fast = gram_or_error(stratum._block_gram_raw, *args)
+        assert fast == gram_or_error(loop_block_gram_raw, *args)
+        assert fast[0] != "PrecisionTooLow"
+    assert shortened
+
+
 # -- one oracle pass for several characters ----------------------------------
 
 
