@@ -71,8 +71,8 @@ def _or_null(kind: tuple) -> tuple:
 _INT = ("an integer", _is_int)
 _POS = ("an integer >= 1", lambda v: _is_int(v, 1))
 _NAT = ("an integer >= 0", lambda v: _is_int(v, 0))
-_PRIMES = ("a list of odd primes", lambda v: isinstance(v, list) and all(
-    _is_int(x, 3) and _is_prime(x) for x in v))
+_PRIMES = ("a non-empty list of odd primes", lambda v: isinstance(v, list)
+           and v != [] and all(_is_int(x, 3) and _is_prime(x) for x in v))
 _PAIRS = ("a list of integer pairs", lambda v: isinstance(v, list) and all(
     isinstance(x, list) and len(x) == 2 and all(map(_is_int, x)) for x in v))
 _TOP_KEYS = {"schema_version", "case", "tower", "stratum", "character", "run"}
@@ -82,7 +82,7 @@ _SCHEMA = {
     "stratum": {"c": _PAIRS},
     "character": {"psi_twist": _INT},
     "run": {"seed": _INT, "sample": _or_null(_POS), "grid_q": _PRIMES,
-            "grid_n": _NAT, "grid_count": _NAT},
+            "grid_n": _POS, "grid_count": _POS},
 }
 
 

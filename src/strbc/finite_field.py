@@ -14,6 +14,8 @@ from __future__ import annotations
 from functools import lru_cache
 from math import gcd
 
+import numpy as np
+
 from .cyclotomic import CycNum, cyc_embed, cyc_root
 
 
@@ -47,7 +49,12 @@ def _is_prime(n: int) -> bool:
 
 
 class FqField:
-    """The field with p^f elements, with a fixed modulus and generator."""
+    """The field with p^f elements, with a fixed modulus and generator.
+
+    mul_tensor is the multiplication of the polynomial basis 1, t, ...,
+    t^(f-1) as a read-only int64 (f, f, f) array: t^j t^k = sum_l
+    mul_tensor[j, k, l] t^l.  Array kernels over F_q read it and
+    trace_vector, the traces Tr(t^k) of the basis."""
 
     def __init__(self, p: int, f: int = 1):
         if not _is_prime(p) or p == 2:
@@ -58,6 +65,13 @@ class FqField:
         self.f = f
         self.q = p**f
         self.modulus = self._least_irreducible()
+        monos = [self.element((0,) * j + (1,)) for j in range(f)]
+        self.mul_tensor = np.array([[(a * b).coeffs for b in monos] for a in monos],
+                                   dtype=np.int64)
+        self.mul_tensor.setflags(write=False)
+        # Tr(t^k) is the trace of multiplication by t^k, and Tr is F_p-linear.
+        self.trace_vector = np.trace(self.mul_tensor, axis1=1, axis2=2) % p
+        self.trace_vector.setflags(write=False)
         self._build_log_tables()
 
     def _least_irreducible(self) -> tuple[int, ...]:
@@ -147,13 +161,9 @@ class FqField:
 
     def trace(self, x: "FqElem") -> int:
         """Absolute trace Tr_{F_q/F_p}(x) as an integer in [0, p)."""
-        acc, y = self.zero(), x
-        for _ in range(self.f):
-            acc = acc + y
-            y = pow_fq(y, self.p)
-        if any(acc.coeffs[1:]):
-            raise AssertionError("trace must land in the prime field")
-        return acc.coeffs[0]
+        if x.field != self:
+            raise MixedFields(f"{x.field} vs {self}")
+        return int(np.dot(x.coeffs, self.trace_vector)) % self.p
 
     def __eq__(self, other):
         return (

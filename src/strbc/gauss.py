@@ -12,6 +12,10 @@ Two independent evaluation routes are provided and cross-checked everywhere:
 ``normalized_sign`` divides by the square root of the space size and
 classifies the quotient as a fourth root of unity; with the even-dimension
 parity in force the result is a plain sign.
+
+A ``QuadSpace`` holds its Gram matrix only as a read-only int64 (n, n, f)
+array of polynomial-basis coefficients; the diagonalization and
+``prime_gram`` multiply through ``FqField.mul_tensor``.
 """
 
 from __future__ import annotations
@@ -28,6 +32,7 @@ from .finite_field import (
     AddChar,
     FqElem,
     FqField,
+    MixedFields,
     get_field,
     quadratic_residue_char,
 )
@@ -52,24 +57,32 @@ class NonUnitQuotient(ArithmeticError):
 
 
 class QuadSpace:
-    """A quadratic form Q(x) = x^T S x on F_q^n, S symmetric."""
+    """A quadratic form Q(x) = x^T S x on F_q^n, S symmetric, held as gram:
+    the read-only int64 (n, n, f) array of the coefficients of S."""
 
-    def __init__(self, field: FqField, gram: list[list[FqElem]]):
+    def __init__(self, field: FqField, gram):
+        """gram: n rows of n FqElem entries, or an int (n, n, f) array of
+        their coefficients."""
         n = len(gram)
-        for row in gram:
-            if len(row) != n:
-                raise ValueError("Gram matrix must be square")
-        for i in range(n):
-            for j in range(n):
-                if gram[i][j] != gram[j][i]:
-                    raise ValueError("Gram matrix must be symmetric")
+        if any(len(row) != n for row in gram):
+            raise ValueError("Gram matrix must be square")
+        if not isinstance(gram, np.ndarray):
+            if any(x.field != field for row in gram for x in row):
+                raise MixedFields(f"Gram entries must lie in {field}")
+            gram = [[x.coeffs for x in row] for row in gram]
+        gram = np.array(gram, dtype=np.int64).reshape(n, n, field.f) % field.p
+        if (gram != gram.swapaxes(0, 1)).any():
+            raise ValueError("Gram matrix must be symmetric")
+        gram.setflags(write=False)
         self.field = field
         self.dim = n
-        self.gram = tuple(tuple(row) for row in gram)
+        self.gram = gram
 
     @staticmethod
-    def from_ints(field: FqField, rows: list[list[int]]) -> "QuadSpace":
-        return QuadSpace(field, [[field.from_int(c) for c in row] for row in rows])
+    def from_ints(field: FqField, rows) -> "QuadSpace":
+        """The form with prime-field entries rows, lists or an (n, n) array."""
+        ints = np.array(rows, dtype=np.int64)
+        return QuadSpace(field, ints[..., None] * np.eye(field.f, dtype=np.int64)[0])
 
     def evaluate(self, xs: list[FqElem]) -> FqElem:
         acc = self.field.zero()
@@ -77,7 +90,7 @@ class QuadSpace:
             if not xs[i]:
                 continue
             for j in range(self.dim):
-                acc = acc + xs[i] * self.gram[i][j] * xs[j]
+                acc = acc + xs[i] * self.field.element(self.gram[i, j].tolist()) * xs[j]
         return acc
 
     @cached_property
@@ -86,14 +99,10 @@ class QuadSpace:
 
         Int64 elimination on the (n, n, f) coefficient array: each pivot
         clears its row and column with one Schur step on the trailing block,
-        multiplying through the field's f x f x f structure tensor."""
+        multiplying through the field's mul_tensor."""
         fld, n, p = self.field, self.dim, self.field.p
-        # Structure tensor: t^j t^k = sum_l mul[j, k, l] t^l.
-        monos = [fld.element((0,) * j + (1,)) for j in range(fld.f)]
-        mul = np.array([[(a * b).coeffs for b in monos] for a in monos],
-                       dtype=np.int64)
-        m = np.array([[x.coeffs for x in row] for row in self.gram],
-                     dtype=np.int64).reshape(n, n, fld.f)
+        mul = fld.mul_tensor
+        m = self.gram.copy()
         diag = []
         for i in range(n):
             if not m[i, i].any():
@@ -142,23 +151,15 @@ class QuadSpace:
         The entry at (i, b), (j, c) is the bilinear form Tr(a S_ij w_b w_c)
         on the basis vectors w_b e_i and w_c e_j, with w_b = t^b."""
         fld, n, f, p = self.field, self.dim, self.field.f, self.field.p
-        monos = [fld.element((0,) * b + (1,)) for b in range(f)]
-        prods = [[wb * wc for wc in monos] for wb in monos]
-        # Tr is F_p-linear: a dot product with the traces of the t^k.
-        traces = [fld.trace(w) for w in monos]
+        if psi.field != fld:
+            raise MixedFields(f"character over {psi.field}, space over {fld}")
+        mul = fld.mul_tensor
+        # trip[x, b, c] = Tr(t^x w_b w_c); scaled[i, j] = a S_ij.
+        trip = np.einsum("bcy,xyl,l->xbc", mul, mul, fld.trace_vector)
+        twist = np.array(psi.twist.coeffs, dtype=np.int64)
+        scaled = np.einsum("k,ijy,kyx->ijx", twist, self.gram, mul)
+        return np.einsum("ijx,xbc->ibjc", scaled % p, trip).reshape(n * f, n * f) % p
 
-        def trace(x: FqElem) -> int:
-            return sum(c * t for c, t in zip(x.coeffs, traces)) % p
-
-        gram = np.zeros((n * f, n * f), dtype=np.int64)
-        for i in range(n):
-            for j in range(i, n):
-                scaled = psi.twist * self.gram[i][j]
-                # Symmetric in (b, c), so it also fills the (j, i) block.
-                block = np.array([[trace(scaled * w) for w in row] for row in prods])
-                gram[i * f:(i + 1) * f, j * f:(j + 1) * f] = block
-                gram[j * f:(j + 1) * f, i * f:(i + 1) * f] = block
-        return gram
 
 
 def _digit_table(p: int, k: int) -> np.ndarray:

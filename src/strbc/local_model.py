@@ -18,7 +18,8 @@ Precision is tracked explicitly and reads past the known window raise
 PrecisionTooLow instead of silently truncating.
 
 The valuation grading is E-normalized: v(w_E) = 1, and the degree-m
-homogeneous layer of the algebra is an n*f-dimensional k-space.  Graded
+homogeneous layer of the algebra is an n*f-dimensional k-space with layer
+map mat_from_layer; m_of(x) sums the layer maps of the monomials of x.  Graded
 layers of centralizers, the coset spaces W_z, and the unipotent-radical
 index counts are all computed by small exact linear algebra over k.
 """
@@ -528,13 +529,8 @@ class TowerSpec:
         self.zeta = self.kE.generator
         # Change of basis between the polynomial basis of k_E and the
         # Teichmueller basis 1, zeta, ..., zeta^{f-1}.
-        zcols = np.zeros((f, f), dtype=np.int64)
-        zp = self.kE.one()
-        for b in range(f):
-            zcols[:, b] = zp.coeffs
-            zp = zp * self.zeta
-        self.Zmat = zcols
-        self.Zinv = _modp.mat_inv(zcols, self.p)
+        self.Zmat = np.array([self.kE.exp(b).coeffs for b in range(f)], dtype=np.int64).T
+        self.Zinv = _modp.mat_inv(self.Zmat, self.p)
         # Hermitian-form data.  h(v, w) = tau(v sigma(w)) with tau the
         # extraction functional at shift e-1: it reads the coefficients at
         # exponents = e-1 mod e and pushes their k_E-traces down to F.  The
@@ -596,39 +592,18 @@ class TowerSpec:
         return a * self.f + b
 
     def m_of(self, x: EElem) -> "MatF":
-        """Matrix of multiplication by x on the basis w_E^a zeta^b."""
-        return self.memo(("m_of", x.key(), x.prec), lambda: self._build_m_of(x))
+        """Matrix of multiplication by x on the basis w_E^a zeta^b: the sum,
+        over the monomials c w_E^i of x, of the degree-i layer map with every
+        coordinate d_{a,b} = c."""
+        def build():
+            fprec = -((self.e - 1 - x.prec) // self.e)
+            out = MatF.zero(self, fprec)
+            for i, c in x.coeffs.items():
+                out = out + self.mat_from_layer(i, np.tile(c.coeffs, self.n), fprec)
+            out.arr.setflags(write=False)
+            return out
 
-    def _build_m_of(self, x: EElem) -> "MatF":
-        e, f, n, p = self.e, self.f, self.n, self.p
-        fprec = -((e - 1 - x.prec) // e)
-        if x.is_zero():
-            return MatF.zero(self, fprec)
-        gmin = min(i // e for i in x.coeffs)
-        L = fprec - gmin
-        if L <= 0:
-            return MatF.zero(self, fprec)
-        arr = np.zeros((L, n, n), dtype=np.int64)
-        for i, c in x.coeffs.items():
-            for a in range(e):
-                m = i + a
-                a2 = m % e
-                t = m // e
-                if not (gmin <= t < fprec):
-                    continue
-                scalar = c * pow_fq(self.u, t)
-                for b in range(f):
-                    val = scalar * pow_fq(self.zeta, b)
-                    coords = self.Zinv @ np.array(val.coeffs, dtype=np.int64) % p
-                    for b2 in range(f):
-                        # Row basis vector zeta^{b2} w_E^{a2} at w_F^t.
-                        arr[t - gmin, self.basis_index(a2, b2), self.basis_index(a, b)] = (
-                            arr[t - gmin, self.basis_index(a2, b2), self.basis_index(a, b)]
-                            + coords[b2]
-                        ) % p
-        out = MatF(self, gmin, arr, fprec)
-        out.arr.setflags(write=False)
-        return out
+        return self.memo(("m_of", x.key(), x.prec), build)
 
     def e_from_mat(self, X: "MatF") -> EElem:
         """Image of 1 = w_{0,0} under X, as an element of E."""
@@ -724,9 +699,7 @@ class TowerSpec:
 
     def _kE_mul(self, c: FqElem) -> np.ndarray:
         """Matrix of x -> c x on polynomial-basis coordinates of k_E."""
-        units = np.eye(self.f, dtype=np.int64)
-        return np.array([(c * self.kE.element(v)).coeffs for v in units],
-                        dtype=np.int64).T
+        return np.einsum("j,jkl->lk", c.coeffs, self.kE.mul_tensor) % self.p
 
     def _layer_map(self, m: int) -> tuple[int, np.ndarray]:
         """(g, T) with T @ vec the w_F-layer stack, from w_F^g on, of

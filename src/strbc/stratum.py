@@ -300,7 +300,7 @@ def _gram_sides(tower: TowerSpec, c: EElem, X: MatF, scalar: EElem,
 def _symmetrized_space(tower: TowerSpec, raw: np.ndarray) -> QuadSpace:
     inv2 = (tower.p + 1) // 2
     sym = (raw + raw.T) * inv2 % tower.p
-    return QuadSpace.from_ints(tower.k, sym.tolist())
+    return QuadSpace.from_ints(tower.k, sym)
 
 
 def quotient_form(t: TowerSpec, c: EElem, y: FqElem) -> QuadSpace:

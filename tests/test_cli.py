@@ -259,7 +259,7 @@ def test_cli_reducibility_honours_psi_twist(capsys, tmp_path, monkeypatch):
     assert [psi.twist.coeffs for psi in seen] == [(2,)]
 
 
-@pytest.mark.parametrize("grid_q", [[4], [2], [9], [1], [3, 15]])
+@pytest.mark.parametrize("grid_q", [[4], [2], [9], [1], [3, 15], []])
 def test_cli_gauss_rejects_non_odd_prime_grid(grid_q, capsys, tmp_path):
     cfgp = tmp_path / "cfg.json"
     cfgp.write_text(json.dumps({"schema_version": 1, "case": "u1",
@@ -269,6 +269,18 @@ def test_cli_gauss_rejects_non_odd_prime_grid(grid_q, capsys, tmp_path):
     lines = err.strip().splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ")
     assert "odd primes" in lines[0]
+
+
+@pytest.mark.parametrize("knob", ["grid_n", "grid_count"])
+def test_cli_gauss_rejects_an_empty_grid(knob, capsys, tmp_path):
+    # A zero grid compares no form, so it cannot report all-match.
+    cfgp = tmp_path / "cfg.json"
+    cfgp.write_text(json.dumps({"schema_version": 1, "case": "u1",
+                                "run": {knob: 0}}))
+    code, out, err = run(["gauss", str(cfgp)], capsys)
+    assert code == 2 and out == ""
+    lines = err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"error: run.{knob} ")
 
 
 # ---------------------------------------------------------------------------

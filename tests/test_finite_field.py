@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -101,6 +102,34 @@ def test_additive_character_values():
     for x in f9.elements():
         if f9.trace(x) == 0:
             assert psi9(x) == 1
+
+
+def frobenius_trace(x):
+    """x + x^p + ... + x^(p^(f-1)), which lies in the prime field."""
+    fld = x.field
+    acc, y = fld.zero(), x
+    for _ in range(fld.f):
+        acc = acc + y
+        y = pow_fq(y, fld.p)
+    assert not any(acc.coeffs[1:])
+    return acc.coeffs[0]
+
+
+@pytest.mark.parametrize("pf", SUPPORTED + [(3, 4)])
+def test_mul_tensor_and_trace_match_field_arithmetic(pf):
+    fld = get_field(*pf)
+    f = fld.f
+    monos = [fld.element((0,) * j + (1,)) for j in range(f)]
+    tensor = fld.mul_tensor
+    assert tensor.dtype == np.int64 and tensor.shape == (f, f, f)
+    assert not tensor.flags.writeable and not fld.trace_vector.flags.writeable
+    for j, a in enumerate(monos):
+        for k, b in enumerate(monos):
+            assert tuple(tensor[j, k].tolist()) == (a * b).coeffs
+    for x in fld.elements():
+        assert fld.trace(x) == frobenius_trace(x)
+    with pytest.raises(MixedFields):
+        fld.trace(get_field(7 if fld.p != 7 else 5).one())
 
 
 def test_character_sums_vanish():

@@ -4,8 +4,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from strbc import stratum
 from strbc.cyclotomic import CycNum, cyc_root
-from strbc.finite_field import AddChar, get_field, quadratic_residue_char
+from strbc.finite_field import (
+    AddChar,
+    FqField,
+    MixedFields,
+    get_field,
+    quadratic_residue_char,
+)
 from strbc.gauss import (
     DegenerateForm,
     EnumerationTooLarge,
@@ -376,6 +383,77 @@ def test_diagonalization_is_computed_once_and_lazily(monkeypatch):
     assert first == 3
     space.det(), space.diagonalize(), gauss_sum_closed(space, std_psi(fld))
     assert len(calls) == first
+
+
+# -- the Gram array ------------------------------------------------------------
+
+
+@pytest.mark.parametrize("pf", [(3, 1), (5, 2), (3, 3)])
+def test_gram_is_a_read_only_int64_array(pf):
+    fld = get_field(*pf)
+    rows = random_symmetric(fld, 3, random.Random(sum(pf)))
+    ints = [[1, 2, 0], [2, -1, 7], [0, 7, 4]]
+    for space, entries in ((QuadSpace(fld, rows), rows),
+                           (QuadSpace.from_ints(fld, ints),
+                            [[fld.from_int(c) for c in row] for row in ints])):
+        gram = space.gram
+        assert gram.dtype == np.int64 and gram.shape == (3, 3, fld.f)
+        assert not gram.flags.writeable
+        with pytest.raises(ValueError):
+            gram[0, 0, 0] = 1
+        assert [[fld.element(c.tolist()) for c in row] for row in gram] == entries
+
+
+@pytest.mark.parametrize("rows", [
+    [[1, 2]],                 # not square
+    [[1, 2], [2]],            # ragged
+    [[1, 2], [0, 1]],         # not symmetric
+    [[0, 1], [8, 0]],         # not symmetric mod 5
+])
+def test_gram_must_be_square_and_symmetric(rows):
+    fld = get_field(5)
+    with pytest.raises(ValueError):
+        QuadSpace.from_ints(fld, rows)
+    with pytest.raises(ValueError):
+        QuadSpace(fld, [[fld.from_int(c) for c in row] for row in rows])
+    if len({len(row) for row in rows}) == 1:
+        with pytest.raises(ValueError):
+            QuadSpace.from_ints(fld, np.array(rows))
+
+
+def test_gram_entries_from_another_field_are_rejected():
+    # Coefficients of F_3 read in F_5 would give det 2 in F_5.
+    with pytest.raises(MixedFields):
+        QuadSpace(get_field(5), [[get_field(3).from_int(2)]])
+    with pytest.raises(MixedFields):
+        QuadSpace(get_field(3, 2), [[get_field(3).one()]])
+
+
+def test_prime_gram_rejects_a_character_over_another_field():
+    space = QuadSpace.from_ints(get_field(5), [[1, 2], [2, 3]])
+    for other in (get_field(3), get_field(5, 2)):
+        with pytest.raises(MixedFields):
+            space.prime_gram(AddChar(other, 1))
+        with pytest.raises(MixedFields):
+            gauss_sum_brute(space, AddChar(other, 1))
+
+
+def test_symmetrized_form_path_makes_no_field_elements(monkeypatch):
+    tower = stratum.builtin_case("e3f2").tower
+    raw = np.random.default_rng(3).integers(0, tower.p, size=(5, 5))
+    calls = []
+    element = FqField.element
+    monkeypatch.setattr(FqField, "element",
+                        lambda self, c: calls.append(c) or element(self, c))
+    space = stratum._symmetrized_space(tower, raw)
+    assert calls == []
+    monkeypatch.undo()
+    assert space.field == tower.k and space.dim == 5
+    gram = space.gram
+    assert gram.dtype == np.int64 and gram.shape == (5, 5, 1)
+    assert not gram.flags.writeable
+    half = (tower.p + 1) // 2
+    assert (gram[..., 0] == (raw + raw.T) * half % tower.p).all()
 
 
 def test_one_dim_gauss_value_memoised_per_character(monkeypatch):

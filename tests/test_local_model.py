@@ -513,6 +513,53 @@ def test_mat_from_layer_matches_per_entry_definition(name, seed, fprec):
                          ref_mat_from_layer(t, m, vec, fprec))
 
 
+def loop_m_of(t, x):
+    """The regular representation of x entry by entry through k_E
+    arithmetic: w_E^a zeta^b -> c u^t zeta^b at row (a2, .) of layer t."""
+    e, f, n, p = t.e, t.f, t.n, t.p
+    fprec = -((e - 1 - x.prec) // e)
+    if x.is_zero():
+        return MatF.zero(t, fprec)
+    gmin = min(i // e for i in x.coeffs)
+    L = fprec - gmin
+    if L <= 0:
+        return MatF.zero(t, fprec)
+    arr = np.zeros((L, n, n), dtype=np.int64)
+    for i, c in x.coeffs.items():
+        for a in range(e):
+            m = i + a
+            a2 = m % e
+            tt = m // e
+            if not (gmin <= tt < fprec):
+                continue
+            scalar = c * pow_fq(t.u, tt)
+            for b in range(f):
+                val = scalar * pow_fq(t.zeta, b)
+                coords = t.Zinv @ np.array(val.coeffs, dtype=np.int64) % p
+                for b2 in range(f):
+                    row, col = t.basis_index(a2, b2), t.basis_index(a, b)
+                    arr[tt - gmin, row, col] = (arr[tt - gmin, row, col] + coords[b2]) % p
+    return MatF(t, gmin, arr, fprec)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(BUILTIN_CASE_NAMES), st.data())
+def test_m_of_matches_per_entry_definition(name, data):
+    t, _ = builtin_tower(name)
+    terms = data.draw(st.lists(
+        st.tuples(st.integers(-4, 11), st.integers(0, t.kE.q - 1)),
+        min_size=1, max_size=3))
+    prec = data.draw(st.integers(-3, t.Ecap))
+    x = t.e_zero(prec)
+    for i, k in terms:
+        coeffs = tuple(k // t.p**j % t.p for j in range(t.f))
+        x = x + t.e_monomial(i, t.kE.element(coeffs), prec=prec)
+    X = t.m_of(x)
+    assert same_matf(X, loop_m_of(t, x))
+    assert not X.arr.flags.writeable
+    assert t.m_of(x) is X
+
+
 @settings(max_examples=10, deadline=None)
 @given(st.integers(0, 2**32 - 1))
 def test_layer_coords_inverts_mat_from_layer_on_every_builtin_tower(seed):
