@@ -11,10 +11,10 @@ Experiments are selected either with ``--case <name>`` (one of the built-in
 desk instances) or with a JSON config file (schema_version 1; unknown keys
 are errors).  ``--json <path>`` writes the machine-readable payload.
 
-Exit codes: 0 every internal cross-check passed, 1 a cross-check failed,
-2 bad input (arguments, config, or an enumeration past ``--bound``), 3 the
-experiment lies outside what the library computes (a one-line ``error:``
-message names the reason).
+Exit codes: 0 every internal cross-check passed, 1 a cross-check failed
+(or ``gauss`` compared no form), 2 bad input (arguments, config, or an
+enumeration past ``--bound``), 3 the experiment lies outside what the
+library computes (a one-line ``error:`` message names the reason).
 """
 
 from __future__ import annotations
@@ -217,6 +217,7 @@ def cmd_gauss(cfg: ExperimentConfig, args) -> int:
     rng = random.Random(seed)
     rows = []
     ok = True
+    compared = 0
     for q in grid_q:
         k = get_field(q, 1)
         psi = AddChar(k, 1)
@@ -237,12 +238,16 @@ def cmd_gauss(cfg: ExperimentConfig, args) -> int:
                 closed = gauss_sum_closed(space, psi)
                 match = brute == closed
                 ok = ok and match
+                compared += 1
                 rows.append({
                     "q": q, "n": n,
                     "status": "match" if match else "MISMATCH",
                 })
     print(_table(rows, ["q", "n", "status"]))
     summary = "all-match" if ok else "MISMATCH"
+    if not compared:
+        # A grid of degenerate forms cross-validates nothing.
+        ok, summary = False, "no form compared (every drawn form is degenerate)"
     print(f"gauss cross-validation: {summary}")
     _emit({"command": "gauss", "seed": seed, "rows": rows, "ok": ok},
           args.json)

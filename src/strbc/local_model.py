@@ -18,8 +18,10 @@ Precision is tracked explicitly and reads past the known window raise
 PrecisionTooLow instead of silently truncating.
 
 The valuation grading is E-normalized: v(w_E) = 1, and the degree-m
-homogeneous layer of the algebra is an n*f-dimensional k-space with layer
-map mat_from_layer; m_of(x) sums the layer maps of the monomials of x.  Graded
+homogeneous layer of the algebra is an n*f-dimensional k-space.  One
+memoised degree map per grade holds both directions: mat_from_layer reads
+its layer map, layer_coords its inverse and valuation its w_F-layer span;
+m_of(x) sums the layer maps of the monomials of x.  Graded
 layers of centralizers, the coset spaces W_z, and the unipotent-radical
 index counts are all computed by small exact linear algebra over k.
 """
@@ -573,18 +575,10 @@ class TowerSpec:
         return self.e_monomial(self.e, self.u.inverse())
 
     def trace_EF(self, x: EElem) -> tuple[dict[int, int], int]:
-        """Tr_{E/F}(x) as ({t: c} nonzero w_F^t coefficients, fprec):
-        e * Tr_{k_E/k}(a_{et} u^t) at w_F^t, zero off e|i."""
-        coeffs: dict[int, int] = {}
-        for i, c in x.coeffs.items():
-            if i % self.e == 0:
-                t = i // self.e
-                val = self.kE.trace(c * pow_fq(self.u, t)) * self.e % self.p
-                if val:
-                    coeffs[t] = val
-        # Precision: w_F^t is known iff e*t < x.prec.
-        fprec = -((-x.prec) // self.e)
-        return coeffs, fprec
+        """Tr_{E/F}(x) as ({t: c} nonzero w_F^t coefficients, fprec): e times
+        the extraction functional tau at shift 0, e * Tr_{k_E/k}(a_{et} u^t)."""
+        coeffs, fprec = self.tau(x, 0)
+        return {t: v for t, c in coeffs.items() if (v := c * self.e % self.p)}, fprec
 
     # -- the regular representation ------------------------------------------
 
@@ -677,7 +671,8 @@ class TowerSpec:
         """
         fp = self.fcap if fprec is None else fprec
         vec = np.asarray(vec, dtype=np.int64)
-        g, tensor = self._layer_map(m)
+        ts, tensor, _, _ = self._degree_map(m)
+        g = ts[0]
         L = min(fp - g, tensor.shape[0])
         if L <= 0:
             return MatF.zero(self, fp, vec.shape[:-1])
@@ -688,7 +683,7 @@ class TowerSpec:
     def layer_coords(self, X: "MatF", m: int) -> np.ndarray:
         """Degree-m layer coordinates of X, one row per matrix of a stack
         (reads each position exactly once)."""
-        ts, slots, kmat = self._coords_map(m)
+        ts, _, slots, kmat = self._degree_map(m)
         if ts[-1] >= X.fprec:
             t = next(t for t in ts if t >= X.fprec)
             raise PrecisionTooLow(
@@ -701,64 +696,39 @@ class TowerSpec:
         """Matrix of x -> c x on polynomial-basis coordinates of k_E."""
         return np.einsum("j,jkl->lk", c.coeffs, self.kE.mul_tensor) % self.p
 
-    def _layer_map(self, m: int) -> tuple[int, np.ndarray]:
-        """(g, T) with T @ vec the w_F-layer stack, from w_F^g on, of
-        mat_from_layer(m, vec).
+    def _degree_map(self, m: int) -> tuple:
+        """(ts, T, slots, K): the degree-m layer map and its inverse, built
+        together once per grade.
 
-        Column (a, b) of layer t = (m + a) // e holds d_{a,b} zeta^b u^t at
-        rows (a2, .), a2 = (m + a) % e, in Teichmueller coordinates.
-        """
-        def build():
-            e, f, n, p = self.e, self.f, self.n, self.p
-            ts = [(m + a) // e for a in range(e)]
-            g = ts[0]
-            tensor = np.zeros((ts[-1] - g + 1, n, n, n * f), dtype=np.int64)
-            for a, t in enumerate(ts):
-                a2 = (m + a) % e
-                ut = pow_fq(self.u, t)
-                for b in range(f):
-                    col = self.basis_index(a, b)
-                    block = self.Zinv @ self._kE_mul(pow_fq(self.zeta, b) * ut) % p
-                    tensor[t - g, a2 * f : (a2 + 1) * f, col, col * f : (col + 1) * f] = block
-            tensor.setflags(write=False)
-            return g, tensor
-
-        return self.memo(("layer-map", m), build)
-
-    def _coords_map(self, m: int) -> tuple[tuple[int, ...], tuple, np.ndarray]:
-        """(ts, slots, K) with layer_coords(X, m) = K @ stack[slots], where
-        stack holds the w_F-layers ts[0]..ts[-1] of X.
-
-        The slots gather, for each column (a, b), the Teichmueller
-        coordinates kappa of its entry at rows (a2, .) of layer t; the block
-        diagonal K turns them into d = kappa u^-t zeta^-b in the polynomial
-        basis.
+        Column (a, b) of a degree-m map lives in w_F-layer ts[a] = (m + a) // e
+        at rows (a2, .), a2 = (m + a) % e, where it holds d_{a,b} zeta^b u^t
+        in Teichmueller coordinates.  T @ vec is the w_F-layer stack, from
+        w_F^ts[0] on, of mat_from_layer(m, vec).  The slots gather those
+        Teichmueller coordinates kappa from the layers ts[0]..ts[-1], and the
+        block diagonal K turns them back into d = kappa u^-t zeta^-b in the
+        polynomial basis.
         """
         def build():
             e, f, n, p = self.e, self.f, self.n, self.p
             ts = tuple((m + a) // e for a in range(e))
+            tensor = np.zeros((ts[-1] - ts[0] + 1, n, n, n * f), dtype=np.int64)
             layer, row, col = (np.zeros(n * f, dtype=np.int64) for _ in range(3))
             kmat = np.zeros((n * f, n * f), dtype=np.int64)
             for a, t in enumerate(ts):
                 a2 = (m + a) % e
+                rows = np.arange(a2 * f, (a2 + 1) * f)
                 for b in range(f):
                     c = self.basis_index(a, b)
                     out = slice(c * f, (c + 1) * f)
-                    layer[out] = t - ts[0]
-                    row[out] = np.arange(a2 * f, (a2 + 1) * f)
-                    col[out] = c
-                    scale = pow_fq(self.u, -t) * pow_fq(self.zeta, -b)
-                    kmat[out, out] = self._kE_mul(scale) @ self.Zmat % p
-            for arr in (layer, row, col, kmat):
+                    scale = pow_fq(self.zeta, b) * pow_fq(self.u, t)
+                    tensor[t - ts[0], rows, c, out] = self.Zinv @ self._kE_mul(scale) % p
+                    kmat[out, out] = self._kE_mul(scale.inverse()) @ self.Zmat % p
+                    layer[out], row[out], col[out] = t - ts[0], rows, c
+            for arr in (tensor, layer, row, col, kmat):
                 arr.setflags(write=False)
-            return ts, (layer, row, col), kmat
+            return ts, tensor, (layer, row, col), kmat
 
-        return self.memo(("coords-map", m), build)
-
-    def layer_span(self, m: int) -> tuple[int, int]:
-        """Range of w_F layers that carry the degree-m component."""
-        ts = [(m + a) // self.e for a in range(self.e)]
-        return min(ts), max(ts)
+        return self.memo(("degree-map", m), build)
 
     def valuation(self, X: "MatF"):
         """v(X) = max{k : X L(m) in L(m+k) for all m}, E-normalized; for a
@@ -769,8 +739,7 @@ class TowerSpec:
         hi = X.fprec * self.e
         found = np.full(X.batch, hi)
         for m in range(lo, hi):
-            _, tmax = self.layer_span(m)
-            if tmax >= X.fprec:
+            if self._degree_map(m)[0][-1] >= X.fprec:
                 break
             found[self.layer_coords(X, m).any(axis=-1) & (found == hi)] = m
             if (found < hi).all():

@@ -32,7 +32,7 @@ from contextlib import contextmanager
 import numpy as np
 
 from . import _modp
-from .cyclotomic import CycNum, cyc_root
+from .cyclotomic import CycNum, cyc_is_rational_sign_times, cyc_root
 from .finite_field import (
     AddChar,
     FqElem,
@@ -141,7 +141,7 @@ class StratumSpec:
     c_j relative to the next level's centralizer.
     """
 
-    def __init__(self, tower: TowerSpec, c_elems, check_minimality: bool = True):
+    def __init__(self, tower: TowerSpec, c_elems):
         self.tower = tower
         c_elems = tuple(c_elems)
         if not c_elems:
@@ -178,16 +178,9 @@ class StratumSpec:
             raise PrecisionTooLow(
                 f"precision N = {tower.N} too low for r_0 = {r_list[0]}"
             )
-        if check_minimality:
-            for j in range(self.d + 1):
-                if not self._level_minimal(j):
-                    raise NotMinimal(f"c_{j} is not minimal at level {j}")
-
-    def gamma(self, j: int) -> EElem:
-        acc = self.tower.e_zero()
-        for c in self.c_elems[j:]:
-            acc = acc + c
-        return acc
+        for j in range(self.d + 1):
+            if not self._level_minimal(j):
+                raise NotMinimal(f"c_{j} is not minimal at level {j}")
 
     def _level_minimal(self, j: int) -> bool:
         # c_j must cut the declared level-(j+1) centralizer down to the
@@ -397,13 +390,12 @@ def epsilon_z(s: StratumSpec, psi: AddChar, threads: int = 1,
         twist = psi.twist.coeffs[0]
         total = phase_sum(gram * twist % tower.p, tower.p, threads=threads)
         root = CycNum.integer(math.isqrt(wz.size), tower.p)
-        if total == root:
-            return SignResult(1, "+1", total, wz.size, root)
-        if total == -root:
-            return SignResult(-1, "-1", total, wz.size, root)
-        raise NonUnitQuotient(
-            "degenerate phase form: the normalized sum is not a unit"
-        )
+        sign = cyc_is_rational_sign_times(total, root)
+        if sign is None:
+            raise NonUnitQuotient(
+                "degenerate phase form: the normalized sum is not a unit"
+            )
+        return SignResult(sign, f"{sign:+d}", total, wz.size, root)
     res = normalized_sign(space, psi, bound=bound, threads=threads)
     if res.value is None:
         raise AssertionError("Gauss-sum quotient is not a rational sign")
@@ -602,8 +594,8 @@ def _annihilator(tower: TowerSpec, basis: np.ndarray) -> np.ndarray:
 
 
 def _unit_mats(tower: TowerSpec, i: int, units, power: int = 1) -> MatF:
-    """m_of(c^power w_E^i) for a unit c, or the stack of them for a sequence
-    of units (taken from the stack over all units, built once)."""
+    """The stack of m_of(c^power w_E^i) for a sequence of units c, taken
+    from the stack over all units, built once."""
     def build():
         every = list(tower.kE.units())
         mats = MatF.stack([tower.m_of(tower.e_monomial(i, pow_fq(c, power)))
@@ -611,8 +603,6 @@ def _unit_mats(tower: TowerSpec, i: int, units, power: int = 1) -> MatF:
         return {c.coeffs: k for k, c in enumerate(every)}, mats
 
     where, mats = tower.memo(("unit-mats", i, power), build)
-    if isinstance(units, FqElem):
-        return mats.take(where[units.coeffs])
     return mats.take([where[c.coeffs] for c in units])
 
 
@@ -671,25 +661,23 @@ def _solve_one_minus_alpha(tower: TowerSpec, m: int, gens: tuple,
     return rhs @ S % tower.p
 
 
-def solve_Y_from_X(s: StratumSpec, x_coords, y, aux: EElem | None = None):
-    """Solve the coset relation for Y given a W_z representative X.
+def solve_Y_from_X(s: StratumSpec, x_coords, units, aux: EElem | None = None):
+    """Solve the coset relation for Y given a stack of W_z representatives X.
 
-    ``x_coords`` lists one coordinate vector per graded block of W_z; ``aux``
-    is the auxiliary degree-0 component X_0 in o_E (default 0).  Returns
-    (Y', P, Q) with Y' = sum(P_j + Q_j) satisfying, for the assembled X,
-    X alpha(X) = Y - alpha(Y) with Y = y w_E^-1 (1 + Y'); the identity is
-    verified exactly before returning.
-
-    With ``y`` a sequence of B units and each coordinate entry a (B, n f)
-    array, B terms are solved at once: Y', P and Q are stacks, and a term
-    that fails a check is named by its stack index.
+    ``units`` lists B units y and ``x_coords`` holds one (B, n f) coordinate
+    array per graded block of W_z; ``aux`` is the auxiliary degree-0
+    component X_0 in o_E (default 0), shared by the stack.  Returns the
+    stacks (Y', X, alpha(X)) of the solved Y' and the assembled X with its
+    alpha.  Y' is the sum of the P_t and Q_t terms, each solved from its own
+    (1 - alpha) system, and X alpha(X) = Y - alpha(Y) with
+    Y = y w_E^-1 (1 + Y') is verified exactly for every term before
+    returning; a term that fails a check is named by its stack index.
     """
     tower = s.tower
     p, nf = tower.p, tower.n * tower.f
-    units = [y] if isinstance(y, FqElem) else list(y)
+    units = list(units)
     if not all(units):
         raise ZeroY("y must be a unit")
-    batch = () if isinstance(y, FqElem) else (len(units),)
     wz = build_Wz(tower, s)
     x_coords = [np.asarray(v, dtype=np.int64) % p for v in x_coords]
     if len(x_coords) != len(wz.blocks):
@@ -711,23 +699,19 @@ def solve_Y_from_X(s: StratumSpec, x_coords, y, aux: EElem | None = None):
         comps.append(tower.m_of(aux))
         grades.append(0)
     for block, vec in zip(wz.blocks, x_coords):
-        if vec.shape != batch + (nf,):
+        if vec.shape != (len(units), nf):
             raise DegenerateX("component has the wrong coordinate length")
         _fail_first((vec @ _annihilator(tower, block.basis).T % p).any(axis=-1),
                     DegenerateX, f"component at level {block.j} escapes its block")
         comps.append(tower.mat_from_layer(block.grade, vec))
         grades.append(block.grade)
     alphas = [tower.alpha(C) for C in comps]
-    winv = _unit_mats(tower, 1, y if not batch else units, -1)
-    P: dict[int, MatF] = {}
-    Q: dict[int, MatF] = {}
+    winv = _unit_mats(tower, 1, units, -1)
+    yp = MatF.zero(tower)
     for t in range(len(comps)):
         gens = level_gens(s, t)
         # Q_t: the diagonal square term, a single homogeneous degree.
-        gq = 2 * grades[t]
-        rhs = _coords_or_zero(tower, comps[t] @ alphas[t], gq)
-        zq = _solve_one_minus_alpha(tower, gq, gens, rhs)
-        Q[t] = winv @ tower.mat_from_layer(gq, zq)
+        terms = [(2 * grades[t], comps[t] @ alphas[t])]
         # P_t: cross terms with max index t, grouped by degree.
         by_grade: dict[int, MatF] = {}
         for k in range(t + 1):
@@ -737,25 +721,17 @@ def solve_Y_from_X(s: StratumSpec, x_coords, y, aux: EElem | None = None):
                     term = comps[k] @ alphas[l]
                     prev = by_grade.get(gkl)
                     by_grade[gkl] = term if prev is None else prev + term
-        pt = MatF.zero(tower)
-        for gkl, mat in by_grade.items():
-            rhs = _coords_or_zero(tower, mat, gkl)
-            zp = _solve_one_minus_alpha(tower, gkl, gens, rhs)
-            pt = pt + (winv @ tower.mat_from_layer(gkl, zp))
-        P[t] = pt
-    yp = MatF.zero(tower)
-    for t in P:
-        yp = yp + P[t] + Q[t]
-    wmat = _unit_mats(tower, -1, y if not batch else units)
-    Y = wmat @ (MatF.identity(tower, yp.fprec) + yp)
+        for m, mat in terms + list(by_grade.items()):
+            z = _solve_one_minus_alpha(tower, m, gens, _coords_or_zero(tower, mat, m))
+            yp = yp + winv @ tower.mat_from_layer(m, z)
+    Y = _unit_mats(tower, -1, units) @ (MatF.identity(tower, yp.fprec) + yp)
     xtot = comps[0]
     for C in comps[1:]:
         xtot = xtot + C
-    lhs = xtot @ tower.alpha(xtot)
-    rhs_full = Y - tower.alpha(Y)
-    _fail_first((lhs - rhs_full).nonzero_mask(), NoSolution,
-                "assembled Y fails the defining relation")
-    return yp, P, Q
+    alpha_x = tower.alpha(xtot)
+    _fail_first((xtot @ alpha_x - (Y - tower.alpha(Y))).nonzero_mask(),
+                NoSolution, "assembled Y fails the defining relation")
+    return yp, xtot, alpha_x
 
 
 def _coords_or_zero(tower: TowerSpec, mat: MatF, m: int) -> np.ndarray:
@@ -1017,16 +993,13 @@ def _bz_chunk(s: StratumSpec, big: SimpleCharSpec, root: SimpleCharSpec,
         k = block.basis.shape[0]
         x_coords.append(X[:, at : at + k] @ block.basis % p)
         at += k
-    yp, _, _ = solve_Y_from_X(s, x_coords, ys, aux=aux)
-    xtot = MatF.zero(tower) if aux is None else tower.m_of(aux)
-    for block, vec in zip(wz.blocks, x_coords):
-        xtot = xtot + tower.mat_from_layer(block.grade, vec)
+    yp, xtot, alpha_x = solve_Y_from_X(s, x_coords, ys, aux=aux)
     one_plus = ident + yp
     g = MatF.zero(tower, batch=(len(ys),)) + ident
     live = np.broadcast_to(xtot.nonzero_mask(), g.batch)
     if live.any():
         yinv = inverse_unit(one_plus) @ _unit_mats(tower, 1, ys, -1)
-        w = tower.alpha(xtot) @ yinv
+        w = alpha_x @ yinv
         g = ident - (w @ xtot)
         # Exchange identity behind the multiplicative-part cancellation,
         # both sides in one stack, compared on their common precision.

@@ -283,6 +283,27 @@ def test_cli_gauss_rejects_an_empty_grid(knob, capsys, tmp_path):
     assert len(lines) == 1 and lines[0].startswith(f"error: run.{knob} ")
 
 
+@pytest.mark.parametrize("seed,compared", [(1, 0), (2, 0), (3, 0), (4, 0), (5, 1)])
+def test_cli_gauss_fails_when_it_compared_no_form(seed, compared, capsys, tmp_path):
+    # One 1x1 form over F_3: seeds 1-4 draw the zero form, seed 5 a unit.
+    cfgp = tmp_path / "cfg.json"
+    cfgp.write_text(json.dumps({"schema_version": 1, "case": "u1", "run": {
+        "grid_q": [3], "grid_n": 1, "grid_count": 1}}))
+    jp = tmp_path / "out.json"
+    code, out, err = run(["gauss", str(cfgp), "--seed", str(seed),
+                          "--json", str(jp)], capsys)
+    payload = json.loads(jp.read_text())
+    statuses = [r["status"] for r in payload["rows"] if r["n"]]
+    assert err == ""
+    if compared:
+        assert statuses == ["match"] and payload["ok"] is True and code == 0
+        assert out.splitlines()[-1] == "gauss cross-validation: all-match"
+    else:
+        assert statuses == ["degenerate"] and payload["ok"] is False and code == 1
+        assert out.splitlines()[-1] == ("gauss cross-validation: no form "
+                                        "compared (every drawn form is degenerate)")
+
+
 # ---------------------------------------------------------------------------
 # Malformed config values are bad input: exit 2 with one error line.
 

@@ -17,9 +17,12 @@ import contextlib
 import io
 import json
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+
+from strbc import cli
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 RUNS = GOLDEN / "runs.json"
@@ -48,8 +51,6 @@ COMMANDS = (
 def run_in_process(argv: list[str], json_path: Path) -> dict:
     """One ``strbc`` run through ``cli.main``: its exit code, stdout, stderr
     and the bytes it wrote to ``--json`` (None when it wrote none)."""
-    from strbc import cli
-
     argv = [str(GOLDEN / a) if a.startswith("configs/") else a for a in argv]
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -82,8 +83,6 @@ def test_golden_run_is_byte_identical(name, argv, tmp_path):
 
 def write_goldens() -> None:
     """Regenerate runs.json and the payload files from the current code."""
-    import tempfile
-
     payloads = GOLDEN / "payloads"
     payloads.mkdir(exist_ok=True)
     runs = {}

@@ -15,6 +15,7 @@ from strbc.local_model import (
     MatF,
     PrecisionTooLow,
     TowerConfig,
+    ZeroElement,
     build_tower,
     build_Wz,
     centralizer_filtration,
@@ -826,6 +827,76 @@ def test_layer_maps_on_stacks_match_each_row(name, seed, size, m):
              + t.mat_from_layer(m + 1, upper))
         assert t.valuation(Y).tolist() == [t.valuation(Y.take(k))
                                            for k in range(Y.batch[0])]
+
+
+def loop_valuation(t, X):
+    """Test-local copy of valuation as it read the w_F-layer span of each
+    grade, (m + a) // e over a < e, computed on the spot."""
+    if not X.nonzero_mask().all():
+        raise ZeroElement("valuation of a matrix that is zero mod precision")
+    lo = X.g * t.e - (t.e - 1)
+    hi = X.fprec * t.e
+    found = np.full(X.batch, hi)
+    for m in range(lo, hi):
+        ts = [(m + a) // t.e for a in range(t.e)]
+        if max(ts) >= X.fprec:
+            break
+        found[t.layer_coords(X, m).any(axis=-1) & (found == hi)] = m
+        if (found < hi).all():
+            return found if X.batch else int(found)
+    raise ZeroElement("no nonzero layer inside the precision window")
+
+
+def valuation_outcome(fn, X):
+    """What a valuation function gives on X: its value and type, or the
+    message of the ZeroElement it raises."""
+    try:
+        v = fn(X.tower, X)
+    except ZeroElement as exc:
+        return "raises", str(exc)
+    return type(v).__name__, np.asarray(v).tolist()
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(BUILTIN_CASE_NAMES), st.integers(0, 2**32 - 1),
+       st.integers(1, 5), st.integers(-3, 3), st.integers(0, 4), st.integers(0, 3))
+def test_valuation_matches_layer_span_loop(name, seed, size, g, layers, extra):
+    t, _ = builtin_tower(name)
+    rng = np.random.default_rng(seed)
+    A, As = random_stack(t, rng, size, g, layers, g + layers + extra)
+    live = [M for M in As if not M.is_zero()]
+    # A degree-m map cut below its top w_F-layer: part of the grade is unknown.
+    m = g * t.e + 1
+    cut = t.mat_from_layer(m, rng.integers(1, t.p, size=(size, t.n * t.f)),
+                           fprec=(m + t.e - 1) // t.e)
+    stacks = [A, cut] + [A.take(k) for k in range(size)] + (
+        [MatF.stack(live)] if live else [])
+    for X in stacks:
+        assert (valuation_outcome(type(t).valuation, X)
+                == valuation_outcome(loop_valuation, X))
+
+
+@pytest.mark.parametrize("make", [tower_u1, tower_e3f1, tower_e1f2, tower_e3f2,
+                                  tower_e5f1, tower_d1])
+def test_one_degree_map_per_grade(make):
+    # mat_from_layer, layer_coords and valuation all read one memoised,
+    # read-only degree map per grade, and nothing else of the memo.
+    t = make()
+    rng = np.random.default_rng(7)
+    before = set(t._memo)
+    for m in range(-4, 5):
+        vecs = rng.integers(0, t.p, size=(3, t.n * t.f))
+        vecs[:, 0] = 1
+        X = t.mat_from_layer(m, vecs)
+        assert np.array_equal(t.layer_coords(X, m), vecs)
+        assert t.valuation(X).tolist() == [m] * 3
+    added = set(t._memo) - before
+    assert {key[0] for key in added} == {"degree-map"}
+    assert {key[1] for key in added} >= set(range(-4, 5))
+    for _, m in added:
+        ts, tensor, slots, kmat = t._degree_map(m)
+        assert ts == tuple((m + a) // t.e for a in range(t.e))
+        assert not any(a.flags.writeable for a in (tensor, kmat, *slots))
 
 
 @settings(max_examples=60, deadline=None)

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 
 import numpy as np
@@ -224,6 +225,25 @@ def test_epsilon_degenerate_form_honours_bound(monkeypatch):
         epsilon_z(s, std_psi(s.tower), bound=3**10 - 1)
 
 
+@pytest.mark.parametrize("sign", [1, -1, None])
+def test_epsilon_degenerate_form_reads_a_rational_sign(sign, monkeypatch):
+    # The d1-tower phase form is degenerate; its sum is replaced by +-sqrt(#W_z)
+    # or by a non-rational multiple of it.
+    s = builtin_case("d1-tower")
+    t = s.tower
+    size = build_Wz(t, s).size
+    root = CycNum.integer(math.isqrt(size), t.p)
+    total = {1: root, -1: -root, None: root * cyc_root(t.p, 1)}[sign]
+    monkeypatch.setattr(stratum, "phase_sum", lambda *args, **kwargs: total)
+    if sign is None:
+        with pytest.raises(NonUnitQuotient):
+            epsilon_z(s, std_psi(t))
+        return
+    res = epsilon_z(s, std_psi(t))
+    assert (res.value, res.fourth_root) == (sign, {1: "+1", -1: "-1"}[sign])
+    assert (res.sum, res.space_size, res.reference) == (total, size, root)
+
+
 def test_epsilon_invariance_suite():
     for name in ("u1", "e3f1", "e1f2", "e5f1"):
         s = builtin_case(name)
@@ -356,9 +376,9 @@ def test_solve_zero_X_gives_zero():
         s = builtin_case(name)
         t = s.tower
         wz = build_Wz(t, s)
-        zeros = [np.zeros(t.n * t.f, dtype=np.int64) for _ in wz.blocks]
-        yp, P, Q = solve_Y_from_X(s, zeros, t.kE.one())
-        assert yp.is_zero()
+        zeros = [np.zeros((1, t.n * t.f), dtype=np.int64) for _ in wz.blocks]
+        yp, _, _ = solve_Y_from_X(s, zeros, [t.kE.one()])
+        assert yp.take(0).is_zero()
 
 
 def test_solve_random_X_verifies_relation():
@@ -374,26 +394,25 @@ def test_solve_random_X_verifies_relation():
                 combo = np.array(
                     [rng.randrange(t.p) for _ in range(b.basis.shape[0])]
                 )
-                coords.append(combo @ b.basis % t.p)
-            yp, P, Q = solve_Y_from_X(s, coords, y)
-            assert set(P) == set(Q) == set(range(s.d + 2))
+                coords.append((combo @ b.basis % t.p)[None])
+            solve_Y_from_X(s, coords, [y])
 
 
 def test_solve_rejects_wrong_shape():
     s = builtin_case("e3f1")
     with pytest.raises(DegenerateX):
-        solve_Y_from_X(s, [], s.tower.kE.one())
+        solve_Y_from_X(s, [], [s.tower.kE.one()])
 
 
 def test_solve_aux_component_supported():
     s = builtin_case("e3f1")
     t = s.tower
     wz = build_Wz(t, s)
-    coords = [b.basis[0] for b in wz.blocks]
-    yp0, _, _ = solve_Y_from_X(s, coords, t.kE.one())
-    yp1, _, _ = solve_Y_from_X(
-        s, coords, t.kE.one(), aux=t.e_monomial(0, t.kE.one())
-    )
+    coords = [b.basis[:1] for b in wz.blocks]
+    yp0 = solve_Y_from_X(s, coords, [t.kE.one()])[0].take(0)
+    yp1 = solve_Y_from_X(
+        s, coords, [t.kE.one()], aux=t.e_monomial(0, t.kE.one())
+    )[0].take(0)
     assert not (yp0 - yp1).is_zero()
 
 
@@ -744,7 +763,7 @@ def ref_bz_term(s, big, root, wz, y, xv, sizes):
         block = wz.blocks[len(x_coords)]
         x_coords.append(coeffs @ block.basis % p if k else
                         np.zeros(tower.n * tower.f, dtype=np.int64))
-    yp, _, _ = solve_Y_from_X(s, x_coords, y)
+    yp = solve_Y_from_X(s, [v[None] for v in x_coords], [y])[0].take(0)
     xtot = MatF.zero(tower)
     for block, vec in zip(wz.blocks, x_coords):
         if vec.any():
@@ -1160,4 +1179,63 @@ def test_solve_names_a_member_outside_its_block(name):
             solve_Y_from_X(s, [coords], [t.kE.one()] * 2)
     yp, _, _ = solve_Y_from_X(s, [block.basis[:2]], [t.kE.one()] * 2)
     for k in range(2):
-        assert same_member(yp, k, solve_Y_from_X(s, [block.basis[k]], t.kE.one())[0])
+        one = solve_Y_from_X(s, [block.basis[k : k + 1]], [t.kE.one()])[0]
+        assert same_member(yp, k, one.take(0))
+
+
+@pytest.mark.parametrize("name", R1_CASE_NAMES)
+def test_solve_returns_the_assembled_X_and_its_alpha(name):
+    s = builtin_case(name)
+    t = s.tower
+    wz = build_Wz(t, s)
+    rng = random.Random(11)
+    units = list(t.kE.units())
+    ys = [rng.choice(units) for _ in range(9)]
+    X = np.array([[rng.randrange(t.p) for _ in range(wz.dim_k)] for _ in ys],
+                 dtype=np.int64)
+    X[0] = 0
+    x_coords, at = [], 0
+    for block in wz.blocks:
+        k = block.basis.shape[0]
+        x_coords.append(X[:, at : at + k] @ block.basis % t.p)
+        at += k
+    for aux in (None, t.e_monomial(0, t.kE.one())):
+        _, xtot, alpha_x = solve_Y_from_X(s, x_coords, ys, aux=aux)
+        want = MatF.zero(t) if aux is None else t.m_of(aux)
+        for block, vec in zip(wz.blocks, x_coords):
+            want = want + t.mat_from_layer(block.grade, vec)
+        assert same_matf(xtot, want)
+        assert same_matf(alpha_x, t.alpha(want))
+
+
+@pytest.mark.parametrize("name", ["e3f1", "e1f2", "e3f2", "e5f1"])
+def test_bz_chunk_takes_alpha_only_inside_the_solver(name, monkeypatch):
+    s = builtin_case(name)
+    t = s.tower
+    wz = build_Wz(t, s)
+    rng = random.Random(5)
+    ys = [rng.choice(list(t.kE.units())) for _ in range(6)]
+    X = np.array([[rng.randrange(t.p) for _ in range(wz.dim_k)] for _ in ys],
+                 dtype=np.int64)
+    X[0] = 0
+    X[1, 0] = 1
+    calls = {"inside": 0, "outside": 0}
+    inside = []
+    alpha, solve = type(t).alpha, stratum.solve_Y_from_X
+
+    def spy_alpha(tower, M):
+        calls["inside" if inside else "outside"] += 1
+        return alpha(tower, M)
+
+    def spy_solve(*args, **kwargs):
+        inside.append(True)
+        try:
+            return solve(*args, **kwargs)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(type(t), "alpha", spy_alpha)
+    monkeypatch.setattr(stratum, "solve_Y_from_X", spy_solve)
+    stratum._bz_chunk(s, *default_chars(s), wz, ys, X)
+    assert calls["inside"] > 0
+    assert calls["outside"] == 0
