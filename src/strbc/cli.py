@@ -21,9 +21,15 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import random
 import sys
 from dataclasses import dataclass, field
+
+# strbc's arithmetic is exact int64 and never reaches BLAS, yet OpenBLAS
+# starts busy-waiting workers on the other cores when numpy loads; the pin
+# must precede that first import, and a value the caller set wins.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from .finite_field import AddChar, MultChar, _is_prime, get_field, pow_fq
 from .gauss import (
@@ -134,7 +140,7 @@ class ExperimentConfig:
         with open(path) as fh:
             try:
                 data = json.load(fh)
-            except json.JSONDecodeError as exc:
+            except (json.JSONDecodeError, UnicodeDecodeError) as exc:
                 raise ConfigError(f"config is not valid JSON: {exc}") from exc
         if not isinstance(data, dict):
             raise ConfigError("config must be a JSON object")
@@ -455,7 +461,7 @@ def main(argv=None) -> int:
             print("error: need a config file or --case", file=sys.stderr)
             return 2
         return args.fn(cfg, args)
-    except (ConfigError, FileNotFoundError, EnumerationTooLarge) as exc:
+    except (ConfigError, OSError, EnumerationTooLarge) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (NonUnitQuotient, LinearizationInvalid) as exc:

@@ -12,7 +12,7 @@ Z[zeta_lcm(p, q-1)].
 from __future__ import annotations
 
 from functools import lru_cache
-from math import gcd
+from math import gcd, isqrt
 
 import numpy as np
 
@@ -45,7 +45,7 @@ def _prime_factors(n: int) -> list[int]:
 
 
 def _is_prime(n: int) -> bool:
-    return n >= 2 and all(n % d for d in range(2, int(n**0.5) + 1))
+    return n >= 2 and all(n % d for d in range(2, isqrt(n) + 1))
 
 
 class FqField:

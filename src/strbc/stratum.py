@@ -705,17 +705,20 @@ def solve_Y_from_X(s: StratumSpec, x_coords, units, aux: EElem | None = None):
                     DegenerateX, f"component at level {block.j} escapes its block")
         comps.append(tower.mat_from_layer(block.grade, vec))
         grades.append(block.grade)
-    alphas = [tower.alpha(C) for C in comps]
+    # A zero component (X_0 unless aux is given) enters only terms that
+    # solve to zero, so its alpha, products and solves are skipped.
+    live = [t for t, C in enumerate(comps) if not C.is_zero()]
+    alphas = {t: tower.alpha(comps[t]) for t in live}
     winv = _unit_mats(tower, 1, units, -1)
-    yp = MatF.zero(tower)
-    for t in range(len(comps)):
+    yp = MatF.zero(tower, batch=(len(units),))
+    for t in live:
         gens = level_gens(s, t)
         # Q_t: the diagonal square term, a single homogeneous degree.
         terms = [(2 * grades[t], comps[t] @ alphas[t])]
         # P_t: cross terms with max index t, grouped by degree.
         by_grade: dict[int, MatF] = {}
-        for k in range(t + 1):
-            for l in range(t + 1):
+        for k in live:
+            for l in live:
                 if k != l and max(k, l) == t:
                     gkl = grades[k] + grades[l]
                     term = comps[k] @ alphas[l]

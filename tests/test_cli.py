@@ -1,10 +1,16 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from strbc import gauss, stratum
 from strbc.cli import ConfigError, ExperimentConfig, main
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 
 def run(argv, capsys):
@@ -89,9 +95,10 @@ def test_config_recheck_catches_bad_stratum():
 
 def test_config_load_bad_json(tmp_path):
     p = tmp_path / "bad.json"
-    p.write_text("{nope")
-    with pytest.raises(ConfigError):
-        ExperimentConfig.load(str(p))
+    for raw in (b"{nope", b"\x80\x81"):
+        p.write_bytes(raw)
+        with pytest.raises(ConfigError, match="not valid JSON"):
+            ExperimentConfig.load(str(p))
 
 
 # ---------------------------------------------------------------------------
@@ -175,6 +182,58 @@ def test_cli_bad_config_path(capsys):
     code, _, err = run(["sign", "/nonexistent/x.json"], capsys)
     assert code == 2
     assert "error" in err
+
+
+@pytest.mark.parametrize("where", ["config-dir", "json-dir",
+                                   "config-under-file", "json-under-file"])
+def test_cli_unusable_path_exits_2(where, capsys, tmp_path):
+    plain = tmp_path / "plain.txt"
+    plain.write_text("")
+    argv = {
+        "config-dir": ["sign", str(tmp_path)],
+        "json-dir": ["sign", "--case", "u1", "--json", str(tmp_path)],
+        "config-under-file": ["sign", str(plain / "cfg.json")],
+        "json-under-file": ["sign", "--case", "u1", "--json", str(plain / "x.json")],
+    }[where]
+    code, _, err = run(argv, capsys)
+    assert code == 2
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("command, blocks", [
+    ("gauss", {"case": "u1", "run": {"grid_q": [10**400]}}),
+    ("sign", {"tower": {"q": 10**400, "e": 1, "f": 1}, "stratum": {"c": [[0, -1]]}}),
+])
+def test_cli_rejects_a_huge_q_without_a_float(command, blocks, capsys, tmp_path):
+    cfgp = tmp_path / "cfg.json"
+    cfgp.write_text(json.dumps({"schema_version": 1, **blocks}))
+    code, _, err = run([command, str(cfgp)], capsys)
+    assert code == 2
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+    assert str(10**400) in err and "float" not in err
+
+
+def _import_cli(openblas_threads):
+    """(OS threads, OPENBLAS_NUM_THREADS) after a fresh process imports the
+    CLI with the variable unset or set to the given value."""
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+    if openblas_threads is not None:
+        env["OPENBLAS_NUM_THREADS"] = openblas_threads
+    probe = ("import os, strbc.cli; print(len(os.listdir('/proc/self/task')), "
+             "os.environ.get('OPENBLAS_NUM_THREADS'))")
+    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                         capture_output=True, text=True).stdout.split()
+    return int(out[0]), out[1]
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"),
+                    reason="counts threads through /proc/self/task")
+def test_cli_import_pins_openblas_to_one_thread():
+    # A fresh process each, since this one may have loaded numpy or set the
+    # variable already.  No BLAS worker starts; a caller's value wins.
+    assert _import_cli(None) == (1, "1")
+    assert _import_cli("2")[1] == "2"
 
 
 @pytest.mark.parametrize("command", ["sign", "reducibility", "base-change"])

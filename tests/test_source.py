@@ -13,3 +13,27 @@ def test_no_bare_asserts_in_package():
         if isinstance(node, ast.Assert)
     ]
     assert not found, f"bare asserts in src/strbc: {found}"
+
+
+def _float_uses(tree: ast.AST):
+    """Line numbers of float literals, true divisions, the name float and
+    np.linalg in a module."""
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Constant) and isinstance(node.value, (float, complex))
+                or isinstance(node, (ast.BinOp, ast.AugAssign))
+                and isinstance(node.op, ast.Div)
+                or isinstance(node, ast.Name) and node.id == "float"
+                or isinstance(node, ast.Attribute) and node.attr == "linalg"):
+            yield node.lineno
+
+
+def test_no_floats_in_package():
+    # Every number is exact: int64 arrays, Python ints and cyclotomic
+    # integers.  Nothing reaches BLAS, which is also why the CLI can pin
+    # OpenBLAS to one thread at no cost.
+    found = [
+        f"{path.name}:{line}"
+        for path in sorted(SRC.glob("*.py"))
+        for line in _float_uses(ast.parse(path.read_text(), str(path)))
+    ]
+    assert not found, f"floats in src/strbc: {found}"

@@ -20,6 +20,7 @@ from strbc.local_model import (
     build_Wz,
     det_unit,
     inverse_unit,
+    level_gens,
 )
 from strbc.stratum import (
     BUILTIN_CASE_NAMES,
@@ -414,6 +415,35 @@ def test_solve_aux_component_supported():
         s, coords, [t.kE.one()], aux=t.e_monomial(0, t.kE.one())
     )[0].take(0)
     assert not (yp0 - yp1).is_zero()
+
+
+def test_zero_aux_component_is_never_solved(monkeypatch):
+    # X_0 is zero unless an aux is given, and a zero right side solves to
+    # zero, so path A solves no term of level 0 and no all-zero system.
+    seen = []
+    solve = stratum._solve_one_minus_alpha
+
+    def spy(tower, m, gens, rhs):
+        seen.append((tuple(g.key() for g in gens), bool(rhs.any())))
+        return solve(tower, m, gens, rhs)
+
+    monkeypatch.setattr(stratum, "_solve_one_minus_alpha", spy)
+    for name in R1_CASE_NAMES:
+        s = builtin_case(name)
+        kE = s.tower.kE
+        level0 = tuple(g.key() for g in level_gens(s, 0))
+        seen.clear()
+        bz_oracle(s, default_chars(s), MultChar(kE, (kE.q - 1) // 2),
+                  sample=120 if name == "e3f2" else None)
+        assert all(nonzero for _, nonzero in seen), name
+        assert level0 not in {gens for gens, _ in seen}, name
+    s = builtin_case("e3f1")
+    t = s.tower
+    level0 = tuple(g.key() for g in level_gens(s, 0))
+    coords = [b.basis[:1] for b in build_Wz(t, s).blocks]
+    seen.clear()
+    solve_Y_from_X(s, coords, [t.kE.one()], aux=t.e_monomial(0, t.kE.one()))
+    assert (level0, True) in seen
 
 
 def test_bz_term_independent_of_aux():
