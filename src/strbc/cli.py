@@ -9,7 +9,9 @@ Four subcommands assemble the library into reproducible experiments:
 
 Experiments are selected either with ``--case <name>`` (one of the built-in
 desk instances) or with a JSON config file (schema_version 1; unknown keys
-are errors).  ``--json <path>`` writes the machine-readable payload.
+are errors), never both; a config names either a case or a tower and
+stratum.  ``--json <path>`` writes the machine-readable payload, and a path
+that cannot be written is refused before any work.
 
 Exit codes: 0 every internal cross-check passed, 1 a cross-check failed
 (or ``gauss`` compared no form), 2 bad input (arguments, config, or an
@@ -31,7 +33,7 @@ from dataclasses import dataclass, field
 # must precede that first import, and a value the caller set wins.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
-from .finite_field import AddChar, MultChar, _is_prime, get_field, pow_fq
+from .finite_field import _MAX_ORDER, AddChar, MultChar, _is_prime, get_field, pow_fq
 from .gauss import (
     EnumerationTooLarge,
     NonUnitQuotient,
@@ -77,8 +79,9 @@ def _or_null(kind: tuple) -> tuple:
 _INT = ("an integer", _is_int)
 _POS = ("an integer >= 1", lambda v: _is_int(v, 1))
 _NAT = ("an integer >= 0", lambda v: _is_int(v, 0))
-_PRIMES = ("a non-empty list of odd primes", lambda v: isinstance(v, list)
-           and v != [] and all(_is_int(x, 3) and _is_prime(x) for x in v))
+_PRIMES = (f"a non-empty list of odd primes up to {_MAX_ORDER}",
+           lambda v: isinstance(v, list) and v != [] and all(
+               _is_int(x, 3) and x <= _MAX_ORDER and _is_prime(x) for x in v))
 _PAIRS = ("a list of integer pairs", lambda v: isinstance(v, list) and all(
     isinstance(x, list) and len(x) == 2 and all(map(_is_int, x)) for x in v))
 _TOP_KEYS = {"schema_version", "case", "tower", "stratum", "character", "run"}
@@ -129,6 +132,9 @@ class ExperimentConfig:
                                **{name: _check_block(data, name) for name in _SCHEMA})
         if cfg.case is None and not cfg.tower:
             raise ConfigError("config needs either a case or a tower block")
+        if cfg.case is not None and {"tower", "stratum"} & set(data):
+            raise ConfigError("config names a case and a tower or stratum "
+                              "block; give one of the two")
         if cfg.case is not None and cfg.case not in BUILTIN_CASE_NAMES:
             raise ConfigError(
                 f"unknown case {cfg.case!r}; choose from {BUILTIN_CASE_NAMES}"
@@ -447,6 +453,15 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if args.json:
+            # An unusable --json path fails before any work.  The check
+            # leaves no file behind; the payload is written at the end.
+            existed = os.path.lexists(args.json)
+            open(args.json, "a").close()
+            if not existed:
+                os.remove(args.json)
+        if args.case is not None and args.config is not None:
+            raise ConfigError("give a config file or --case, not both")
         if args.case is not None:
             cfg = ExperimentConfig.from_dict(
                 {"schema_version": 1, "case": args.case}

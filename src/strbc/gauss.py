@@ -23,7 +23,6 @@ from __future__ import annotations
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import product
 
 import numpy as np
 
@@ -83,15 +82,6 @@ class QuadSpace:
         """The form with prime-field entries rows, lists or an (n, n) array."""
         ints = np.array(rows, dtype=np.int64)
         return QuadSpace(field, ints[..., None] * np.eye(field.f, dtype=np.int64)[0])
-
-    def evaluate(self, xs: list[FqElem]) -> FqElem:
-        acc = self.field.zero()
-        for i in range(self.dim):
-            if not xs[i]:
-                continue
-            for j in range(self.dim):
-                acc = acc + xs[i] * self.field.element(self.gram[i, j].tolist()) * xs[j]
-        return acc
 
     @cached_property
     def _diagonal(self) -> tuple[FqElem, ...]:
@@ -216,20 +206,6 @@ def gauss_sum_brute(space: QuadSpace, psi: AddChar,
     if npoints > bound:
         raise EnumerationTooLarge(f"{npoints} points exceeds bound {bound}")
     return phase_sum(space.prime_gram(psi), fld.p, threads=threads)
-
-
-def gauss_sum_brute_slow(space: QuadSpace, psi: AddChar,
-                         bound: int = 10**5) -> CycNum:
-    """Pure point-by-point enumeration; cross-checks the vectorized route."""
-    if psi.is_trivial():
-        raise TrivialAdditiveCharacter("brute Gauss sum needs nontrivial psi")
-    fld = space.field
-    if fld.q**space.dim > bound:
-        raise EnumerationTooLarge("slow brute route past its bound")
-    total = CycNum.zero(fld.p)
-    for xs in product(list(fld.elements()), repeat=space.dim):
-        total = total + cyc_root(fld.p, psi.residue_phase(space.evaluate(list(xs))))
-    return total
 
 
 @lru_cache(maxsize=None)

@@ -309,9 +309,14 @@ class MatF:
                 arr[..., lo - g : hi - g, :, :] += s * src.arr[..., : hi - lo, :, :]
         return MatF(t, g, arr, fp)
 
+    def product_fprec(self, other: "MatF") -> int:
+        """The precision of self @ other: each factor's precision shifted by
+        the other's valuation, whichever is less."""
+        return min(self.fprec + other.g, other.fprec + self.g)
+
     def __matmul__(self, other: "MatF") -> "MatF":
         t = self.tower
-        fp = min(self.fprec + other.g, other.fprec + self.g)
+        fp = self.product_fprec(other)
         if self.is_zero() or other.is_zero():
             return MatF.zero(t, fp, self._batch_with(other))
         g = self.g + other.g
@@ -574,12 +579,6 @@ class TowerSpec:
         # w_F = u^{-1} w_E^e.
         return self.e_monomial(self.e, self.u.inverse())
 
-    def trace_EF(self, x: EElem) -> tuple[dict[int, int], int]:
-        """Tr_{E/F}(x) as ({t: c} nonzero w_F^t coefficients, fprec): e times
-        the extraction functional tau at shift 0, e * Tr_{k_E/k}(a_{et} u^t)."""
-        coeffs, fprec = self.tau(x, 0)
-        return {t: v for t, c in coeffs.items() if (v := c * self.e % self.p)}, fprec
-
     # -- the regular representation ------------------------------------------
 
     def basis_index(self, a: int, b: int) -> int:
@@ -598,26 +597,6 @@ class TowerSpec:
             return out
 
         return self.memo(("m_of", x.key(), x.prec), build)
-
-    def e_from_mat(self, X: "MatF") -> EElem:
-        """Image of 1 = w_{0,0} under X, as an element of E."""
-        col = self.basis_index(0, 0)
-        prec = X.fprec * self.e
-        out: dict[int, FqElem] = {}
-        for k in range(X.arr.shape[0]):
-            t = X.g + k
-            uinv_t = pow_fq(self.u, -t)
-            for a in range(self.e):
-                c = self.kE.zero()
-                for b in range(self.f):
-                    v = int(X.arr[k, self.basis_index(a, b), col])
-                    if v:
-                        c = c + pow_fq(self.zeta, b) * v
-                if c:
-                    i = a + self.e * t
-                    prev = out.get(i)
-                    out[i] = c * uinv_t if prev is None else prev + c * uinv_t
-        return EElem(self, out, prec)
 
     # -- the Hermitian structure ---------------------------------------------
 
@@ -794,81 +773,13 @@ def build_tower(config: TowerConfig) -> TowerSpec:
 
 
 # ---------------------------------------------------------------------------
-# Embedding checks, graded spaces, coset spaces, index counts.
-
-
-@dataclass
-class GradedSpace:
-    tower: TowerSpec
-    grades: dict[int, np.ndarray]
-
-    def dim_k(self, m: int) -> int:
-        basis = self.grades.get(m)
-        return 0 if basis is None else basis.shape[0]
-
-
-def embed_E_in_matrices(tower: TowerSpec) -> dict:
-    """Build m_x on generators and verify the embedding relations."""
-    we = tower.m_of(tower.varpi_E())
-    wf = tower.m_of(tower.varpi_F())
-    mu = tower.m_of(tower.e_monomial(0, tower.u))
-    acc = MatF.identity(tower)
-    for _ in range(tower.e):
-        acc = acc @ we
-    if acc != mu @ wf:
-        raise AssertionError("m_{w_E}^e != m_u m_{w_F}")
-    mz = tower.m_of(tower.e_monomial(0, tower.zeta))
-    order = 1
-    cur = mz
-    ident = MatF.identity(tower)
-    while cur != ident:
-        cur = cur @ mz
-        order += 1
-        if order > tower.kE.q:
-            raise AssertionError("m_zeta order overflow")
-    if order != tower.kE.q - 1:
-        raise AssertionError(f"m_zeta has order {order}, wanted {tower.kE.q - 1}")
-    # alpha(m_x) = -m_{sigma(x)} on a sample of monomials.
-    for i in (-1, 0, 1, 2):
-        for c in (tower.kE.one(), tower.zeta):
-            x = tower.e_monomial(i, c)
-            lhs = tower.alpha(tower.m_of(x))
-            rhs = -tower.m_of(x.sigma())
-            if lhs.truncated(rhs.fprec) != rhs.truncated(lhs.fprec):
-                raise AssertionError(f"alpha(m_x) != -m_sigma(x) at x = {x}")
-    return {"varpi_E": we, "varpi_F": wf, "zeta": mz}
-
-
-def centralizer_filtration(
-    tower: TowerSpec, gamma: EElem, k: int, horizon: int | None = None
-) -> GradedSpace:
-    """Graded basis of {X : X gamma = gamma X, v(X) >= k}."""
-    gens: tuple[EElem, ...] = () if _is_in_F(tower, gamma) else (gamma,)
-    if gens:
-        _check_support(tower, gamma)
-    span = tower.e if horizon is None else horizon
-    grades = {
-        m: (
-            tower.cent_layer(gens, m)
-            if m < tower.N
-            else np.zeros((0, tower.n * tower.f), dtype=np.int64)
-        )
-        for m in range(k, k + span)
-    }
-    return GradedSpace(tower, grades)
+# Field membership, coset spaces, index counts.
 
 
 def _is_in_F(tower: TowerSpec, x: EElem) -> bool:
     return all(
         i % tower.e == 0 and not any(c.coeffs[1:]) for i, c in x.coeffs.items()
     )
-
-
-def _check_support(tower: TowerSpec, gamma: EElem) -> None:
-    # gamma must generate a subfield of E over F; any Laurent support works
-    # for the commutator construction, so only sanity is enforced here.
-    if gamma.is_zero():
-        raise NotInSubfield("zero element generates nothing")
 
 
 @dataclass(frozen=True)
@@ -1109,17 +1020,3 @@ def iwahori_indices(tower: TowerSpec, stratum) -> tuple[int, int]:
     )
     c_y = tower.p ** (x_exp + y_exp)
     return c_y, c_z
-
-
-def zeta_conjugation_index(tower: TowerSpec, stratum) -> int:
-    """[J_P^+ : zeta J_P^+ zeta^{-1}] with zeta = i_M(w_E I, I); the block
-    conjugation shifts the X-lattice by one grade and the Y-lattice by two."""
-    h1 = h1_lattice(tower, stratum)
-    j0 = j0_lattice(tower, stratum)
-    s0 = stratum.s_list[0] if stratum.s_list else 0
-    win = (-(s0 + 2 * tower.e + 3), s0 + 2 * tower.e + 3)
-    x_exp = _index_exponent(tower, j0, j0.shifted(1), win, alpha_fixed=False)
-    y_exp = _index_exponent(
-        tower, h1.shifted(-1), h1.shifted(1), win, alpha_fixed=True
-    )
-    return tower.p ** (x_exp + y_exp)

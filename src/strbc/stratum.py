@@ -16,18 +16,20 @@ minimal at its level.  On top of a stratum sit:
   algebra for the relation X alpha(X) = Y - alpha(Y));
 * the two enumeration oracles ``by_oracle`` and ``bz_oracle`` that recompute
   the quadratic-relation coefficients from first principles and cross-check
-  every identity they rely on term by term.  The terms run in chunks on the
-  batch axis of MatF, and a failing check names its term.
+  every identity they rely on term by term.  Both run on one term walk,
+  ``_walk``, in chunks on the batch axis of MatF: it refuses more than
+  ``bound`` terms up front and names the term behind a failed check, and
+  each oracle supplies a chunk's values and the values they must equal.
 
 All values are exact cyclotomic integers; enumerations refuse to approximate.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import random
-from contextlib import contextmanager
 
 import numpy as np
 
@@ -260,14 +262,14 @@ def _block_gram_raw(tower: TowerSpec, c: EElem, basis: np.ndarray, grade: int,
         return np.zeros((0, 0), dtype=np.int64)
     mats = tower.mat_from_layer(grade, basis)
     left, right = _gram_sides(tower, c, mats, scalar, c_first)
-    if min(left.fprec + right.g, right.fprec + left.g) <= 0:
+    if left.product_fprec(right) <= 0:
         # A stack carries the least valuation and precision of its rows, so
         # the rows' own sides decide which pairs are unknown.
         sides = [_gram_sides(tower, c, mats.take(a), scalar, c_first)
                  for a in range(rows)]
         for la, _ in sides:
             for _, rb in sides:
-                fprec = (la @ rb).fprec
+                fprec = la.product_fprec(rb)
                 if fprec <= 0:
                     raise PrecisionTooLow(f"w_F^0 beyond precision {fprec}")
         left, right = (MatF.stack(list(ms)) for ms in zip(*sides))
@@ -419,9 +421,14 @@ def epsilon_z_invariance(s: StratumSpec, psi: AddChar | None = None,
     (a) psi-twists by every residue of F-bullet-cross leave the sign alone;
     (b) rechoosing the uniformizer as u w_E multiplies the sign by
         chi_quad(u-bar)^(f-1) over the residue field of E.
-    Returns a report with every checked pair and an overall flag.
+    Returns a report with every checked pair and an overall flag.  A suite
+    of more than ``bound`` epsilon_z calls (the base, one per twist and one
+    per unit) raises EnumerationTooLarge before the first.
     """
     tower = s.tower
+    calls = tower.k.q + tower.kE.q - 1
+    if calls > bound:
+        raise EnumerationTooLarge(f"{calls} sign evaluations exceeds bound {bound}")
     if psi is None:
         psi = AddChar(tower.k, 1)
     base = epsilon_z(s, psi, threads=threads, bound=bound)
@@ -684,20 +691,15 @@ def solve_Y_from_X(s: StratumSpec, x_coords, units, aux: EElem | None = None):
         raise DegenerateX(
             f"need {len(wz.blocks)} block components, got {len(x_coords)}"
         )
-    comps: list[MatF] = []
-    grades: list[int] = []
     # Component index t: t = 0 is the auxiliary o_E piece (degree 0), and
     # t = j + 1 is the block-j piece at degree s_j.
     if aux is None or aux.is_zero():
-        comps.append(MatF.zero(tower))
-        grades.append(0)
+        comps = [MatF.zero(tower)]
+    elif aux.val() < 0:
+        raise DegenerateX("auxiliary part must be integral")
     else:
-        if not _is_in_F(tower, aux) and not _in_level(tower, aux, 0):
-            raise DegenerateX("auxiliary part must lie in o_E")
-        if aux.val() < 0:
-            raise DegenerateX("auxiliary part must be integral")
-        comps.append(tower.m_of(aux))
-        grades.append(0)
+        comps = [tower.m_of(aux)]
+    grades = [0]
     for block, vec in zip(wz.blocks, x_coords):
         if vec.shape != (len(units), nf):
             raise DegenerateX("component has the wrong coordinate length")
@@ -802,7 +804,7 @@ def by_oracle(s: StratumSpec, chars, rho_signs: tuple[int, int],
     set, constancy is verified on that many deterministically chosen
     representatives and the sum is count * constant.  A run over more than
     ``bound`` representatives raises EnumerationTooLarge up front.  The
-    representatives run in chunks of _CHUNK on the batch axis of MatF.
+    representatives run on the term walk ``_walk``.
     """
     _check_window(s, "by_oracle")
     big, root = _check_char_pair(s, chars)
@@ -818,13 +820,12 @@ def by_oracle(s: StratumSpec, chars, rho_signs: tuple[int, int],
         raise AssertionError(
             "representative count disagrees with the lattice index"
         )
-    count = (kE.q - 1) * p**zdim
-    _check_term_count(count, sample, bound)
     inv2 = kE.from_int(2).inverse()
     ident = MatF.identity(tower)
-    reps, _ = _terms(list(kE.units()), p, zdim, sample, seed)
     const = None
-    for start, ts, zv in _chunks(reps):
+
+    def step(ts, zv):
+        nonlocal const
         zmat = MatF.zero(tower, batch=(len(ts),))
         at = 0
         for m, basis in zbases:
@@ -836,25 +837,15 @@ def by_oracle(s: StratumSpec, chars, rho_signs: tuple[int, int],
         yp = _unit_mats(tower, 0, y0, -1) @ zmat
         xm = _unit_mats(tower, 0, ts)
         g = ident - (tower.alpha(xm) @ inverse_unit(Y) @ xm)
-        with _chunk_context(start):
-            vals = _products(eval_simple_char(big, ident + yp),
-                             eval_simple_char(root, -g))
-        for k, val in enumerate(vals):
-            if const is None:
-                const = val
-            elif val != const:
-                raise ConstancyViolated(
-                    f"integrand is not constant across representatives "
-                    f"(term {start + k})"
-                )
-    return (rho1 * rho2 * count) * const
+        vals = _products(eval_simple_char(big, ident + yp),
+                         eval_simple_char(root, -g))
+        if const is None:
+            const = vals[0]
+        return vals, [const] * len(vals)
 
-
-def _check_term_count(total: int, sample: int | None, bound: int):
-    """Refuse an oracle run that would evaluate more than ``bound`` terms."""
-    count = total if sample is None else min(sample, total)
-    if count > bound:
-        raise EnumerationTooLarge(f"{count} terms exceeds bound {bound}")
+    _walk(list(kE.units()), p, zdim, sample, seed, bound, step,
+          ConstancyViolated, "integrand is not constant across representatives")
+    return (rho1 * rho2 * (kE.q - 1) * p**zdim) * const
 
 
 # Oracle terms evaluated together on the batch axis of MatF.  A chunk may
@@ -862,25 +853,33 @@ def _check_term_count(total: int, sample: int | None, bound: int):
 _CHUNK = 64
 
 
-def _chunks(terms):
-    """The oracle terms in chunks of _CHUNK, in order: (index of the first
-    term, its units, one coordinate row per term)."""
-    it = iter(terms)
+def _walk(units: list, p: int, dim: int, sample: int | None, seed: int,
+          bound: int, step, exc: type, message: str) -> bool:
+    """Check the oracle terms of ``_terms``, _CHUNK at a time; returns
+    whether they are a sample.  More than ``bound`` terms are refused first.
+
+    ``step(units, X)`` gets a chunk's units and (B, dim) coordinates and
+    returns its values with the values they must equal.  A per-term check
+    failing inside ``step`` names its stack index and the chunk's first
+    term; a value that differs raises exc(message) naming its term."""
+    total = len(units) * p**dim
+    count = total if sample is None else min(sample, total)
+    if count > bound:
+        raise EnumerationTooLarge(f"{count} terms exceeds bound {bound}")
+    terms, sampled = _terms(units, p, dim, sample, seed)
+    terms = iter(terms)
     start = 0
-    while chunk := list(itertools.islice(it, _CHUNK)):
-        yield (start, [u for u, _ in chunk],
-               np.array([v for _, v in chunk], dtype=np.int64))
+    while chunk := list(itertools.islice(terms, _CHUNK)):
+        X = np.array([v for _, v in chunk], dtype=np.int64)
+        try:
+            values, wanted = step([u for u, _ in chunk], X)
+        except (NoSolution, NotInDomain, PathMismatch) as err:
+            raise type(err)(f"{err}, in the chunk from term {start}") from err
+        for k, (value, want) in enumerate(zip(values, wanted)):
+            if value != want:
+                raise exc(f"{message} (term {start + k})")
         start += len(chunk)
-
-
-@contextmanager
-def _chunk_context(start: int):
-    """Name the chunk of a per-term check that fails inside it: its stack
-    index plus the chunk's first term index is the term's index."""
-    try:
-        yield
-    except (NoSolution, NotInDomain, PathMismatch) as exc:
-        raise type(exc)(f"{exc}, in the chunk from term {start}") from exc
+    return sampled
 
 
 def _terms(units: list, p: int, dim: int, sample: int | None, seed: int):
@@ -919,8 +918,8 @@ def bz_oracle(s: StratumSpec, chars, rho_tilde,
     totals must agree exactly.  With ``sample`` set, path A is verified on
     that many deterministically chosen terms and the path-B total is
     returned (the per-term identity is what makes the totals equal).  Path A
-    runs in chunks of _CHUNK terms on the batch axis of MatF; a failing term
-    is named by its index in the enumeration.
+    runs on the term walk ``_walk``; a failing term is named by its index
+    in the enumeration.
 
     ``rho_tilde`` may be a tuple of characters: both paths then run once,
     only the mu(-y) weighting is per character, and a tuple of totals comes
@@ -940,41 +939,38 @@ def bz_oracle(s: StratumSpec, chars, rho_tilde,
         if mu.exponent not in (0, (kE.q - 1) // 2):
             raise ValueError("the restriction to the Teichmueller units must be "
                              "at most quadratic")
-    psi = big.psi
-    twist = psi.twist.coeffs[0]
+    twist = big.psi.twist.coeffs[0]
     wz = build_Wz(tower, s)
     dim = wz.dim_k
     units = list(kE.units())
     if p**dim > bound:
         raise EnumerationTooLarge(f"{p**dim} points exceeds bound {bound}")
-    _check_term_count(len(units) * p**dim, sample, bound)
     inv2 = kE.from_int(2).inverse()
     signs = {y: [mu(-y).as_int() for mu in mus] for y in units}
-    # Path B: blockwise Gauss sums, one per y.
-    totals_b = [CycNum.zero(p)] * len(mus)
-    grams: dict[FqElem, np.ndarray] = {}
-    for y in units:
-        gram = _gauss_gram(s, wz, tower.e_monomial(1, y.inverse() * inv2))
-        grams[y] = gram
-        gy = phase_sum(gram * twist % p, p, threads=threads)
-        totals_b = [t + w * gy for t, w in zip(totals_b, signs[y])]
+
+    @functools.cache
+    def gram(y: FqElem) -> np.ndarray:
+        return _gauss_gram(s, wz, tower.e_monomial(1, y.inverse() * inv2))
+
     # Path A: direct evaluation through the solved representatives.  Each
-    # checked term adds its weight at its root of unity zeta_p^e.
-    chosen, sampled = _terms(units, p, dim, sample, seed)
+    # term's value must be its phase zeta_p^e, where it adds its weight.
     weights = np.zeros((len(mus), p), dtype=np.int64)
     roots = [cyc_root(p, e) for e in range(p)]
-    for start, ys, X in _chunks(chosen):
-        with _chunk_context(start):
-            vals = _bz_chunk(s, big, root, wz, ys, X)
-        G = np.stack([grams[y] for y in ys])
+
+    def step(ys, X):
+        vals = _bz_chunk(s, big, root, wz, ys, X)
+        G = np.stack([gram(y) for y in ys])
         expo = twist * np.einsum("bi,bij,bj->b", X, G, X) % p
-        for k, (val, e) in enumerate(zip(vals, expo.tolist())):
-            if val != roots[e]:
-                raise PathMismatch(
-                    "direct term value disagrees with its Gauss-sum phase "
-                    f"(term {start + k})"
-                )
         np.add.at(weights.T, expo, [signs[y] for y in ys])
+        return vals, [roots[e] for e in expo.tolist()]
+
+    sampled = _walk(units, p, dim, sample, seed, bound, step, PathMismatch,
+                    "direct term value disagrees with its Gauss-sum phase")
+    # Path B: blockwise Gauss sums, one per y.
+    totals_b = [CycNum.zero(p)] * len(mus)
+    for y in units:
+        gy = phase_sum(gram(y) * twist % p, p, threads=threads)
+        totals_b = [t + w * gy for t, w in zip(totals_b, signs[y])]
     totals_a = [CycNum(p, row.tolist()) for row in weights]
     if not sampled and totals_a != totals_b:
         raise PathMismatch("the two evaluation routes disagree")
@@ -982,7 +978,7 @@ def bz_oracle(s: StratumSpec, chars, rho_tilde,
 
 
 def _bz_chunk(s: StratumSpec, big: SimpleCharSpec, root: SimpleCharSpec,
-              wz, ys: list, X: np.ndarray, aux: EElem | None = None) -> list:
+              wz, ys: list, X: np.ndarray) -> list:
     """Path-A values of a chunk of terms (unit ys[b], W_z coordinates X[b]):
     per term, the product of the two simple-character values at the
     representative determined by (y, X), with the exchange identity on
@@ -996,7 +992,7 @@ def _bz_chunk(s: StratumSpec, big: SimpleCharSpec, root: SimpleCharSpec,
         k = block.basis.shape[0]
         x_coords.append(X[:, at : at + k] @ block.basis % p)
         at += k
-    yp, xtot, alpha_x = solve_Y_from_X(s, x_coords, ys, aux=aux)
+    yp, xtot, alpha_x = solve_Y_from_X(s, x_coords, ys)
     one_plus = ident + yp
     g = MatF.zero(tower, batch=(len(ys),)) + ident
     live = np.broadcast_to(xtot.nonzero_mask(), g.batch)
@@ -1014,18 +1010,6 @@ def _bz_chunk(s: StratumSpec, big: SimpleCharSpec, root: SimpleCharSpec,
         _fail_first((dets[: len(terms)] != dets[len(terms) :]).any(axis=-1),
                     PathMismatch, "determinant exchange identity fails", terms)
     return _products(eval_simple_char(big, one_plus), eval_simple_char(root, g))
-
-
-def bz_aux_independence(s: StratumSpec, chars, y: FqElem, xv,
-                        aux_list) -> bool:
-    """Whether the path-A term value is unchanged for every listed auxiliary
-    degree-0 component choice."""
-    big, root = _check_char_pair(s, chars)
-    wz = build_Wz(s.tower, s)
-    X = np.array([xv], dtype=np.int64).reshape(1, wz.dim_k)
-    base = _bz_chunk(s, big, root, wz, [y], X)[0]
-    return all(_bz_chunk(s, big, root, wz, [y], X, aux=a)[0] == base
-               for a in aux_list)
 
 
 # ---------------------------------------------------------------------------

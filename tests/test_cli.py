@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from strbc import gauss, stratum
 from strbc.cli import ConfigError, ExperimentConfig, main
+from strbc.finite_field import FqField
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
@@ -361,6 +363,80 @@ def test_cli_gauss_fails_when_it_compared_no_form(seed, compared, capsys, tmp_pa
         assert statuses == ["degenerate"] and payload["ok"] is False and code == 1
         assert out.splitlines()[-1] == ("gauss cross-validation: no form "
                                         "compared (every drawn form is degenerate)")
+
+
+# ---------------------------------------------------------------------------
+# Refused before any work: exit 2 with one error line, within 2 s.
+
+Q7_E1F2 = {"tower": {"q": 7, "e": 1, "f": 2, "N": 6}, "stratum": {"c": [[1, -1]]}}
+
+
+def run_refused(argv, capsys):
+    """Run argv, check for exit 2 with empty stdout and one error line
+    within 2 s, and return that line."""
+    start = time.monotonic()
+    code, out, err = run(argv, capsys)
+    assert time.monotonic() - start < 2
+    assert code == 2 and out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    return lines[0]
+
+
+@pytest.mark.parametrize("blocks, flags", [
+    (Q7_E1F2, ["--case", "u1"]),        # a config file and --case
+    ({"case": "u1", **Q7_E1F2}, []),    # a case and a tower in one config
+])
+def test_cli_refuses_a_stratum_named_twice(blocks, flags, capsys, tmp_path):
+    cfgp = tmp_path / "cfg.json"
+    cfgp.write_text(json.dumps({"schema_version": 1, **blocks}))
+    run_refused(["sign", str(cfgp)] + flags, capsys)
+
+
+def test_cli_bounds_the_sign_invariance_suite(capsys, tmp_path, monkeypatch):
+    # q = 10007: the base, 10006 psi twists and 10006 units, past --bound 10.
+    calls = []
+    monkeypatch.setattr(stratum, "epsilon_z", lambda *a, **k: calls.append(a))
+    cfgp = tmp_path / "cfg.json"
+    cfgp.write_text(json.dumps({"schema_version": 1, "tower": {
+        "q": 10007, "e": 1, "f": 1}, "stratum": {"c": [[0, -1]]}}))
+    line = run_refused(["sign", str(cfgp), "--bound", "10"], capsys)
+    assert "20013" in line
+    assert calls == []
+
+
+@pytest.mark.parametrize("command, blocks", [
+    ("gauss", {"case": "u1", "run": {"grid_q": [2**61 - 1]}}),
+    ("sign", {"tower": {"q": 2**61 - 1, "e": 1, "f": 1},
+              "stratum": {"c": [[0, -1]]}}),
+])
+def test_cli_refuses_a_huge_prime_q(command, blocks, capsys, tmp_path, monkeypatch):
+    # 2^61 - 1 is prime: it is refused for its size, before a field is built.
+    built = []
+    monkeypatch.setattr(FqField, "_build_log_tables", lambda self: built.append(self))
+    cfgp = tmp_path / "cfg.json"
+    cfgp.write_text(json.dumps({"schema_version": 1, **blocks}))
+    assert str(2**61 - 1) in run_refused([command, str(cfgp)], capsys)
+    assert built == []
+
+
+@pytest.mark.parametrize("command, case", [("sign", "u1"),
+                                           ("reducibility", "e3f2")])
+def test_cli_checks_the_json_path_first(command, case, capsys, tmp_path,
+                                        monkeypatch):
+    calls = []
+    for name in ("by_oracle", "epsilon_z_invariance"):
+        monkeypatch.setattr(f"strbc.cli.{name}", lambda *a, **k: calls.append(a))
+    run_refused([command, "--case", case, "--json", str(tmp_path)], capsys)
+    assert calls == []
+
+
+def test_cli_json_check_leaves_no_file_behind(capsys, tmp_path):
+    path = tmp_path / "r.json"
+    code, _, _ = run(["reducibility", "--case", "e1f2", "--bound", "8",
+                      "--json", str(path)], capsys)
+    assert code == 2
+    assert not path.exists()
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -166,3 +168,17 @@ def test_pow_matches_log(pf, k):
 def test_even_characteristic_rejected():
     with pytest.raises(ValueError):
         FqField(2, 1)
+
+
+@pytest.mark.parametrize("p, f, order", [(2**61 - 1, 1, str(2**61 - 1)),
+                                         (3, 11, "3^11"), (257, 2, "257^2"),
+                                         (3, 10**9, "3^1000000000")])
+def test_field_order_is_capped_before_any_work(p, f, order, monkeypatch):
+    # 2^61 - 1 is prime; the order alone refuses it.
+    def refuse(*args):
+        raise AssertionError("a capped field was searched or tabulated")
+
+    monkeypatch.setattr(FqField, "_least_irreducible", refuse)
+    monkeypatch.setattr(FqField, "_build_log_tables", refuse)
+    with pytest.raises(ValueError, match=rf"field order {re.escape(order)} exceeds 65536"):
+        FqField(p, f)

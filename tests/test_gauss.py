@@ -20,11 +20,12 @@ from strbc.gauss import (
     TrivialAdditiveCharacter,
     _phase_histogram,
     gauss_sum_brute,
-    gauss_sum_brute_slow,
     gauss_sum_closed,
     normalized_sign,
     one_dim_gauss_value,
 )
+
+from _support import evaluate, gauss_sum_brute_slow
 
 
 def std_psi(field):
@@ -205,13 +206,13 @@ def polarized_prime_gram(space, psi):
     d = n * f
     gram = np.zeros((d, d), dtype=np.int64)
     half = (p + 1) // 2
-    diag = [psi.residue_phase(space.evaluate(v)) for v in basis]
+    diag = [psi.residue_phase(evaluate(space, v)) for v in basis]
     for i in range(d):
         gram[i, i] = diag[i]
     for i in range(d):
         for j in range(i + 1, d):
             w = [a + b for a, b in zip(basis[i], basis[j])]
-            mixed = (psi.residue_phase(space.evaluate(w)) - diag[i] - diag[j]) % p
+            mixed = (psi.residue_phase(evaluate(space, w)) - diag[i] - diag[j]) % p
             gram[i, j] = gram[j, i] = mixed * half % p
     return gram
 

@@ -18,18 +18,23 @@ from strbc.local_model import (
     ZeroElement,
     build_tower,
     build_Wz,
-    centralizer_filtration,
     det_unit,
-    embed_E_in_matrices,
     h1_lattice,
     intersect_row_spaces,
     inverse_unit,
     iwahori_indices,
     j0_lattice,
     level_gens,
-    zeta_conjugation_index,
 )
 from strbc.stratum import BUILTIN_CASE_NAMES, builtin_case
+
+from _support import (
+    centralizer_filtration,
+    e_from_mat,
+    embed_E_in_matrices,
+    trace_EF,
+    zeta_conjugation_index,
+)
 
 
 def mk_stratum(t, c_list, r_list):
@@ -168,10 +173,10 @@ def test_uniformizer_relation_with_unit():
 def test_trace_vanishes_iff_wild():
     t = tower_e3f1()  # p = e = 3: inseparable, trace identically zero
     for x in (t.e_monomial(0), t.e_monomial(3), t.e_monomial(-3, 2)):
-        assert not t.trace_EF(x)[0]
+        assert not trace_EF(t, x)[0]
     tu = tower_e1f2()  # unramified quadratic: Tr(zeta) = zeta + zeta^3
     z = tu.zeta
-    tr = tu.trace_EF(tu.e_monomial(0, z))
+    tr = trace_EF(tu, tu.e_monomial(0, z))
     from strbc.finite_field import pow_fq
 
     expect = z + pow_fq(z, 3)
@@ -187,7 +192,7 @@ def test_m_of_roundtrip():
         t, _ = get_case(name)
         for x in (t.varpi_E(), t.e_monomial(-2, t.zeta), t.e_monomial(0, 2)):
             X = t.m_of(x)
-            back = t.e_from_mat(X)
+            back = e_from_mat(t, X)
             assert back == x
 
 

@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -38,7 +39,6 @@ from strbc.stratum import (
     build_Dj_forms,
     builtin_case,
     by_oracle,
-    bz_aux_independence,
     bz_oracle,
     default_chars,
     epsilon_z,
@@ -48,6 +48,8 @@ from strbc.stratum import (
     quotient_form,
     solve_Y_from_X,
 )
+
+from _support import bz_aux_independence
 
 CLOSED_MAGNITUDE = {"u1": 2, "e3f1": 6, "e1f2": 24, "e3f2": 1944, "e5f1": 18}
 
@@ -417,6 +419,14 @@ def test_solve_aux_component_supported():
     assert not (yp0 - yp1).is_zero()
 
 
+def test_solve_refuses_a_non_integral_aux_component():
+    s = builtin_case("e3f1")
+    t = s.tower
+    coords = [b.basis[:1] for b in build_Wz(t, s).blocks]
+    with pytest.raises(DegenerateX, match="must be integral"):
+        solve_Y_from_X(s, coords, [t.kE.one()], aux=t.e_monomial(-1, t.kE.one()))
+
+
 def test_zero_aux_component_is_never_solved(monkeypatch):
     # X_0 is zero unless an aux is given, and a zero right side solves to
     # zero, so path A solves no term of level 0 and no all-zero system.
@@ -553,9 +563,9 @@ def record_bz_terms(monkeypatch):
     seen = []
     original = stratum._bz_chunk
 
-    def spy(s, big, root, wz, ys, X, aux=None):
+    def spy(s, big, root, wz, ys, X):
         seen.extend((y, tuple(int(c) for c in xv)) for y, xv in zip(ys, X))
-        return original(s, big, root, wz, ys, X, aux=aux)
+        return original(s, big, root, wz, ys, X)
 
     monkeypatch.setattr(stratum, "_bz_chunk", spy)
     return seen
@@ -890,11 +900,11 @@ def spy_chunks(monkeypatch):
             chunks[-1]["exchange"] = out
         return out
 
-    def spy_chunk(s, big, root, wz, ys, X, aux=None):
+    def spy_chunk(s, big, root, wz, ys, X):
         chunks.append({"ys": list(ys), "X": X.copy()})
         inside.append("chunk")
         try:
-            chunks[-1]["result"] = bz_chunk(s, big, root, wz, ys, X, aux=aux)
+            chunks[-1]["result"] = bz_chunk(s, big, root, wz, ys, X)
         finally:
             inside.pop()
         return chunks[-1]["result"]
@@ -1009,12 +1019,23 @@ def test_bz_chunks_match_one_term_code_on_random_terms(case):
     chars = default_chars(s)
     wz = build_Wz(s.tower, s)
     sizes = [b.basis.shape[0] for b in wz.blocks]
-    starts = []
-    for start, ys, X in stratum._chunks(iter(terms)):
+    starts, at = [], [0]
+
+    def step(ys, X):
+        # The walk hands over the terms in order: a chunk starts where the
+        # chunks before it end.
+        start = at[0]
         starts.append(start)
+        at[0] += len(ys)
         got = stratum._bz_chunk(s, *chars, wz, ys, X)
         for k, (y, xv) in enumerate(terms[start : start + len(ys)]):
             assert got[k] == ref_bz_term(s, *chars, wz, y, xv, sizes)["value"]
+        return got, got
+
+    # Walk these terms instead of the ones _terms would draw.
+    with mock.patch.object(stratum, "_terms", lambda *args: (terms, False)):
+        stratum._walk(list(s.tower.kE.units()), s.tower.p, wz.dim_k, None, 0,
+                      stratum.DEFAULT_ENUMERATION_BOUND, step, AssertionError, "")
     assert starts == list(range(0, len(terms), 64))
 
 
@@ -1027,8 +1048,8 @@ def test_bz_oracle_names_a_term_whose_phase_disagrees(term, monkeypatch):
     original = stratum._bz_chunk
     start = [0]
 
-    def corrupt(s, big, root, wz, ys, X, aux=None):
-        values = original(s, big, root, wz, ys, X, aux=aux)
+    def corrupt(s, big, root, wz, ys, X):
+        values = original(s, big, root, wz, ys, X)
         if start[0] <= term < start[0] + len(ys):
             values[term - start[0]] = values[term - start[0]] * cyc_root(p, 1)
         start[0] += len(ys)
@@ -1075,6 +1096,47 @@ def test_by_oracle_names_a_term_that_breaks_constancy(monkeypatch):
     monkeypatch.setattr(stratum, "eval_simple_char", corrupt)
     with pytest.raises(stratum.ConstancyViolated, match=r"\(term 13\)"):
         by_oracle(s, default_chars(s), (1, 1))
+
+
+def test_by_oracle_names_a_chunk_that_is_constant_on_its_own(monkeypatch):
+    # e3f2's sample of 150 makes chunks from terms 0, 64 and 128.  The second
+    # chunk agrees with itself but not with term 0.
+    s = builtin_case("e3f2")
+    p = s.tower.p
+    evaluate = stratum.eval_simple_char
+    calls = []
+
+    def corrupt(chi, g):
+        values = evaluate(chi, g)
+        if chi.side == "u":
+            calls.append(len(values))
+            if len(calls) == 2:
+                values = [v * cyc_root(p, 1) for v in values]
+        return values
+
+    monkeypatch.setattr(stratum, "eval_simple_char", corrupt)
+    with pytest.raises(stratum.ConstancyViolated, match=r"\(term 64\)"):
+        by_oracle(s, default_chars(s), (1, 1), sample=150, seed=5)
+
+
+def test_bz_oracle_compares_the_exhaustive_totals(monkeypatch):
+    # Path B off by one at a single unit: every term still matches its own
+    # phase, so only the comparison of the two totals can see it.
+    s = builtin_case("e1f2")
+    phase_sum = stratum.phase_sum
+    calls = []
+
+    def off_by_one(*args, **kwargs):
+        calls.append(None)
+        total = phase_sum(*args, **kwargs)
+        return total + CycNum.one(s.tower.p) if len(calls) == 1 else total
+
+    monkeypatch.setattr(stratum, "phase_sum", off_by_one)
+    with pytest.raises(stratum.PathMismatch, match="two evaluation routes disagree"):
+        bz_oracle(s, default_chars(s), mu_pair(s.tower))
+    # A sampled run returns path B and compares no totals.
+    calls.clear()
+    bz_oracle(s, default_chars(s), mu_pair(s.tower), sample=5)
 
 
 def test_chunk_failure_names_the_term(monkeypatch):
