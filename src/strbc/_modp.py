@@ -118,20 +118,15 @@ def in_row_space(vec: np.ndarray, basis: np.ndarray, p: int) -> bool:
 
 def complete_basis(lower: np.ndarray, upper: np.ndarray, p: int) -> np.ndarray:
     """Rows of `upper`, taken greedily in order, completing a basis of
-    `lower` to one of `upper`."""
-    want = rank(upper, p) - rank(lower, p)
-    span = [row % p for row in lower]
-    out: list[np.ndarray] = []
-    for v in upper:
-        if len(out) == want:
-            break
-        if span:
-            if in_row_space(v, np.array(span), p):
-                continue
-        elif not np.any(v % p):
-            continue
-        out.append(v % p)
-        span.append(v % p)
-    if len(out) != want:
+    `lower` to one of `upper`.
+
+    A row is taken exactly when it is a pivot column of one rref of the
+    rows of [lower; upper] as columns: it lies outside the span of all rows
+    before it."""
+    stacked = np.vstack([lower, upper]) % p
+    _, pivots = rref(stacked.T, p)
+    want = rank(upper, p) - sum(c < len(lower) for c in pivots)
+    take = [c - len(lower) for c in pivots if c >= len(lower)][:want]
+    if len(take) != want:
         raise AssertionError("could not complete the basis")
-    return np.array(out, dtype=np.int64).reshape(want, upper.shape[1])
+    return stacked[len(lower) + np.array(take, dtype=np.int64)]

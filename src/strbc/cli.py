@@ -14,9 +14,10 @@ stratum.  ``--json <path>`` writes the machine-readable payload, and a path
 that cannot be written is refused before any work.
 
 Exit codes: 0 every internal cross-check passed, 1 a cross-check failed
-(or ``gauss`` compared no form), 2 bad input (arguments, config, or an
-enumeration past ``--bound``), 3 the experiment lies outside what the
-library computes (a one-line ``error:`` message names the reason).
+(or ``gauss`` compared no form; a failed Hecke check that stops the run
+prints one ``error: check failed:`` line), 2 bad input (arguments, config,
+or an enumeration past ``--bound``), 3 the experiment lies outside what
+the library computes (a one-line ``error:`` message names the reason).
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from .finite_field import _MAX_ORDER, AddChar, MultChar, _is_prime, get_field, pow_fq
 from .gauss import (
+    DEFAULT_ENUMERATION_BOUND,
     EnumerationTooLarge,
     NonUnitQuotient,
     QuadSpace,
@@ -43,6 +45,7 @@ from .gauss import (
 )
 from .hecke_bc import (
     HeckeParams,
+    InconsistentParams,
     LevelZeroChar,
     base_change,
     normalized_spectrum,
@@ -52,7 +55,9 @@ from .hecke_bc import (
 from .local_model import TowerConfig, build_tower, iwahori_indices
 from .stratum import (
     BUILTIN_CASE_NAMES,
+    ConstancyViolated,
     LinearizationInvalid,
+    PathMismatch,
     StratumSpec,
     builtin_case,
     by_oracle,
@@ -231,7 +236,7 @@ def cmd_gauss(cfg: ExperimentConfig, args) -> int:
     ok = True
     compared = 0
     for q in grid_q:
-        k = get_field(q, 1)
+        k = get_field(q)
         psi = AddChar(k, 1)
         # n = 0: the empty sum over a point is 1
         rows.append({"q": q, "n": 0, "status": "sum=1 sign=+1"})
@@ -439,7 +444,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("config", nargs="?", help="JSON config file")
         p.add_argument("--case", choices=BUILTIN_CASE_NAMES,
                        help="built-in desk instance")
-        p.add_argument("--bound", type=_positive_int, default=10**7,
+        p.add_argument("--bound", type=_positive_int,
+                       default=DEFAULT_ENUMERATION_BOUND,
                        help="enumeration cap")
         p.add_argument("--threads", type=_positive_int, default=1)
         p.add_argument("--seed", type=int, default=None,
@@ -479,6 +485,9 @@ def main(argv=None) -> int:
     except (ConfigError, OSError, EnumerationTooLarge) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except (InconsistentParams, PathMismatch, ConstancyViolated) as exc:
+        print(f"error: check failed: {exc}", file=sys.stderr)
+        return 1
     except (NonUnitQuotient, LinearizationInvalid) as exc:
         print(f"error: out of scope: {exc}", file=sys.stderr)
         return 3

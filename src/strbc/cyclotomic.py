@@ -40,20 +40,23 @@ def euler_phi(m: int) -> int:
     return result
 
 
-def _poly_divide_exact(num: list[int], den: list[int]) -> list[int]:
-    # Exact division of integer polynomials with monic denominator.
-    num = list(num)
+def poly_divmod(num, den, p: int = 0) -> tuple[list[int], list[int]]:
+    """Quotient and remainder of num by the monic den (coefficients low to
+    high), over Z, or over F_p with both reduced mod p when p > 0."""
+    rem = list(num)
     dd = len(den) - 1
-    out = [0] * (len(num) - dd)
-    for i in range(len(num) - 1, dd - 1, -1):
-        c = num[i]
-        out[i - dd] = c
-        if c:
-            for j, dj in enumerate(den):
-                num[i - dd + j] -= c * dj
-    if any(num):
-        raise ArithmeticError("inexact polynomial division")
-    return out
+    quo = [0] * max(0, len(rem) - dd)
+    if quo:
+        terms = [(j, d) for j, d in enumerate(den[:dd]) if d]
+        for i in range(len(rem) - 1, dd - 1, -1):
+            c = rem[i] % p if p else rem[i]
+            if c:
+                quo[i - dd] = c
+                for j, d in terms:
+                    rem[i - dd + j] -= c * d
+    if p:
+        return quo, [c % p for c in rem[:dd]]
+    return quo, rem[:dd]
 
 
 @lru_cache(maxsize=None)
@@ -68,47 +71,10 @@ def cyclotomic_polynomial(m: int) -> tuple[int, ...]:
     num[0], num[m] = -1, 1
     for d in range(1, m):
         if m % d == 0:
-            num = _poly_divide_exact(num, list(cyclotomic_polynomial(d)))
+            num, rem = poly_divmod(num, cyclotomic_polynomial(d))
+            if any(rem):
+                raise ArithmeticError("inexact polynomial division")
     return tuple(num)
-
-
-_ROW_CACHE: dict[int, list[tuple[int, ...]]] = {}
-
-
-def _reduction_rows(m: int, count: int) -> list[tuple[int, ...]]:
-    # Row k: coefficients of zeta_M^(deg + k) on the power basis, for the
-    # overflow degrees produced by multiplication or by cyc_root.
-    deg = euler_phi(m)
-    phi = cyclotomic_polynomial(m)
-    rows = _ROW_CACHE.setdefault(m, [])
-    if rows:
-        cur = list(rows[-1])
-    else:
-        # zeta^deg = -(phi[0] + phi[1] z + ... + phi[deg-1] z^(deg-1))
-        cur = [-c for c in phi[:deg]]
-        rows.append(tuple(cur))
-    while len(rows) < count:
-        top = cur[deg - 1]
-        cur = [0] + cur[: deg - 1]
-        if top:
-            for i in range(deg):
-                cur[i] -= top * phi[i]
-        rows.append(tuple(cur))
-    return rows
-
-
-def _reduce(m: int, raw: list[int]) -> tuple[int, ...]:
-    deg = euler_phi(m)
-    out = list(raw[:deg]) + [0] * max(0, deg - len(raw))
-    if len(raw) > deg:
-        rows = _reduction_rows(m, len(raw) - deg)
-        for k in range(deg, len(raw)):
-            c = raw[k]
-            if c:
-                row = rows[k - deg]
-                for i in range(deg):
-                    out[i] += c * row[i]
-    return tuple(out)
 
 
 class CycNum:
@@ -120,8 +86,8 @@ class CycNum:
         coeffs = list(coeffs)
         deg = euler_phi(modulus)
         if len(coeffs) > deg:
-            coeffs = list(_reduce(modulus, coeffs))
-        elif len(coeffs) < deg:
+            coeffs = poly_divmod(coeffs, cyclotomic_polynomial(modulus))[1]
+        else:
             coeffs += [0] * (deg - len(coeffs))
         object.__setattr__(self, "modulus", modulus)
         object.__setattr__(self, "coeffs", tuple(coeffs))
@@ -182,11 +148,11 @@ class CycNum:
             return NotImplemented
         deg = len(a.coeffs)
         raw = [0] * (2 * deg - 1)
+        terms = [(j, y) for j, y in enumerate(b.coeffs) if y]
         for i, x in enumerate(a.coeffs):
             if x:
-                for j, y in enumerate(b.coeffs):
-                    if y:
-                        raw[i + j] += x * y
+                for j, y in terms:
+                    raw[i + j] += x * y
         return CycNum(a.modulus, raw)
 
     __rmul__ = __mul__
@@ -199,8 +165,9 @@ class CycNum:
         while k:
             if k & 1:
                 out = out * base
-            base = base * base
             k >>= 1
+            if k:
+                base = base * base
         return out
 
     def __eq__(self, other):

@@ -16,7 +16,7 @@ from math import gcd, isqrt
 
 import numpy as np
 
-from .cyclotomic import CycNum, cyc_embed, cyc_root
+from .cyclotomic import CycNum, cyc_embed, cyc_root, poly_divmod
 
 
 class DivisionByZero(ZeroDivisionError):
@@ -102,13 +102,7 @@ class FqField:
         for deg in range(1, f // 2 + 1):
             for k in range(p**deg):
                 div = [(k // p**i) % p for i in range(deg)] + [1]
-                rem = list(poly)
-                for i in range(len(rem) - 1, deg - 1, -1):
-                    c = rem[i]
-                    if c:
-                        for j, dj in enumerate(div):
-                            rem[i - deg + j] = (rem[i - deg + j] - c * dj) % p
-                if not any(rem[:deg]):
+                if not any(poly_divmod(poly, div, p)[1]):
                     return False
         return True
 
@@ -188,9 +182,12 @@ class FqField:
         return f"FqField(p={self.p}, f={self.f})"
 
 
-@lru_cache(maxsize=None)
+# One field object per order: the memo key is always the pair (p, f).
+_field = lru_cache(maxsize=None)(FqField)
+
+
 def get_field(p: int, f: int = 1) -> FqField:
-    return FqField(p, f)
+    return _field(p, f)
 
 
 class FqElem:
@@ -236,14 +233,8 @@ class FqElem:
             if a:
                 for j, b in enumerate(other.coeffs):
                     raw[i + j] += a * b
-        mod = self.field.modulus
-        for i in range(2 * f - 2, f - 1, -1):
-            c = raw[i] % p
-            if c:
-                for j in range(f + 1):
-                    raw[i - f + j] -= c * mod[j]
-            raw[i] = 0
-        return FqElem(self.field, tuple(c % p for c in raw[:f]))
+        _, rem = poly_divmod(raw, self.field.modulus, p)
+        return FqElem(self.field, tuple(rem))
 
     __rmul__ = __mul__
 
@@ -303,10 +294,13 @@ class MultChar:
 
     def sign(self, x: FqElem) -> int:
         """Value as +-1; only valid for characters of order dividing 2."""
-        v = self(x).as_int()
-        if v not in (1, -1):
+        if not x:
+            raise EvalAtZero("multiplicative character at zero")
+        m = self.field.q - 1
+        a = self.exponent * x.discrete_log() % m
+        if 2 * a % m:
             raise ValueError(f"{self!r} at {x!r} is not a sign")
-        return v
+        return -1 if a else 1
 
     def is_trivial(self) -> bool:
         return self.exponent == 0

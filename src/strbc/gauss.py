@@ -26,7 +26,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .cyclotomic import CycNum, cyc_is_rational_sign_times, cyc_root
+from .cyclotomic import CycNum, cyc_is_rational_sign_times
 from .finite_field import (
     AddChar,
     FqElem,
@@ -60,15 +60,10 @@ class QuadSpace:
     the read-only int64 (n, n, f) array of the coefficients of S."""
 
     def __init__(self, field: FqField, gram):
-        """gram: n rows of n FqElem entries, or an int (n, n, f) array of
-        their coefficients."""
+        """gram: an int (n, n, f) array of the coefficients of S."""
         n = len(gram)
         if any(len(row) != n for row in gram):
             raise ValueError("Gram matrix must be square")
-        if not isinstance(gram, np.ndarray):
-            if any(x.field != field for row in gram for x in row):
-                raise MixedFields(f"Gram entries must lie in {field}")
-            gram = [[x.coeffs for x in row] for row in gram]
         gram = np.array(gram, dtype=np.int64).reshape(n, n, field.f) % field.p
         if (gram != gram.swapaxes(0, 1)).any():
             raise ValueError("Gram matrix must be symmetric")
@@ -211,10 +206,10 @@ def gauss_sum_brute(space: QuadSpace, psi: AddChar,
 @lru_cache(maxsize=None)
 def one_dim_gauss_value(field: FqField, psi: AddChar) -> CycNum:
     """g(psi) = sum over t of psi(t^2); computed once per (field, psi)."""
-    total = CycNum.zero(field.p)
+    counts = [0] * field.p
     for t in field.elements():
-        total = total + cyc_root(field.p, psi.residue_phase(t * t))
-    return total
+        counts[psi.residue_phase(t * t)] += 1
+    return CycNum(field.p, counts)
 
 
 def gauss_sum_closed(space: QuadSpace, psi: AddChar) -> CycNum:
@@ -272,23 +267,19 @@ def normalized_sign(space: QuadSpace, psi: AddChar,
         quadrant = "+1" if s == 1 else "-1"
         return SignResult(s, quadrant, closed, npoints, ref)
     # Odd F_p-dimension: express against the one-dimensional Gauss value.
-    g = one_dim_gauss_value(get_prime_field(fld), psi_restricted(psi))
+    fp = get_field(fld.p)
+    g = one_dim_gauss_value(fp, psi_restricted(psi))
     ref = CycNum.integer(fld.p ** ((pdim - 1) // 2)) * g
     s = cyc_is_rational_sign_times(closed, ref)
     if s is None:
         raise NonUnitQuotient("normalized quotient is not a fourth root")
-    chi = quadratic_residue_char(get_prime_field(fld))
-    real = chi(-get_prime_field(fld).one()).as_int() == 1
+    real = quadratic_residue_char(fp).sign(-fp.one()) == 1
     quadrant = ("+" if s == 1 else "-") + ("g/sqrt(q):real" if real else "g/sqrt(q):imag")
     return SignResult(None, quadrant, closed, npoints, ref)
 
 
-def get_prime_field(field: FqField) -> FqField:
-    return get_field(field.p, 1)
-
-
 def psi_restricted(psi: AddChar) -> AddChar:
     """The restriction of psi to the prime field (twist = Tr of the twist)."""
-    fp = get_prime_field(psi.field)
+    fp = get_field(psi.field.p)
     # For x in F_p, Tr_{F_q/F_p}(a x) = Tr(a) x.
     return AddChar(fp, psi.field.trace(psi.twist))

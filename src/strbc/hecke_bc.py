@@ -204,14 +204,11 @@ def normalized_spectrum(hp: HeckeParams) -> dict[str, tuple[int, int]]:
     out = {}
     for w in ("y", "z"):
         lo, hi = raw[w]
-        scale = -lo  # the negative root rescales to -1
         r = (hi.half - lo.half) // 2
         if (hi.half - lo.half) % 2:
             raise InconsistentParams(
                 f"spectrum of T_{w} is not q_E^r apart for an integer r"
             )
-        if not (scale * QPower(hi.sign * scale.sign, hi.half - lo.half)).sign:
-            raise InconsistentParams(f"spectrum of T_{w} rescales to zero")
         out[w] = (-1, hp.q_E**r)
         if r != getattr(hp, f"r_{w}"):
             raise InconsistentParams(

@@ -600,21 +600,20 @@ class TowerSpec:
 
     # -- the Hermitian structure ---------------------------------------------
 
-    def tau(self, x: EElem, shift: int | None = None) -> tuple[dict[int, int], int]:
+    def tau(self, x: EElem, shift: int) -> tuple[dict[int, int], int]:
         """Extraction functional: sum_t Tr_{k_E/k}(a_{et+shift} u^t) w_F^t,
         as ({t: c} nonzero coefficients, fprec).
 
         F-linear E -> F; nonzero, hence the associated pairing on E is
         nondegenerate in every characteristic."""
-        w0 = self.form_shift if shift is None else shift
         coeffs: dict[int, int] = {}
         for i, c in x.coeffs.items():
-            if (i - w0) % self.e == 0:
-                t = (i - w0) // self.e
+            if (i - shift) % self.e == 0:
+                t = (i - shift) // self.e
                 val = self.kE.trace(c * pow_fq(self.u, t))
                 if val:
                     coeffs[t] = val
-        fprec = -((w0 - x.prec) // self.e)
+        fprec = -((shift - x.prec) // self.e)
         return coeffs, fprec
 
     def _build_gram(self, shift: int) -> "MatF":

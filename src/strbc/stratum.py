@@ -48,6 +48,7 @@ from .gauss import (
     NonUnitQuotient,
     QuadSpace,
     SignResult,
+    gauss_sum_brute,
     normalized_sign,
     phase_sum,
 )
@@ -387,10 +388,7 @@ def epsilon_z(s: StratumSpec, psi: AddChar, threads: int = 1,
         # The phase form can degenerate (a wild sub-extension kills the
         # trace residue on a whole block); the raw sum is then a higher
         # power of p and there is no sign to extract.
-        if wz.size > bound:
-            raise EnumerationTooLarge(f"{wz.size} points exceeds bound {bound}")
-        twist = psi.twist.coeffs[0]
-        total = phase_sum(gram * twist % tower.p, tower.p, threads=threads)
+        total = gauss_sum_brute(space, psi, bound=bound, threads=threads)
         root = CycNum.integer(math.isqrt(wz.size), tower.p)
         sign = cyc_is_rational_sign_times(total, root)
         if sign is None:
@@ -506,14 +504,14 @@ class SimpleCharSpec:
             self.c_eff = stratum.c_elems
 
 
-def default_chars(s: StratumSpec, psi: AddChar | None = None,
-                  bhat: int = 1) -> tuple[SimpleCharSpec, SimpleCharSpec]:
-    """A matched (big, square-root) character pair with det twist bhat."""
+def default_chars(s: StratumSpec, psi: AddChar | None = None
+                  ) -> tuple[SimpleCharSpec, SimpleCharSpec]:
+    """A matched (big, square-root) character pair with det twist 1."""
     tower = s.tower
     if psi is None:
         psi = AddChar(tower.k, 1)
     xi = [tower.e_zero()] * (s.d + 1)
-    xi.append(tower.e_monomial(-tower.e, tower.u * tower.kE.from_int(bhat)))
+    xi.append(tower.e_monomial(-tower.e, tower.u))
     return (
         SimpleCharSpec(s, psi, xi, side="gl"),
         SimpleCharSpec(s, psi, xi, side="u"),

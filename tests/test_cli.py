@@ -440,6 +440,54 @@ def test_cli_json_check_leaves_no_file_behind(capsys, tmp_path):
 
 
 # ---------------------------------------------------------------------------
+# A Hecke cross-check that stops the run: exit 1 with one error line.
+
+
+def run_check_failed(argv, capsys, tmp_path):
+    """Run argv with a --json path, check for exit 1 with empty stdout, one
+    'error: check failed:' line and no payload, and return that line."""
+    path = tmp_path / "r.json"
+    code, out, err = run(argv + ["--json", str(path)], capsys)
+    assert code == 1 and out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: check failed: ")
+    assert not path.exists()
+    return lines[0]
+
+
+def test_cli_reports_an_inconsistent_b_y(capsys, tmp_path, monkeypatch):
+    oracle = stratum.by_oracle
+    monkeypatch.setattr("strbc.cli.by_oracle", lambda *a, **k: oracle(*a, **k) * 2)
+    line = run_check_failed(["reducibility", "--case", "e1f2"], capsys, tmp_path)
+    assert "b_y = 48 does not match the invariant value 24" in line
+
+
+def test_cli_reports_a_path_mismatch(capsys, tmp_path, monkeypatch):
+    # Path B one off at every unit: only the comparison of the totals sees it.
+    phase_sum = stratum.phase_sum
+    monkeypatch.setattr(stratum, "phase_sum",
+                        lambda *a, **k: phase_sum(*a, **k) + 1)
+    line = run_check_failed(["reducibility", "--case", "e1f2"], capsys, tmp_path)
+    assert "two evaluation routes disagree" in line
+
+
+# ---------------------------------------------------------------------------
+# gauss at the field-order cap finishes: g(psi) is one count of phases, and
+# the quadratic character is read from a discrete log.
+
+
+def test_cli_gauss_at_a_large_field_order(capsys, tmp_path):
+    cfgp = tmp_path / "cfg.json"
+    cfgp.write_text(json.dumps({"schema_version": 1, "case": "u1", "run": {
+        "grid_q": [10007], "grid_n": 1, "grid_count": 1}}))
+    start = time.monotonic()
+    code, out, err = run(["gauss", str(cfgp), "--seed", "1"], capsys)
+    assert time.monotonic() - start < 3
+    assert (code, err) == (0, "")
+    assert out.splitlines()[-1] == "gauss cross-validation: all-match"
+
+
+# ---------------------------------------------------------------------------
 # Malformed config values are bad input: exit 2 with one error line.
 
 GOOD_TOWER = {"q": 3, "e": 1, "f": 1}

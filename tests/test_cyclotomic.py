@@ -10,6 +10,7 @@ from strbc.cyclotomic import (
     cyc_root,
     cyclotomic_polynomial,
     euler_phi,
+    poly_divmod,
 )
 
 
@@ -114,3 +115,69 @@ def test_power_operator():
     for k in range(10):
         assert z**k == acc
         acc = acc * z
+
+
+# -- poly_divmod against the division loops it replaced ----------------------
+
+
+def exact_division_loop(num, den):
+    # The former exact division of integer polynomials by a monic den.
+    num = list(num)
+    dd = len(den) - 1
+    out = [0] * (len(num) - dd)
+    for i in range(len(num) - 1, dd - 1, -1):
+        c = num[i]
+        out[i - dd] = c
+        if c:
+            for j, dj in enumerate(den):
+                num[i - dd + j] -= c * dj
+    assert not any(num)
+    return out
+
+
+def row_table_reduce(m, raw):
+    # The former reduction: row k holds zeta_M^(deg + k) on the power basis,
+    # and each overflow coefficient adds its multiple of that row.
+    deg = euler_phi(m)
+    phi = cyclotomic_polynomial(m)
+    cur = [-c for c in phi[:deg]]
+    rows = [tuple(cur)]
+    while len(rows) < len(raw) - deg:
+        top = cur[deg - 1]
+        cur = [0] + cur[: deg - 1]
+        if top:
+            for i in range(deg):
+                cur[i] -= top * phi[i]
+        rows.append(tuple(cur))
+    out = list(raw[:deg]) + [0] * max(0, deg - len(raw))
+    for k in range(deg, len(raw)):
+        for i in range(deg):
+            out[i] += raw[k] * rows[k - deg][i]
+    return tuple(out)
+
+
+def test_cyclotomic_polynomials_match_exact_division():
+    for m in range(2, 80):
+        num = [-1] + [0] * (m - 1) + [1]
+        for d in range(1, m):
+            if m % d == 0:
+                num = exact_division_loop(num, cyclotomic_polynomial(d))
+        assert cyclotomic_polynomial(m) == tuple(num)
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.sampled_from([3, 4, 5, 7, 8, 24, 48, 336]).flatmap(
+    lambda m: st.tuples(st.just(m), st.lists(
+        st.integers(-50, 50), max_size=max(m, 2 * euler_phi(m) - 1)))))
+def test_reduction_matches_the_row_table(args):
+    m, raw = args
+    assert CycNum(m, raw).coeffs == row_table_reduce(m, raw)
+
+
+def test_poly_divmod_quotient_and_remainder():
+    # x^4 + 2x + 3 = (x^2 + 1)(x^2 - 1) + (2x + 4) over Z; mod 3 the
+    # remainder is 2x + 1.
+    assert poly_divmod([3, 2, 0, 0, 1], [1, 0, 1]) == ([-1, 0, 1], [4, 2])
+    assert poly_divmod([3, 2, 0, 0, 1], [1, 0, 1], 3) == ([2, 0, 1], [1, 2])
+    assert poly_divmod([5], [0, 1], 3) == ([], [2])
+    assert poly_divmod([4], [1, 0, 1]) == ([], [4])

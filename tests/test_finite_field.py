@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from strbc import finite_field
 from strbc.cyclotomic import CycNum
 from strbc.finite_field import (
     AddChar,
@@ -16,6 +17,7 @@ from strbc.finite_field import (
     pow_fq,
     quadratic_residue_char,
 )
+from strbc.local_model import TowerConfig, build_tower
 
 SUPPORTED = [(3, 1), (3, 2), (3, 3), (5, 1), (5, 2), (7, 1), (11, 1), (13, 1)]
 
@@ -182,3 +184,97 @@ def test_field_order_is_capped_before_any_work(p, f, order, monkeypatch):
     monkeypatch.setattr(FqField, "_build_log_tables", refuse)
     with pytest.raises(ValueError, match=rf"field order {re.escape(order)} exceeds 65536"):
         FqField(p, f)
+
+
+# -- poly_divmod against the remainder loops it replaced ---------------------
+
+
+def product_loop(fld, a, b):
+    # The former product: schoolbook, then the modulus reduction loop.
+    p, f = fld.p, fld.f
+    raw = [0] * (2 * f - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            raw[i + j] += x * y
+    mod = fld.modulus
+    for i in range(2 * f - 2, f - 1, -1):
+        c = raw[i] % p
+        if c:
+            for j in range(f + 1):
+                raw[i - f + j] -= c * mod[j]
+        raw[i] = 0
+    return tuple(c % p for c in raw[:f])
+
+
+def irreducible_loop(p, f, low):
+    # The former trial division by every monic polynomial of degree <= f/2.
+    poly = list(low) + [1]
+    for deg in range(1, f // 2 + 1):
+        for k in range(p**deg):
+            div = [(k // p**i) % p for i in range(deg)] + [1]
+            rem = list(poly)
+            for i in range(len(rem) - 1, deg - 1, -1):
+                c = rem[i]
+                if c:
+                    for j, dj in enumerate(div):
+                        rem[i - deg + j] = (rem[i - deg + j] - c * dj) % p
+            if not any(rem[:deg]):
+                return False
+    return True
+
+
+def _coeffs(p, f):
+    return st.tuples(*[st.integers(0, p - 1)] * f)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from([(3, 2), (5, 2), (3, 3), (7, 2)]).flatmap(
+    lambda pf: st.tuples(st.just(pf), _coeffs(*pf), _coeffs(*pf))))
+def test_product_matches_the_reduction_loop(args):
+    (p, f), a, b = args
+    fld = get_field(p, f)
+    assert (fld.element(a) * fld.element(b)).coeffs == product_loop(fld, a, b)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from([(3, 2), (3, 3), (3, 4), (5, 2), (5, 3), (5, 4),
+                        (7, 2), (7, 3), (7, 4)]).flatmap(
+    lambda pf: st.tuples(st.just(pf), _coeffs(*pf))))
+def test_modulus_choice_matches_the_trial_division_loop(args):
+    (p, f), low = args
+    fld = get_field(p, f)
+    assert fld._irreducible(low) == irreducible_loop(p, f, low)
+    least = next(k for k in range(p**f) if irreducible_loop(
+        p, f, [(k // p**i) % p for i in range(f)]))
+    assert fld.modulus == tuple((least // p**i) % p for i in range(f)) + (1,)
+
+
+@pytest.mark.parametrize("pf", SUPPORTED)
+def test_character_sign_matches_its_value(pf):
+    # sign reads k log(x) mod (q - 1); the value is zeta_{q-1}^(k log x).
+    fld = get_field(*pf)
+    for k in range(fld.q - 1):
+        chi = MultChar(fld, k)
+        for x in fld.units():
+            value = chi(x).as_int()
+            if value in (1, -1):
+                assert chi.sign(x) == value
+            else:
+                with pytest.raises(ValueError, match="is not a sign"):
+                    chi.sign(x)
+    with pytest.raises(EvalAtZero):
+        quadratic_residue_char(fld).sign(fld.zero())
+
+
+def test_one_field_object_per_order(monkeypatch):
+    # get_field(q) and get_field(q, 1) share one memo key, so a tower with
+    # f = 1 builds its residue field once.
+    built = []
+    build = FqField._build_log_tables
+    monkeypatch.setattr(FqField, "_build_log_tables",
+                        lambda self: built.append(self) or build(self))
+    finite_field._field.cache_clear()
+    tower = build_tower(TowerConfig(q=101, e=1, f=1))
+    assert built == [tower.k] and tower.k is tower.kE
+    assert get_field(101) is get_field(101, 1) is tower.k
+    assert built == [tower.k]

@@ -307,6 +307,56 @@ def test_intersect_row_spaces():
     assert _modp.in_row_space(np.array([0, 1, 0]), got, 3)
 
 
+def greedy_complete_basis(lower, upper, p):
+    # The former completion: each row of upper is kept when a pair of ranks
+    # says it lies outside the span of lower and the rows kept so far.
+    want = _modp.rank(upper, p) - _modp.rank(lower, p)
+    span = [row % p for row in lower]
+    out = []
+    for v in upper:
+        if len(out) == want:
+            break
+        if span:
+            if _modp.in_row_space(v, np.array(span), p):
+                continue
+        elif not np.any(v % p):
+            continue
+        out.append(v % p)
+        span.append(v % p)
+    if len(out) != want:
+        raise AssertionError("could not complete the basis")
+    return np.array(out, dtype=np.int64).reshape(want, upper.shape[1])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from([3, 5, 7]), st.integers(1, 5), st.integers(0, 4),
+       st.integers(0, 6), st.booleans(), st.randoms(use_true_random=False))
+def test_complete_basis_matches_the_greedy_loop(p, n, nl, nu, inside, rng):
+    # Rows are drawn from a few short combinations, so that dependent,
+    # repeated and zero rows occur; with inside set, lower is built from
+    # rows of upper, otherwise it may leave the span of upper.
+    def combos(gens, k):
+        return np.array([sum(rng.randrange(p) * g for g in gens)
+                         if gens else np.zeros(n, dtype=np.int64)
+                         for _ in range(k)], dtype=np.int64).reshape(k, n)
+
+    gens = [np.array([rng.randrange(-p, 2 * p) for _ in range(n)], dtype=np.int64)
+            for _ in range(rng.randrange(0, n + 1))]
+    upper = combos(gens, nu)
+    lower = combos(list(upper), nl) if inside else combos(gens + gens[:1], nl)
+    if not inside and rng.random() < 0.5:
+        lower = np.vstack([lower, np.eye(n, dtype=np.int64)[:1]])
+    try:
+        want = greedy_complete_basis(lower, upper, p)
+    except AssertionError:
+        with pytest.raises(AssertionError, match="could not complete the basis"):
+            _modp.complete_basis(lower, upper, p)
+        return
+    got = _modp.complete_basis(lower, upper, p)
+    assert got.dtype == np.int64 and got.shape == want.shape
+    assert (got == want).all()
+
+
 # -- centralizers and graded coset spaces ------------------------------------
 
 

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from strbc import _modp, stratum
+from strbc import _modp, gauss, stratum
 from strbc.cyclotomic import CycNum, cyc_root
 from strbc.finite_field import AddChar, MultChar, quadratic_residue_char
 from strbc.gauss import EnumerationTooLarge, NonUnitQuotient, normalized_sign
@@ -222,7 +222,7 @@ def test_epsilon_degenerate_form_honours_bound(monkeypatch):
     def no_enumeration(*args, **kwargs):
         raise AssertionError("enumerated past the bound")
 
-    monkeypatch.setattr(stratum, "phase_sum", no_enumeration)
+    monkeypatch.setattr(gauss, "phase_sum", no_enumeration)
     s = builtin_case("d1-tower")
     with pytest.raises(EnumerationTooLarge):
         epsilon_z(s, std_psi(s.tower), bound=3**10 - 1)
@@ -237,7 +237,7 @@ def test_epsilon_degenerate_form_reads_a_rational_sign(sign, monkeypatch):
     size = build_Wz(t, s).size
     root = CycNum.integer(math.isqrt(size), t.p)
     total = {1: root, -1: -root, None: root * cyc_root(t.p, 1)}[sign]
-    monkeypatch.setattr(stratum, "phase_sum", lambda *args, **kwargs: total)
+    monkeypatch.setattr(stratum, "gauss_sum_brute", lambda *args, **kwargs: total)
     if sign is None:
         with pytest.raises(NonUnitQuotient):
             epsilon_z(s, std_psi(t))
