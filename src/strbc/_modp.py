@@ -110,12 +110,6 @@ def mat_inv(mat: np.ndarray, p: int) -> np.ndarray:
     return a[:, :, n:].reshape(mat.shape)
 
 
-def in_row_space(vec: np.ndarray, basis: np.ndarray, p: int) -> bool:
-    if basis.size == 0:
-        return not np.any(vec % p)
-    return rank(np.vstack([basis, vec]), p) == rank(basis, p)
-
-
 def complete_basis(lower: np.ndarray, upper: np.ndarray, p: int) -> np.ndarray:
     """Rows of `upper`, taken greedily in order, completing a basis of
     `lower` to one of `upper`.

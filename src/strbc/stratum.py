@@ -10,8 +10,8 @@ minimal at its level.  On top of a stratum sit:
   normalized Gauss-sum sign attached to them (``epsilon_z``), together with
   its character-twist and uniformizer-rechoice covariance suite;
 * simple characters (``SimpleCharSpec``/``eval_simple_char``), evaluated
-  exactly on their linearization window r_0 = 1 as the product of a
-  determinant part and an additive trace part;
+  exactly on their linearization window r_0 = 1 as psi of a trace part
+  plus a determinant-residue part;
 * the coset-representative solver ``solve_Y_from_X`` (gradewise linear
   algebra for the relation X alpha(X) = Y - alpha(Y));
 * the two enumeration oracles ``by_oracle`` and ``bz_oracle`` that recompute
@@ -21,7 +21,8 @@ minimal at its level.  On top of a stratum sit:
   ``bound`` terms up front and names the term behind a failed check, and
   each oracle supplies a chunk's values and the values they must equal.
 
-All values are exact cyclotomic integers; enumerations refuse to approximate.
+A window character value zeta_p^a is carried as its exponent a in F_p;
+sums are exact cyclotomic integers, and enumerations refuse to approximate.
 """
 
 from __future__ import annotations
@@ -50,7 +51,6 @@ from .gauss import (
     SignResult,
     gauss_sum_brute,
     normalized_sign,
-    phase_sum,
 )
 from .local_model import (
     EElem,
@@ -548,20 +548,17 @@ def _domain_check(chi: SimpleCharSpec, g: MatF) -> MatF:
 
 
 def eval_simple_char(chi: SimpleCharSpec, g: MatF):
-    """Exact value of the simple character at g: a CycNum, or for a stack
-    the list of the values at its matrices.
+    """The simple character at g as the exponent a in [0, p) of its value
+    zeta_p^a: an int, or for a stack the int64 array of its exponents.
 
-    Valid on the linearization window d = 0, r_0 = 1, where the character
-    is the product of a det-residue part and one additive trace part, both
-    exactly multiplicative.  Off-window input raises LinearizationInvalid.
+    Valid on the linearization window d = 0, r_0 = 1, where the exponent is
+    the twist of psi times the sum of a trace part and a det-residue part,
+    both additive in g.  Off-window input raises LinearizationInvalid.
     """
     s = chi.stratum
     tower = s.tower
     W = _domain_check(chi, g)
-    if s.d != 0 or s.r_list[0] != 1:
-        raise LinearizationInvalid(
-            "full evaluation requires the d = 0, r_0 = 1 window"
-        )
+    _check_window(s, "eval_simple_char")
     p = tower.p
     phase = np.zeros(g.batch, dtype=np.int64)
     if not W.is_zero():
@@ -571,10 +568,8 @@ def eval_simple_char(chi: SimpleCharSpec, g: MatF):
         det = det_unit(g.truncated(2))
         _fail_first(det[..., 0] != 1, NotInDomain, "determinant is not a one-unit")
         phase = phase + chi.bhat * det[..., 1]
-    roots = tower.memo(("psi-roots", chi.psi.twist.coeffs), lambda: tuple(
-        cyc_root(p, chi.psi.residue_phase(tower.k.from_int(j))) for j in range(p)))
-    values = [roots[ph] for ph in (phase % p).ravel().tolist()]
-    return values if g.batch else values[0]
+    expo = chi.psi.twist.coeffs[0] * phase % p
+    return expo if g.batch else int(expo)
 
 
 # ---------------------------------------------------------------------------
@@ -609,18 +604,6 @@ def _unit_mats(tower: TowerSpec, i: int, units, power: int = 1) -> MatF:
 
     where, mats = tower.memo(("unit-mats", i, power), build)
     return mats.take([where[c.coeffs] for c in units])
-
-
-def _products(xs: list, ys: list) -> list:
-    """Entrywise products of two lists of CycNum that repeat a few values."""
-    seen: dict = {}
-    out = []
-    for a, b in zip(xs, ys):
-        key = (a.coeffs, b.coeffs)
-        if key not in seen:
-            seen[key] = a * b
-        out.append(seen[key])
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -835,15 +818,14 @@ def by_oracle(s: StratumSpec, chars, rho_signs: tuple[int, int],
         yp = _unit_mats(tower, 0, y0, -1) @ zmat
         xm = _unit_mats(tower, 0, ts)
         g = ident - (tower.alpha(xm) @ inverse_unit(Y) @ xm)
-        vals = _products(eval_simple_char(big, ident + yp),
-                         eval_simple_char(root, -g))
+        vals = (eval_simple_char(big, ident + yp) + eval_simple_char(root, -g)) % p
         if const is None:
-            const = vals[0]
-        return vals, [const] * len(vals)
+            const = int(vals[0])
+        return vals, const
 
     _walk(list(kE.units()), p, zdim, sample, seed, bound, step,
           ConstancyViolated, "integrand is not constant across representatives")
-    return (rho1 * rho2 * (kE.q - 1) * p**zdim) * const
+    return (rho1 * rho2 * (kE.q - 1) * p**zdim) * cyc_root(p, const)
 
 
 # Oracle terms evaluated together on the batch axis of MatF.  A chunk may
@@ -857,9 +839,10 @@ def _walk(units: list, p: int, dim: int, sample: int | None, seed: int,
     whether they are a sample.  More than ``bound`` terms are refused first.
 
     ``step(units, X)`` gets a chunk's units and (B, dim) coordinates and
-    returns its values with the values they must equal.  A per-term check
-    failing inside ``step`` names its stack index and the chunk's first
-    term; a value that differs raises exc(message) naming its term."""
+    returns its zeta_p exponents with the exponents they must equal.  A
+    per-term check failing inside ``step`` names its stack index and the
+    chunk's first term; an exponent that differs raises exc(message) naming
+    its term."""
     total = len(units) * p**dim
     count = total if sample is None else min(sample, total)
     if count > bound:
@@ -873,9 +856,9 @@ def _walk(units: list, p: int, dim: int, sample: int | None, seed: int,
             values, wanted = step([u for u, _ in chunk], X)
         except (NoSolution, NotInDomain, PathMismatch) as err:
             raise type(err)(f"{err}, in the chunk from term {start}") from err
-        for k, (value, want) in enumerate(zip(values, wanted)):
-            if value != want:
-                raise exc(f"{message} (term {start + k})")
+        differ = np.flatnonzero(values != wanted)
+        if differ.size:
+            raise exc(f"{message} (term {start + int(differ[0])})")
         start += len(chunk)
     return sampled
 
@@ -904,32 +887,30 @@ def _terms(units: list, p: int, dim: int, sample: int | None, seed: int):
             for i in picks], True
 
 
-def bz_oracle(s: StratumSpec, chars, rho_tilde,
+def bz_oracle(s: StratumSpec, chars, mus: tuple,
               sample: int | None = None, seed: int = 0,
-              threads: int = 1, bound: int = DEFAULT_ENUMERATION_BOUND):
-    """The second-generator coefficient, by two independent routes.
+              threads: int = 1, bound: int = DEFAULT_ENUMERATION_BOUND) -> tuple:
+    """The second-generator coefficient for each character in the tuple
+    ``mus``, by two independent routes that read one phase form Q_y (a
+    QuadSpace on W_z) per unit y.
 
     Path A evaluates, for each (y, X), the simple characters at the solved
-    (Y', 1 - alpha(X) Y^-1 X) pair; path B sums the quadratic Gauss-sum
-    phases blockwise.  Every evaluated term is compared against its path-B
-    phase, the determinant exchange identity is asserted on it, and the two
-    totals must agree exactly.  With ``sample`` set, path A is verified on
-    that many deterministically chosen terms and the path-B total is
-    returned (the per-term identity is what makes the totals equal).  Path A
-    runs on the term walk ``_walk``; a failing term is named by its index
-    in the enumeration.
-
-    ``rho_tilde`` may be a tuple of characters: both paths then run once,
-    only the mu(-y) weighting is per character, and a tuple of totals comes
-    back in the same order.  A phase sum of more than ``bound`` points, or
-    more than ``bound`` path-A terms, raises EnumerationTooLarge up front.
+    (Y', 1 - alpha(X) Y^-1 X) pair as an exponent of zeta_p, which must be
+    the term's Gauss-sum phase psi(Q_y(X)); the determinant exchange identity
+    is asserted on it.  Path B sums psi(Q_y) with ``gauss_sum_brute``, and
+    the two totals must agree exactly.  With ``sample`` set, path A is
+    verified on that many deterministically chosen terms and the path-B
+    totals are returned (the per-term identity is what makes the totals
+    equal).  Path A runs on the term walk ``_walk``; a failing term is named
+    by its index in the enumeration.  Only the mu(-y) weighting is per
+    character; the totals come back in the order of ``mus``.  A phase sum of
+    more than ``bound`` points, or more than ``bound`` path-A terms, raises
+    EnumerationTooLarge up front.
     """
     _check_window(s, "bz_oracle")
     big, root = _check_char_pair(s, chars)
     tower = s.tower
     p, kE = tower.p, tower.kE
-    many = isinstance(rho_tilde, tuple)
-    mus = [getattr(r, "mu_part", r) for r in (rho_tilde if many else (rho_tilde,))]
     for mu in mus:
         if not isinstance(mu, MultChar) or mu.field != kE:
             raise ValueError("need a multiplicative character on the residue "
@@ -937,48 +918,47 @@ def bz_oracle(s: StratumSpec, chars, rho_tilde,
         if mu.exponent not in (0, (kE.q - 1) // 2):
             raise ValueError("the restriction to the Teichmueller units must be "
                              "at most quadratic")
-    twist = big.psi.twist.coeffs[0]
     wz = build_Wz(tower, s)
     dim = wz.dim_k
     units = list(kE.units())
     if p**dim > bound:
         raise EnumerationTooLarge(f"{p**dim} points exceeds bound {bound}")
     inv2 = kE.from_int(2).inverse()
-    signs = {y: [mu(-y).as_int() for mu in mus] for y in units}
+    signs = {y: [mu.sign(-y) for mu in mus] for y in units}
 
     @functools.cache
-    def gram(y: FqElem) -> np.ndarray:
-        return _gauss_gram(s, wz, tower.e_monomial(1, y.inverse() * inv2))
+    def phase_form(y: FqElem) -> tuple[QuadSpace, np.ndarray]:
+        gram = _gauss_gram(s, wz, tower.e_monomial(1, y.inverse() * inv2))
+        space = _symmetrized_space(tower, gram)
+        return space, space.prime_gram(big.psi)
 
     # Path A: direct evaluation through the solved representatives.  Each
-    # term's value must be its phase zeta_p^e, where it adds its weight.
+    # term's exponent must be its phase X^T G X, where it adds its weight.
     weights = np.zeros((len(mus), p), dtype=np.int64)
-    roots = [cyc_root(p, e) for e in range(p)]
 
     def step(ys, X):
-        vals = _bz_chunk(s, big, root, wz, ys, X)
-        G = np.stack([gram(y) for y in ys])
-        expo = twist * np.einsum("bi,bij,bj->b", X, G, X) % p
+        G = np.stack([phase_form(y)[1] for y in ys])
+        expo = np.einsum("bi,bij,bj->b", X, G, X) % p
         np.add.at(weights.T, expo, [signs[y] for y in ys])
-        return vals, [roots[e] for e in expo.tolist()]
+        return _bz_chunk(s, big, root, wz, ys, X), expo
 
     sampled = _walk(units, p, dim, sample, seed, bound, step, PathMismatch,
                     "direct term value disagrees with its Gauss-sum phase")
-    # Path B: blockwise Gauss sums, one per y.
+    # Path B: one Gauss sum of the phase form per y.
     totals_b = [CycNum.zero(p)] * len(mus)
     for y in units:
-        gy = phase_sum(gram(y) * twist % p, p, threads=threads)
+        gy = gauss_sum_brute(phase_form(y)[0], big.psi, bound=bound, threads=threads)
         totals_b = [t + w * gy for t, w in zip(totals_b, signs[y])]
     totals_a = [CycNum(p, row.tolist()) for row in weights]
     if not sampled and totals_a != totals_b:
         raise PathMismatch("the two evaluation routes disagree")
-    return tuple(totals_b) if many else totals_b[0]
+    return tuple(totals_b)
 
 
 def _bz_chunk(s: StratumSpec, big: SimpleCharSpec, root: SimpleCharSpec,
-              wz, ys: list, X: np.ndarray) -> list:
+              wz, ys: list, X: np.ndarray) -> np.ndarray:
     """Path-A values of a chunk of terms (unit ys[b], W_z coordinates X[b]):
-    per term, the product of the two simple-character values at the
+    per term, the sum of the two simple-character exponents at the
     representative determined by (y, X), with the exchange identity on
     determinants asserted for every term with X != 0."""
     tower = s.tower
@@ -1007,7 +987,7 @@ def _bz_chunk(s: StratumSpec, big: SimpleCharSpec, root: SimpleCharSpec,
         dets = det_unit(MatF.stack(sides))
         _fail_first((dets[: len(terms)] != dets[len(terms) :]).any(axis=-1),
                     PathMismatch, "determinant exchange identity fails", terms)
-    return _products(eval_simple_char(big, one_plus), eval_simple_char(root, g))
+    return (eval_simple_char(big, one_plus) + eval_simple_char(root, g)) % p
 
 
 # ---------------------------------------------------------------------------

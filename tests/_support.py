@@ -15,7 +15,7 @@ from itertools import product
 
 import numpy as np
 
-from strbc import stratum
+from strbc import _modp, stratum
 from strbc.cyclotomic import CycNum, cyc_root
 from strbc.finite_field import AddChar, FqElem, pow_fq
 from strbc.gauss import EnumerationTooLarge, QuadSpace, TrivialAdditiveCharacter
@@ -60,6 +60,17 @@ def gauss_sum_brute_slow(space: QuadSpace, psi: AddChar,
     for xs in product(list(fld.elements()), repeat=space.dim):
         total = total + cyc_root(fld.p, psi.residue_phase(evaluate(space, list(xs))))
     return total
+
+
+# ---------------------------------------------------------------------------
+# Row spaces mod p.
+
+
+def in_row_space(vec: np.ndarray, basis: np.ndarray, p: int) -> bool:
+    """Whether vec lies in the row space of basis mod p."""
+    if basis.size == 0:
+        return not np.any(vec % p)
+    return _modp.rank(np.vstack([basis, vec]), p) == _modp.rank(basis, p)
 
 
 # ---------------------------------------------------------------------------
@@ -199,8 +210,8 @@ def _bz_term_with_aux(s, big, root, wz, y: FqElem, X: np.ndarray,
     if not xtot.is_zero():
         yinv = inverse_unit(one_plus) @ tower.m_of(tower.e_monomial(1, y.inverse()))
         g = ident - (alpha_x @ yinv @ xtot)
-    return (stratum.eval_simple_char(big, one_plus)[0]
-            * stratum.eval_simple_char(root, g)[0])
+    return (cyc_root(tower.p, stratum.eval_simple_char(big, one_plus)[0])
+            * cyc_root(tower.p, stratum.eval_simple_char(root, g)[0]))
 
 
 def bz_aux_independence(s, chars, y: FqElem, xv, aux_list) -> bool:
@@ -209,6 +220,6 @@ def bz_aux_independence(s, chars, y: FqElem, xv, aux_list) -> bool:
     big, root = chars
     wz = build_Wz(s.tower, s)
     X = np.array([xv], dtype=np.int64).reshape(1, wz.dim_k)
-    base = stratum._bz_chunk(s, big, root, wz, [y], X)[0]
+    base = cyc_root(s.tower.p, stratum._bz_chunk(s, big, root, wz, [y], X)[0])
     return all(_bz_term_with_aux(s, big, root, wz, y, X, a) == base
                for a in aux_list)

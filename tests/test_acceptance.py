@@ -199,10 +199,9 @@ def test_criterion_5_oracle_agreement():
         assert by_oracle(s, chars, (1, 1)).as_int() == closed
         mu_hi = MultChar(tower.kE, half * tower.f)
         mu_lo = MultChar(tower.kE, half * (tower.f - 1))
-        assert bz_oracle(s, chars, mu_hi, sample=sample).as_int() == 0
-        assert bz_oracle(s, chars, mu_lo,
-                         sample=sample).as_int() == (qE - 1) * isqrt(
-                             c_z // qE)
+        hi, lo = bz_oracle(s, chars, (mu_hi, mu_lo), sample=sample)
+        assert hi.as_int() == 0
+        assert lo.as_int() == (qE - 1) * isqrt(c_z // qE)
     elapsed = time.monotonic() - t0
     assert elapsed < 300
     _report(5, "oracle values match closed forms, paths agree", t0)
@@ -214,15 +213,16 @@ def test_criterion_6_simple_character_laws():
     for name in R1_CASE_NAMES:
         s = builtin_case(name)
         big, root = default_chars(s)
+        p = s.tower.p
         for _ in range(200):
             g = _random_h1(s, rng)
             h = _random_h1(s, rng)
-            assert eval_simple_char(big, g @ h) == eval_simple_char(
-                big, g) * eval_simple_char(big, h)
+            assert cyc_root(p, eval_simple_char(big, g @ h)) == cyc_root(
+                p, eval_simple_char(big, g)) * cyc_root(p, eval_simple_char(big, h))
         for _ in range(10):
             g = _random_unitary(s, rng)
-            v = eval_simple_char(root, g)
-            assert v * v == eval_simple_char(big, g)
+            v = cyc_root(p, eval_simple_char(root, g))
+            assert v * v == cyc_root(p, eval_simple_char(big, g))
     # the determinant identity det(I-WX) = det(I-XW) is asserted on every
     # enumerated summand inside the path-A oracle; run it in full on the
     # small cases so every summand is exercised
@@ -230,7 +230,7 @@ def test_criterion_6_simple_character_laws():
         s = builtin_case(name)
         chars = default_chars(s)
         half = (s.tower.kE.q - 1) // 2
-        bz_oracle(s, chars, MultChar(s.tower.kE, half * (s.tower.f - 1)))
+        bz_oracle(s, chars, (MultChar(s.tower.kE, half * (s.tower.f - 1)),))
     _report(6, "multiplicativity, square root, det identity", t0)
 
 

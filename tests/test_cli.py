@@ -464,9 +464,9 @@ def test_cli_reports_an_inconsistent_b_y(capsys, tmp_path, monkeypatch):
 
 def test_cli_reports_a_path_mismatch(capsys, tmp_path, monkeypatch):
     # Path B one off at every unit: only the comparison of the totals sees it.
-    phase_sum = stratum.phase_sum
-    monkeypatch.setattr(stratum, "phase_sum",
-                        lambda *a, **k: phase_sum(*a, **k) + 1)
+    brute = stratum.gauss_sum_brute
+    monkeypatch.setattr(stratum, "gauss_sum_brute",
+                        lambda *a, **k: brute(*a, **k) + 1)
     line = run_check_failed(["reducibility", "--case", "e1f2"], capsys, tmp_path)
     assert "two evaluation routes disagree" in line
 

@@ -37,3 +37,13 @@ def test_no_floats_in_package():
         for line in _float_uses(ast.parse(path.read_text(), str(path)))
     ]
     assert not found, f"floats in src/strbc: {found}"
+
+
+def test_tracer_finds_every_target(monkeypatch):
+    # The benchmark's tracer wraps functions of the package by name; a
+    # renamed or removed target shows here, not only in its own self-test.
+    root = SRC.parent.parent
+    monkeypatch.syspath_prepend(str(root / "perfbench"))
+    import selftest
+
+    assert selftest.check_install_roundtrip(root) == []

@@ -49,7 +49,7 @@ from strbc.stratum import (
     solve_Y_from_X,
 )
 
-from _support import bz_aux_independence
+from _support import bz_aux_independence, in_row_space
 
 CLOSED_MAGNITUDE = {"u1": 2, "e3f1": 6, "e1f2": 24, "e3f2": 1944, "e5f1": 18}
 
@@ -300,9 +300,9 @@ def test_eval_identity_is_one():
     for name in R1_CASE_NAMES:
         s = builtin_case(name)
         big, root = default_chars(s)
-        one = CycNum.one(s.tower.p)
-        assert eval_simple_char(big, MatF.identity(s.tower)) == one
-        assert eval_simple_char(root, MatF.identity(s.tower)) == one
+        p, one = s.tower.p, CycNum.one(s.tower.p)
+        assert cyc_root(p, eval_simple_char(big, MatF.identity(s.tower))) == one
+        assert cyc_root(p, eval_simple_char(root, MatF.identity(s.tower))) == one
 
 
 def test_eval_multiplicative_on_random_pairs():
@@ -310,12 +310,13 @@ def test_eval_multiplicative_on_random_pairs():
     for name in R1_CASE_NAMES:
         s = builtin_case(name)
         big, _ = default_chars(s)
+        p = s.tower.p
         for _ in range(25):
             g = random_h1_element(s, rng)
             h = random_h1_element(s, rng)
-            assert eval_simple_char(big, g @ h) == eval_simple_char(
-                big, g
-            ) * eval_simple_char(big, h)
+            assert cyc_root(p, eval_simple_char(big, g @ h)) == cyc_root(
+                p, eval_simple_char(big, g)
+            ) * cyc_root(p, eval_simple_char(big, h))
 
 
 def test_square_root_on_sigma_fixed():
@@ -325,8 +326,8 @@ def test_square_root_on_sigma_fixed():
         big, root = default_chars(s)
         for _ in range(10):
             g = random_unitary_element(s, rng)
-            v = eval_simple_char(root, g)
-            assert v * v == eval_simple_char(big, g)
+            v = cyc_root(s.tower.p, eval_simple_char(root, g))
+            assert v * v == cyc_root(s.tower.p, eval_simple_char(big, g))
 
 
 def test_eval_rejects_unit_level_offset():
@@ -443,7 +444,7 @@ def test_zero_aux_component_is_never_solved(monkeypatch):
         kE = s.tower.kE
         level0 = tuple(g.key() for g in level_gens(s, 0))
         seen.clear()
-        bz_oracle(s, default_chars(s), MultChar(kE, (kE.q - 1) // 2),
+        bz_oracle(s, default_chars(s), (MultChar(kE, (kE.q - 1) // 2),),
                   sample=120 if name == "e3f2" else None)
         assert all(nonzero for _, nonzero in seen), name
         assert level0 not in {gens for gens, _ in seen}, name
@@ -511,8 +512,8 @@ def test_bz_oracle_vanishing_and_nonvanishing():
         chars = default_chars(s)
         half = (kE.q - 1) // 2
         sample = 120 if name == "e3f2" else None
-        v_f = bz_oracle(s, chars, MultChar(kE, half * f), sample=sample)
-        v_f1 = bz_oracle(s, chars, MultChar(kE, half * (f - 1)), sample=sample)
+        v_f, v_f1 = bz_oracle(s, chars, (MultChar(kE, half * f),
+                                         MultChar(kE, half * (f - 1))), sample=sample)
         assert v_f == CycNum.zero(s.tower.p)
         # rho(-2) = +1 for the built-in residue data, eps = +1.
         assert v_f1 == CycNum.integer(CLOSED_MAGNITUDE[name], s.tower.p)
@@ -522,7 +523,7 @@ def test_bz_oracle_rejects_higher_order_restriction():
     s = builtin_case("e1f2")
     chars = default_chars(s)
     with pytest.raises(ValueError):
-        bz_oracle(s, chars, MultChar(s.tower.kE, 1))
+        bz_oracle(s, chars, (MultChar(s.tower.kE, 1),))
 
 
 # -- streamed term enumeration -----------------------------------------------
@@ -580,7 +581,7 @@ def test_bz_oracle_sampled_terms_match_list_draw(monkeypatch):
     terms = ref_terms(list(t.kE.units()), t.p, build_Wz(t, s).dim_k)
     for seed in (0, 3):
         seen.clear()
-        bz_oracle(s, chars, mu, sample=6, seed=seed)
+        bz_oracle(s, chars, (mu,), sample=6, seed=seed)
         assert seen == ref_draw(terms, 6, seed)
 
 
@@ -589,10 +590,28 @@ def test_bz_oracle_exhaustive_e1f2_term_count(monkeypatch):
     t = s.tower
     seen = record_bz_terms(monkeypatch)
     mu = MultChar(t.kE, (t.kE.q - 1) // 2 * (t.f - 1))
-    bz_oracle(s, default_chars(s), mu)
+    bz_oracle(s, default_chars(s), (mu,))
     dim = build_Wz(t, s).dim_k
     assert len(seen) == (t.kE.q - 1) * t.p**dim == 72
     assert len(set(seen)) == len(seen)
+
+
+def test_bz_oracle_builds_one_phase_form_per_unit(monkeypatch):
+    # Each unit's phase form gives its prime Gram once to path A and once
+    # inside its path-B Gauss sum; a per-term rebuild would make 72 + 8.
+    s = builtin_case("e1f2")
+    t = s.tower
+    spaces = []
+    prime_gram = gauss.QuadSpace.prime_gram
+
+    def spy(space, psi):
+        spaces.append(space)
+        return prime_gram(space, psi)
+
+    monkeypatch.setattr(gauss.QuadSpace, "prime_gram", spy)
+    bz_oracle(s, default_chars(s), mu_pair(t))
+    assert len(spaces) == 2 * (t.kE.q - 1) == 16
+    assert len({id(space) for space in spaces}) == t.kE.q - 1
 
 
 # -- the phase Gram contraction against the per-pair products ----------------
@@ -740,9 +759,9 @@ def test_bz_oracle_tuple_matches_single_calls(name, sample):
     mu_lo, mu_hi = mu_pair(s.tower)
     both = bz_oracle(s, chars, (mu_lo, mu_hi), sample=sample, seed=3)
     assert isinstance(both, tuple)
-    assert both == (bz_oracle(s, chars, mu_lo, sample=sample, seed=3),
-                    bz_oracle(s, chars, mu_hi, sample=sample, seed=3))
-    assert bz_oracle(s, chars, (mu_hi,), sample=sample, seed=3) == both[1:]
+    (lo,) = bz_oracle(s, chars, (mu_lo,), sample=sample, seed=3)
+    (hi,) = bz_oracle(s, chars, (mu_hi,), sample=sample, seed=3)
+    assert both == (lo, hi)
 
 
 def test_bz_oracle_tuple_evaluates_each_term_once(monkeypatch):
@@ -822,7 +841,8 @@ def ref_bz_term(s, big, root, wz, y, xv, sizes):
         n = min(len(lhs), len(rhs))
         assert np.array_equal(lhs[:n], rhs[:n])
         exchange = (lhs[:n], rhs[:n])
-    value = eval_simple_char(big, one_plus) * eval_simple_char(root, g)
+    value = cyc_root(p, eval_simple_char(big, one_plus)) * cyc_root(
+        p, eval_simple_char(root, g))
     return {"value": value, "yp": yp, "gl": one_plus, "u": g, "exchange": exchange}
 
 
@@ -845,7 +865,8 @@ def ref_by_term(s, big, root, zbases, t, zv):
     yp = tower.m_of(tower.e_monomial(0, y0.inverse())) @ zmat
     xm = tower.m_of(tower.e_monomial(0, t))
     g = ident - (tower.alpha(xm) @ inverse_unit(Y) @ xm)
-    value = eval_simple_char(big, ident + yp) * eval_simple_char(root, -g)
+    value = cyc_root(p, eval_simple_char(big, ident + yp)) * cyc_root(
+        p, eval_simple_char(root, -g))
     return {"value": value, "gl": ident + yp, "u": -g}
 
 
@@ -940,7 +961,7 @@ def test_chunked_bz_oracle_matches_one_term_code(name, monkeypatch):
             xv = tuple(int(c) for c in chunk["X"][k])
             assert (y, xv) == terms[at + k]
             ref = ref_bz_term(s, *chars, wz, y, xv, sizes)
-            assert chunk["result"][k] == ref["value"]
+            assert cyc_root(t.p, chunk["result"][k]) == ref["value"]
             for side, chi in zip(("gl", "u"), chars):
                 assert chunk["values"][side][k] == eval_simple_char(chi, ref[side])
                 assert same_member(chunk[side], k, ref[side])
@@ -985,7 +1006,7 @@ def test_chunked_by_oracle_matches_one_term_code(name, monkeypatch):
     for (_, gl, big_vals), (_, u, root_vals) in zip(evaluated[::2], evaluated[1::2]):
         for k in range(len(big_vals)):
             ref = ref_by_term(s, big, root, zbases, *reps[at + k])
-            assert big_vals[k] * root_vals[k] == ref["value"]
+            assert cyc_root(t.p, big_vals[k]) * cyc_root(t.p, root_vals[k]) == ref["value"]
             # Y' of a representative whose lowest layer vanishes has a higher
             # valuation alone than in its stack (e3f2: 6 layers against 5).
             assert same_member(gl, k, ref["gl"], exact=False)
@@ -1029,7 +1050,8 @@ def test_bz_chunks_match_one_term_code_on_random_terms(case):
         at[0] += len(ys)
         got = stratum._bz_chunk(s, *chars, wz, ys, X)
         for k, (y, xv) in enumerate(terms[start : start + len(ys)]):
-            assert got[k] == ref_bz_term(s, *chars, wz, y, xv, sizes)["value"]
+            assert cyc_root(s.tower.p, got[k]) == ref_bz_term(
+                s, *chars, wz, y, xv, sizes)["value"]
         return got, got
 
     # Walk these terms instead of the ones _terms would draw.
@@ -1051,7 +1073,7 @@ def test_bz_oracle_names_a_term_whose_phase_disagrees(term, monkeypatch):
     def corrupt(s, big, root, wz, ys, X):
         values = original(s, big, root, wz, ys, X)
         if start[0] <= term < start[0] + len(ys):
-            values[term - start[0]] = values[term - start[0]] * cyc_root(p, 1)
+            values[term - start[0]] = (values[term - start[0]] + 1) % p
         start[0] += len(ys)
         return values
 
@@ -1090,7 +1112,7 @@ def test_by_oracle_names_a_term_that_breaks_constancy(monkeypatch):
     def corrupt(chi, g):
         values = evaluate(chi, g)
         if chi.side == "u":
-            values[13] = values[13] * cyc_root(p, 1)
+            values[13] = (values[13] + 1) % p
         return values
 
     monkeypatch.setattr(stratum, "eval_simple_char", corrupt)
@@ -1111,7 +1133,7 @@ def test_by_oracle_names_a_chunk_that_is_constant_on_its_own(monkeypatch):
         if chi.side == "u":
             calls.append(len(values))
             if len(calls) == 2:
-                values = [v * cyc_root(p, 1) for v in values]
+                values = (values + 1) % p
         return values
 
     monkeypatch.setattr(stratum, "eval_simple_char", corrupt)
@@ -1123,15 +1145,15 @@ def test_bz_oracle_compares_the_exhaustive_totals(monkeypatch):
     # Path B off by one at a single unit: every term still matches its own
     # phase, so only the comparison of the two totals can see it.
     s = builtin_case("e1f2")
-    phase_sum = stratum.phase_sum
+    brute = stratum.gauss_sum_brute
     calls = []
 
     def off_by_one(*args, **kwargs):
         calls.append(None)
-        total = phase_sum(*args, **kwargs)
+        total = brute(*args, **kwargs)
         return total + CycNum.one(s.tower.p) if len(calls) == 1 else total
 
-    monkeypatch.setattr(stratum, "phase_sum", off_by_one)
+    monkeypatch.setattr(stratum, "gauss_sum_brute", off_by_one)
     with pytest.raises(stratum.PathMismatch, match="two evaluation routes disagree"):
         bz_oracle(s, default_chars(s), mu_pair(s.tower))
     # A sampled run returns path B and compares no totals.
@@ -1230,7 +1252,8 @@ def test_domain_checks_name_the_failing_member():
                        match=r"positive valuation \(stack index 2\)"):
         eval_simple_char(big, stack)
     values = eval_simple_char(big, MatF.stack([ident, inside]))
-    assert values == [eval_simple_char(big, ident), eval_simple_char(big, inside)]
+    assert values.tolist() == [eval_simple_char(big, ident),
+                               eval_simple_char(big, inside)]
     # A generic one-unit is not unitary; 1 is.
     with pytest.raises(NotInDomain, match=r"Hermitian form \(stack index 1\)"):
         eval_simple_char(root, MatF.stack([ident, inside]))
@@ -1244,7 +1267,7 @@ def test_lattice_check_names_the_failing_member():
     layer = stratum.h1_lattice(t, s).layer(1)
     assert 0 < layer.shape[0] < t.n * t.f
     eye = np.eye(t.n * t.f, dtype=np.int64)
-    escapes = [v for v in eye if not _modp.in_row_space(v, layer, t.p)]
+    escapes = [v for v in eye if not in_row_space(v, layer, t.p)]
     assert len(escapes) >= 2
     ident = MatF.identity(t)
     big, _ = default_chars(s)
@@ -1263,7 +1286,7 @@ def test_solve_names_a_member_outside_its_block(name):
     t = s.tower
     (block,) = build_Wz(t, s).blocks
     eye = np.eye(t.n * t.f, dtype=np.int64)
-    escapes = [v for v in eye if not _modp.in_row_space(v, block.basis, t.p)]
+    escapes = [v for v in eye if not in_row_space(v, block.basis, t.p)]
     assert escapes
     for escape in escapes:
         coords = np.stack([block.basis[0], (block.basis[0] + escape) % t.p])
