@@ -156,31 +156,40 @@ def _phase_histogram(gram: np.ndarray, p: int, threads: int = 1) -> np.ndarray:
     """Counts of x^T G x mod p over all of F_p^d, d = gram.shape[0].
 
     Every point is evaluated, in integers, through split coordinates
-    x = (x_lo, x_hi): Q(x) = Q_lo(x_lo) + Q_hi(x_hi) + x_hi^T C x_lo with
-    C = G_hl + G_lh^T.  Q_lo and Q_hi are tabulated once; each block of x_hi
-    rows pays one matmul for the cross term.  A block holds about 2^16
-    points, or one x_hi row when the x_lo table is longer than that."""
+    x = (x_lo, x_hi), m = ceil(d/2) of them in x_lo:
+    Q(x) = Q_lo(x_lo) + Q_hi(x_hi) + sum_k (c_k x_k mod p), c = C x_hi,
+    C = G_hl + G_lh^T.  Q_lo and Q_hi are tabulated once.  A block of x_hi
+    rows builds its values over the x_lo grid as nested outer sums of a
+    (rows, m, p) table of c_k t mod p, coordinate 0 fastest.  No value is
+    reduced: each, at most (m+2)(p-1), is held in the smallest unsigned
+    dtype and counted as it is, and the counts are folded mod p once.  A
+    block holds about 2^16 points, or one x_hi row when the x_lo grid is
+    larger than that."""
     d = gram.shape[0]
     g = np.asarray(gram, dtype=np.int64) % p
     m = (d + 1) // 2
     lo, hi = _digit_table(p, m), _digit_table(p, d - m)
-    q_lo = ((lo @ g[:m, :m]) * lo).sum(axis=1) % p
-    q_hi = ((hi @ g[m:, m:]) * hi).sum(axis=1) % p
+    top = (m + 2) * (p - 1) + 1
+    dt = np.min_scalar_type(top - 1)
+    q_lo = (((lo @ g[:m, :m]) * lo).sum(axis=1) % p).astype(dt)
+    q_hi = (((hi @ g[m:, m:]) * hi).sum(axis=1) % p).astype(dt)
     cross = hi @ (g[m:, :m] + g[:m, m:].T) % p
     rows = max(1, (1 << 16) // len(lo))
 
     def process(start):
-        vals = cross[start:start + rows] @ lo.T
-        vals += q_hi[start:start + rows, None]
-        vals += q_lo
-        return np.bincount((vals % p).ravel(), minlength=p)
+        tab = (cross[start:start + rows, :, None] * np.arange(p) % p).astype(dt)
+        vals = q_hi[start:start + rows, None]
+        for k in range(m):
+            vals = (tab[:, k, :, None] + vals[:, None, :]).reshape(len(tab), -1)
+        return np.bincount((vals + q_lo).ravel(), minlength=top)
 
     blocks = range(0, len(hi), rows)
-
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            return sum(pool.map(process, blocks))
-    return sum(map(process, blocks))
+            counts = sum(pool.map(process, blocks))
+    else:
+        counts = sum(map(process, blocks))
+    return np.pad(counts, (0, -top % p)).reshape(-1, p).sum(axis=0)
 
 
 def phase_sum(gram: np.ndarray, p: int, threads: int = 1) -> CycNum:

@@ -11,12 +11,11 @@ from math import isqrt
 import numpy as np
 import pytest
 
-from strbc.cyclotomic import CycNum, cyc_root
+from strbc.cyclotomic import cyc_root
 from strbc.finite_field import (
     AddChar,
     MultChar,
     get_field,
-    pow_fq,
     quadratic_residue_char,
 )
 from strbc.gauss import (
@@ -32,7 +31,6 @@ from strbc.hecke_bc import (
     LevelZeroChar,
     ParityClass,
     base_change,
-    hecke_eigenvalues,
     normalized_spectrum,
     p_primary_extension,
     parity_classifier,

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from strbc import stratum
-from strbc.cyclotomic import CycNum, cyc_root
+from strbc.cyclotomic import cyc_root
 from strbc.finite_field import (
     AddChar,
     FqField,
@@ -242,6 +242,48 @@ def test_phase_histogram_matches_einsum(p, d, seed, symmetric):
 def test_phase_histogram_matches_einsum_many_blocks(p, d):
     gram = unreduced_gram(p, d, seed=p * 100 + d, symmetric=False)
     assert _phase_histogram(gram, p).tolist() == einsum_histogram(gram, p).tolist()
+
+
+def spy_bincount(monkeypatch):
+    """Record the length and dtype of every np.bincount input."""
+    seen, real = [], np.bincount
+
+    def spy(x, *args, **kwargs):
+        seen.append((np.size(x), np.asarray(x).dtype))
+        return real(x, *args, **kwargs)
+
+    monkeypatch.setattr(np, "bincount", spy)
+    return seen
+
+
+# The unreduced values reach (m+2)(p-1), m = ceil(d/2): each pair sits on
+# either side of a dtype boundary.
+@pytest.mark.parametrize("p,d,dtype", [
+    (61, 3, np.uint8), (83, 2, np.uint8),
+    (67, 3, np.uint16), (89, 2, np.uint16),
+    (65521, 1, np.uint32),
+])
+def test_phase_histogram_at_dtype_boundaries(monkeypatch, p, d, dtype):
+    gram = unreduced_gram(p, d, seed=p * 100 + d, symmetric=False)
+    expected = einsum_histogram(gram, p).tolist()
+    seen = spy_bincount(monkeypatch)
+    for threads in (1, 2):
+        counts = _phase_histogram(gram, p, threads=threads)
+        assert counts.dtype == np.int64
+        assert counts.tolist() == expected
+    assert {dt for _, dt in seen} == {np.dtype(dtype)}
+
+
+@pytest.mark.parametrize("p,d", [(3, 13), (257, 3)])
+def test_phase_histogram_blocks_stay_bounded(monkeypatch, p, d):
+    # A block holds at most 2^16 points, or one x_lo grid of p^ceil(d/2)
+    # points when that is larger; peak memory rests on this bound.
+    gram = unreduced_gram(p, d, seed=p * 100 + d, symmetric=True)
+    seen = spy_bincount(monkeypatch)
+    counts = _phase_histogram(gram, p)
+    assert int(counts.sum()) == p**d
+    assert sum(n for n, _ in seen) == p**d
+    assert max(n for n, _ in seen) <= max(1 << 16, p ** ((d + 1) // 2))
 
 
 @settings(max_examples=15, deadline=None)

@@ -7,7 +7,6 @@ from strbc.cyclotomic import cyc_root
 from strbc.finite_field import MultChar, get_field, quadratic_residue_char
 from strbc.hecke_bc import (
     FOURTH_ROOTS,
-    ExtensionChar,
     HeckeParams,
     InconsistentParams,
     LevelZeroChar,

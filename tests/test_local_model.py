@@ -11,7 +11,6 @@ from strbc.local_model import (
     BadChain,
     EvenExponent,
     EvenRamification,
-    GradedLattice,
     MatF,
     PrecisionTooLow,
     TowerConfig,

@@ -1,6 +1,8 @@
 import ast
 from pathlib import Path
 
+import pytest
+
 SRC = Path(__file__).resolve().parent.parent / "src" / "strbc"
 
 
@@ -16,14 +18,17 @@ def test_no_bare_asserts_in_package():
 
 
 def _float_uses(tree: ast.AST):
-    """Line numbers of float literals, true divisions, the name float and
-    np.linalg in a module."""
+    """Line numbers of float literals, true divisions, the name float,
+    np.linalg, the float dtypes np.float64/32/16 and a weights= keyword (the
+    weighted np.bincount returns float64) in a module."""
     for node in ast.walk(tree):
         if (isinstance(node, ast.Constant) and isinstance(node.value, (float, complex))
                 or isinstance(node, (ast.BinOp, ast.AugAssign))
                 and isinstance(node.op, ast.Div)
                 or isinstance(node, ast.Name) and node.id == "float"
-                or isinstance(node, ast.Attribute) and node.attr == "linalg"):
+                or isinstance(node, ast.Attribute)
+                and node.attr in ("linalg", "float64", "float32", "float16")
+                or isinstance(node, ast.keyword) and node.arg == "weights"):
             yield node.lineno
 
 
@@ -37,6 +42,15 @@ def test_no_floats_in_package():
         for line in _float_uses(ast.parse(path.read_text(), str(path)))
     ]
     assert not found, f"floats in src/strbc: {found}"
+
+
+@pytest.mark.parametrize("snippet", [
+    "x = 0.5", "x = 1j", "x = a / b", "a /= b", "x = float(a)",
+    "x = np.linalg.det(a)", "x = np.float64", "x = a.astype(np.float32)",
+    "x = np.zeros(3, np.float16)", "x = np.bincount(a, weights=w)",
+])
+def test_float_ban_flags_each_construct(snippet):
+    assert list(_float_uses(ast.parse(snippet))) == [1]
 
 
 def test_tracer_finds_every_target(monkeypatch):

@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 from strbc import _modp, gauss, stratum
 from strbc.cyclotomic import CycNum, cyc_root
 from strbc.finite_field import AddChar, MultChar, quadratic_residue_char
-from strbc.gauss import EnumerationTooLarge, NonUnitQuotient, normalized_sign
+from strbc.gauss import EnumerationTooLarge, NonUnitQuotient
 from strbc.local_model import (
     MatF,
     NotInSubfield,
@@ -31,7 +31,6 @@ from strbc.stratum import (
     NonNegativeValuation,
     NotInDomain,
     NotMinimal,
-    NotSkew,
     SimpleCharSpec,
     StratumSpec,
     ZeroY,
