@@ -24,6 +24,9 @@ its layer map, layer_coords its inverse and valuation its w_F-layer span;
 m_of(x) sums the layer maps of the monomials of x.  Graded
 layers of centralizers, the coset spaces W_z, and the unipotent-radical
 index counts are all computed by small exact linear algebra over k.
+cent_layer is the one solver for a centralizer layer; minimality is read
+from it too.  The basis of a degree-m layer enters such a computation as
+one MatF stack, mat_from_layer(m, identity), not one matrix per row.
 """
 
 from __future__ import annotations
@@ -724,13 +727,6 @@ class TowerSpec:
                 return found if X.batch else int(found)
         raise ZeroElement("no nonzero layer inside the precision window")
 
-    def layer_basis(self, m: int) -> list["MatF"]:
-        """The degree-m maps of the unit coordinate vectors, in order."""
-        return self.memo(("layer-basis", m), lambda: [
-            self.mat_from_layer(m, vec)
-            for vec in np.eye(self.n * self.f, dtype=np.int64)
-        ])
-
     # -- centralizer layers --------------------------------------------------
 
     def cent_layer(self, gens: tuple[EElem, ...], m: int) -> np.ndarray:
@@ -743,13 +739,12 @@ class TowerSpec:
             return np.eye(self.n * self.f, dtype=np.int64)
         # Brackets with distinct-grade monomial parts vanish independently,
         # so each generator splits into one constraint per w_E-exponent.
+        X = self.mat_from_layer(m, np.eye(self.n * self.f, dtype=np.int64))
         maps = []
         for g in gens:
             for i, c in g.coeffs.items():
                 mg = self.m_of(self.e_monomial(i, c, prec=g.prec))
-                cols = [self.layer_coords((Xk @ mg) - (mg @ Xk), m + i)
-                        for Xk in self.layer_basis(m)]
-                maps.append(np.array(cols, dtype=np.int64).T)
+                maps.append(self.layer_coords((X @ mg) - (mg @ X), m + i).T)
         out = _modp.nullspace(np.vstack(maps), self.p)
         return _modp.row_space_basis(out, self.p) if out.size else out
 
@@ -775,10 +770,16 @@ def build_tower(config: TowerConfig) -> TowerSpec:
 # Field membership, coset spaces, index counts.
 
 
-def _is_in_F(tower: TowerSpec, x: EElem) -> bool:
-    return all(
-        i % tower.e == 0 and not any(c.coeffs[1:]) for i, c in x.coeffs.items()
-    )
+def _in_level(tower: TowerSpec, x: EElem, level: int) -> bool:
+    """Whether x lies in the level-th subfield of the chain; level -1 is F."""
+    e_l, f_l = tower.levels[level]
+    step = tower.e // e_l
+    for i, c in x.coeffs.items():
+        if i % step:
+            return False
+        if pow_fq(c, tower.p**f_l) != c:
+            return False
+    return True
 
 
 @dataclass(frozen=True)
@@ -815,7 +816,7 @@ def level_gens(stratum, j: int) -> tuple[EElem, ...]:
     tower = stratum.tower
     out = []
     for c in stratum.c_elems[j:]:
-        if not _is_in_F(tower, c):
+        if not _in_level(tower, c, -1):
             out.append(c)
     return tuple(out)
 
@@ -856,27 +857,19 @@ def _build_Wz(tower: TowerSpec, stratum) -> WzSpace:
 
 
 def _orthogonal_complement(tower, stratum, j, m, upper, lower) -> np.ndarray:
-    """Vectors of `upper` orthogonal to the level-j centralizer under the
-    residue pairing (X, U) -> coefficient of w_F^0 in tr(XU)."""
+    """A complement of `lower` in `upper`, taken greedily from the vectors
+    of `upper` orthogonal to the level-j centralizer under the residue
+    pairing (X, U) -> coefficient of w_F^0 in tr(XU), then from `upper`."""
     p = tower.p
-    dual = tower.cent_layer(level_gens(stratum, j), -m)
-    if dual.shape[0] == 0:
-        return upper
-    umats = [tower.mat_from_layer(-m, v) for v in dual]
-    cond = np.array([[np.trace((Xc @ U).layer(0)) % p for Xc in tower.layer_basis(m)]
-                     for U in umats], dtype=np.int64)
-    kern = _modp.nullspace(cond, p)
-    ortho = intersect_row_spaces(upper, kern, p)
-    want = upper.shape[0] - lower.shape[0]
-    if (
-        ortho.shape[0] == want
-        and _modp.rank(np.vstack([lower, ortho]), p) == lower.shape[0] + want
-    ):
-        return ortho
+    X = tower.mat_from_layer(m, np.eye(tower.n * tower.f, dtype=np.int64))
+    cond = np.array([
+        np.trace((X @ tower.mat_from_layer(-m, v)).layer(0), axis1=-2, axis2=-1) % p
+        for v in tower.cent_layer(level_gens(stratum, j), -m)
+    ], dtype=np.int64)
+    ortho = intersect_row_spaces(upper, _modp.nullspace(cond, p), p)
     # Wild case: the residue pairing can vanish on the lower level (the trace
-    # of an inseparable extension is zero), so orthogonality no longer splits
-    # off a complement.  Complete a basis greedily, preferring orthogonal
-    # vectors so the tame normalization is kept wherever it makes sense.
+    # of an inseparable extension is zero), so orthogonality alone no longer
+    # splits off a complement and the pick goes on into `upper`.
     return _modp.complete_basis(lower, np.vstack([ortho, upper]), p)
 
 
@@ -955,10 +948,8 @@ def e_full_gens(tower: TowerSpec, stratum) -> tuple[EElem, ...]:
 
 def _alpha_matrix(tower: TowerSpec, m: int) -> np.ndarray:
     """Matrix of alpha on degree-m layer coordinates (columns are images)."""
-    return tower.memo(("alpha", m), lambda: np.array(
-        [tower.layer_coords(tower.alpha(X), m) for X in tower.layer_basis(m)],
-        dtype=np.int64,
-    ).T)
+    return tower.memo(("alpha", m), lambda: tower.layer_coords(tower.alpha(
+        tower.mat_from_layer(m, np.eye(tower.n * tower.f, dtype=np.int64))), m).T)
 
 
 def _alpha_fixed_basis(tower: TowerSpec, m: int) -> np.ndarray:
@@ -973,6 +964,8 @@ def _alpha_fixed_basis(tower: TowerSpec, m: int) -> np.ndarray:
 
 def _alpha_fixed_dim(tower: TowerSpec, space: np.ndarray, m: int) -> int:
     """Dimension of the alpha-fixed part of a subspace of the degree-m layer."""
+    # An empty layer (every grade below a lattice's least threshold) needs
+    # no alpha matrix at its grade.
     if space.size == 0:
         return 0
     return intersect_row_spaces(space, _alpha_fixed_basis(tower, m), tower.p).shape[0]

@@ -62,8 +62,9 @@ from .local_model import (
     TowerSpec,
     ZeroElement,
     _alpha_fixed_basis,
+    _alpha_fixed_dim,
     _alpha_matrix,
-    _is_in_F,
+    _in_level,
     build_tower,
     build_Wz,
     det_unit,
@@ -114,22 +115,6 @@ class ConstancyViolated(AssertionError):
 
 class PathMismatch(AssertionError):
     pass
-
-
-# ---------------------------------------------------------------------------
-# Subfield membership.
-
-
-def _in_level(tower: TowerSpec, x: EElem, level: int) -> bool:
-    """Whether x lies in the level-th subfield of the chain."""
-    e_l, f_l = tower.levels[level]
-    step = tower.e // e_l
-    for i, c in x.coeffs.items():
-        if i % step:
-            return False
-        if pow_fq(c, tower.p**f_l) != c:
-            return False
-    return True
 
 
 # ---------------------------------------------------------------------------
@@ -190,10 +175,9 @@ class StratumSpec:
         # declared level-j one; a c_j generating less (e.g. a central
         # element) leaves a larger kernel.
         tower = self.tower
-        upper = tower.cent_layer(_declared_gens(tower, j + 1), 0)
-        lower = tower.cent_layer(_declared_gens(tower, j), 0)
-        kern = _ad_kernel(tower, self.c_elems[j], upper)
-        return _modp.rank(kern, tower.p) == _modp.rank(lower, tower.p)
+        cut = _declared_gens(tower, j + 1) + (self.c_elems[j],)
+        return (tower.cent_layer(cut, 0).shape[0]
+                == tower.cent_layer(_declared_gens(tower, j), 0).shape[0])
 
     def __repr__(self):
         return f"StratumSpec(r={list(self.r_list)}, d={self.d}, {self.tower!r})"
@@ -211,23 +195,6 @@ def _declared_gens(tower: TowerSpec, j: int) -> tuple[EElem, ...]:
     return tuple(gens)
 
 
-def _ad_kernel(tower: TowerSpec, c: EElem, space: np.ndarray) -> np.ndarray:
-    """Basis of {X in span(space), degree 0 : [X, c] = 0 mod higher degree}."""
-    v = c.val()
-    cm = tower.m_of(c)
-    rows = []
-    for row in space:
-        X = tower.mat_from_layer(0, row)
-        rows.append(tower.layer_coords((X @ cm) - (cm @ X), v))
-    if not rows:
-        return space
-    amap = np.array(rows, dtype=np.int64)
-    combos = _modp.nullspace(amap.T, tower.p)
-    if combos.size == 0:
-        return np.zeros((0, space.shape[1]), dtype=np.int64)
-    return _modp.row_space_basis(combos @ space % tower.p, tower.p)
-
-
 def minimality_check(t: TowerSpec, c: EElem) -> bool:
     """Whether the single-element stratum generated by c is minimal.
 
@@ -238,11 +205,12 @@ def minimality_check(t: TowerSpec, c: EElem) -> bool:
     """
     if c.is_zero():
         raise ZeroElement("zero element")
-    if c.val() >= 0:
-        raise NonNegativeValuation(f"v(c) = {c.val()} must be negative")
-    full = np.eye(t.n * t.f, dtype=np.int64)
-    kern = _ad_kernel(t, c, full)
-    return _modp.rank(kern, t.p) == t.f
+    v = c.val()
+    if v >= 0:
+        raise NonNegativeValuation(f"v(c) = {v} must be negative")
+    # Only the leading monomial of c brackets the degree-0 layer into degree v.
+    lead = t.e_monomial(v, c.coeff(v), prec=c.prec)
+    return t.cent_layer((lead,), 0).shape[0] == t.f
 
 
 # ---------------------------------------------------------------------------
@@ -250,9 +218,9 @@ def minimality_check(t: TowerSpec, c: EElem) -> bool:
 
 
 def _block_gram_raw(tower: TowerSpec, c: EElem, basis: np.ndarray, grade: int,
-                    scalar: EElem, c_first: bool) -> np.ndarray:
-    """Raw (unsymmetrized) Gram of X -> Tr(scalar * [c, X] * alpha(X)) at the
-    residue level, on the given degree-`grade` coordinate basis.
+                    scalar: EElem) -> np.ndarray:
+    """Raw (unsymmetrized) Gram of X -> Tr(scalar * (X c - c X) * alpha(X))
+    at the residue level, on the given degree-`grade` coordinate basis.
 
     Entry (a, b) is the w_F^0 coefficient of Tr(left_a @ alpha(X_b)): the
     sum over k of Tr(left_a[k] @ alpha(X_b)[-k]), one contraction over the
@@ -262,11 +230,11 @@ def _block_gram_raw(tower: TowerSpec, c: EElem, basis: np.ndarray, grade: int,
     if rows == 0:
         return np.zeros((0, 0), dtype=np.int64)
     mats = tower.mat_from_layer(grade, basis)
-    left, right = _gram_sides(tower, c, mats, scalar, c_first)
+    left, right = _gram_sides(tower, c, mats, scalar)
     if left.product_fprec(right) <= 0:
         # A stack carries the least valuation and precision of its rows, so
         # the rows' own sides decide which pairs are unknown.
-        sides = [_gram_sides(tower, c, mats.take(a), scalar, c_first)
+        sides = [_gram_sides(tower, c, mats.take(a), scalar)
                  for a in range(rows)]
         for la, _ in sides:
             for _, rb in sides:
@@ -284,13 +252,11 @@ def _block_gram_raw(tower: TowerSpec, c: EElem, basis: np.ndarray, grade: int,
     return np.einsum("akij,bkji->ab", L, R[:, ::-1]) % tower.p
 
 
-def _gram_sides(tower: TowerSpec, c: EElem, X: MatF, scalar: EElem,
-                c_first: bool) -> tuple[MatF, MatF]:
-    """(scalar [c, X], alpha(X)) for X or a stack of them; the bracket is
-    X c - c X when not c_first."""
+def _gram_sides(tower: TowerSpec, c: EElem, X: MatF,
+                scalar: EElem) -> tuple[MatF, MatF]:
+    """(scalar (X c - c X), alpha(X)) for X or a stack of them."""
     cm = tower.m_of(c)
-    bracket = cm @ X - X @ cm if c_first else X @ cm - cm @ X
-    return tower.m_of(scalar) @ bracket, tower.alpha(X)
+    return tower.m_of(scalar) @ (X @ cm - cm @ X), tower.alpha(X)
 
 
 def _symmetrized_space(tower: TowerSpec, raw: np.ndarray) -> QuadSpace:
@@ -320,9 +286,7 @@ def quotient_form(t: TowerSpec, c: EElem, y: FqElem) -> QuadSpace:
     # for any c, and its radical there detects non-minimality.
     lower = t.cent_layer(_declared_gens(t, 0), grade)
     comp = _modp.complete_basis(lower, np.eye(t.n * t.f, dtype=np.int64), t.p)
-    raw = _block_gram_raw(
-        t, c, comp, grade, t.e_monomial(1, y.inverse()), c_first=False
-    )
+    raw = _block_gram_raw(t, c, comp, grade, t.e_monomial(1, y.inverse()))
     return _symmetrized_space(t, raw)
 
 
@@ -339,20 +303,18 @@ def build_Dj_forms(s: StratumSpec, y: FqElem) -> list[QuadSpace]:
         if block.basis.shape[0] == 0:
             continue
         raw = _block_gram_raw(
-            tower, s.c_elems[block.j], block.basis, block.grade, scalar,
-            c_first=False,
+            tower, s.c_elems[block.j], block.basis, block.grade, scalar
         )
         out.append(_symmetrized_space(tower, raw))
     return out
 
 
 def _gauss_gram(s: StratumSpec, wz, scalar: EElem) -> np.ndarray:
-    """Block-diagonal raw Gram of the Gauss-sum phase on full W_z coords."""
+    """Block-diagonal raw Gram of the Gauss-sum phase X -> Tr(scalar
+    (c_j X - X c_j) alpha(X)) on full W_z coords."""
     tower = s.tower
     blocks = [
-        _block_gram_raw(
-            tower, s.c_elems[b.j], b.basis, b.grade, scalar, c_first=True
-        )
+        _block_gram_raw(tower, s.c_elems[b.j], b.basis, b.grade, -scalar)
         for b in wz.blocks
     ]
     dim = sum(b.shape[0] for b in blocks)
@@ -479,7 +441,7 @@ class SimpleCharSpec:
                 f"need {stratum.d + 2} xi elements, got {len(xi_elems)}"
             )
         for b in xi_elems:
-            if not _is_in_F(tower, b):
+            if not _in_level(tower, b, -1):
                 raise NotInSubfield("xi elements must lie in F")
             if not b.is_zero() and b.val() < -tower.e:
                 raise ValueError("xi elements must have depth at most one")
@@ -766,9 +728,8 @@ def _y_side_zbases(s: StratumSpec) -> list[tuple[int, np.ndarray]]:
             out.append((m, comp))
     # The two profiles must agree immediately past the window.
     m_edge = s.s_list[0] + 2
-    fh = intersect_row_spaces(h1.layer(m_edge), _alpha_fixed_basis(tower, m_edge), p)
-    fj = intersect_row_spaces(jw.layer(m_edge), _alpha_fixed_basis(tower, m_edge), p)
-    if _modp.rank(fh, p) != _modp.rank(fj, p):
+    if (_alpha_fixed_dim(tower, h1.layer(m_edge), m_edge)
+            != _alpha_fixed_dim(tower, jw.layer(m_edge), m_edge)):
         raise AssertionError("Y-coordinate window is too narrow")
     return out
 

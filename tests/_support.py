@@ -2,20 +2,23 @@
 
 Each is an independent second route to something the package computes
 (the Gauss sum point by point, the trace and the inverse of the regular
-representation, the graded centralizer, the zeta-conjugation index) or a
-check of an identity the package relies on (the embedding relations of
-E in the matrices, the independence of a path-A term from its auxiliary
-degree-0 component).
+representation, the graded centralizer, the zeta-conjugation index, the
+graded layer maps one basis matrix at a time, the ad-kernel minimality
+test and the two-branch W_z complement) or a check of an identity the
+package relies on (the embedding relations of E in the matrices, the
+independence of a path-A term from its auxiliary degree-0 component).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
+from pathlib import Path
 
 import numpy as np
 
 from strbc import _modp, stratum
+from strbc.cli import ExperimentConfig
 from strbc.cyclotomic import CycNum, cyc_root
 from strbc.finite_field import AddChar, FqElem, pow_fq
 from strbc.gauss import EnumerationTooLarge, QuadSpace, TrivialAdditiveCharacter
@@ -24,13 +27,22 @@ from strbc.local_model import (
     MatF,
     NotInSubfield,
     TowerSpec,
+    _in_level,
     _index_exponent,
-    _is_in_F,
     build_Wz,
     h1_lattice,
+    intersect_row_spaces,
     inverse_unit,
     j0_lattice,
+    level_gens,
 )
+
+GOLDEN_CONFIGS = Path(__file__).resolve().parent / "golden" / "configs"
+
+
+def golden_stratum(name: str):
+    """The stratum of the golden config tests/golden/configs/<name>.json."""
+    return ExperimentConfig.load(str(GOLDEN_CONFIGS / f"{name}.json")).build_stratum()
 
 
 # ---------------------------------------------------------------------------
@@ -151,7 +163,7 @@ def centralizer_filtration(
     tower: TowerSpec, gamma: EElem, k: int, horizon: int | None = None
 ) -> GradedSpace:
     """Graded basis of {X : X gamma = gamma X, v(X) >= k}."""
-    gens: tuple[EElem, ...] = () if _is_in_F(tower, gamma) else (gamma,)
+    gens: tuple[EElem, ...] = () if _in_level(tower, gamma, -1) else (gamma,)
     if gens:
         _check_support(tower, gamma)
     span = tower.e if horizon is None else horizon
@@ -171,6 +183,104 @@ def _check_support(tower: TowerSpec, gamma: EElem) -> None:
     # for the commutator construction, so only sanity is enforced here.
     if gamma.is_zero():
         raise NotInSubfield("zero element generates nothing")
+
+
+# ---------------------------------------------------------------------------
+# Graded layers one basis matrix at a time.
+
+
+def layer_basis_loop(tower: TowerSpec, m: int) -> list[MatF]:
+    """The degree-m maps of the unit coordinate vectors, one MatF each."""
+    return [tower.mat_from_layer(m, vec)
+            for vec in np.eye(tower.n * tower.f, dtype=np.int64)]
+
+
+def cent_layer_loop(tower: TowerSpec, gens: tuple[EElem, ...], m: int) -> np.ndarray:
+    """Basis (rows) of the degree-m centralizer layer of gens, one bracket
+    per basis matrix and monomial."""
+    if not gens:
+        return np.eye(tower.n * tower.f, dtype=np.int64)
+    maps = []
+    for g in gens:
+        for i, c in g.coeffs.items():
+            mg = tower.m_of(tower.e_monomial(i, c, prec=g.prec))
+            cols = [tower.layer_coords((Xk @ mg) - (mg @ Xk), m + i)
+                    for Xk in layer_basis_loop(tower, m)]
+            maps.append(np.array(cols, dtype=np.int64).T)
+    out = _modp.nullspace(np.vstack(maps), tower.p)
+    return _modp.row_space_basis(out, tower.p) if out.size else out
+
+
+def alpha_matrix_loop(tower: TowerSpec, m: int) -> np.ndarray:
+    """Matrix of alpha on degree-m layer coordinates, one column per basis
+    matrix."""
+    return np.array([tower.layer_coords(tower.alpha(X), m)
+                     for X in layer_basis_loop(tower, m)], dtype=np.int64).T
+
+
+def ad_kernel(tower: TowerSpec, c: EElem, space: np.ndarray) -> np.ndarray:
+    """Basis of {X in span(space), degree 0 : [X, c] = 0 mod higher degree},
+    with the whole of c in the bracket."""
+    v = c.val()
+    cm = tower.m_of(c)
+    rows = []
+    for row in space:
+        X = tower.mat_from_layer(0, row)
+        rows.append(tower.layer_coords((X @ cm) - (cm @ X), v))
+    if not rows:
+        return space
+    amap = np.array(rows, dtype=np.int64)
+    combos = _modp.nullspace(amap.T, tower.p)
+    if combos.size == 0:
+        return np.zeros((0, space.shape[1]), dtype=np.int64)
+    return _modp.row_space_basis(combos @ space % tower.p, tower.p)
+
+
+def minimal_by_ad_kernel(tower: TowerSpec, c: EElem, j: int | None = None) -> bool:
+    """Minimality of c by the rank of its ad-kernel: inside the declared
+    level-(j+1) centralizer against the declared level-j one, or, with j
+    None, inside the whole degree-0 layer against one copy of k_E."""
+    if j is None:
+        kern = ad_kernel(tower, c, np.eye(tower.n * tower.f, dtype=np.int64))
+        return _modp.rank(kern, tower.p) == tower.f
+    upper = cent_layer_loop(tower, stratum._declared_gens(tower, j + 1), 0)
+    lower = cent_layer_loop(tower, stratum._declared_gens(tower, j), 0)
+    return (_modp.rank(ad_kernel(tower, c, upper), tower.p)
+            == _modp.rank(lower, tower.p))
+
+
+def orthogonal_complement_branches(tower: TowerSpec, stratum, j: int, m: int,
+                                   upper: np.ndarray, lower: np.ndarray
+                                   ) -> tuple[np.ndarray, str]:
+    """The W_z complement of `lower` in `upper` with a separate tame branch,
+    and the branch taken: "no dual", "tame" or "wild"."""
+    p = tower.p
+    dual = cent_layer_loop(tower, level_gens(stratum, j), -m)
+    if dual.shape[0] == 0:
+        return upper, "no dual"
+    umats = [tower.mat_from_layer(-m, v) for v in dual]
+    cond = np.array([[np.trace((Xc @ U).layer(0)) % p
+                      for Xc in layer_basis_loop(tower, m)] for U in umats],
+                    dtype=np.int64)
+    ortho = intersect_row_spaces(upper, _modp.nullspace(cond, p), p)
+    want = upper.shape[0] - lower.shape[0]
+    if (ortho.shape[0] == want
+            and _modp.rank(np.vstack([lower, ortho]), p) == lower.shape[0] + want):
+        return ortho, "tame"
+    return _modp.complete_basis(lower, np.vstack([ortho, upper]), p), "wild"
+
+
+def wz_blocks_by_branches(tower: TowerSpec, stratum) -> list[tuple[np.ndarray, str]]:
+    """(basis, branch) of each W_z block, from the row loops and the
+    two-branch complement."""
+    out = []
+    for j in range(stratum.d + 1):
+        s_j = stratum.s_list[j]
+        upper = cent_layer_loop(tower, level_gens(stratum, j + 1), s_j)
+        lower = cent_layer_loop(tower, level_gens(stratum, j), s_j)
+        out.append(orthogonal_complement_branches(tower, stratum, j, s_j,
+                                                  upper, lower))
+    return out
 
 
 def zeta_conjugation_index(tower: TowerSpec, stratum) -> int:

@@ -40,7 +40,7 @@ from strbc.hecke_bc import (
 from strbc.local_model import (
     MatF,
     TowerConfig,
-    _is_in_F,
+    _in_level,
     build_Wz,
     build_tower,
     inverse_unit,
@@ -171,7 +171,7 @@ def test_criterion_4_nondegeneracy_cooccurrence():
                 continue
             for cval in coeffs:
                 c = t.e_monomial(-r, cval)
-                if c.is_zero() or not c.is_skew() or _is_in_F(t, c):
+                if c.is_zero() or not c.is_skew() or _in_level(t, c, -1):
                     continue
                 form = quotient_form(t, c, t.kE.one())
                 assert minimality_check(t, c) == form.is_nondegenerate()

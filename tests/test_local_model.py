@@ -15,6 +15,7 @@ from strbc.local_model import (
     PrecisionTooLow,
     TowerConfig,
     ZeroElement,
+    _alpha_matrix,
     build_tower,
     build_Wz,
     det_unit,
@@ -25,14 +26,18 @@ from strbc.local_model import (
     j0_lattice,
     level_gens,
 )
-from strbc.stratum import BUILTIN_CASE_NAMES, builtin_case
+from strbc.stratum import BUILTIN_CASE_NAMES, _declared_gens, builtin_case
 
 from _support import (
+    alpha_matrix_loop,
+    cent_layer_loop,
     centralizer_filtration,
     e_from_mat,
     embed_E_in_matrices,
+    golden_stratum,
     in_row_space,
     trace_EF,
+    wz_blocks_by_branches,
     zeta_conjugation_index,
 )
 
@@ -393,6 +398,64 @@ def test_wz_bases_are_genuine_complements():
             stacked = np.vstack([lower, b.basis]) if lower.size else b.basis
             assert _modp.rank(stacked, t.p) == lower.shape[0] + b.basis.shape[0]
             assert _modp.rank(np.vstack([upper, b.basis]), t.p) == upper.shape[0]
+
+
+# Golden configs off the built-in cases: W_z past grade 0, f = 3, q = 5 and
+# the least allowed precision N = 3.
+GOLDEN_STRATA = ("q3_e3f1_r5", "q3_e3f2_r5", "q3_e5f1_r3", "q5_e1f2_r3",
+                 "q3_e1f3", "q3_e3f1_N3", "q5_e3f1")
+LAYER_CASES = BUILTIN_CASE_NAMES + GOLDEN_STRATA
+
+
+def stratum_named(name):
+    return builtin_case(name) if name in BUILTIN_CASE_NAMES else golden_stratum(name)
+
+
+def layer_outcome(fn, *args):
+    try:
+        out = fn(*args)
+    except PrecisionTooLow as exc:
+        return "PrecisionTooLow", str(exc)
+    assert out.dtype == np.int64
+    return out.shape, out.tolist()
+
+
+@pytest.mark.parametrize("name", LAYER_CASES)
+def test_layer_stacks_match_row_loops(name):
+    # From the low end of the iwahori_indices window up past the precision,
+    # the one-stack centralizer layers and alpha matrix agree with the loops
+    # over one basis matrix at a time, and raise at the same grades.
+    s = stratum_named(name)
+    t = s.tower
+    gen_sets = [level_gens(s, j) for j in range(s.d + 2)]
+    gen_sets += [_declared_gens(t, j) for j in range(len(t.levels))]
+    raised = 0
+    for m in range(-(s.s_list[0] + 2 * t.e + 2), t.e * (t.fcap + 1)):
+        for gens in gen_sets:
+            got = layer_outcome(t.cent_layer, gens, m)
+            assert got == layer_outcome(cent_layer_loop, t, gens, m)
+            raised += got[0] == "PrecisionTooLow"
+        got = layer_outcome(_alpha_matrix, t, m)
+        assert got == layer_outcome(alpha_matrix_loop, t, m)
+        raised += got[0] == "PrecisionTooLow"
+    assert raised
+
+
+@pytest.mark.parametrize("name", LAYER_CASES)
+def test_wz_bases_match_two_branch_complement(name):
+    s = stratum_named(name)
+    blocks = build_Wz(s.tower, s).blocks
+    ref = wz_blocks_by_branches(s.tower, s)
+    assert [b.basis.tolist() for b in blocks] == [basis.tolist() for basis, _ in ref]
+    # The level-j centralizer contains E, so its dual layer is never empty;
+    # p = 3 divides e = 3, and the trace of the wild part vanishes.
+    branches = {branch for _, branch in ref}
+    assert "no dual" not in branches
+    want = {"e1f2": "tame", "e5f1": "tame", "q3_e5f1_r3": "tame",
+            "e3f1": "wild", "e3f2": "wild", "q3_e3f1_r5": "wild",
+            "q3_e3f2_r5": "wild"}
+    if name in want:
+        assert branches == {want[name]}
 
 
 def test_wz_even_exponent_rejected():

@@ -53,6 +53,55 @@ def test_float_ban_flags_each_construct(snippet):
     assert list(_float_uses(ast.parse(snippet))) == [1]
 
 
+def _unread_private_names(trees: dict[str, ast.AST]) -> list[str]:
+    """Private (one leading underscore) functions, methods, classes and
+    module-level names that the modules define but never read: no load of
+    the name and no attribute of that name anywhere in them."""
+    defined = {}
+    for module, tree in trees.items():
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                defined.setdefault(node.name, f"{module}:{node.lineno}")
+        for node in tree.body:
+            targets = (node.targets if isinstance(node, ast.Assign)
+                       else [node.target] if isinstance(node, ast.AnnAssign) else [])
+            for target in targets:
+                if isinstance(target, ast.Name):
+                    defined.setdefault(target.id, f"{module}:{node.lineno}")
+    read = {
+        node.id if isinstance(node, ast.Name) else node.attr
+        for tree in trees.values() for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+        or isinstance(node, ast.Attribute)
+    }
+    return sorted(f"{where} {name}" for name, where in defined.items()
+                  if name.startswith("_") and not name.startswith("__")
+                  and name not in read)
+
+
+def test_every_private_name_is_read_in_package():
+    # Code that only the tests reach belongs in tests/_support.py, not in
+    # src/strbc, so every private name there has a reader in the package.
+    trees = {path.name: ast.parse(path.read_text(), str(path))
+             for path in sorted(SRC.glob("*.py"))}
+    found = _unread_private_names(trees)
+    assert not found, f"private names read nowhere in src/strbc: {found}"
+
+
+@pytest.mark.parametrize("snippet,unread", [
+    ("def _f(): pass", ["m:1 _f"]),
+    ("class _C: pass", ["m:1 _C"]),
+    ("_X = 1", ["m:1 _X"]),
+    ("_X: int = 1", ["m:1 _X"]),
+    ("class C:\n    def _m(self): pass", ["m:2 _m"]),
+    ("def _f(): pass\ng = _f", []),
+    ("_X = 1\ny = obj._X", []),
+    ("def __init__(self): pass\ndef f(): pass", []),
+])
+def test_private_name_scan_flags_each_unread_definition(snippet, unread):
+    assert _unread_private_names({"m": ast.parse(snippet)}) == unread
+
+
 def test_tracer_finds_every_target(monkeypatch):
     # The benchmark's tracer wraps functions of the package by name; a
     # renamed or removed target shows here, not only in its own self-test.

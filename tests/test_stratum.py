@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from strbc import _modp, gauss, stratum
 from strbc.cyclotomic import CycNum, cyc_root
-from strbc.finite_field import AddChar, MultChar, quadratic_residue_char
+from strbc.finite_field import AddChar, MultChar, pow_fq, quadratic_residue_char
 from strbc.gauss import EnumerationTooLarge, NonUnitQuotient
 from strbc.local_model import (
     MatF,
@@ -48,7 +48,7 @@ from strbc.stratum import (
     solve_Y_from_X,
 )
 
-from _support import bz_aux_independence, in_row_space
+from _support import bz_aux_independence, in_row_space, minimal_by_ad_kernel
 
 CLOSED_MAGNITUDE = {"u1": 2, "e3f1": 6, "e1f2": 24, "e3f2": 1944, "e5f1": 18}
 
@@ -81,6 +81,52 @@ def test_minimality_unramified_direction():
     t = build_tower(TowerConfig(q=3, e=1, f=2, N=6))
     assert minimality_check(t, t.e_monomial(-1, t.zeta))
     assert not minimality_check(t, t.e_monomial(-1))  # lies in F
+
+
+def stratum_or_failed_level(t, c_elems):
+    """None when the stratum builds, else the level whose minimality failed."""
+    try:
+        StratumSpec(t, c_elems)
+    except NotMinimal as exc:
+        return int(str(exc).split()[0][2:])
+    return None
+
+
+@pytest.mark.parametrize("q,e,f,N", [(3, 3, 1, 8), (3, 1, 2, 6), (3, 5, 1, 12),
+                                     (3, 3, 2, 8), (3, 1, 3, None), (5, 1, 2, None),
+                                     (5, 3, 1, None), (3, 3, 1, 3)])
+def test_minimality_matches_ad_kernel_rank(q, e, f, N):
+    # minimality_check and the stratum's level test read cent_layer; the
+    # reference builds the kernel of ad_c by hand, with the whole of c.
+    t = build_tower(TowerConfig(q=q, e=e, f=f, N=N))
+    seen = set()
+    for r in (1, 3, 5):
+        for k in range(min(t.kE.q - 1, 4)):
+            c = t.e_monomial(-r, pow_fq(t.zeta, k))
+            want = minimal_by_ad_kernel(t, c)
+            assert minimality_check(t, c) == want
+            seen.add(want)
+            if r + 2 <= t.N:
+                level = None if minimal_by_ad_kernel(t, c, 0) else 0
+                assert stratum_or_failed_level(t, [c]) == level
+    # A non-monomial: only its leading monomial reaches degree v(c).
+    for lead, tail in ((t.zeta, t.kE.one()), (t.kE.one(), t.zeta)):
+        c = t.e_monomial(-3, lead) + t.e_monomial(-1, tail)
+        assert minimality_check(t, c) == minimal_by_ad_kernel(t, c)
+    assert seen == {True, False}
+
+
+def test_level_minimality_matches_ad_kernel_rank_on_d1():
+    t = builtin_case("d1-tower").tower
+    levels = set()
+    for k in range(t.kE.q - 1):
+        for a in range(1, t.p):
+            c0, c1 = t.e_monomial(-3, pow_fq(t.zeta, k)), t.e_monomial(-1, a)
+            want = next((j for j, c in enumerate((c0, c1))
+                         if not minimal_by_ad_kernel(t, c, j)), None)
+            assert stratum_or_failed_level(t, [c0, c1]) == want
+            levels.add(want)
+    assert levels == {None, 0}
 
 
 # -- stratum validation ------------------------------------------------------
@@ -183,9 +229,9 @@ def test_minimality_nondegeneracy_grid():
                 c = t.e_monomial(-r, cval)
                 if c.is_zero() or not c.is_skew():
                     continue
-                from strbc.local_model import _is_in_F
+                from strbc.local_model import _in_level
 
-                if _is_in_F(t, c):
+                if _in_level(t, c, -1):
                     # Central elements commute with everything; no form.
                     assert not minimality_check(t, c)
                     continue
@@ -635,6 +681,13 @@ def loop_block_gram_raw(tower, c, basis, grade, scalar, c_first):
     return raw
 
 
+def block_gram_raw(tower, c, basis, grade, scalar, c_first):
+    """The kernel, whose bracket is X c - c X; c X - X c is the same Gram at
+    the negated scalar."""
+    return stratum._block_gram_raw(tower, c, basis, grade,
+                                   -scalar if c_first else scalar)
+
+
 def gram_or_error(fn, *args):
     try:
         raw = fn(*args)
@@ -660,7 +713,7 @@ def test_block_gram_matches_pair_products_on_wz(name):
             scalar = t.e_monomial(k, units[i % len(units)])
             for c_first in (True, False):
                 args = (t, s.c_elems[0], basis, grade, scalar, c_first)
-                fast = gram_or_error(stratum._block_gram_raw, *args)
+                fast = gram_or_error(block_gram_raw, *args)
                 assert fast == gram_or_error(loop_block_gram_raw, *args)
                 nonzero = nonzero or np.any(fast[1])
     # u1 has n = 1, where every commutator vanishes.
@@ -683,7 +736,7 @@ def test_block_gram_matches_pair_products(name, grade, shift, prec, unit,
     scalar = t.e_monomial(k, y, prec=prec)
     basis = np.random.default_rng(seed).integers(0, t.p, size=(rows, t.n * t.f))
     args = (t, s.c_elems[0], basis, grade, scalar, c_first)
-    fast = gram_or_error(stratum._block_gram_raw, *args)
+    fast = gram_or_error(block_gram_raw, *args)
     assert fast == gram_or_error(loop_block_gram_raw, *args)
 
 
@@ -693,7 +746,7 @@ def test_block_gram_precision_error_matches():
     t = s.tower
     basis = np.eye(t.n * t.f, dtype=np.int64)[:2]
     args = (t, s.c_elems[0], basis, -2, t.e_monomial(0, t.kE.one(), prec=1), True)
-    fast = gram_or_error(stratum._block_gram_raw, *args)
+    fast = gram_or_error(block_gram_raw, *args)
     assert fast[0] == "PrecisionTooLow"
     assert fast == gram_or_error(loop_block_gram_raw, *args)
 
@@ -710,7 +763,7 @@ def test_block_gram_precision_error_names_first_pair(name, grade, k, y, c_first,
     t = s.tower
     scalar = t.e_monomial(k, list(t.kE.units())[y], prec=-1)
     args = (t, s.c_elems[0], np.array(basis), grade, scalar, c_first)
-    fast = gram_or_error(stratum._block_gram_raw, *args)
+    fast = gram_or_error(block_gram_raw, *args)
     assert fast == ("PrecisionTooLow", f"w_F^0 beyond precision {first}")
     assert fast == gram_or_error(loop_block_gram_raw, *args)
 
@@ -725,8 +778,8 @@ def test_block_gram_rows_decide_when_stack_is_short(name, monkeypatch):
     sides = stratum._gram_sides
     shortened = []
 
-    def short_stack(tower, c, X, scalar, c_first):
-        left, right = sides(tower, c, X, scalar, c_first)
+    def short_stack(tower, c, X, scalar):
+        left, right = sides(tower, c, X, scalar)
         if X.batch:
             shortened.append(X.batch)
             left = left.truncated(-right.g)
@@ -736,7 +789,7 @@ def test_block_gram_rows_decide_when_stack_is_short(name, monkeypatch):
     scalar = t.e_monomial(1, list(t.kE.units())[-1])
     for block in build_Wz(t, s).blocks:
         args = (t, s.c_elems[block.j], block.basis, block.grade, scalar, True)
-        fast = gram_or_error(stratum._block_gram_raw, *args)
+        fast = gram_or_error(block_gram_raw, *args)
         assert fast == gram_or_error(loop_block_gram_raw, *args)
         assert fast[0] != "PrecisionTooLow"
     assert shortened
