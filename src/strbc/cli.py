@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 # must precede that first import, and a value the caller set wins.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
-from .finite_field import _MAX_ORDER, AddChar, MultChar, _is_prime, get_field, pow_fq
+from .finite_field import _MAX_ORDER, AddChar, MultChar, _is_prime, get_field
 from .gauss import (
     DEFAULT_ENUMERATION_BOUND,
     EnumerationTooLarge,
@@ -176,7 +176,7 @@ class ExperimentConfig:
                     levels=None if levels is None else tuple(map(tuple, levels)),
                 ))
                 s = StratumSpec(tower, [
-                    tower.e_monomial(expo, pow_fq(tower.zeta, zp))
+                    tower.e_monomial(expo, tower.kE.exp(zp))
                     for zp, expo in self.stratum["c"]
                 ])
             except (ValueError, ArithmeticError) as exc:
@@ -194,7 +194,7 @@ def _stratum_provenance(s: StratumSpec, psi_twist: int) -> dict:
         "u": list(tower.u.coeffs),
         "psi_twist": psi_twist,
         "c": [
-            {"exponent": c.val(), "coeff": list(c.coeff(c.val()).coeffs)}
+            {"exponent": c.val(), "coeff": c.row(c.val()).tolist()}
             for c in s.c_elems
         ],
     }

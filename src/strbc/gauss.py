@@ -20,7 +20,6 @@ array of polynomial-basis coefficients; the diagonalization and
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
@@ -185,6 +184,8 @@ def _phase_histogram(gram: np.ndarray, p: int, threads: int = 1) -> np.ndarray:
 
     blocks = range(0, len(hi), rows)
     if threads > 1:
+        # Imported here, since it also loads logging, queue and traceback.
+        from concurrent.futures import ThreadPoolExecutor
         with ThreadPoolExecutor(max_workers=threads) as pool:
             counts = sum(pool.map(process, blocks))
     else:

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from fractions import Fraction
 from math import isqrt
 
 from .cyclotomic import CycNum, cyc_embed, cyc_root
@@ -363,6 +362,7 @@ def solve_reducibility(hp: HeckeParams, rho_tilde: LevelZeroChar,
     eps = eps_z.value if isinstance(eps_z, SignResult) else eps_z
     if eps not in (-1, 1):
         raise MissingSign("eps_z sign unavailable")
+    from fractions import Fraction  # here, since it also loads decimal
     eig = hecke_eigenvalues(hp)
     s1 = Fraction(hp.r_y + hp.r_z, 2)
     s2 = Fraction(abs(hp.r_y - hp.r_z), 2)

@@ -8,14 +8,16 @@ and a Teichmueller generator zeta of k_E^x.  The conjugation
 sigma fixes the residue field and sends w_E to -w_E (hence w_F to -w_F,
 because e is odd).
 
-Elements of E are truncated Laurent series (EElem).  F-linear endomorphisms
-of V = E are matrices over truncated F-series in the basis w_{a,b} =
-w_E^a zeta^b (MatF), stored as a stack of mod-p coefficient layers indexed
-by the power of w_F; leading batch axes hold many such matrices, which every
-operation treats at once.  A scalar F-series, such as a determinant, is a layer
-array too: the int64 vector of its w_F^0, w_F^1, ... coefficients.
-Precision is tracked explicitly and reads past the known window raise
-PrecisionTooLow instead of silently truncating.
+Elements of E are truncated Laurent series (EElem), each one read-only
+int64 array of k_E coordinate rows, one per power of w_E from the least
+live one, and a precision that its memo key names too.  F-linear
+endomorphisms of V = E are matrices over truncated F-series in the basis
+w_{a,b} = w_E^a zeta^b (MatF), stored as a stack of mod-p coefficient
+layers indexed by the power of w_F; leading batch axes hold many such
+matrices, which every operation treats at once.  A scalar F-series, such as
+a determinant, is a layer array too: the int64 vector of its w_F^0, w_F^1,
+... coefficients.  Precision is tracked explicitly and reads past the known
+window raise PrecisionTooLow instead of silently truncating.
 
 The valuation grading is E-normalized: v(w_E) = 1, and the degree-m
 homogeneous layer of the algebra is an n*f-dimensional k-space.  One
@@ -37,7 +39,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import _modp
-from .finite_field import FqElem, get_field, pow_fq
+from .finite_field import FqElem, get_field
 
 
 class EvenRamification(ValueError):
@@ -69,113 +71,108 @@ class PrecisionTooLow(ArithmeticError):
 
 
 class EElem:
-    """sum_i a_i w_E^i with a_i in k_E, known for i < prec."""
+    """sum_i a_i w_E^i with a_i in k_E, known for i < prec.
 
-    __slots__ = ("tower", "coeffs", "prec")
+    rows is one read-only int64 array: row k holds the polynomial-basis
+    coordinates of a_(lo+k).  Its first and last rows are nonzero; zero has
+    no rows and lo == prec.  key() names lo, prec and the rows, so memo keys
+    built from elements tell two precisions apart."""
 
-    def __init__(self, tower: "TowerSpec", coeffs: dict[int, FqElem], prec: int):
-        self.tower = tower
-        self.coeffs = {i: c for i, c in coeffs.items() if c and i < prec}
-        self.prec = prec
+    __slots__ = ("tower", "lo", "rows", "prec")
 
-    def coeff(self, i: int) -> FqElem:
+    def __init__(self, tower: "TowerSpec", lo: int, rows, prec: int):
+        rows = np.asarray(rows, dtype=np.int64).reshape(-1, tower.f)
+        rows = rows[: max(prec - lo, 0)] % tower.p
+        live = np.flatnonzero(rows.any(axis=1))
+        lo = lo + int(live[0]) if live.size else prec
+        rows = rows[live[0] : live[-1] + 1] if live.size else rows[:0]
+        rows.setflags(write=False)
+        self.tower, self.lo, self.rows, self.prec = tower, lo, rows, prec
+
+    def row(self, i: int) -> np.ndarray:
+        """The polynomial-basis coordinates of a_i."""
         if i >= self.prec:
             raise PrecisionTooLow(f"w_E^{i} beyond precision {self.prec}")
-        return self.coeffs.get(i, self.tower.kE.zero())
+        k = i - self.lo
+        inside = 0 <= k < len(self.rows)
+        return self.rows[k] if inside else np.zeros(self.tower.f, dtype=np.int64)
+
+    def coeff(self, i: int) -> FqElem:
+        return self.tower.kE.element(self.row(i).tolist())
+
+    def exponents(self) -> tuple[int, ...]:
+        """The exponents i with a_i != 0, in increasing order."""
+        return tuple((self.lo + np.flatnonzero(self.rows.any(axis=1))).tolist())
 
     def val(self) -> int:
-        if not self.coeffs:
+        if self.is_zero():
             raise ZeroElement("valuation of an element that is zero mod precision")
-        return min(self.coeffs)
-
-    def lower_bound(self) -> int:
-        return min(self.coeffs) if self.coeffs else self.prec
+        return self.lo
 
     def __add__(self, other: "EElem") -> "EElem":
-        prec = min(self.prec, other.prec)
-        out = dict(self.coeffs)
-        for i, c in other.coeffs.items():
-            out[i] = out.get(i, self.tower.kE.zero()) + c
-        return EElem(self.tower, out, prec)
+        lo = min(self.lo, other.lo)
+        out = np.zeros((max(x.lo + len(x.rows) for x in (self, other)) - lo,
+                        self.tower.f), dtype=np.int64)
+        for x in (self, other):
+            out[x.lo - lo : x.lo - lo + len(x.rows)] += x.rows
+        return EElem(self.tower, lo, out, min(self.prec, other.prec))
 
     def __neg__(self) -> "EElem":
-        return EElem(self.tower, {i: -c for i, c in self.coeffs.items()}, self.prec)
+        return EElem(self.tower, self.lo, -self.rows, self.prec)
 
     def __sub__(self, other: "EElem") -> "EElem":
         return self + (-other)
 
     def __mul__(self, other: "EElem") -> "EElem":
-        va, vb = self.lower_bound(), other.lower_bound()
-        prec = min(self.prec + vb, other.prec + va)
-        out: dict[int, FqElem] = {}
-        for i, a in self.coeffs.items():
-            for j, b in other.coeffs.items():
-                if i + j < prec:
-                    prev = out.get(i + j)
-                    out[i + j] = a * b if prev is None else prev + a * b
-        return EElem(self.tower, out, prec)
+        a, b = self.rows, other.rows
+        # a_i b_j through the multiplication tensor, summed along i + j.
+        prods = np.einsum("is,jt,stl->ijl", a, b, self.tower.kE.mul_tensor)
+        out = np.zeros((max(len(a) + len(b) - 1, 0), self.tower.f), dtype=np.int64)
+        np.add.at(out, np.add.outer(np.arange(len(a)), np.arange(len(b))), prods)
+        prec = min(self.prec + other.lo, other.prec + self.lo)
+        return EElem(self.tower, self.lo + other.lo, out, prec)
 
     def scale(self, c: FqElem | int) -> "EElem":
-        if isinstance(c, int):
-            c = self.tower.kE.from_int(c)
-        return EElem(self.tower, {i: a * c for i, a in self.coeffs.items()}, self.prec)
+        rows = (self.rows * (c % self.tower.p) if isinstance(c, int)
+                else self.rows @ self.tower._kE_mul(c.coeffs).T)
+        return EElem(self.tower, self.lo, rows, self.prec)
 
     def sigma(self) -> "EElem":
         """The conjugation over E-bullet: w_E -> -w_E, identity on k_E."""
-        return EElem(
-            self.tower,
-            {i: (-c if i % 2 else c) for i, c in self.coeffs.items()},
-            self.prec,
-        )
+        signs = 1 - 2 * ((self.lo + np.arange(len(self.rows))) % 2)
+        return EElem(self.tower, self.lo, self.rows * signs[:, None], self.prec)
 
     def inverse(self) -> "EElem":
-        v = self.val()
-        lead = self.coeffs[v]
-        # x = lead*w^v*(1 + t) with v(t) >= 1; invert by geometric series.
-        linv = lead.inverse()
-        t = EElem(
-            self.tower,
-            {i - v: c * linv for i, c in self.coeffs.items() if i != v},
-            self.prec - v,
-        )
-        one = self.tower.e_monomial(0, 1, prec=self.prec - v)
-        acc, term = one, one
-        while True:
-            term = -(term * t)
-            if term.lower_bound() >= term.prec:
-                break
-            acc = acc + term
-        inv = EElem(
-            self.tower,
-            {i - v: c * linv for i, c in acc.coeffs.items()},
-            acc.prec - v,
-        )
-        return inv
+        """x = w_E^v (a_0 + a_1 w_E + ...) is inverted row by row: the
+        coefficients y_k of w_E^v / x solve sum_j a_j y_(k-j) = [k = 0]."""
+        v, a, t = self.val(), self.rows, self.tower
+        lead_inv = _modp.mat_inv(t._kE_mul(a[0]), t.p)
+        y = np.zeros((self.prec - v, t.f), dtype=np.int64)
+        for k in range(len(y)):
+            j = np.arange(1, min(k, len(a) - 1) + 1)
+            rhs = -np.einsum("js,jt,stl->l", a[j], y[k - j], t.kE.mul_tensor)
+            rhs[0] += k == 0
+            y[k] = lead_inv @ rhs % t.p
+        return EElem(t, -v, y, self.prec - 2 * v)
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return len(self.rows) == 0
 
     def is_skew(self) -> bool:
         """sigma(x) = -x, i.e. only odd powers of w_E occur."""
-        return all(i % 2 for i in self.coeffs)
+        return all(i % 2 for i in self.exponents())
 
     def __eq__(self, other):
         if not isinstance(other, EElem):
             return NotImplemented
-        prec = min(self.prec, other.prec)
-        keys = set(self.coeffs) | set(other.coeffs)
-        z = self.tower.kE.zero()
-        return all(
-            self.coeffs.get(i, z) == other.coeffs.get(i, z) for i in keys if i < prec
-        )
+        return (self - other).is_zero()
 
     def key(self) -> tuple:
-        return tuple(sorted((i, c.coeffs) for i, c in self.coeffs.items()))
+        return self.lo, self.prec, self.rows.tobytes()
 
     def __repr__(self):
-        terms = " + ".join(
-            f"{c.coeffs}*wE^{i}" for i, c in sorted(self.coeffs.items())
-        )
+        terms = " + ".join(f"{tuple(self.row(i).tolist())}*wE^{i}"
+                           for i in self.exponents())
         return f"EElem({terms or '0'}; prec {self.prec})"
 
 
@@ -541,6 +538,10 @@ class TowerSpec:
         # Teichmueller basis 1, zeta, ..., zeta^{f-1}.
         self.Zmat = np.array([self.kE.exp(b).coeffs for b in range(f)], dtype=np.int64).T
         self.Zinv = _modp.mat_inv(self.Zmat, self.p)
+        # x -> x^p is F_p-linear on k_E: column k is (t^k)^p = t^(kp).
+        log_t = self.kE.element((0, 1)).discrete_log() if f > 1 else 0
+        self.frob = np.array([self.kE.exp(k * self.p * log_t).coeffs for k in range(f)],
+                             dtype=np.int64).T
         # Hermitian-form data.  h(v, w) = tau(v sigma(w)) with tau the
         # extraction functional at shift e-1: it reads the coefficients at
         # exponents = e-1 mod e and pushes their k_E-traces down to F.  The
@@ -568,12 +569,11 @@ class TowerSpec:
     # -- E-element helpers ---------------------------------------------------
 
     def e_monomial(self, i: int, c: FqElem | int = 1, prec: int | None = None) -> EElem:
-        if isinstance(c, int):
-            c = self.kE.from_int(c)
-        return EElem(self, {i: c}, self.Ecap if prec is None else prec)
+        row = [c] + [0] * (self.f - 1) if isinstance(c, int) else c.coeffs
+        return EElem(self, i, row, self.Ecap if prec is None else prec)
 
     def e_zero(self, prec: int | None = None) -> EElem:
-        return EElem(self, {}, self.Ecap if prec is None else prec)
+        return EElem(self, 0, [], self.Ecap if prec is None else prec)
 
     def varpi_E(self) -> EElem:
         return self.e_monomial(1)
@@ -594,12 +594,12 @@ class TowerSpec:
         def build():
             fprec = -((self.e - 1 - x.prec) // self.e)
             out = MatF.zero(self, fprec)
-            for i, c in x.coeffs.items():
-                out = out + self.mat_from_layer(i, np.tile(c.coeffs, self.n), fprec)
+            for i in x.exponents():
+                out = out + self.mat_from_layer(i, np.tile(x.row(i), self.n), fprec)
             out.arr.setflags(write=False)
             return out
 
-        return self.memo(("m_of", x.key(), x.prec), build)
+        return self.memo(("m_of", x.key()), build)
 
     # -- the Hermitian structure ---------------------------------------------
 
@@ -610,18 +610,18 @@ class TowerSpec:
         F-linear E -> F; nonzero, hence the associated pairing on E is
         nondegenerate in every characteristic."""
         coeffs: dict[int, int] = {}
-        for i, c in x.coeffs.items():
+        for i in x.exponents():
             if (i - shift) % self.e == 0:
                 t = (i - shift) // self.e
-                val = self.kE.trace(c * pow_fq(self.u, t))
-                if val:
+                c_ut = self._kE_mul(self._zeta_u(0, t)) @ x.row(i)
+                if val := int(self.kE.trace_vector @ c_ut) % self.p:
                     coeffs[t] = val
         fprec = -((shift - x.prec) // self.e)
         return coeffs, fprec
 
     def _build_gram(self, shift: int) -> "MatF":
         n = self.n
-        basis = [self.e_monomial(a, pow_fq(self.zeta, b))
+        basis = [self.e_monomial(a, self.kE.exp(b))
                  for a in range(self.e) for b in range(self.f)]
         entries = [[self.tau(wi * wj.sigma(), shift) for wj in basis] for wi in basis]
         fprec = min(fp for row in entries for _, fp in row)
@@ -673,9 +673,14 @@ class TowerSpec:
         stack = np.stack([X.layer(t) for t in range(ts[0], ts[-1] + 1)], axis=-3)
         return stack[(...,) + slots] @ kmat.T % self.p
 
-    def _kE_mul(self, c: FqElem) -> np.ndarray:
-        """Matrix of x -> c x on polynomial-basis coordinates of k_E."""
-        return np.einsum("j,jkl->lk", c.coeffs, self.kE.mul_tensor) % self.p
+    def _kE_mul(self, c) -> np.ndarray:
+        """Matrix of x -> c x on polynomial-basis coordinates of k_E, for the
+        coordinates c of an element."""
+        return np.einsum("j,jkl->lk", c, self.kE.mul_tensor) % self.p
+
+    def _zeta_u(self, b: int, t: int) -> tuple[int, ...]:
+        """Polynomial-basis coordinates of zeta^b u^t."""
+        return self.kE.exp(b + t * self.u.discrete_log()).coeffs
 
     def _degree_map(self, m: int) -> tuple:
         """(ts, T, slots, K): the degree-m layer map and its inverse, built
@@ -701,9 +706,9 @@ class TowerSpec:
                 for b in range(f):
                     c = self.basis_index(a, b)
                     out = slice(c * f, (c + 1) * f)
-                    scale = pow_fq(self.zeta, b) * pow_fq(self.u, t)
-                    tensor[t - ts[0], rows, c, out] = self.Zinv @ self._kE_mul(scale) % p
-                    kmat[out, out] = self._kE_mul(scale.inverse()) @ self.Zmat % p
+                    scale = self._kE_mul(self._zeta_u(b, t))
+                    tensor[t - ts[0], rows, c, out] = self.Zinv @ scale % p
+                    kmat[out, out] = self._kE_mul(self._zeta_u(-b, -t)) @ self.Zmat % p
                     layer[out], row[out], col[out] = t - ts[0], rows, c
             for arr in (tensor, layer, row, col, kmat):
                 arr.setflags(write=False)
@@ -742,8 +747,8 @@ class TowerSpec:
         X = self.mat_from_layer(m, np.eye(self.n * self.f, dtype=np.int64))
         maps = []
         for g in gens:
-            for i, c in g.coeffs.items():
-                mg = self.m_of(self.e_monomial(i, c, prec=g.prec))
+            for i in g.exponents():
+                mg = self.m_of(EElem(self, i, g.row(i), g.prec))
                 maps.append(self.layer_coords((X @ mg) - (mg @ X), m + i).T)
         out = _modp.nullspace(np.vstack(maps), self.p)
         return _modp.row_space_basis(out, self.p) if out.size else out
@@ -773,13 +778,11 @@ def build_tower(config: TowerConfig) -> TowerSpec:
 def _in_level(tower: TowerSpec, x: EElem, level: int) -> bool:
     """Whether x lies in the level-th subfield of the chain; level -1 is F."""
     e_l, f_l = tower.levels[level]
-    step = tower.e // e_l
-    for i, c in x.coeffs.items():
-        if i % step:
-            return False
-        if pow_fq(c, tower.p**f_l) != c:
-            return False
-    return True
+    fixed = x.rows
+    for _ in range(f_l):
+        fixed = fixed @ tower.frob.T % tower.p
+    return (all(i % (tower.e // e_l) == 0 for i in x.exponents())
+            and np.array_equal(fixed, x.rows))
 
 
 @dataclass(frozen=True)
@@ -813,12 +816,7 @@ class WzSpace:
 
 def level_gens(stratum, j: int) -> tuple[EElem, ...]:
     """Generators of E_j = F[c_j, ..., c_d]; empty for E_{d+1} = F."""
-    tower = stratum.tower
-    out = []
-    for c in stratum.c_elems[j:]:
-        if not _in_level(tower, c, -1):
-            out.append(c)
-    return tuple(out)
+    return tuple(c for c in stratum.c_elems[j:] if not _in_level(stratum.tower, c, -1))
 
 
 def build_Wz(tower: TowerSpec, stratum) -> WzSpace:

@@ -31,6 +31,7 @@ import functools
 import itertools
 import math
 import random
+import sys
 
 import numpy as np
 
@@ -40,7 +41,6 @@ from .finite_field import (
     AddChar,
     FqElem,
     MultChar,
-    pow_fq,
     quadratic_residue_char,
 )
 from .gauss import (
@@ -145,7 +145,7 @@ class StratumSpec:
         for j, c in enumerate(c_elems):
             if c.is_zero():
                 raise ZeroElement("stratum element is zero")
-            if len(c.coeffs) != 1:
+            if len(c.rows) != 1:
                 raise ValueError("stratum elements must be monomials")
             v = c.val()
             if v >= 0:
@@ -188,10 +188,8 @@ def _declared_gens(tower: TowerSpec, j: int) -> tuple[EElem, ...]:
     e_j, f_j = tower.levels[j]
     gens = [tower.e_monomial(tower.e // e_j)]
     if f_j > 1:
-        q_sub = tower.p**f_j
-        gens.append(
-            tower.e_monomial(0, tower.kE.exp((tower.kE.q - 1) // (q_sub - 1)))
-        )
+        sub_generator = tower.kE.exp((tower.kE.q - 1) // (tower.p**f_j - 1))
+        gens.append(tower.e_monomial(0, sub_generator))
     return tuple(gens)
 
 
@@ -209,7 +207,7 @@ def minimality_check(t: TowerSpec, c: EElem) -> bool:
     if v >= 0:
         raise NonNegativeValuation(f"v(c) = {v} must be negative")
     # Only the leading monomial of c brackets the degree-0 layer into degree v.
-    lead = t.e_monomial(v, c.coeff(v), prec=c.prec)
+    lead = EElem(t, v, c.rows[:1], c.prec)
     return t.cent_layer((lead,), 0).shape[0] == t.f
 
 
@@ -450,17 +448,14 @@ class SimpleCharSpec:
         self.xi_elems = xi_elems
         self.side = side
         # Residue of the det-part twist: b_{d+1} = bhat / w_F.
-        scaled = xi_elems[-1] * tower.varpi_F()
-        bh = scaled.coeff(0)
-        if any(bh.coeffs[1:]):
+        bh = (xi_elems[-1] * tower.varpi_F()).row(0)
+        if bh[1:].any():
             raise NotInSubfield("det-part twist residue must be in k")
-        bhat = bh.coeffs[0]
-        half = pow((tower.p + 1) // 2, 1, tower.p)
-        kE = tower.kE
-        inv2 = kE.from_int(2).inverse()
+        bhat = int(bh[0])
+        half = (tower.p + 1) // 2
         if side == "u":
             self.bhat = bhat * half % tower.p
-            self.c_eff = tuple(c.scale(inv2) for c in stratum.c_elems)
+            self.c_eff = tuple(c.scale(half) for c in stratum.c_elems)
         else:
             self.bhat = bhat
             self.c_eff = stratum.c_elems
@@ -560,8 +555,9 @@ def _unit_mats(tower: TowerSpec, i: int, units, power: int = 1) -> MatF:
     from the stack over all units, built once."""
     def build():
         every = list(tower.kE.units())
-        mats = MatF.stack([tower.m_of(tower.e_monomial(i, pow_fq(c, power)))
-                           for c in every])
+        mats = MatF.stack([
+            tower.m_of(tower.e_monomial(i, tower.kE.exp(power * c.discrete_log())))
+            for c in every])
         return {c.coeffs: k for k, c in enumerate(every)}, mats
 
     where, mats = tower.memo(("unit-mats", i, power), build)
@@ -797,7 +793,8 @@ _CHUNK = 64
 def _walk(units: list, p: int, dim: int, sample: int | None, seed: int,
           bound: int, step, exc: type, message: str) -> bool:
     """Check the oracle terms of ``_terms``, _CHUNK at a time; returns
-    whether they are a sample.  More than ``bound`` terms are refused first.
+    whether they are a sample.  More than ``bound`` terms, or more than a
+    draw can index (sys.maxsize), are refused first.
 
     ``step(units, X)`` gets a chunk's units and (B, dim) coordinates and
     returns its zeta_p exponents with the exponents they must equal.  A
@@ -808,6 +805,9 @@ def _walk(units: list, p: int, dim: int, sample: int | None, seed: int,
     count = total if sample is None else min(sample, total)
     if count > bound:
         raise EnumerationTooLarge(f"{count} terms exceeds bound {bound}")
+    if total > sys.maxsize:
+        raise EnumerationTooLarge(f"{total} terms exceeds {sys.maxsize}, "
+                                  "the most a draw can index")
     terms, sampled = _terms(units, p, dim, sample, seed)
     terms = iter(terms)
     start = 0
@@ -983,7 +983,7 @@ def builtin_case(name: str) -> StratumSpec:
         ) from None
     tower = build_tower(data["config"])
     c_elems = [
-        tower.e_monomial(expo, pow_fq(tower.zeta, zp))
+        tower.e_monomial(expo, tower.kE.exp(zp))
         for zp, expo in data["c"]
     ]
     return StratumSpec(tower, c_elems)

@@ -100,7 +100,7 @@ def e_from_mat(tower: TowerSpec, X: MatF) -> EElem:
     """Image of 1 = w_{0,0} under X, as an element of E."""
     col = tower.basis_index(0, 0)
     prec = X.fprec * tower.e
-    out: dict[int, FqElem] = {}
+    out = tower.e_zero(prec)
     for k in range(X.arr.shape[0]):
         t = X.g + k
         uinv_t = pow_fq(tower.u, -t)
@@ -111,10 +111,8 @@ def e_from_mat(tower: TowerSpec, X: MatF) -> EElem:
                 if v:
                     c = c + pow_fq(tower.zeta, b) * v
             if c:
-                i = a + tower.e * t
-                prev = out.get(i)
-                out[i] = c * uinv_t if prev is None else prev + c * uinv_t
-    return EElem(tower, out, prec)
+                out = out + tower.e_monomial(a + tower.e * t, c * uinv_t, prec)
+    return out
 
 
 def embed_E_in_matrices(tower: TowerSpec) -> dict:
@@ -202,8 +200,8 @@ def cent_layer_loop(tower: TowerSpec, gens: tuple[EElem, ...], m: int) -> np.nda
         return np.eye(tower.n * tower.f, dtype=np.int64)
     maps = []
     for g in gens:
-        for i, c in g.coeffs.items():
-            mg = tower.m_of(tower.e_monomial(i, c, prec=g.prec))
+        for i in g.exponents():
+            mg = tower.m_of(tower.e_monomial(i, g.coeff(i), prec=g.prec))
             cols = [tower.layer_coords((Xk @ mg) - (mg @ Xk), m + i)
                     for Xk in layer_basis_loop(tower, m)]
             maps.append(np.array(cols, dtype=np.int64).T)

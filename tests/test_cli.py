@@ -299,6 +299,23 @@ def test_cli_reducibility_honours_bound(capsys, monkeypatch):
     assert "reducibility suite: pass" in out
 
 
+def test_cli_reducibility_refuses_a_draw_past_maxsize(tmp_path):
+    # q7 e5f3: 342 units times 7^dim b_y terms is past sys.maxsize, which
+    # random.sample cannot index; 40 sampled terms are within the bound.
+    cfgp = tmp_path / "cfg.json"
+    cfgp.write_text(json.dumps({
+        "schema_version": 1, "tower": {"q": 7, "e": 5, "f": 3},
+        "stratum": {"c": [[1, -1]]}, "run": {"sample": 40}}))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-m", "strbc.cli", "reducibility", str(cfgp)],
+                          env=env, capture_output=True, text=True)
+    assert done.returncode == 2 and done.stdout == ""
+    lines = done.stderr.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert str(sys.maxsize) in lines[0] and "Traceback" not in done.stderr
+
+
 def test_cli_reducibility_honours_psi_twist(capsys, tmp_path, monkeypatch):
     seen = []
     oracle = stratum.bz_oracle

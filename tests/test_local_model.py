@@ -111,6 +111,18 @@ def test_eelem_ring_ops():
     assert x.val() == -1
 
 
+@pytest.mark.parametrize("name", ["e3f1", "e1f2", "e3f2", "e5f1"])
+def test_eelem_inverse_of_a_series(name):
+    # Not only monomials: x has three terms, and x * x^-1 = 1 to the
+    # precision of the product.
+    t, _ = get_case(name)
+    x = t.e_monomial(-1, t.zeta) + t.e_monomial(0, 2) + t.e_monomial(3, t.zeta, prec=9)
+    inv = x.inverse()
+    assert (inv.val(), inv.prec) == (1, 11)
+    assert x * inv == t.e_monomial(0) and inv * x == t.e_monomial(0)
+    assert (x * inv).prec == 10
+
+
 def test_sigma_negates_odd_exponents_only():
     t = tower_e3f1()
     x = t.e_monomial(1) + t.e_monomial(2) + t.e_monomial(-3)
@@ -639,12 +651,13 @@ def loop_m_of(t, x):
     fprec = -((e - 1 - x.prec) // e)
     if x.is_zero():
         return MatF.zero(t, fprec)
-    gmin = min(i // e for i in x.coeffs)
+    gmin = min(i // e for i in x.exponents())
     L = fprec - gmin
     if L <= 0:
         return MatF.zero(t, fprec)
     arr = np.zeros((L, n, n), dtype=np.int64)
-    for i, c in x.coeffs.items():
+    for i in x.exponents():
+        c = x.coeff(i)
         for a in range(e):
             m = i + a
             a2 = m % e
