@@ -39,7 +39,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import _modp
-from .finite_field import FqElem, get_field
+from .finite_field import FqElem, MixedFields, get_field
 
 
 class EvenRamification(ValueError):
@@ -133,9 +133,7 @@ class EElem:
         return EElem(self.tower, self.lo + other.lo, out, prec)
 
     def scale(self, c: FqElem | int) -> "EElem":
-        rows = (self.rows * (c % self.tower.p) if isinstance(c, int)
-                else self.rows @ self.tower._kE_mul(c.coeffs).T)
-        return EElem(self.tower, self.lo, rows, self.prec)
+        return self * self.tower.e_monomial(0, c, prec=self.prec - self.lo)
 
     def sigma(self) -> "EElem":
         """The conjugation over E-bullet: w_E -> -w_E, identity on k_E."""
@@ -569,6 +567,8 @@ class TowerSpec:
     # -- E-element helpers ---------------------------------------------------
 
     def e_monomial(self, i: int, c: FqElem | int = 1, prec: int | None = None) -> EElem:
+        if not isinstance(c, int) and c.field != self.kE:
+            raise MixedFields(f"{c.field} vs {self.kE}")
         row = [c] + [0] * (self.f - 1) if isinstance(c, int) else c.coeffs
         return EElem(self, i, row, self.Ecap if prec is None else prec)
 

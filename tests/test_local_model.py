@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from strbc import _modp
-from strbc.finite_field import pow_fq
+from strbc.finite_field import MixedFields, get_field, pow_fq
 from strbc.local_model import (
     BadChain,
     EvenExponent,
@@ -109,6 +109,14 @@ def test_eelem_ring_ops():
     assert (y * inv).coeff(0) == t.kE.one()
     assert (x - x).is_zero()
     assert x.val() == -1
+
+
+def test_e_monomial_rejects_a_coefficient_from_another_field():
+    t = tower_e3f1()
+    with pytest.raises(MixedFields):
+        t.e_monomial(-1, get_field(5).from_int(4))
+    with pytest.raises(MixedFields):
+        t.varpi_E().scale(get_field(5).from_int(4))
 
 
 @pytest.mark.parametrize("name", ["e3f1", "e1f2", "e3f2", "e5f1"])
