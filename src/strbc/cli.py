@@ -279,8 +279,7 @@ def cmd_sign(cfg: ExperimentConfig, args) -> int:
     s = cfg.build_stratum()
     twist = cfg.character.get("psi_twist", 1)
     psi = AddChar(s.tower.k, twist)
-    report = epsilon_z_invariance(s, psi, threads=args.threads,
-                                  bound=args.bound)
+    report = epsilon_z_invariance(s, psi, bound=args.bound)
     base = report["base"]
     rows = [{"check": "base sign", "value": base.value,
              "ok": base.value in (-1, 1)}]
@@ -333,8 +332,7 @@ def cmd_reducibility(cfg: ExperimentConfig, args) -> int:
     mu_lo = MultChar(tower.kE, half * (tower.f - 1))
     mu_hi = MultChar(tower.kE, half * tower.f)
     bz_lo, bz_hi = (v.as_int() for v in bz_oracle(
-        s, chars, (mu_lo, mu_hi), sample=sample, seed=seed,
-        threads=args.threads, bound=args.bound))
+        s, chars, (mu_lo, mu_hi), sample=sample, seed=seed, bound=args.bound))
     c_y, c_z = iwahori_indices(tower, s)
     eps_y = 1 if by_val > 0 else -1
     eps_z = 1 if bz_lo > 0 else -1
@@ -386,8 +384,7 @@ def cmd_base_change(cfg: ExperimentConfig, args) -> int:
     tower = s.tower
     twist = cfg.character.get("psi_twist", 1)
     psi = AddChar(tower.k, twist)
-    report = epsilon_z_invariance(s, psi, threads=args.threads,
-                                  bound=args.bound)
+    report = epsilon_z_invariance(s, psi, bound=args.bound)
     eps = report["base"]
     half = (tower.kE.q - 1) // 2
     rows = []
@@ -447,7 +444,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--bound", type=_positive_int,
                        default=DEFAULT_ENUMERATION_BOUND,
                        help="enumeration cap")
-        p.add_argument("--threads", type=_positive_int, default=1)
+        if fn is cmd_gauss:
+            p.add_argument("--threads", type=_positive_int, default=1)
         p.add_argument("--seed", type=int, default=None,
                        help="seed for randomized sampling")
         p.add_argument("--json", metavar="PATH",

@@ -253,15 +253,14 @@ class SignResult:
 
 
 def normalized_sign(space: QuadSpace, psi: AddChar,
-                    bound: int = DEFAULT_ENUMERATION_BOUND,
-                    threads: int = 1) -> SignResult:
+                    bound: int = DEFAULT_ENUMERATION_BOUND) -> SignResult:
     """The Gauss sum divided by sqrt(#space), classified as a fourth root."""
     if not space.is_nondegenerate():
         raise DegenerateForm("normalized sign requires nondegeneracy")
     fld = space.field
     closed = gauss_sum_closed(space, psi)
     if fld.q**space.dim <= bound:
-        brute = gauss_sum_brute(space, psi, bound=bound, threads=threads)
+        brute = gauss_sum_brute(space, psi, bound=bound)
         if brute != closed:
             raise NonUnitQuotient("brute and closed Gauss sums disagree")
     npoints = fld.q**space.dim

@@ -27,8 +27,6 @@ sums are exact cyclotomic integers, and enumerations refuse to approximate.
 
 from __future__ import annotations
 
-import functools
-import itertools
 import math
 import random
 import sys
@@ -325,8 +323,7 @@ def _gauss_gram(s: StratumSpec, wz, scalar: EElem) -> np.ndarray:
     return gram
 
 
-def epsilon_z(s: StratumSpec, psi: AddChar, threads: int = 1,
-              scale_unit: FqElem | None = None,
+def epsilon_z(s: StratumSpec, psi: AddChar, scale_unit: FqElem | None = None,
               bound: int = DEFAULT_ENUMERATION_BOUND) -> SignResult:
     """The sign of the normalized quadratic Gauss sum attached to the stratum.
 
@@ -348,7 +345,7 @@ def epsilon_z(s: StratumSpec, psi: AddChar, threads: int = 1,
         # The phase form can degenerate (a wild sub-extension kills the
         # trace residue on a whole block); the raw sum is then a higher
         # power of p and there is no sign to extract.
-        total = gauss_sum_brute(space, psi, bound=bound, threads=threads)
+        total = gauss_sum_brute(space, psi, bound=bound)
         root = CycNum.integer(math.isqrt(wz.size), tower.p)
         sign = cyc_is_rational_sign_times(total, root)
         if sign is None:
@@ -356,7 +353,7 @@ def epsilon_z(s: StratumSpec, psi: AddChar, threads: int = 1,
                 "degenerate phase form: the normalized sum is not a unit"
             )
         return SignResult(sign, f"{sign:+d}", total, wz.size, root)
-    res = normalized_sign(space, psi, bound=bound, threads=threads)
+    res = normalized_sign(space, psi, bound=bound)
     if res.value is None:
         raise AssertionError("Gauss-sum quotient is not a rational sign")
     # Cross-check against the D-form assembly at y = 1 (opposite bracket
@@ -365,14 +362,13 @@ def epsilon_z(s: StratumSpec, psi: AddChar, threads: int = 1,
         d_forms = build_Dj_forms(s, tower.kE.one())
         d_sign = 1
         for f in d_forms:
-            d_sign *= normalized_sign(f, psi, bound=bound, threads=threads).value
+            d_sign *= normalized_sign(f, psi, bound=bound).value
         if d_sign != res.value:
             raise AssertionError("D-form sign disagrees with the Gauss sign")
     return res
 
 
 def epsilon_z_invariance(s: StratumSpec, psi: AddChar | None = None,
-                         threads: int = 1,
                          bound: int = DEFAULT_ENUMERATION_BOUND) -> dict:
     """Exhaustive invariance suite for the sign.
 
@@ -389,18 +385,16 @@ def epsilon_z_invariance(s: StratumSpec, psi: AddChar | None = None,
         raise EnumerationTooLarge(f"{calls} sign evaluations exceeds bound {bound}")
     if psi is None:
         psi = AddChar(tower.k, 1)
-    base = epsilon_z(s, psi, threads=threads, bound=bound)
+    base = epsilon_z(s, psi, bound=bound)
     chi = quadratic_residue_char(tower.kE)
     psi_rows = []
     for a in tower.k.units():
-        sign_a = epsilon_z(s, AddChar(tower.k, a), threads=threads,
-                           bound=bound).value
+        sign_a = epsilon_z(s, AddChar(tower.k, a), bound=bound).value
         psi_rows.append({"twist": a.coeffs[0], "sign": sign_a,
                          "matches": sign_a == base.value})
     unit_rows = []
     for u in tower.kE.units():
-        sign_u = epsilon_z(s, psi, threads=threads, scale_unit=u,
-                           bound=bound).value
+        sign_u = epsilon_z(s, psi, scale_unit=u, bound=bound).value
         predicted = base.value * chi.sign(u) ** (tower.f - 1)
         unit_rows.append({"unit": u.coeffs, "sign": sign_u,
                           "predicted": predicted,
@@ -550,18 +544,13 @@ def _annihilator(tower: TowerSpec, basis: np.ndarray) -> np.ndarray:
     return tower.memo(key, lambda: _modp.nullspace(basis % tower.p, tower.p))
 
 
-def _unit_mats(tower: TowerSpec, i: int, units, power: int = 1) -> MatF:
-    """The stack of m_of(c^power w_E^i) for a sequence of units c, taken
-    from the stack over all units, built once."""
-    def build():
-        every = list(tower.kE.units())
-        mats = MatF.stack([
-            tower.m_of(tower.e_monomial(i, tower.kE.exp(power * c.discrete_log())))
-            for c in every])
-        return {c.coeffs: k for k, c in enumerate(every)}, mats
-
-    where, mats = tower.memo(("unit-mats", i, power), build)
-    return mats.take([where[c.coeffs] for c in units])
+def _unit_mats(tower: TowerSpec, i: int, logs) -> MatF:
+    """The stack of m_of(g^k w_E^i) for the discrete logs k in ``logs`` (to
+    the generator g of k_E), taken from the stack over all logs, built once."""
+    kE = tower.kE
+    mats = tower.memo(("unit-mats", i), lambda: MatF.stack(
+        [tower.m_of(tower.e_monomial(i, kE.exp(k))) for k in range(kE.q - 1)]))
+    return mats.take(np.asarray(logs) % (kE.q - 1))
 
 
 # ---------------------------------------------------------------------------
@@ -607,23 +596,22 @@ def _solve_one_minus_alpha(tower: TowerSpec, m: int, gens: tuple,
     return rhs @ S % tower.p
 
 
-def solve_Y_from_X(s: StratumSpec, x_coords, units, aux: EElem | None = None):
+def solve_Y_from_X(s: StratumSpec, x_coords, logs, aux: EElem | None = None):
     """Solve the coset relation for Y given a stack of W_z representatives X.
 
-    ``units`` lists B units y and ``x_coords`` holds one (B, n f) coordinate
-    array per graded block of W_z; ``aux`` is the auxiliary degree-0
-    component X_0 in o_E (default 0), shared by the stack.  Returns the
-    stacks (Y', X, alpha(X)) of the solved Y' and the assembled X with its
-    alpha.  Y' is the sum of the P_t and Q_t terms, each solved from its own
-    (1 - alpha) system, and X alpha(X) = Y - alpha(Y) with
-    Y = y w_E^-1 (1 + Y') is verified exactly for every term before
-    returning; a term that fails a check is named by its stack index.
+    ``logs`` holds the discrete logs of B units y of k_E and ``x_coords``
+    one (B, n f) coordinate array per graded block of W_z; ``aux`` is the
+    auxiliary degree-0 component X_0 in o_E (default 0), shared by the
+    stack.  Returns the stacks (Y', X, alpha(X)) of the solved Y' and the
+    assembled X with its alpha.  Y' is the sum of the P_t and Q_t terms,
+    each solved from its own (1 - alpha) system, and X alpha(X) =
+    Y - alpha(Y) with Y = y w_E^-1 (1 + Y') is verified exactly for every
+    term before returning; a term that fails a check is named by its stack
+    index.
     """
     tower = s.tower
     p, nf = tower.p, tower.n * tower.f
-    units = list(units)
-    if not all(units):
-        raise ZeroY("y must be a unit")
+    logs = np.asarray(logs, dtype=np.int64)
     wz = build_Wz(tower, s)
     x_coords = [np.asarray(v, dtype=np.int64) % p for v in x_coords]
     if len(x_coords) != len(wz.blocks):
@@ -640,7 +628,7 @@ def solve_Y_from_X(s: StratumSpec, x_coords, units, aux: EElem | None = None):
         comps = [tower.m_of(aux)]
     grades = [0]
     for block, vec in zip(wz.blocks, x_coords):
-        if vec.shape != (len(units), nf):
+        if vec.shape != (len(logs), nf):
             raise DegenerateX("component has the wrong coordinate length")
         _fail_first((vec @ _annihilator(tower, block.basis).T % p).any(axis=-1),
                     DegenerateX, f"component at level {block.j} escapes its block")
@@ -650,8 +638,8 @@ def solve_Y_from_X(s: StratumSpec, x_coords, units, aux: EElem | None = None):
     # solve to zero, so its alpha, products and solves are skipped.
     live = [t for t, C in enumerate(comps) if not C.is_zero()]
     alphas = {t: tower.alpha(comps[t]) for t in live}
-    winv = _unit_mats(tower, 1, units, -1)
-    yp = MatF.zero(tower, batch=(len(units),))
+    winv = _unit_mats(tower, 1, -logs)
+    yp = MatF.zero(tower, batch=(len(logs),))
     for t in live:
         gens = level_gens(s, t)
         # Q_t: the diagonal square term, a single homogeneous degree.
@@ -668,7 +656,7 @@ def solve_Y_from_X(s: StratumSpec, x_coords, units, aux: EElem | None = None):
         for m, mat in terms + list(by_grade.items()):
             z = _solve_one_minus_alpha(tower, m, gens, _coords_or_zero(tower, mat, m))
             yp = yp + winv @ tower.mat_from_layer(m, z)
-    Y = _unit_mats(tower, -1, units) @ (MatF.identity(tower, yp.fprec) + yp)
+    Y = _unit_mats(tower, -1, logs) @ (MatF.identity(tower, yp.fprec) + yp)
     xtot = comps[0]
     for C in comps[1:]:
         xtot = xtot + C
@@ -758,7 +746,7 @@ def by_oracle(s: StratumSpec, chars, rho_signs: tuple[int, int],
         raise AssertionError(
             "representative count disagrees with the lattice index"
         )
-    inv2 = kE.from_int(2).inverse()
+    neg_two = kE.from_int(-2).discrete_log()
     ident = MatF.identity(tower)
     const = None
 
@@ -770,9 +758,9 @@ def by_oracle(s: StratumSpec, chars, rho_signs: tuple[int, int],
             k = basis.shape[0]
             zmat = zmat + tower.mat_from_layer(m, zv[:, at : at + k] @ basis % p)
             at += k
-        y0 = [-(t * t) * inv2 for t in ts]
+        y0 = 2 * ts - neg_two  # y0 = -t^2 / 2, as a discrete log
         Y = _unit_mats(tower, 0, y0) + zmat
-        yp = _unit_mats(tower, 0, y0, -1) @ zmat
+        yp = _unit_mats(tower, 0, -y0) @ zmat
         xm = _unit_mats(tower, 0, ts)
         g = ident - (tower.alpha(xm) @ inverse_unit(Y) @ xm)
         vals = (eval_simple_char(big, ident + yp) + eval_simple_char(root, -g)) % p
@@ -780,7 +768,7 @@ def by_oracle(s: StratumSpec, chars, rho_signs: tuple[int, int],
             const = int(vals[0])
         return vals, const
 
-    _walk(list(kE.units()), p, zdim, sample, seed, bound, step,
+    _walk(kE, p, zdim, sample, seed, bound, step,
           ConstancyViolated, "integrand is not constant across representatives")
     return (rho1 * rho2 * (kE.q - 1) * p**zdim) * cyc_root(p, const)
 
@@ -790,67 +778,64 @@ def by_oracle(s: StratumSpec, chars, rho_signs: tuple[int, int],
 _CHUNK = 64
 
 
-def _walk(units: list, p: int, dim: int, sample: int | None, seed: int,
-          bound: int, step, exc: type, message: str) -> bool:
-    """Check the oracle terms of ``_terms``, _CHUNK at a time; returns
-    whether they are a sample.  More than ``bound`` terms, or more than a
-    draw can index (sys.maxsize), are refused first.
-
-    ``step(units, X)`` gets a chunk's units and (B, dim) coordinates and
-    returns its zeta_p exponents with the exponents they must equal.  A
-    per-term check failing inside ``step`` names its stack index and the
-    chunk's first term; an exponent that differs raises exc(message) naming
-    its term."""
-    total = len(units) * p**dim
+def _count_terms(kE, p: int, dim: int, sample: int | None,
+                 bound: int) -> tuple[int, int]:
+    """(total, count): the number of oracle terms, one per unit of kE and
+    point of F_p^dim, and of those checked.  More than ``bound`` checked
+    terms, or more than a draw can index (sys.maxsize), are refused."""
+    total = (kE.q - 1) * p**dim
     count = total if sample is None else min(sample, total)
     if count > bound:
         raise EnumerationTooLarge(f"{count} terms exceeds bound {bound}")
     if total > sys.maxsize:
         raise EnumerationTooLarge(f"{total} terms exceeds {sys.maxsize}, "
                                   "the most a draw can index")
-    terms, sampled = _terms(units, p, dim, sample, seed)
-    terms = iter(terms)
-    start = 0
-    while chunk := list(itertools.islice(terms, _CHUNK)):
-        X = np.array([v for _, v in chunk], dtype=np.int64)
+    return total, count
+
+
+def _walk(kE, p: int, dim: int, sample: int | None, seed: int,
+          bound: int, step, exc: type, message: str) -> bool:
+    """Check the oracle terms of ``_terms``, _CHUNK at a time; returns
+    whether they are a sample.  Too many terms are refused first
+    (``_count_terms``).
+
+    Term i pairs the unit at position i // p^dim of ``kE.units()`` with the
+    base-p digits of i % p^dim, most significant first (the order of
+    itertools.product over F_p^dim).  ``step(logs, X)`` gets a chunk's
+    units as discrete logs and its (B, dim) coordinates and returns its
+    zeta_p exponents with the exponents they must equal.  A per-term check
+    failing inside ``step`` names its stack index and the chunk's first
+    term; an exponent that differs raises exc(message) naming its term."""
+    total, count = _count_terms(kE, p, dim, sample, bound)
+    per_unit = p**dim
+    logs = np.array([u.discrete_log() for u in kE.units()], dtype=np.int64)
+    digits = p ** np.arange(dim - 1, -1, -1, dtype=np.int64)
+    terms = _terms(total, sample, seed)
+    for start in range(0, len(terms), _CHUNK):
+        chunk = np.asarray(terms[start : start + _CHUNK], dtype=np.int64)
+        unit, rest = np.divmod(chunk, per_unit)
         try:
-            values, wanted = step([u for u, _ in chunk], X)
+            values, wanted = step(logs[unit], rest[:, None] // digits % p)
         except (NoSolution, NotInDomain, PathMismatch) as err:
             raise type(err)(f"{err}, in the chunk from term {start}") from err
         differ = np.flatnonzero(values != wanted)
         if differ.size:
             raise exc(f"{message} (term {start + int(differ[0])})")
-        start += len(chunk)
-    return sampled
+    return count < total
 
 
-def _terms(units: list, p: int, dim: int, sample: int | None, seed: int):
-    """The oracle terms (unit, coordinate tuple) and whether they are sampled.
-
-    Unsampled, every unit is paired with every vector of F_p^dim, streamed
-    in itertools.product order.  Sampled, the list holds term 0 and a seeded
-    draw of sample - 1 further terms, each decoded from its index in that
-    order; this is the draw ``[terms[0]] + rng.sample(terms[1:], sample - 1)``
-    would make, without building the terms.
-    """
-    per_unit = p**dim
-    total = len(units) * per_unit
+def _terms(total: int, sample: int | None, seed: int):
+    """The indices of the oracle terms to check: all ``total`` of them, or
+    index 0 and a seeded draw of sample - 1 further indices."""
     if sample is None or sample >= total:
-        stream = ((u, v) for u in units
-                  for v in itertools.product(range(p), repeat=dim))
-        return stream, False
+        return range(total)
     rng = random.Random(seed)
-    picks = [0] + rng.sample(range(1, total), sample - 1)
-    # Term i pairs unit i // p^dim with the base-p digits of i % p^dim,
-    # most significant first, as itertools.product orders them.
-    return [(units[i // per_unit],
-             tuple(i // p**(dim - 1 - k) % p for k in range(dim)))
-            for i in picks], True
+    return [0] + rng.sample(range(1, total), sample - 1)
 
 
 def bz_oracle(s: StratumSpec, chars, mus: tuple,
               sample: int | None = None, seed: int = 0,
-              threads: int = 1, bound: int = DEFAULT_ENUMERATION_BOUND) -> tuple:
+              bound: int = DEFAULT_ENUMERATION_BOUND) -> tuple:
     """The second-generator coefficient for each character in the tuple
     ``mus``, by two independent routes that read one phase form Q_y (a
     QuadSpace on W_z) per unit y.
@@ -881,35 +866,34 @@ def bz_oracle(s: StratumSpec, chars, mus: tuple,
                              "at most quadratic")
     wz = build_Wz(tower, s)
     dim = wz.dim_k
-    units = list(kE.units())
     if p**dim > bound:
         raise EnumerationTooLarge(f"{p**dim} points exceeds bound {bound}")
-    inv2 = kE.from_int(2).inverse()
-    signs = {y: [mu.sign(-y) for mu in mus] for y in units}
-
-    @functools.cache
-    def phase_form(y: FqElem) -> tuple[QuadSpace, np.ndarray]:
-        gram = _gauss_gram(s, wz, tower.e_monomial(1, y.inverse() * inv2))
-        space = _symmetrized_space(tower, gram)
-        return space, space.prime_gram(big.psi)
+    _count_terms(kE, p, dim, sample, bound)  # path A, before any phase form
+    # Row k belongs to the unit y = g^k: its phase form (scalar y^-1 w_E / 2),
+    # its prime Gram and its weights mu(-y), where -y = g^(k + (q_E - 1) / 2).
+    two = kE.from_int(2).discrete_log()
+    spaces = [_symmetrized_space(tower, _gauss_gram(
+        s, wz, tower.e_monomial(1, kE.exp(-k - two)))) for k in range(kE.q - 1)]
+    grams = np.stack([space.prime_gram(big.psi) for space in spaces])
+    signs = np.array([[mu.sign(kE.exp(k + (kE.q - 1) // 2)) for mu in mus]
+                      for k in range(kE.q - 1)], dtype=np.int64)
 
     # Path A: direct evaluation through the solved representatives.  Each
     # term's exponent must be its phase X^T G X, where it adds its weight.
     weights = np.zeros((len(mus), p), dtype=np.int64)
 
-    def step(ys, X):
-        G = np.stack([phase_form(y)[1] for y in ys])
-        expo = np.einsum("bi,bij,bj->b", X, G, X) % p
-        np.add.at(weights.T, expo, [signs[y] for y in ys])
-        return _bz_chunk(s, big, root, wz, ys, X), expo
+    def step(logs, X):
+        expo = np.einsum("bi,bij,bj->b", X, grams[logs], X) % p
+        np.add.at(weights.T, expo, signs[logs])
+        return _bz_chunk(s, big, root, wz, logs, X), expo
 
-    sampled = _walk(units, p, dim, sample, seed, bound, step, PathMismatch,
+    sampled = _walk(kE, p, dim, sample, seed, bound, step, PathMismatch,
                     "direct term value disagrees with its Gauss-sum phase")
     # Path B: one Gauss sum of the phase form per y.
     totals_b = [CycNum.zero(p)] * len(mus)
-    for y in units:
-        gy = gauss_sum_brute(phase_form(y)[0], big.psi, bound=bound, threads=threads)
-        totals_b = [t + w * gy for t, w in zip(totals_b, signs[y])]
+    for space, row in zip(spaces, signs.tolist()):
+        gy = gauss_sum_brute(space, big.psi, bound=bound)
+        totals_b = [t + w * gy for t, w in zip(totals_b, row)]
     totals_a = [CycNum(p, row.tolist()) for row in weights]
     if not sampled and totals_a != totals_b:
         raise PathMismatch("the two evaluation routes disagree")
@@ -917,9 +901,9 @@ def bz_oracle(s: StratumSpec, chars, mus: tuple,
 
 
 def _bz_chunk(s: StratumSpec, big: SimpleCharSpec, root: SimpleCharSpec,
-              wz, ys: list, X: np.ndarray) -> np.ndarray:
-    """Path-A values of a chunk of terms (unit ys[b], W_z coordinates X[b]):
-    per term, the sum of the two simple-character exponents at the
+              wz, logs: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """Path-A values of a chunk of terms (unit g^logs[b], W_z coordinates
+    X[b]): per term, the sum of the two simple-character exponents at the
     representative determined by (y, X), with the exchange identity on
     determinants asserted for every term with X != 0."""
     tower = s.tower
@@ -931,12 +915,12 @@ def _bz_chunk(s: StratumSpec, big: SimpleCharSpec, root: SimpleCharSpec,
         k = block.basis.shape[0]
         x_coords.append(X[:, at : at + k] @ block.basis % p)
         at += k
-    yp, xtot, alpha_x = solve_Y_from_X(s, x_coords, ys)
+    yp, xtot, alpha_x = solve_Y_from_X(s, x_coords, logs)
     one_plus = ident + yp
-    g = MatF.zero(tower, batch=(len(ys),)) + ident
+    g = MatF.zero(tower, batch=(len(logs),)) + ident
     live = np.broadcast_to(xtot.nonzero_mask(), g.batch)
     if live.any():
-        yinv = inverse_unit(one_plus) @ _unit_mats(tower, 1, ys, -1)
+        yinv = inverse_unit(one_plus) @ _unit_mats(tower, 1, -logs)
         w = alpha_x @ yinv
         g = ident - (w @ xtot)
         # Exchange identity behind the multiplicative-part cancellation,

@@ -312,7 +312,8 @@ def _bz_term_with_aux(s, big, root, wz, y: FqElem, X: np.ndarray,
         k = block.basis.shape[0]
         x_coords.append(X[:, at : at + k] @ block.basis % tower.p)
         at += k
-    yp, xtot, alpha_x = stratum.solve_Y_from_X(s, x_coords, [y], aux=aux)
+    yp, xtot, alpha_x = stratum.solve_Y_from_X(s, x_coords, [y.discrete_log()],
+                                               aux=aux)
     one_plus = ident + yp
     g = MatF.zero(tower, batch=(1,)) + ident
     if not xtot.is_zero():
@@ -328,6 +329,7 @@ def bz_aux_independence(s, chars, y: FqElem, xv, aux_list) -> bool:
     big, root = chars
     wz = build_Wz(s.tower, s)
     X = np.array([xv], dtype=np.int64).reshape(1, wz.dim_k)
-    base = cyc_root(s.tower.p, stratum._bz_chunk(s, big, root, wz, [y], X)[0])
+    logs = np.array([y.discrete_log()], dtype=np.int64)
+    base = cyc_root(s.tower.p, stratum._bz_chunk(s, big, root, wz, logs, X)[0])
     return all(_bz_term_with_aux(s, big, root, wz, y, X, a) == base
                for a in aux_list)

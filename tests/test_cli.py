@@ -180,6 +180,16 @@ def test_cli_rejects_zero_threads(capsys):
     assert "--threads" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["sign", "reducibility", "base-change"])
+def test_cli_threads_belongs_to_gauss_only(command, capsys):
+    # Only gauss runs a threaded kernel; elsewhere the flag is not silently
+    # ignored but refused as an unknown argument.
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--case", "u1", "--threads", "2"])
+    assert exc.value.code == 2
+    assert "--threads" in capsys.readouterr().err
+
+
 def test_cli_bad_config_path(capsys):
     code, _, err = run(["sign", "/nonexistent/x.json"], capsys)
     assert code == 2

@@ -62,7 +62,7 @@ FAMILIES = {
                                  for m in range(-2, 4)],
     "annihilator": lambda t, s: [stratum._annihilator(t, b.basis)
                                  for b in build_Wz(t, s).blocks],
-    "unit-mats": lambda t, s: stratum._unit_mats(t, 1, list(t.kE.units()), -1),
+    "unit-mats": lambda t, s: stratum._unit_mats(t, 1, -np.arange(t.kE.q - 1)),
     "one-minus-alpha": lambda t, s: [
         stratum._one_minus_alpha_solver(t, level_gens(s, 0), m)
         for m in range(2 * s.s_list[0] + 1)],

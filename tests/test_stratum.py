@@ -9,7 +9,13 @@ from hypothesis import given, settings, strategies as st
 
 from strbc import _modp, gauss, stratum
 from strbc.cyclotomic import CycNum, cyc_root
-from strbc.finite_field import AddChar, MultChar, pow_fq, quadratic_residue_char
+from strbc.finite_field import (
+    AddChar,
+    FqElem,
+    MultChar,
+    pow_fq,
+    quadratic_residue_char,
+)
 from strbc.gauss import EnumerationTooLarge, NonUnitQuotient
 from strbc.local_model import (
     MatF,
@@ -55,6 +61,11 @@ CLOSED_MAGNITUDE = {"u1": 2, "e3f1": 6, "e1f2": 24, "e3f2": 1944, "e5f1": 18}
 
 def std_psi(tower):
     return AddChar(tower.k, 1)
+
+
+def logs_of(units):
+    """The discrete logs of units, the unit form the oracle code takes."""
+    return np.array([u.discrete_log() for u in units], dtype=np.int64)
 
 
 # -- minimality --------------------------------------------------------------
@@ -426,7 +437,7 @@ def test_solve_zero_X_gives_zero():
         t = s.tower
         wz = build_Wz(t, s)
         zeros = [np.zeros((1, t.n * t.f), dtype=np.int64) for _ in wz.blocks]
-        yp, _, _ = solve_Y_from_X(s, zeros, [t.kE.one()])
+        yp, _, _ = solve_Y_from_X(s, zeros, logs_of([t.kE.one()]))
         assert yp.take(0).is_zero()
 
 
@@ -444,13 +455,13 @@ def test_solve_random_X_verifies_relation():
                     [rng.randrange(t.p) for _ in range(b.basis.shape[0])]
                 )
                 coords.append((combo @ b.basis % t.p)[None])
-            solve_Y_from_X(s, coords, [y])
+            solve_Y_from_X(s, coords, logs_of([y]))
 
 
 def test_solve_rejects_wrong_shape():
     s = builtin_case("e3f1")
     with pytest.raises(DegenerateX):
-        solve_Y_from_X(s, [], [s.tower.kE.one()])
+        solve_Y_from_X(s, [], logs_of([s.tower.kE.one()]))
 
 
 def test_solve_aux_component_supported():
@@ -458,9 +469,9 @@ def test_solve_aux_component_supported():
     t = s.tower
     wz = build_Wz(t, s)
     coords = [b.basis[:1] for b in wz.blocks]
-    yp0 = solve_Y_from_X(s, coords, [t.kE.one()])[0].take(0)
+    yp0 = solve_Y_from_X(s, coords, logs_of([t.kE.one()]))[0].take(0)
     yp1 = solve_Y_from_X(
-        s, coords, [t.kE.one()], aux=t.e_monomial(0, t.kE.one())
+        s, coords, logs_of([t.kE.one()]), aux=t.e_monomial(0, t.kE.one())
     )[0].take(0)
     assert not (yp0 - yp1).is_zero()
 
@@ -470,7 +481,8 @@ def test_solve_refuses_a_non_integral_aux_component():
     t = s.tower
     coords = [b.basis[:1] for b in build_Wz(t, s).blocks]
     with pytest.raises(DegenerateX, match="must be integral"):
-        solve_Y_from_X(s, coords, [t.kE.one()], aux=t.e_monomial(-1, t.kE.one()))
+        solve_Y_from_X(s, coords, logs_of([t.kE.one()]),
+                       aux=t.e_monomial(-1, t.kE.one()))
 
 
 def test_zero_aux_component_is_never_solved(monkeypatch):
@@ -498,7 +510,7 @@ def test_zero_aux_component_is_never_solved(monkeypatch):
     level0 = tuple(g.key() for g in level_gens(s, 0))
     coords = [b.basis[:1] for b in build_Wz(t, s).blocks]
     seen.clear()
-    solve_Y_from_X(s, coords, [t.kE.one()], aux=t.e_monomial(0, t.kE.one()))
+    solve_Y_from_X(s, coords, logs_of([t.kE.one()]), aux=t.e_monomial(0, t.kE.one()))
     assert (level0, True) in seen
 
 
@@ -571,6 +583,42 @@ def test_bz_oracle_rejects_higher_order_restriction():
         bz_oracle(s, chars, (MultChar(s.tower.kE, 1),))
 
 
+@pytest.mark.parametrize("name", R1_CASE_NAMES)
+def test_unit_mats_rows_are_the_monomial_matrices(name):
+    # Row k of the stack at grade i is m_of(g^k w_E^i), g the generator of
+    # k_E; a negated log gives the inverse unit.
+    t = builtin_case(name).tower
+    logs = np.arange(t.kE.q - 1)
+    for i in (-1, 0, 1):
+        for sign in (1, -1):
+            stack = stratum._unit_mats(t, i, sign * logs)
+            assert stack.batch == (len(logs),)
+            for k in logs:
+                want = t.m_of(t.e_monomial(i, t.kE.exp(sign * int(k))))
+                assert same_matf(stack.take(int(k)), want), (i, sign, k)
+
+
+def test_oracles_do_no_residue_field_arithmetic_per_term(monkeypatch):
+    # Units travel as discrete logs, so FqElem arithmetic runs per unit at
+    # most: an exhaustive run makes as many calls as a one-term sample.
+    counts = {}
+    for name in ("__add__", "__sub__", "__mul__", "__rmul__", "__neg__", "inverse"):
+        def spy(self, *args, _name=name, _fn=getattr(FqElem, name)):
+            counts[_name] = counts.get(_name, 0) + 1
+            return _fn(self, *args)
+
+        monkeypatch.setattr(FqElem, name, spy)
+    seen = {}
+    for sample in (1, None):
+        s = builtin_case("e1f2")
+        chars = default_chars(s)
+        counts.clear()
+        by_oracle(s, chars, (1, 1), sample=sample)
+        bz_oracle(s, chars, mu_pair(s.tower), sample=sample)
+        seen[sample] = dict(counts)
+    assert seen[1] == seen[None]
+
+
 # -- streamed term enumeration -----------------------------------------------
 
 
@@ -587,6 +635,22 @@ def ref_draw(terms, sample, seed):
     return [terms[0]] + rng.sample(terms[1:], sample - 1)
 
 
+def walked_terms(kE, p, dim, sample, seed):
+    """The (unit, coordinate tuple) of every term the walk hands its step,
+    in order, and whether they are a sample."""
+    seen = []
+
+    def step(logs, X):
+        seen.extend((kE.exp(int(k)), tuple(int(c) for c in xv))
+                    for k, xv in zip(logs, X))
+        return np.zeros(len(logs)), np.zeros(len(logs))
+
+    sampled = stratum._walk(kE, p, dim, sample, seed,
+                            stratum.DEFAULT_ENUMERATION_BOUND, step,
+                            AssertionError, "")
+    return seen, sampled
+
+
 @pytest.mark.parametrize("name", ["e1f2", "e3f2", "e5f1"])
 def test_streamed_draw_matches_list_draw(name):
     s = builtin_case(name)
@@ -599,8 +663,8 @@ def test_streamed_draw_matches_list_draw(name):
             samples += [len(terms) - 1, len(terms), None]
         for sample in samples:
             for seed in (0, 1, 7, 12345, 2**31 - 1):
-                got, sampled = stratum._terms(units, t.p, dim, sample, seed)
-                assert list(got) == ref_draw(terms, sample, seed)
+                got, sampled = walked_terms(t.kE, t.p, dim, sample, seed)
+                assert got == ref_draw(terms, sample, seed)
                 assert sampled == (sample is not None and sample < len(terms))
 
 
@@ -609,9 +673,10 @@ def record_bz_terms(monkeypatch):
     seen = []
     original = stratum._bz_chunk
 
-    def spy(s, big, root, wz, ys, X):
-        seen.extend((y, tuple(int(c) for c in xv)) for y, xv in zip(ys, X))
-        return original(s, big, root, wz, ys, X)
+    def spy(s, big, root, wz, logs, X):
+        seen.extend((s.tower.kE.exp(int(k)), tuple(int(c) for c in xv))
+                    for k, xv in zip(logs, X))
+        return original(s, big, root, wz, logs, X)
 
     monkeypatch.setattr(stratum, "_bz_chunk", spy)
     return seen
@@ -854,6 +919,21 @@ def test_oracles_refuse_past_bound(monkeypatch):
     assert by_oracle(s, chars, (1, 1), sample=5, bound=5) == CycNum.integer(24, t.p)
 
 
+def test_bz_oracle_refuses_before_any_phase_form(monkeypatch):
+    # 72 path-A terms past a bound of 71 are refused before the per-unit
+    # phase forms are built.
+    s = builtin_case("e1f2")
+    built = []
+    gram = stratum._gauss_gram
+    monkeypatch.setattr(stratum, "_gauss_gram",
+                        lambda *args: built.append(None) or gram(*args))
+    with pytest.raises(EnumerationTooLarge, match="72 terms exceeds bound 71"):
+        bz_oracle(s, default_chars(s), mu_pair(s.tower), bound=71)
+    assert built == []
+    bz_oracle(s, default_chars(s), mu_pair(s.tower), bound=72)
+    assert len(built) == s.tower.kE.q - 1
+
+
 # -- chunked path A against the per-term code it replaced --------------------
 
 
@@ -874,7 +954,7 @@ def ref_bz_term(s, big, root, wz, y, xv, sizes):
         block = wz.blocks[len(x_coords)]
         x_coords.append(coeffs @ block.basis % p if k else
                         np.zeros(tower.n * tower.f, dtype=np.int64))
-    yp = solve_Y_from_X(s, [v[None] for v in x_coords], [y])[0].take(0)
+    yp = solve_Y_from_X(s, [v[None] for v in x_coords], logs_of([y]))[0].take(0)
     xtot = MatF.zero(tower)
     for block, vec in zip(wz.blocks, x_coords):
         if vec.any():
@@ -1002,14 +1082,14 @@ def test_chunked_bz_oracle_matches_one_term_code(name, monkeypatch):
     chunks = spy_chunks(monkeypatch)
     sample = PIN_SAMPLE.get(name)
     bz_oracle(s, chars, mu_pair(t), sample=sample, seed=5)
-    terms, _ = stratum._terms(list(t.kE.units()), t.p, wz.dim_k, sample, 5)
-    terms = list(terms)
+    terms = ref_draw(ref_terms(list(t.kE.units()), t.p, wz.dim_k), sample, 5)
     assert [len(c["ys"]) for c in chunks] == [
         min(64, len(terms) - i) for i in range(0, len(terms), 64)]
     at = 0
     for chunk in chunks:
         live = []
-        for k, y in enumerate(chunk["ys"]):
+        for k, log in enumerate(chunk["ys"]):
+            y = t.kE.exp(int(log))
             xv = tuple(int(c) for c in chunk["X"][k])
             assert (y, xv) == terms[at + k]
             ref = ref_bz_term(s, *chars, wz, y, xv, sizes)
@@ -1051,8 +1131,7 @@ def test_chunked_by_oracle_matches_one_term_code(name, monkeypatch):
     sample = PIN_SAMPLE.get(name)
     total = by_oracle(s, chars, (1, 1), sample=sample, seed=5)
     assert total == CycNum.integer(CLOSED_MAGNITUDE[name], t.p)
-    reps, _ = stratum._terms(list(t.kE.units()), t.p, zdim, sample, 5)
-    reps = list(reps)
+    reps = ref_draw(ref_terms(list(t.kE.units()), t.p, zdim), sample, 5)
     assert [side for side, _, _ in evaluated] == ["gl", "u"] * len(evaluated[::2])
     at = 0
     for (_, gl, big_vals), (_, u, root_vals) in zip(evaluated[::2], evaluated[1::2]):
@@ -1090,26 +1169,36 @@ def path_a_terms(draw):
 def test_bz_chunks_match_one_term_code_on_random_terms(case):
     s, terms = case
     chars = default_chars(s)
+    kE, p = s.tower.kE, s.tower.p
     wz = build_Wz(s.tower, s)
+    dim = wz.dim_k
     sizes = [b.basis.shape[0] for b in wz.blocks]
+    units = list(kE.units())
+    # A term's index: its unit's position times p^dim plus its coordinates
+    # read as base-p digits, most significant first.
+    index = [units.index(y) * p**dim
+             + sum(c * p**(dim - 1 - k) for k, c in enumerate(xv)) for y, xv in terms]
     starts, at = [], [0]
 
-    def step(ys, X):
+    def step(logs, X):
         # The walk hands over the terms in order: a chunk starts where the
         # chunks before it end.
         start = at[0]
         starts.append(start)
-        at[0] += len(ys)
-        got = stratum._bz_chunk(s, *chars, wz, ys, X)
-        for k, (y, xv) in enumerate(terms[start : start + len(ys)]):
-            assert cyc_root(s.tower.p, got[k]) == ref_bz_term(
+        at[0] += len(logs)
+        chunk = terms[start : start + len(logs)]
+        assert [(kE.exp(int(k)), tuple(int(c) for c in xv))
+                for k, xv in zip(logs, X)] == chunk
+        got = stratum._bz_chunk(s, *chars, wz, logs, X)
+        for k, (y, xv) in enumerate(chunk):
+            assert cyc_root(p, got[k]) == ref_bz_term(
                 s, *chars, wz, y, xv, sizes)["value"]
         return got, got
 
     # Walk these terms instead of the ones _terms would draw.
-    with mock.patch.object(stratum, "_terms", lambda *args: (terms, False)):
-        stratum._walk(list(s.tower.kE.units()), s.tower.p, wz.dim_k, None, 0,
-                      stratum.DEFAULT_ENUMERATION_BOUND, step, AssertionError, "")
+    with mock.patch.object(stratum, "_terms", lambda *args: index):
+        stratum._walk(kE, p, dim, None, 0, stratum.DEFAULT_ENUMERATION_BOUND, step,
+                      AssertionError, "")
     assert starts == list(range(0, len(terms), 64))
 
 
@@ -1153,7 +1242,7 @@ def test_exchange_identity_failure_names_its_term(monkeypatch):
     X = np.array([[0, 0], [1, 0], [0, 2]])
     with pytest.raises(stratum.PathMismatch,
                        match=r"exchange identity fails \(stack index 2\)"):
-        stratum._bz_chunk(s, *default_chars(s), wz, [t.kE.one()] * 3, X)
+        stratum._bz_chunk(s, *default_chars(s), wz, logs_of([t.kE.one()] * 3), X)
 
 
 def test_by_oracle_names_a_term_that_breaks_constancy(monkeypatch):
@@ -1343,10 +1432,10 @@ def test_solve_names_a_member_outside_its_block(name):
     for escape in escapes:
         coords = np.stack([block.basis[0], (block.basis[0] + escape) % t.p])
         with pytest.raises(DegenerateX, match=r"escapes its block \(stack index 1\)"):
-            solve_Y_from_X(s, [coords], [t.kE.one()] * 2)
-    yp, _, _ = solve_Y_from_X(s, [block.basis[:2]], [t.kE.one()] * 2)
+            solve_Y_from_X(s, [coords], logs_of([t.kE.one()] * 2))
+    yp, _, _ = solve_Y_from_X(s, [block.basis[:2]], logs_of([t.kE.one()] * 2))
     for k in range(2):
-        one = solve_Y_from_X(s, [block.basis[k : k + 1]], [t.kE.one()])[0]
+        one = solve_Y_from_X(s, [block.basis[k : k + 1]], logs_of([t.kE.one()]))[0]
         assert same_member(yp, k, one.take(0))
 
 
@@ -1367,7 +1456,7 @@ def test_solve_returns_the_assembled_X_and_its_alpha(name):
         x_coords.append(X[:, at : at + k] @ block.basis % t.p)
         at += k
     for aux in (None, t.e_monomial(0, t.kE.one())):
-        _, xtot, alpha_x = solve_Y_from_X(s, x_coords, ys, aux=aux)
+        _, xtot, alpha_x = solve_Y_from_X(s, x_coords, logs_of(ys), aux=aux)
         want = MatF.zero(t) if aux is None else t.m_of(aux)
         for block, vec in zip(wz.blocks, x_coords):
             want = want + t.mat_from_layer(block.grade, vec)
@@ -1403,6 +1492,6 @@ def test_bz_chunk_takes_alpha_only_inside_the_solver(name, monkeypatch):
 
     monkeypatch.setattr(type(t), "alpha", spy_alpha)
     monkeypatch.setattr(stratum, "solve_Y_from_X", spy_solve)
-    stratum._bz_chunk(s, *default_chars(s), wz, ys, X)
+    stratum._bz_chunk(s, *default_chars(s), wz, logs_of(ys), X)
     assert calls["inside"] > 0
     assert calls["outside"] == 0
