@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -11,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 from strbc import gauss, stratum
 from strbc.cli import ConfigError, ExperimentConfig, main
 from strbc.finite_field import FqField
+from strbc.local_model import TowerSpec
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
@@ -496,6 +498,123 @@ def test_cli_reports_a_path_mismatch(capsys, tmp_path, monkeypatch):
                         lambda *a, **k: brute(*a, **k) + 1)
     line = run_check_failed(["reducibility", "--case", "e1f2"], capsys, tmp_path)
     assert "two evaluation routes disagree" in line
+
+
+# Each break takes a setattr (monkeypatch's or the builtin) and shifts the
+# quantity that one cross-check compares, so that only that check fails.
+
+
+def _break_brute_sum(setattr):
+    brute = gauss.gauss_sum_brute
+    setattr(gauss, "gauss_sum_brute", lambda *a, **k: brute(*a, **k) + 1)
+
+
+def _break_d_form(setattr):
+    # Negate the sign of the first D-form, so the product of them flips.
+    build, sign, first = stratum.build_Dj_forms, stratum.normalized_sign, []
+
+    def forms(*a, **k):
+        first[:] = out = build(*a, **k)
+        return out
+
+    def flipped(space, *a, **k):
+        res = sign(space, *a, **k)
+        if first and space is first[0]:
+            return dataclasses.replace(res, value=-res.value)
+        return res
+
+    setattr(stratum, "build_Dj_forms", forms)
+    setattr(stratum, "normalized_sign", flipped)
+
+
+def _break_constancy(setattr):
+    evaluate = stratum.eval_simple_char
+
+    def shifted(chi, g):
+        values = evaluate(chi, g)
+        if chi.side == "u":
+            values[-1] = (values[-1] + 1) % chi.stratum.tower.p
+        return values
+
+    setattr(stratum, "eval_simple_char", shifted)
+
+
+def _break_defining_relation(setattr):
+    # Twice each (1 - alpha) solution solves for twice its right side.
+    solve = stratum._solve_one_minus_alpha
+    setattr(stratum, "_solve_one_minus_alpha",
+            lambda tower, *a: 2 * solve(tower, *a) % tower.p)
+
+
+def _break_exchange_identity(setattr):
+    # eval_simple_char reads two coefficients; the exchange identity stacks
+    # both of its sides at full precision.
+    det = stratum.det_unit
+
+    def shifted(X):
+        out = det(X)
+        if X.fprec > 2:
+            out = out.copy()
+            out[-1, -1] = (out[-1, -1] + 1) % X.tower.p
+        return out
+
+    setattr(stratum, "det_unit", shifted)
+
+
+def _break_path_a(setattr):
+    chunk = stratum._bz_chunk
+    setattr(stratum, "_bz_chunk",
+            lambda s, *a: (chunk(s, *a) + 1) % s.tower.p)
+
+
+def _break_walk_domain(setattr):
+    valuation = TowerSpec.valuation
+    setattr(TowerSpec, "valuation", lambda self, X: 0 * valuation(self, X))
+
+
+BREAKS = {
+    "brute-closed": (_break_brute_sum, "sign",
+                     "brute and closed Gauss sums disagree"),
+    "d-form": (_break_d_form, "sign", "D-form sign disagrees with the Gauss sign"),
+    "constancy": (_break_constancy, "reducibility",
+                  "integrand is not constant across representatives"),
+    "defining-relation": (_break_defining_relation, "reducibility",
+                          "assembled Y fails the defining relation"),
+    "exchange-identity": (_break_exchange_identity, "reducibility",
+                          "determinant exchange identity fails"),
+    "path-a-b": (_break_path_a, "reducibility",
+                 "direct term value disagrees with its Gauss-sum phase"),
+    "walk-domain": (_break_walk_domain, "reducibility",
+                    "g - 1 must have positive valuation"),
+}
+
+
+@pytest.mark.parametrize("name", BREAKS)
+def test_cli_names_each_broken_check(name, capsys, tmp_path, monkeypatch):
+    install, command, check = BREAKS[name]
+    install(monkeypatch.setattr)
+    line = run_check_failed([command, "--case", "e1f2"], capsys, tmp_path)
+    assert check in line
+
+
+def test_cli_names_a_broken_check_in_a_fresh_process(tmp_path):
+    # The interpreter, not main, prints the traceback of an escaped
+    # exception, and exits 1 as a failed check does.
+    path = tmp_path / "r.json"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [
+        SRC, str(Path(__file__).resolve().parent), env.get("PYTHONPATH")]))
+    probe = ("import sys, test_cli; from strbc.cli import main; "
+             "test_cli.BREAKS['walk-domain'][0](setattr); "
+             f"sys.exit(main(['reducibility', '--case', 'e1f2', '--json', {str(path)!r}]))")
+    done = subprocess.run([sys.executable, "-c", probe], env=env,
+                          capture_output=True, text=True)
+    assert done.returncode == 1 and done.stdout == ""
+    assert "Traceback" not in done.stderr
+    lines = done.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: check failed: ")
+    assert BREAKS["walk-domain"][2] in lines[0]
+    assert not path.exists()
 
 
 # ---------------------------------------------------------------------------
