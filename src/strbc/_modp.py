@@ -11,6 +11,11 @@ from functools import lru_cache
 import numpy as np
 
 
+class CheckFailed(AssertionError):
+    """An identity recomputed by two routes, or an internal invariant, does
+    not hold."""
+
+
 def inv_mod(a: int, p: int) -> int:
     return pow(int(a) % p, p - 2, p)
 
@@ -21,6 +26,11 @@ def inverse_table(p: int) -> np.ndarray:
     table = np.array([0] + [inv_mod(c, p) for c in range(1, p)], dtype=np.int64)
     table.setflags(write=False)
     return table
+
+
+def digit_table(p: int, k: int) -> np.ndarray:
+    """All points of F_p^k as rows, coordinate 0 varying fastest."""
+    return np.arange(p**k, dtype=np.int64)[:, None] // p ** np.arange(k) % p
 
 
 def rref(mat: np.ndarray, p: int,
@@ -122,5 +132,5 @@ def complete_basis(lower: np.ndarray, upper: np.ndarray, p: int) -> np.ndarray:
     want = rank(upper, p) - sum(c < len(lower) for c in pivots)
     take = [c - len(lower) for c in pivots if c >= len(lower)][:want]
     if len(take) != want:
-        raise AssertionError("could not complete the basis")
+        raise CheckFailed("could not complete the basis")
     return stacked[len(lower) + np.array(take, dtype=np.int64)]

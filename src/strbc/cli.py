@@ -14,10 +14,11 @@ stratum.  ``--json <path>`` writes the machine-readable payload, and a path
 that cannot be written is refused before any work.
 
 Exit codes: 0 every internal cross-check passed, 1 a cross-check failed
-(or ``gauss`` compared no form; a failed Hecke check that stops the run
-prints one ``error: check failed:`` line), 2 bad input (arguments, config,
-or an enumeration past ``--bound``), 3 the experiment lies outside what
-the library computes (a one-line ``error:`` message names the reason).
+(or ``gauss`` compared no form; a check that stops the run, CheckFailed or
+InconsistentParams, prints one ``error: check failed:`` line), 2 bad input
+(arguments, config, or an enumeration past ``--bound``), 3 the experiment
+lies outside what the library computes (a one-line ``error:`` message
+names the reason).
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ from dataclasses import dataclass, field
 # must precede that first import, and a value the caller set wins.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
+from ._modp import CheckFailed
 from .finite_field import _MAX_ORDER, AddChar, MultChar, _is_prime, get_field
 from .gauss import (
     DEFAULT_ENUMERATION_BOUND,
@@ -55,9 +57,7 @@ from .hecke_bc import (
 from .local_model import TowerConfig, build_tower, iwahori_indices
 from .stratum import (
     BUILTIN_CASE_NAMES,
-    ConstancyViolated,
     LinearizationInvalid,
-    PathMismatch,
     StratumSpec,
     builtin_case,
     by_oracle,
@@ -483,7 +483,7 @@ def main(argv=None) -> int:
     except (ConfigError, OSError, EnumerationTooLarge) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (InconsistentParams, PathMismatch, ConstancyViolated) as exc:
+    except (CheckFailed, InconsistentParams) as exc:
         print(f"error: check failed: {exc}", file=sys.stderr)
         return 1
     except (NonUnitQuotient, LinearizationInvalid) as exc:

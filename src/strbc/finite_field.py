@@ -16,6 +16,7 @@ from math import gcd, isqrt
 
 import numpy as np
 
+from ._modp import CheckFailed, digit_table
 from .cyclotomic import CycNum, cyc_embed, cyc_root, poly_divmod
 
 
@@ -89,27 +90,26 @@ class FqField:
         p, f = self.p, self.f
         if f == 1:
             return (0, 1)
-        for k in range(p**f):
-            cs = tuple((k // p**i) % p for i in range(f))
+        for cs in digit_table(p, f).tolist():
             if self._irreducible(cs):
-                return cs + (1,)
-        raise AssertionError("no irreducible polynomial found")
+                return tuple(cs) + (1,)
+        raise CheckFailed("no irreducible polynomial found")
 
-    def _irreducible(self, low: tuple[int, ...]) -> bool:
-        # Trial division by every monic polynomial of degree <= f/2.
+    def _irreducible(self, low) -> bool:
+        # low: the little-endian non-leading coefficients.  Trial division
+        # by every monic polynomial of degree <= f/2.
         p, f = self.p, self.f
         poly = list(low) + [1]
         for deg in range(1, f // 2 + 1):
-            for k in range(p**deg):
-                div = [(k // p**i) % p for i in range(deg)] + [1]
-                if not any(poly_divmod(poly, div, p)[1]):
+            for div in digit_table(p, deg).tolist():
+                if not any(poly_divmod(poly, div + [1], p)[1]):
                     return False
         return True
 
     def _build_log_tables(self):
         # Find the least generator, then tabulate discrete logs.
-        for k in range(1, self.q):
-            g = self.element(tuple((k // self.p**i) % self.p for i in range(self.f)))
+        for cs in digit_table(self.p, self.f)[1:].tolist():
+            g = self.element(cs)
             if self._order_is_full(g):
                 self.generator = g
                 break
@@ -155,8 +155,8 @@ class FqField:
         return self._exps[a % (self.q - 1)]
 
     def elements(self):
-        for k in range(self.q):
-            yield self.element(tuple((k // self.p**i) % self.p for i in range(self.f)))
+        for cs in digit_table(self.p, self.f).tolist():
+            yield self.element(cs)
 
     def units(self):
         for x in self.elements():

@@ -25,6 +25,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
+from ._modp import CheckFailed, digit_table
 from .cyclotomic import CycNum, cyc_is_rational_sign_times
 from .finite_field import (
     AddChar,
@@ -145,12 +146,6 @@ class QuadSpace:
         return np.einsum("ijx,xbc->ibjc", scaled % p, trip).reshape(n * f, n * f) % p
 
 
-
-def _digit_table(p: int, k: int) -> np.ndarray:
-    """All points of F_p^k as rows, coordinate 0 varying fastest."""
-    return np.arange(p**k, dtype=np.int64)[:, None] // p ** np.arange(k) % p
-
-
 def _phase_histogram(gram: np.ndarray, p: int, threads: int = 1) -> np.ndarray:
     """Counts of x^T G x mod p over all of F_p^d, d = gram.shape[0].
 
@@ -167,7 +162,7 @@ def _phase_histogram(gram: np.ndarray, p: int, threads: int = 1) -> np.ndarray:
     d = gram.shape[0]
     g = np.asarray(gram, dtype=np.int64) % p
     m = (d + 1) // 2
-    lo, hi = _digit_table(p, m), _digit_table(p, d - m)
+    lo, hi = digit_table(p, m), digit_table(p, d - m)
     top = (m + 2) * (p - 1) + 1
     dt = np.min_scalar_type(top - 1)
     q_lo = (((lo @ g[:m, :m]) * lo).sum(axis=1) % p).astype(dt)
@@ -262,7 +257,7 @@ def normalized_sign(space: QuadSpace, psi: AddChar,
     if fld.q**space.dim <= bound:
         brute = gauss_sum_brute(space, psi, bound=bound)
         if brute != closed:
-            raise NonUnitQuotient("brute and closed Gauss sums disagree")
+            raise CheckFailed("brute and closed Gauss sums disagree")
     npoints = fld.q**space.dim
     # F_p-dimension of the space; even dimension is the paper-side parity
     # under which the normalized value is rational.
@@ -272,7 +267,7 @@ def normalized_sign(space: QuadSpace, psi: AddChar,
         s = cyc_is_rational_sign_times(closed, ref)
         if s is None:
             # The sum is +-g_p^pdim and g_p^2 = chi(-1) p: a sign times p^(pdim/2).
-            raise NonUnitQuotient("normalized quotient is not +-1")
+            raise CheckFailed("normalized quotient is not +-1")
         quadrant = "+1" if s == 1 else "-1"
         return SignResult(s, quadrant, closed, npoints, ref)
     # Odd F_p-dimension: express against the one-dimensional Gauss value.
@@ -281,7 +276,7 @@ def normalized_sign(space: QuadSpace, psi: AddChar,
     ref = CycNum.integer(fld.p ** ((pdim - 1) // 2)) * g
     s = cyc_is_rational_sign_times(closed, ref)
     if s is None:
-        raise NonUnitQuotient("normalized quotient is not a fourth root")
+        raise CheckFailed("normalized quotient is not a fourth root")
     real = quadratic_residue_char(fp).sign(-fp.one()) == 1
     quadrant = ("+" if s == 1 else "-") + ("g/sqrt(q):real" if real else "g/sqrt(q):imag")
     return SignResult(None, quadrant, closed, npoints, ref)

@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from math import isqrt
 
+from ._modp import CheckFailed
 from .cyclotomic import CycNum, cyc_embed, cyc_root
 from .finite_field import FqField, MultChar, quadratic_residue_char
 from .gauss import SignResult
@@ -317,7 +318,7 @@ def p_primary_extension(e: int, known, minus_one) -> ExtensionChar:
             f"no 4-th root z with z^{e} = {known!r} and z^2 = {minus_one!r}"
         )
     if len(hits) != 1:
-        raise AssertionError("solution must be unique for odd e")
+        raise CheckFailed("solution must be unique for odd e")
     return ExtensionChar(varpi_E_value=hits[0], minus_one=minus_one)
 
 

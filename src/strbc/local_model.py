@@ -767,7 +767,7 @@ def build_tower(config: TowerConfig) -> TowerSpec:
     for _ in range(tower.e):
         acc = acc * we
     if acc != tower.varpi_F().scale(tower.u):
-        raise AssertionError("w_E^e != u w_F in the tower model")
+        raise _modp.CheckFailed("w_E^e != u w_F in the tower model")
     return tower
 
 
@@ -804,7 +804,7 @@ class WzSpace:
     @property
     def dim_kE(self) -> int:
         if self.dim_k % self.tower.f:
-            raise AssertionError(
+            raise _modp.CheckFailed(
                 f"dim_k W_z = {self.dim_k} is not a multiple of f = {self.tower.f}"
             )
         return self.dim_k // self.tower.f
@@ -840,7 +840,7 @@ def _build_Wz(tower: TowerSpec, stratum) -> WzSpace:
         lower = tower.cent_layer(level_gens(stratum, j), s_j)
         comp = _orthogonal_complement(tower, stratum, j, s_j, upper, lower)
         if comp.shape[0] != upper.shape[0] - lower.shape[0]:
-            raise AssertionError(
+            raise _modp.CheckFailed(
                 "orthogonal complement dimension mismatch at level "
                 f"{j}: {comp.shape[0]} vs {upper.shape[0] - lower.shape[0]}"
             )
@@ -848,7 +848,7 @@ def _build_Wz(tower: TowerSpec, stratum) -> WzSpace:
         blocks.append(WzBlock(j, s_j, comp))
     space = WzSpace(tower, tuple(blocks))
     if space.dim_kE != tower.f * tower.e - 1:
-        raise AssertionError(
+        raise _modp.CheckFailed(
             f"dim_kE W_z = {space.dim_kE}, expected fe - 1 = {tower.f * tower.e - 1}"
         )
     return space
@@ -981,7 +981,7 @@ def _index_exponent(tower, big: GradedLattice, small: GradedLattice,
         else:
             db, ds = b.shape[0], s.shape[0]
         if ds > db:
-            raise AssertionError("small lattice exceeds big lattice in a layer")
+            raise _modp.CheckFailed("small lattice exceeds big lattice in a layer")
         total += db - ds
     # Edge sanity: the profiles must agree outside the window.
     for m in (lo - 1, hi + 1):

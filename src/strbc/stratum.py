@@ -107,14 +107,6 @@ class DegenerateX(ValueError):
     pass
 
 
-class ConstancyViolated(AssertionError):
-    pass
-
-
-class PathMismatch(AssertionError):
-    pass
-
-
 # ---------------------------------------------------------------------------
 # Strata.
 
@@ -355,7 +347,7 @@ def epsilon_z(s: StratumSpec, psi: AddChar, scale_unit: FqElem | None = None,
         return SignResult(sign, f"{sign:+d}", total, wz.size, root)
     res = normalized_sign(space, psi, bound=bound)
     if res.value is None:
-        raise AssertionError("Gauss-sum quotient is not a rational sign")
+        raise _modp.CheckFailed("Gauss-sum quotient is not a rational sign")
     # Cross-check against the D-form assembly at y = 1 (opposite bracket
     # order: complex conjugate sum, identical rational sign).
     if scale_unit is None:
@@ -364,7 +356,7 @@ def epsilon_z(s: StratumSpec, psi: AddChar, scale_unit: FqElem | None = None,
         for f in d_forms:
             d_sign *= normalized_sign(f, psi, bound=bound).value
         if d_sign != res.value:
-            raise AssertionError("D-form sign disagrees with the Gauss sign")
+            raise _modp.CheckFailed("D-form sign disagrees with the Gauss sign")
     return res
 
 
@@ -714,7 +706,7 @@ def _y_side_zbases(s: StratumSpec) -> list[tuple[int, np.ndarray]]:
     m_edge = s.s_list[0] + 2
     if (_alpha_fixed_dim(tower, h1.layer(m_edge), m_edge)
             != _alpha_fixed_dim(tower, jw.layer(m_edge), m_edge)):
-        raise AssertionError("Y-coordinate window is too narrow")
+        raise _modp.CheckFailed("Y-coordinate window is too narrow")
     return out
 
 
@@ -743,9 +735,8 @@ def by_oracle(s: StratumSpec, chars, rho_signs: tuple[int, int],
     zdim = sum(b.shape[0] for _, b in zbases)
     c_y, _ = iwahori_indices(tower, s)
     if p**zdim != math.isqrt(c_y // kE.q):
-        raise AssertionError(
-            "representative count disagrees with the lattice index"
-        )
+        raise _modp.CheckFailed(
+            "representative count disagrees with the lattice index")
     neg_two = kE.from_int(-2).discrete_log()
     ident = MatF.identity(tower)
     const = None
@@ -769,7 +760,7 @@ def by_oracle(s: StratumSpec, chars, rho_signs: tuple[int, int],
         return vals, const
 
     _walk(kE, p, zdim, sample, seed, bound, step,
-          ConstancyViolated, "integrand is not constant across representatives")
+          "integrand is not constant across representatives")
     return (rho1 * rho2 * (kE.q - 1) * p**zdim) * cyc_root(p, const)
 
 
@@ -794,7 +785,7 @@ def _count_terms(kE, p: int, dim: int, sample: int | None,
 
 
 def _walk(kE, p: int, dim: int, sample: int | None, seed: int,
-          bound: int, step, exc: type, message: str) -> bool:
+          bound: int, step, message: str) -> bool:
     """Check the oracle terms of ``_terms``, _CHUNK at a time; returns
     whether they are a sample.  Too many terms are refused first
     (``_count_terms``).
@@ -803,9 +794,11 @@ def _walk(kE, p: int, dim: int, sample: int | None, seed: int,
     base-p digits of i % p^dim, most significant first (the order of
     itertools.product over F_p^dim).  ``step(logs, X)`` gets a chunk's
     units as discrete logs and its (B, dim) coordinates and returns its
-    zeta_p exponents with the exponents they must equal.  A per-term check
-    failing inside ``step`` names its stack index and the chunk's first
-    term; an exponent that differs raises exc(message) naming its term."""
+    zeta_p exponents with the exponents they must equal.  A check failing
+    inside ``step`` (a NoSolution, NotInDomain or CheckFailed naming its
+    stack index) is raised again as CheckFailed naming the chunk's first
+    term; an exponent that differs raises CheckFailed(message) naming its
+    term."""
     total, count = _count_terms(kE, p, dim, sample, bound)
     per_unit = p**dim
     logs = np.array([u.discrete_log() for u in kE.units()], dtype=np.int64)
@@ -816,11 +809,11 @@ def _walk(kE, p: int, dim: int, sample: int | None, seed: int,
         unit, rest = np.divmod(chunk, per_unit)
         try:
             values, wanted = step(logs[unit], rest[:, None] // digits % p)
-        except (NoSolution, NotInDomain, PathMismatch) as err:
-            raise type(err)(f"{err}, in the chunk from term {start}") from err
+        except (NoSolution, NotInDomain, _modp.CheckFailed) as err:
+            raise _modp.CheckFailed(f"{err}, in the chunk from term {start}") from err
         differ = np.flatnonzero(values != wanted)
         if differ.size:
-            raise exc(f"{message} (term {start + int(differ[0])})")
+            raise _modp.CheckFailed(f"{message} (term {start + int(differ[0])})")
     return count < total
 
 
@@ -887,7 +880,7 @@ def bz_oracle(s: StratumSpec, chars, mus: tuple,
         np.add.at(weights.T, expo, signs[logs])
         return _bz_chunk(s, big, root, wz, logs, X), expo
 
-    sampled = _walk(kE, p, dim, sample, seed, bound, step, PathMismatch,
+    sampled = _walk(kE, p, dim, sample, seed, bound, step,
                     "direct term value disagrees with its Gauss-sum phase")
     # Path B: one Gauss sum of the phase form per y.
     totals_b = [CycNum.zero(p)] * len(mus)
@@ -896,7 +889,7 @@ def bz_oracle(s: StratumSpec, chars, mus: tuple,
         totals_b = [t + w * gy for t, w in zip(totals_b, row)]
     totals_a = [CycNum(p, row.tolist()) for row in weights]
     if not sampled and totals_a != totals_b:
-        raise PathMismatch("the two evaluation routes disagree")
+        raise _modp.CheckFailed("the two evaluation routes disagree")
     return tuple(totals_b)
 
 
@@ -931,7 +924,7 @@ def _bz_chunk(s: StratumSpec, big: SimpleCharSpec, root: SimpleCharSpec,
             sides = [M.take(terms) for M in sides]
         dets = det_unit(MatF.stack(sides))
         _fail_first((dets[: len(terms)] != dets[len(terms) :]).any(axis=-1),
-                    PathMismatch, "determinant exchange identity fails", terms)
+                    _modp.CheckFailed, "determinant exchange identity fails", terms)
     return (eval_simple_char(big, one_plus) + eval_simple_char(root, g)) % p
 
 

@@ -17,6 +17,37 @@ def test_no_bare_asserts_in_package():
     assert not found, f"bare asserts in src/strbc: {found}"
 
 
+def _assertion_error_raises(tree: ast.AST):
+    """Line numbers of raise AssertionError, called or not, in a module."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            if isinstance(exc, ast.Name) and exc.id == "AssertionError":
+                yield node.lineno
+
+
+def test_no_bare_assertion_errors_in_package():
+    # A failed identity or invariant raises _modp.CheckFailed, which the CLI
+    # reports as one "check failed" line; a bare AssertionError would escape
+    # it as a traceback.
+    found = [
+        f"{path.name}:{line}"
+        for path in sorted(SRC.glob("*.py"))
+        for line in _assertion_error_raises(ast.parse(path.read_text(), str(path)))
+    ]
+    assert not found, f"bare AssertionError raises in src/strbc: {found}"
+
+
+@pytest.mark.parametrize("snippet, flagged", [
+    ("raise AssertionError('x')", [1]), ("raise AssertionError", [1]),
+    ("if a:\n    raise AssertionError(f'{a}') from e", [2]),
+    ("raise CheckFailed('x')", []), ("raise", []),
+    ("x = AssertionError('x')", []),
+])
+def test_assertion_error_ban_flags_each_raise(snippet, flagged):
+    assert list(_assertion_error_raises(ast.parse(snippet))) == flagged
+
+
 def _float_uses(tree: ast.AST):
     """Line numbers of float literals, true divisions, the name float,
     np.linalg, the float dtypes np.float64/32/16 and a weights= keyword (the
