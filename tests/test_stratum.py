@@ -1197,8 +1197,8 @@ def test_bz_chunks_match_one_term_code_on_random_terms(case):
 
     # Walk these terms instead of the ones _terms would draw.
     with mock.patch.object(stratum, "_terms", lambda *args: index):
-        stratum._walk(kE, p, dim, None, 0, stratum.DEFAULT_ENUMERATION_BOUND, step,
-                      "")
+        stratum._walk(kE, p, dim, None, 0, stratum.DEFAULT_ENUMERATION_BOUND,
+                      step, "")
     assert starts == list(range(0, len(terms), 64))
 
 
