@@ -40,7 +40,6 @@ from .finite_field import _MAX_ORDER, AddChar, MultChar, _is_prime, get_field
 from .gauss import (
     DEFAULT_ENUMERATION_BOUND,
     EnumerationTooLarge,
-    NonUnitQuotient,
     QuadSpace,
     gauss_sum_brute,
     gauss_sum_closed,
@@ -53,11 +52,14 @@ from .hecke_bc import (
     normalized_spectrum,
     rechoice_covariance,
     solve_reducibility,
+    to_turns,
+    turns_sign,
 )
 from .local_model import TowerConfig, build_tower, iwahori_indices
 from .stratum import (
     BUILTIN_CASE_NAMES,
     LinearizationInvalid,
+    NonUnitQuotient,
     StratumSpec,
     builtin_case,
     by_oracle,
@@ -343,9 +345,9 @@ def cmd_reducibility(cfg: ExperimentConfig, args) -> int:
     rho = LevelZeroChar(tower.kE, MultChar(tower.kE, half), side="u")
     rows = []
     reports = {}
-    for label, varpi in [("matched", rho.minus_one() * eps_z),
-                         ("twisted", -rho.minus_one() * eps_z)]:
-        rt = LevelZeroChar(tower.kE, mu_lo, varpi_value=varpi, side="gl")
+    for label, varpi in [("matched", to_turns(rho.minus_one() * eps_z)),
+                         ("twisted", to_turns(-rho.minus_one() * eps_z))]:
+        rt = LevelZeroChar(tower.kE, mu_lo, varpi_turns=varpi, side="gl")
         rep = solve_reducibility(hp, rt, rho, eps_z)
         reports[label] = rep
         rows.append({"candidate": label, "branch": rep.branch,
@@ -397,8 +399,8 @@ def cmd_base_change(cfg: ExperimentConfig, args) -> int:
         rows.append({
             "rho(-1)": rho.minus_one(),
             "mu_power": rt.mu_part.exponent,
-            "varpi_E": rt.varpi_value.as_int(),
-            "varpi_F": rt.varpi_F_value(tower).as_int(),
+            "varpi_E": turns_sign(rt.varpi_turns),
+            "varpi_F": turns_sign(rt.varpi_F_turns(tower)),
             "rechoice": "ok" if cov else "FAIL",
         })
     print(_table(rows, ["rho(-1)", "mu_power", "varpi_E", "varpi_F",

@@ -3,21 +3,21 @@
 Fields are constructed deterministically: the modulus is the lexicographically
 least monic irreducible polynomial of degree f over F_p (counting order on the
 little-endian coefficient tuple), and the generator is the least element of
-multiplicative order q-1 in the same counting order.  Multiplicative character
-values are roots of unity of order dividing q-1, additive character values
-have order dividing p; both are returned as exact CycNum values embedded in
-Z[zeta_lcm(p, q-1)].
+multiplicative order q-1 in the same counting order.  A character value is a
+single root of unity, so it is read as its exponent: MultChar.sign gives the
+value of a character of order dividing 2 as +-1, and AddChar.residue_phase
+gives the exponent of zeta_p.  Only sums of such values are CycNums.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from math import gcd, isqrt
+from math import isqrt
 
 import numpy as np
 
 from ._modp import CheckFailed, digit_table
-from .cyclotomic import CycNum, cyc_embed, cyc_root, poly_divmod
+from .cyclotomic import poly_divmod
 
 
 class DivisionByZero(ZeroDivisionError):
@@ -284,14 +284,6 @@ class MultChar:
         self.field = field
         self.exponent = exponent % (field.q - 1)
 
-    def __call__(self, x: FqElem, modulus: int | None = None) -> CycNum:
-        if not x:
-            raise EvalAtZero("multiplicative character at zero")
-        m = self.field.q - 1
-        val = cyc_root(m, self.exponent * x.discrete_log())
-        target = modulus if modulus is not None else _common_modulus(self.field)
-        return cyc_embed(val, target)
-
     def sign(self, x: FqElem) -> int:
         """Value as +-1; only valid for characters of order dividing 2."""
         if not x:
@@ -326,12 +318,6 @@ class AddChar:
         self.field = field
         self.twist = field.from_int(twist) if isinstance(twist, int) else twist
 
-    def __call__(self, x: FqElem, modulus: int | None = None) -> CycNum:
-        t = self.field.trace(self.twist * x)
-        val = cyc_root(self.field.p, t)
-        target = modulus if modulus is not None else _common_modulus(self.field)
-        return cyc_embed(val, target)
-
     def residue_phase(self, x: FqElem) -> int:
         """Tr(a x) in [0, p); the exponent of zeta_p in the value."""
         return self.field.trace(self.twist * x)
@@ -348,11 +334,6 @@ class AddChar:
 
     def __repr__(self):
         return f"AddChar(a={self.twist.coeffs} over F_{self.field.q})"
-
-
-def _common_modulus(field: FqField) -> int:
-    m = field.q - 1
-    return field.p * m // gcd(field.p, m)
 
 
 def quadratic_residue_char(field: FqField) -> MultChar:

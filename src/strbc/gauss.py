@@ -51,10 +51,6 @@ class DegenerateForm(ValueError):
     pass
 
 
-class NonUnitQuotient(ArithmeticError):
-    pass
-
-
 class QuadSpace:
     """A quadratic form Q(x) = x^T S x on F_q^n, S symmetric, held as gram:
     the read-only int64 (n, n, f) array of the coefficients of S."""
@@ -124,10 +120,6 @@ class QuadSpace:
 
     def is_nondegenerate(self) -> bool:
         return all(self._diagonal)
-
-    def diagonalize(self) -> list[FqElem]:
-        """Diagonal entries of a congruence-diagonalized Gram matrix."""
-        return list(self._diagonal)
 
     def prime_gram(self, psi: AddChar) -> np.ndarray:
         """Gram of the F_p-quadratic form x -> Tr(a Q(x)) after restriction

@@ -1,20 +1,21 @@
 """Rank-2 Hecke algebra data, reducibility-point solving, and base change.
 
 Everything here is exact bookkeeping: values that live in q_E^{1/2}-powers
-are carried as (sign, half-exponent) pairs, roots of unity as cyclotomic
-integers, and the imaginary reducibility offset as the symbolic token
-pi*i/log q_E.  The normalization scalars of the two generators cancel in
+are carried as (sign, half-exponent) pairs, a fourth root of unity i^k as
+its quarter-turn exponent k, and the imaginary reducibility offset as the
+symbolic token pi*i/log q_E.  Only the b_w inputs may be cyclotomic
+integers.  The normalization scalars of the two generators cancel in
 every exported result; they are never materialized.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from math import isqrt
 
 from ._modp import CheckFailed
-from .cyclotomic import CycNum, cyc_embed, cyc_root
+from .cyclotomic import CycNum
 from .finite_field import FqField, MultChar, quadratic_residue_char
 from .gauss import SignResult
 from .local_model import TowerSpec
@@ -38,17 +39,17 @@ class MissingSign(ValueError):
 
 IMAG_TOKEN = "pi*i/log qE"
 
-FOURTH_ROOTS = tuple(cyc_root(4, k) for k in range(4))
+
+def to_turns(sign: int) -> int:
+    """The quarter-turn exponent k in {0, 2} with i^k = sign."""
+    if sign not in (-1, 1):
+        raise ValueError(f"cannot interpret {sign!r} as a sign")
+    return 1 - sign
 
 
-def _as_fourth_root(v) -> CycNum:
-    if isinstance(v, CycNum):
-        return cyc_embed(v, 4)
-    if v == 1:
-        return cyc_root(4, 0)
-    if v == -1:
-        return cyc_root(4, 2)
-    raise ValueError(f"cannot interpret {v!r} as a 4-th root of unity")
+def turns_sign(k: int) -> int | None:
+    """i^k as +-1, or None when it is +-i."""
+    return None if k % 2 else 1 - k % 4
 
 
 # ---------------------------------------------------------------------------
@@ -224,7 +225,7 @@ def normalized_spectrum(hp: HeckeParams) -> dict[str, tuple[int, int]]:
 
 class LevelZeroChar:
     """A tame character datum: a multiplicative character of the residue
-    Teichmueller group plus a value at the uniformizer.
+    Teichmueller group plus its value i^k at the uniformizer, kept as k.
 
     GL side: the big character rho-tilde, with at most quadratic restriction
     and rho-tilde(pi_E)^2 = rho-tilde(-1) (self-duality under the chosen
@@ -232,8 +233,8 @@ class LevelZeroChar:
     rho(-1) enters downstream.
     """
 
-    def __init__(self, field: FqField, mu_part: MultChar,
-                 varpi_value=None, side: str = "gl"):
+    def __init__(self, field: FqField, mu_part: MultChar, *,
+                 varpi_turns: int | None = None, side: str = "gl"):
         if side not in ("gl", "u"):
             raise ValueError(f"side must be 'gl' or 'u', got {side!r}")
         if mu_part.field != field:
@@ -248,18 +249,13 @@ class LevelZeroChar:
                     "restriction to the Teichmueller group must be at most "
                     "quadratic"
                 )
-            if varpi_value is None:
+            if varpi_turns is None:
                 raise ValueError("the GL side needs a uniformizer value")
-            self.varpi_value = _as_fourth_root(varpi_value)
-            sq = self.varpi_value * self.varpi_value
-            if sq.as_int() != self.minus_one():
+            if turns_sign(2 * varpi_turns) != self.minus_one():
                 raise NotSelfDual(
                     "uniformizer value squared must equal the value at -1"
                 )
-        else:
-            self.varpi_value = (
-                None if varpi_value is None else _as_fourth_root(varpi_value)
-            )
+        self.varpi_turns = None if varpi_turns is None else varpi_turns % 4
 
     def minus_one(self) -> int:
         return self.mu_part.sign(-self.field.one())
@@ -267,59 +263,51 @@ class LevelZeroChar:
     def mu_is_trivial(self) -> bool:
         return self.mu_part.is_trivial()
 
-    def varpi_F_value(self, tower: TowerSpec) -> CycNum:
-        """Value at pi_F = u^{-1} pi_E^e."""
-        if self.varpi_value is None:
+    def varpi_F_turns(self, tower: TowerSpec) -> int:
+        """Value at pi_F = u^{-1} pi_E^e, as its quarter-turn exponent."""
+        if self.varpi_turns is None:
             raise MissingSign("no uniformizer value recorded")
         # the restriction to units is at most quadratic, so its value on
         # u^{-1} is a plain sign
-        out = _as_fourth_root(self.mu_part.sign(tower.u.inverse()))
-        for _ in range(tower.e):
-            out = out * self.varpi_value
-        return out
+        unit = to_turns(self.mu_part.sign(tower.u.inverse()))
+        return (unit + tower.e * self.varpi_turns) % 4
 
     def __repr__(self):
         return (
             f"LevelZeroChar({self.side}, mu^{self.mu_part.exponent} over "
-            f"F_{self.field.q}, varpi={self.varpi_value!r})"
+            f"F_{self.field.q}, varpi=i^{self.varpi_turns})"
         )
 
 
 @dataclass(frozen=True)
 class ExtensionChar:
-    """The p-primary extension datum: trivial on the Teichmueller group,
-    value 1 at pi_F, and a 4-th root of unity at pi_E."""
+    """The p-primary extension datum: trivial on the Teichmueller group, value
+    1 at pi_F and a 4-th root of unity at pi_E, each kept as its exponent."""
 
-    varpi_E_value: CycNum
-    minus_one: CycNum
-    varpi_F_value: CycNum = field(default_factory=lambda: cyc_root(4, 0))
+    varpi_E_turns: int
+    minus_one_turns: int
+    varpi_F_turns: int = 0
 
 
-def p_primary_extension(e: int, known, minus_one) -> ExtensionChar:
-    """The unique 4-th root z with z^e = known and z^2 = minus_one, e odd.
+def p_primary_extension(e: int, known: int, minus_one: int) -> ExtensionChar:
+    """The unique z mod 4 with e z = known and 2 z = minus_one, e odd.
 
-    ``known`` is the value forced on the pi_E^e side, ``minus_one`` the
-    value at -1.  Oddness of e makes z -> z^e injective on 4-th roots, so a
-    consistent pair has exactly one solution.
+    i^z is the value at pi_E, i^known the value forced on the pi_E^e side
+    and i^minus_one the value at -1.  Oddness of e makes z -> e z injective
+    mod 4, so a consistent pair has exactly one solution.
     """
     if e % 2 == 0:
         raise ValueError("e must be odd")
-    known = _as_fourth_root(known)
-    minus_one = _as_fourth_root(minus_one)
-    hits = []
-    for z in FOURTH_ROOTS:
-        p = cyc_root(4, 0)
-        for _ in range(e):
-            p = p * z
-        if p == known and z * z == minus_one:
-            hits.append(z)
+    hits = [z for z in range(4)
+            if (e * z - known) % 4 == 0 and (2 * z - minus_one) % 4 == 0]
     if not hits:
         raise NoConsistentValue(
-            f"no 4-th root z with z^{e} = {known!r} and z^2 = {minus_one!r}"
+            f"no 4-th root i^z with i^({e} z) = i^{known} and "
+            f"i^(2 z) = i^{minus_one}"
         )
     if len(hits) != 1:
         raise CheckFailed("solution must be unique for odd e")
-    return ExtensionChar(varpi_E_value=hits[0], minus_one=minus_one)
+    return ExtensionChar(varpi_E_turns=hits[0], minus_one_turns=minus_one % 4)
 
 
 # ---------------------------------------------------------------------------
@@ -371,7 +359,7 @@ def solve_reducibility(hp: HeckeParams, rho_tilde: LevelZeroChar,
         # Both coefficients are nonzero; after cancelling the scalar
         # normalizations the matching relation reads
         # rho-tilde(pi_E) q_E^s = rho(-1) eps_z * (q_E^{+-1} or -1).
-        w = rho_tilde.varpi_value.as_int()
+        w = turns_sign(rho_tilde.varpi_turns)
         if w is None:
             raise NotSelfDual(
                 "the r_z = 1 branch needs a rational uniformizer value"
@@ -420,7 +408,7 @@ def base_change(rho: LevelZeroChar, eps_z, tower: TowerSpec) -> LevelZeroChar:
         raise MissingSign("the Gauss-sum sign must be +-1")
     kE = tower.kE
     mu = MultChar(kE, (kE.q - 1) // 2 * (tower.f - 1))
-    return LevelZeroChar(kE, mu, varpi_value=rho.minus_one() * eps,
+    return LevelZeroChar(kE, mu, varpi_turns=to_turns(rho.minus_one() * eps),
                          side="gl")
 
 
@@ -434,7 +422,10 @@ def rechoice_covariance(rho_tilde: LevelZeroChar, rho: LevelZeroChar,
     so the relation must hold verbatim for every unit row.
     """
     chi = quadratic_residue_char(tower.kE)
-    base = rho_tilde.varpi_value.as_int()
+    base = turns_sign(rho_tilde.varpi_turns)
+    if base is None:
+        raise NotSelfDual("the rechoice relation needs a rational "
+                          "uniformizer value")
     for row in invariance_report["uniformizer"]:
         u = tower.kE.element(row["unit"])
         lhs = base * (chi.sign(u) ** (tower.f - 1))
@@ -453,12 +444,13 @@ class ParityClass(Enum):
     NOT_CONJUGATE_SELF_DUAL = "NotConjugateSelfDual"
 
 
-def parity_classifier(chi: tuple[MultChar, CycNum],
+def parity_classifier(chi: tuple[MultChar, int],
                       tower: TowerSpec) -> ParityClass:
     """Classify a tame character of F-cross under the ramified quadratic
     descent.
 
-    ``chi`` is (restriction to the Teichmueller group of F, value at pi_F).
+    ``chi`` is (restriction to the Teichmueller group of F, quarter-turn
+    exponent of the value at pi_F).
     The conjugation fixes the residue field and sends pi_F to -pi_F, so
     conjugate-self-duality means the square of the character is trivial on
     units and chi(-1) chi(pi_F)^2 = 1.  A conjugate-self-dual character is
@@ -466,17 +458,14 @@ def parity_classifier(chi: tuple[MultChar, CycNum],
     the index-2 subfield is then trivial); otherwise the restriction equals
     the quadratic descent character and the parity is symplectic.
     """
-    mu_char, varpi_val = chi
+    mu_char, varpi_turns = chi
     k = mu_char.field
     if k != tower.k:
         raise ValueError("character must live on the residue field of F")
     half = (k.q - 1) // 2
-    varpi_val = _as_fourth_root(varpi_val)
     if mu_char.exponent % (k.q - 1) not in (0, half):
         return ParityClass.NOT_CONJUGATE_SELF_DUAL
-    sq = varpi_val * varpi_val
-    cm1 = mu_char.sign(-k.one())
-    if sq.as_int() is None or sq.as_int() * cm1 != 1:
+    if turns_sign(2 * varpi_turns) != mu_char.sign(-k.one()):
         return ParityClass.NOT_CONJUGATE_SELF_DUAL
     if mu_char.is_trivial():
         return ParityClass.CONJUGATE_ORTHOGONAL

@@ -44,7 +44,6 @@ from .finite_field import (
 from .gauss import (
     DEFAULT_ENUMERATION_BOUND,
     EnumerationTooLarge,
-    NonUnitQuotient,
     QuadSpace,
     SignResult,
     gauss_sum_brute,
@@ -96,6 +95,10 @@ class NotInDomain(ValueError):
 
 
 class LinearizationInvalid(ValueError):
+    pass
+
+
+class NonUnitQuotient(ArithmeticError):
     pass
 
 

@@ -1,12 +1,13 @@
 """Reference routes and checks that only the tests use.
 
 Each is an independent second route to something the package computes
-(the Gauss sum point by point, the trace and the inverse of the regular
-representation, the graded centralizer, the zeta-conjugation index, the
-graded layer maps one basis matrix at a time, the ad-kernel minimality
-test and the two-branch W_z complement) or a check of an identity the
-package relies on (the embedding relations of E in the matrices, the
-independence of a path-A term from its auxiliary degree-0 component).
+(a character value as an element of Z[zeta_M], the Gauss sum point by
+point, the trace and the inverse of the regular representation, the graded
+centralizer, the zeta-conjugation index, the graded layer maps one basis
+matrix at a time, the ad-kernel minimality test and the two-branch W_z
+complement) or a check of an identity the package relies on (the embedding
+relations of E in the matrices, the independence of a path-A term from its
+auxiliary degree-0 component).
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import numpy as np
 from strbc import _modp, stratum
 from strbc.cli import ExperimentConfig
 from strbc.cyclotomic import CycNum, cyc_root
-from strbc.finite_field import AddChar, FqElem, pow_fq
+from strbc.finite_field import AddChar, FqElem, MultChar, pow_fq
 from strbc.gauss import EnumerationTooLarge, QuadSpace, TrivialAdditiveCharacter
 from strbc.local_model import (
     EElem,
@@ -46,7 +47,17 @@ def golden_stratum(name: str):
 
 
 # ---------------------------------------------------------------------------
-# Gauss sums point by point.
+# Character values and Gauss sums point by point.
+
+
+def mult_value(chi: MultChar, x: FqElem) -> CycNum:
+    """chi(x) = zeta_{q-1}^(a log x) for chi = MultChar(k, a)."""
+    return cyc_root(chi.field.q - 1, chi.exponent * x.discrete_log())
+
+
+def add_value(psi: AddChar, x: FqElem) -> CycNum:
+    """psi(x) = zeta_p^Tr(a x) for psi = AddChar(k, a)."""
+    return cyc_root(psi.field.p, psi.residue_phase(x))
 
 
 def evaluate(space: QuadSpace, xs: list[FqElem]) -> FqElem:

@@ -19,14 +19,12 @@ from strbc.finite_field import (
     quadratic_residue_char,
 )
 from strbc.gauss import (
-    NonUnitQuotient,
     QuadSpace,
     gauss_sum_brute,
     gauss_sum_closed,
     one_dim_gauss_value,
 )
 from strbc.hecke_bc import (
-    FOURTH_ROOTS,
     HeckeParams,
     LevelZeroChar,
     ParityClass,
@@ -36,6 +34,7 @@ from strbc.hecke_bc import (
     parity_classifier,
     rechoice_covariance,
     solve_reducibility,
+    to_turns,
 )
 from strbc.local_model import (
     MatF,
@@ -49,6 +48,7 @@ from strbc.local_model import (
 from strbc.stratum import (
     BUILTIN_CASE_NAMES,
     R1_CASE_NAMES,
+    NonUnitQuotient,
     _alpha_fixed_basis,
     builtin_case,
     by_oracle,
@@ -245,20 +245,20 @@ def test_criterion_7_hecke_reducibility():
             k = get_field(3, 1)
             rho = LevelZeroChar(k, MultChar(k, 1), side="u")
             if hpx.r_z == 1:
-                rt = LevelZeroChar(k, MultChar(k, 0), varpi_value=-1,
-                                   side="gl")
+                rt = LevelZeroChar(k, MultChar(k, 0),
+                                   varpi_turns=to_turns(-1), side="gl")
                 rep = solve_reducibility(hpx, rt, rho, 1)
                 assert rep.real_points == frozenset({Fraction(1),
                                                      Fraction(-1)})
                 assert rep.shifted_points == frozenset({Fraction(0)})
-                flip = LevelZeroChar(k, MultChar(k, 0), varpi_value=1,
-                                     side="gl")
+                flip = LevelZeroChar(k, MultChar(k, 0),
+                                     varpi_turns=to_turns(1), side="gl")
                 rep2 = solve_reducibility(hpx, flip, rho, 1)
                 assert rep2.real_points == rep.shifted_points
                 assert rep2.shifted_points == rep.real_points
             else:
-                rt = LevelZeroChar(k, MultChar(k, 1),
-                                   varpi_value=cyc_root(4, 1), side="gl")
+                rt = LevelZeroChar(k, MultChar(k, 1), varpi_turns=1,
+                                   side="gl")
                 rep = solve_reducibility(hpx, rt, rho, 1)
                 assert rep.real_points == frozenset({HALF, -HALF})
                 assert rep.shifted_points == frozenset({HALF, -HALF})
@@ -277,7 +277,7 @@ def test_criterion_8_base_change():
         rho = LevelZeroChar(case.tower.kE, MultChar(case.tower.kE, exp),
                             side="u")
         rt = base_change(rho, eps, case.tower)
-        assert rt.varpi_F_value(case.tower).as_int() == want
+        assert cyc_root(4, rt.varpi_F_turns(case.tower)).as_int() == want
     # rechoice invariance and composed reducibility point 1, per case
     for name in R1_CASE_NAMES:
         s = builtin_case(name)
@@ -306,11 +306,11 @@ def test_criterion_9_parity():
     case = builtin_case("u1")
     tower = case.tower
     k = tower.k
-    assert parity_classifier((MultChar(k, 0), -1), tower) == (
+    assert parity_classifier((MultChar(k, 0), to_turns(-1)), tower) == (
         ParityClass.CONJUGATE_ORTHOGONAL)
     for exp in range(k.q - 1):
         for vk in range(4):
-            chi = (MultChar(k, exp), cyc_root(4, vk))
+            chi = (MultChar(k, exp), vk)
             cls = parity_classifier(chi, tower)
             sq = cyc_root(4, (2 * vk) % 4).as_int()
             csd = ((2 * exp) % (k.q - 1) == 0 and sq is not None
@@ -326,11 +326,13 @@ def test_criterion_9_parity():
 
 def test_criterion_10_uniqueness():
     t0 = time.monotonic()
+    fourth_roots = [cyc_root(4, k) for k in range(4)]
     for e in (1, 3, 5, 7):
-        for z in FOURTH_ROOTS:
+        for z in fourth_roots:
             ze = cyc_root(4, 0)
             for _ in range(e):
                 ze = ze * z
-            got = p_primary_extension(e, ze, z * z)
-            assert got.varpi_E_value == z
+            got = p_primary_extension(e, fourth_roots.index(ze),
+                                      fourth_roots.index(z * z))
+            assert cyc_root(4, got.varpi_E_turns) == z
     _report(10, "p-primary extension unique for e in {1,3,5,7}", t0)

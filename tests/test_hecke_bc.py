@@ -6,7 +6,6 @@ from fractions import Fraction
 from strbc.cyclotomic import cyc_root
 from strbc.finite_field import MultChar, get_field, quadratic_residue_char
 from strbc.hecke_bc import (
-    FOURTH_ROOTS,
     HeckeParams,
     InconsistentParams,
     LevelZeroChar,
@@ -23,15 +22,25 @@ from strbc.hecke_bc import (
     rank_values,
     rechoice_covariance,
     solve_reducibility,
+    to_turns,
+    turns_sign,
 )
-from strbc.stratum import builtin_case, epsilon_z, epsilon_z_invariance
+from strbc.local_model import TowerConfig, build_tower
+from strbc.stratum import (
+    R1_CASE_NAMES,
+    builtin_case,
+    epsilon_z,
+    epsilon_z_invariance,
+)
 
 HALF = Fraction(1, 2)
+# The reference values: i^k as an element of Z[zeta_4], for k = 0..3.
+FOURTH_ROOTS = [cyc_root(4, k) for k in range(4)]
 
 
-def gl_char(exp=0, varpi=1):
+def gl_char(exp=0, turns=0):
     k = get_field(3, 1)
-    return LevelZeroChar(k, MultChar(k, exp), varpi_value=varpi, side="gl")
+    return LevelZeroChar(k, MultChar(k, exp), varpi_turns=turns, side="gl")
 
 
 def u_char(exp=0):
@@ -121,20 +130,20 @@ def test_gl_char_needs_self_dual_data():
     k = get_field(3, 1)
     with pytest.raises(NotSelfDual):
         # quadratic restriction but uniformizer value squaring to +1
-        LevelZeroChar(k, MultChar(k, 1), varpi_value=1, side="gl")
+        LevelZeroChar(k, MultChar(k, 1), varpi_turns=to_turns(1), side="gl")
     # the consistent choice is +-i
-    LevelZeroChar(k, MultChar(k, 1), varpi_value=cyc_root(4, 1), side="gl")
+    LevelZeroChar(k, MultChar(k, 1), varpi_turns=1, side="gl")
 
 
 def test_gl_char_rejects_higher_order_restriction():
     k = get_field(3, 2)
     with pytest.raises(NotSelfDual):
-        LevelZeroChar(k, MultChar(k, 1), varpi_value=1, side="gl")
+        LevelZeroChar(k, MultChar(k, 1), varpi_turns=to_turns(1), side="gl")
 
 
 def test_rank_values():
-    assert rank_values(gl_char(exp=0, varpi=1)) == (1, 1)
-    assert rank_values(gl_char(exp=1, varpi=cyc_root(4, 1))) == (1, 0)
+    assert rank_values(gl_char(exp=0, turns=to_turns(1))) == (1, 1)
+    assert rank_values(gl_char(exp=1, turns=1)) == (1, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -144,7 +153,7 @@ def test_rank_values():
 def test_reducibility_matched_branch():
     hp = HeckeParams(3, 1, 1, 3, 3)
     rho = u_char(exp=1)  # rho(-1) = -1
-    rt = gl_char(exp=0, varpi=-1)  # rho-tilde(pi_E) = rho(-1) * eps_z, eps=+1
+    rt = gl_char(exp=0, turns=to_turns(-1))  # rho-tilde(pi_E) = rho(-1) * eps_z, eps=+1
     rep = solve_reducibility(hp, rt, rho, 1)
     assert rep.real_points == frozenset({Fraction(1), Fraction(-1)})
     assert rep.shifted_points == frozenset({Fraction(0)})
@@ -154,8 +163,8 @@ def test_reducibility_matched_branch():
 def test_reducibility_flipped_branch_swaps_real_parts():
     hp = HeckeParams(3, 1, 1, 3, 3)
     rho = u_char(exp=1)
-    matched = solve_reducibility(hp, gl_char(exp=0, varpi=-1), rho, 1)
-    flipped = solve_reducibility(hp, gl_char(exp=0, varpi=1), rho, 1)
+    matched = solve_reducibility(hp, gl_char(exp=0, turns=to_turns(-1)), rho, 1)
+    flipped = solve_reducibility(hp, gl_char(exp=0, turns=to_turns(1)), rho, 1)
     assert matched.real_points == flipped.shifted_points
     assert matched.shifted_points == flipped.real_points
     # the invariant unordered pair of nonnegative real parts is unchanged
@@ -165,7 +174,7 @@ def test_reducibility_flipped_branch_swaps_real_parts():
 def test_reducibility_half_integral_branch():
     hp = HeckeParams(3, 1, 0, 3, 9)
     rho = u_char(exp=1)
-    rt = gl_char(exp=1, varpi=cyc_root(4, 1))
+    rt = gl_char(exp=1, turns=1)
     rep = solve_reducibility(hp, rt, rho, 1)
     assert rep.real_points == frozenset({HALF, -HALF})
     assert rep.shifted_points == frozenset({HALF, -HALF})
@@ -177,9 +186,9 @@ def test_reducibility_s_pair_invariant():
         hp = HeckeParams(3, 1, rz, 3, cz)
         want = {Fraction(1 + rz, 2), Fraction(1 - rz, 2)}
         if rz == 1:
-            rt = gl_char(exp=0, varpi=1)
+            rt = gl_char(exp=0, turns=to_turns(1))
         else:
-            rt = gl_char(exp=1, varpi=cyc_root(4, 1))
+            rt = gl_char(exp=1, turns=1)
         rep = solve_reducibility(hp, rt, u_char(0), 1)
         assert rep.s_values == want
 
@@ -187,7 +196,7 @@ def test_reducibility_s_pair_invariant():
 def test_reducibility_requires_sign():
     hp = HeckeParams(3, 1, 1, 3, 3)
     with pytest.raises(MissingSign):
-        solve_reducibility(hp, gl_char(0, varpi=1), u_char(0), None)
+        solve_reducibility(hp, gl_char(0, turns=to_turns(1)), u_char(0), None)
 
 
 # ---------------------------------------------------------------------------
@@ -196,10 +205,12 @@ def test_reducibility_requires_sign():
 
 def test_p_primary_examples():
     one = cyc_root(4, 0)
-    assert p_primary_extension(1, 1, 1).varpi_E_value == one
-    assert p_primary_extension(3, -1, 1).varpi_E_value == cyc_root(4, 2)
+    plus, minus = to_turns(1), to_turns(-1)
+    assert cyc_root(4, p_primary_extension(1, plus, plus).varpi_E_turns) == one
+    assert (cyc_root(4, p_primary_extension(3, minus, plus).varpi_E_turns)
+            == cyc_root(4, 2))
     with pytest.raises(NoConsistentValue):
-        p_primary_extension(3, cyc_root(4, 1), 1)
+        p_primary_extension(3, 1, plus)
 
 
 def test_p_primary_uniqueness_exhaustive():
@@ -208,14 +219,54 @@ def test_p_primary_uniqueness_exhaustive():
             ze = cyc_root(4, 0)
             for _ in range(e):
                 ze = ze * z
-            got = p_primary_extension(e, ze, z * z)
-            assert got.varpi_E_value == z
-            assert got.varpi_F_value == cyc_root(4, 0)
+            got = p_primary_extension(e, FOURTH_ROOTS.index(ze),
+                                      FOURTH_ROOTS.index(z * z))
+            assert cyc_root(4, got.varpi_E_turns) == z
+            assert cyc_root(4, got.varpi_F_turns) == cyc_root(4, 0)
 
 
 def test_p_primary_rejects_even_e():
     with pytest.raises(ValueError):
-        p_primary_extension(2, 1, 1)
+        p_primary_extension(2, to_turns(1), to_turns(1))
+
+
+# ---------------------------------------------------------------------------
+# Quarter turns against Z[zeta_4].
+
+
+def test_turns_match_fourth_root_products():
+    for k, j in itertools.product(range(4), repeat=2):
+        assert turns_sign(k) == cyc_root(4, k).as_int()
+        assert cyc_root(4, (k + j) % 4) == cyc_root(4, k) * cyc_root(4, j)
+    for sign in (1, -1):
+        assert cyc_root(4, to_turns(sign)) == sign
+    for bad in (0, 2, -2):
+        with pytest.raises(ValueError):
+            to_turns(bad)
+
+
+# The built-in towers all have u = 1; these two make mu(u^{-1}) = -1.
+NONSQUARE_U = {"q3e1-u2": TowerConfig(q=3, e=1, f=1, u=2),
+               "q5e3-u2": TowerConfig(q=5, e=3, f=1, u=2)}
+
+
+@pytest.mark.parametrize("name", R1_CASE_NAMES + tuple(NONSQUARE_U))
+def test_varpi_F_turns_match_the_fourth_root_product(name):
+    # rho-tilde(pi_F) = mu(u^{-1}) rho-tilde(pi_E)^e, the product in Z[zeta_4]
+    tower = (build_tower(NONSQUARE_U[name]) if name in NONSQUARE_U
+             else builtin_case(name).tower)
+    kE = tower.kE
+    seen = set()
+    for exp in (0, (kE.q - 1) // 2):
+        mu = MultChar(kE, exp)
+        for turns in range(4):
+            if cyc_root(4, 2 * turns) != mu.sign(-kE.one()):
+                continue
+            rt = LevelZeroChar(kE, mu, varpi_turns=turns, side="gl")
+            want = mu.sign(tower.u.inverse()) * cyc_root(4, turns) ** tower.e
+            assert cyc_root(4, rt.varpi_F_turns(tower)) == want
+            seen.add(cyc_root(4, turns).as_int())
+    assert {1, -1} <= seen
 
 
 # ---------------------------------------------------------------------------
@@ -233,8 +284,8 @@ def test_base_change_u1_both_signs():
         rho = LevelZeroChar(tower.kE, MultChar(tower.kE, exp), side="u")
         rt = base_change(rho, eps, tower)
         assert rt.mu_is_trivial()
-        assert rt.varpi_value.as_int() == expect
-        assert rt.varpi_F_value(tower).as_int() == expect
+        assert cyc_root(4, rt.varpi_turns).as_int() == expect
+        assert cyc_root(4, rt.varpi_F_turns(tower)).as_int() == expect
 
 
 def test_base_change_missing_sign():
@@ -258,6 +309,23 @@ def test_base_change_rechoice_covariance(name):
     assert rt.mu_part.exponent == chi.exponent * (tower.f - 1) % (
         tower.kE.q - 1)
     assert rechoice_covariance(rt, rho, report, tower)
+
+
+def test_rechoice_covariance_rejects_a_quarter_turn_uniformizer():
+    # rho-tilde(pi_E) = +-i is self-dual when rho-tilde(-1) = -1, but the
+    # rechoice relation compares signs, so it is refused like the r_z = 1
+    # branch of solve_reducibility refuses it.
+    from strbc.finite_field import AddChar
+
+    case = builtin_case("u1")
+    tower = case.tower
+    k = tower.kE
+    report = epsilon_z_invariance(case, AddChar(tower.k, 1))
+    rho = LevelZeroChar(k, MultChar(k, 1), side="u")
+    for turns in (1, 3):
+        rt = LevelZeroChar(k, MultChar(k, 1), varpi_turns=turns, side="gl")
+        with pytest.raises(NotSelfDual):
+            rechoice_covariance(rt, rho, report, tower)
 
 
 def test_base_change_feeds_reducibility_point_one():
@@ -286,7 +354,7 @@ def test_base_change_feeds_reducibility_point_one():
 def test_parity_unramified_quadratic_is_orthogonal():
     case = builtin_case("u1")
     k = case.tower.k
-    chi = (MultChar(k, 0), -1)
+    chi = (MultChar(k, 0), to_turns(-1))
     assert parity_classifier(chi, case.tower) == (
         ParityClass.CONJUGATE_ORTHOGONAL)
 
@@ -294,7 +362,7 @@ def test_parity_unramified_quadratic_is_orthogonal():
 def test_parity_trivial_is_orthogonal():
     case = builtin_case("u1")
     k = case.tower.k
-    assert parity_classifier((MultChar(k, 0), 1), case.tower) == (
+    assert parity_classifier((MultChar(k, 0), to_turns(1)), case.tower) == (
         ParityClass.CONJUGATE_ORTHOGONAL)
 
 
@@ -305,7 +373,7 @@ def test_parity_exhaustive_q3():
     seen = set()
     for exp in range(k.q - 1):
         for vk in range(4):
-            chi = (MultChar(k, exp), cyc_root(4, vk))
+            chi = (MultChar(k, exp), vk)
             cls = parity_classifier(chi, tower)
             seen.add(cls)
             csd = cls != ParityClass.NOT_CONJUGATE_SELF_DUAL

@@ -84,6 +84,43 @@ def test_float_ban_flags_each_construct(snippet):
     assert list(_float_uses(ast.parse(snippet))) == [1]
 
 
+def _cyc_root_uses(tree: ast.AST):
+    """Line numbers of the names cyc_root and cyc_embed in a module: an
+    import, a load or an attribute."""
+    names = ("cyc_root", "cyc_embed")
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.alias) and node.name in names
+                or isinstance(node, ast.Name) and node.id in names
+                or isinstance(node, ast.Attribute) and node.attr in names):
+            yield node.lineno
+
+
+def test_single_roots_of_unity_are_exponents():
+    # A single root of unity is carried as its exponent (a fourth root as
+    # its quarter-turn count, a character value as a log or a trace); a
+    # CycNum root is built only in cyclotomic itself and for the b_y total
+    # in stratum.
+    found = [
+        f"{path.name}:{line}"
+        for path in sorted(SRC.glob("*.py"))
+        if path.name not in ("cyclotomic.py", "stratum.py")
+        for line in _cyc_root_uses(ast.parse(path.read_text(), str(path)))
+    ]
+    assert not found, f"cyc_root or cyc_embed named in src/strbc: {found}"
+
+
+@pytest.mark.parametrize("snippet, flagged", [
+    ("from .cyclotomic import CycNum, cyc_root", [1]),
+    ("from .cyclotomic import cyc_embed as embed", [1]),
+    ("x = cyc_embed(v, 4)", [1]), ("f = cyc_root", [1]),
+    ("import strbc.cyclotomic as c\nx = c.cyc_root(4, 1)", [2]),
+    ("from .cyclotomic import CycNum", []), ("x = CycNum.one(4)", []),
+    ("x = cyc_roots(4)", []),
+])
+def test_cyc_root_scan_flags_each_use(snippet, flagged):
+    assert list(_cyc_root_uses(ast.parse(snippet))) == flagged
+
+
 def _unread_private_names(trees: dict[str, ast.AST]) -> list[str]:
     """Private (one leading underscore) functions, methods, classes and
     module-level names that the modules define but never read: no load of

@@ -17,7 +17,7 @@ from strbc.finite_field import (
     pow_fq,
     quadratic_residue_char,
 )
-from strbc.gauss import EnumerationTooLarge, NonUnitQuotient
+from strbc.gauss import EnumerationTooLarge
 from strbc.local_model import (
     MatF,
     NotInSubfield,
@@ -36,6 +36,7 @@ from strbc.stratum import (
     DegenerateX,
     LinearizationInvalid,
     NonNegativeValuation,
+    NonUnitQuotient,
     NotInDomain,
     NotMinimal,
     SimpleCharSpec,
