@@ -35,7 +35,7 @@ from strbc.stratum import (
 
 HALF = Fraction(1, 2)
 # The reference values: i^k as an element of Z[zeta_4], for k = 0..3.
-FOURTH_ROOTS = [cyc_root(4, k) for k in range(4)]
+ZETA4_POWERS = [cyc_root(4, k) for k in range(4)]
 
 
 def gl_char(exp=0, turns=0):
@@ -215,12 +215,12 @@ def test_p_primary_examples():
 
 def test_p_primary_uniqueness_exhaustive():
     for e in (1, 3, 5, 7):
-        for z in FOURTH_ROOTS:
+        for z in ZETA4_POWERS:
             ze = cyc_root(4, 0)
             for _ in range(e):
                 ze = ze * z
-            got = p_primary_extension(e, FOURTH_ROOTS.index(ze),
-                                      FOURTH_ROOTS.index(z * z))
+            got = p_primary_extension(e, ZETA4_POWERS.index(ze),
+                                      ZETA4_POWERS.index(z * z))
             assert cyc_root(4, got.varpi_E_turns) == z
             assert cyc_root(4, got.varpi_F_turns) == cyc_root(4, 0)
 
