@@ -328,6 +328,20 @@ def test_rechoice_covariance_rejects_a_quarter_turn_uniformizer():
             rechoice_covariance(rt, rho, report, tower)
 
 
+def test_rechoice_covariance_rejects_a_u_side_rho_tilde():
+    # A U-side datum records no uniformizer value; the rechoice relation
+    # needs the GL-side one, as solve_reducibility does.
+    from strbc.finite_field import AddChar
+
+    case = builtin_case("u1")
+    tower = case.tower
+    k = tower.kE
+    report = epsilon_z_invariance(case, AddChar(tower.k, 1))
+    rho = LevelZeroChar(k, MultChar(k, 1), side="u")
+    with pytest.raises(NotSelfDual):
+        rechoice_covariance(rho, rho, report, tower)
+
+
 def test_base_change_feeds_reducibility_point_one():
     # the matched character must put a reducibility point at s = 1
     from strbc.finite_field import AddChar
