@@ -49,6 +49,7 @@ from .hecke_bc import (
     InconsistentParams,
     LevelZeroChar,
     base_change,
+    checked_varpi_F_turns,
     normalized_spectrum,
     rechoice_covariance,
     solve_reducibility,
@@ -400,7 +401,7 @@ def cmd_base_change(cfg: ExperimentConfig, args) -> int:
             "rho(-1)": rho.minus_one(),
             "mu_power": rt.mu_part.exponent,
             "varpi_E": turns_sign(rt.varpi_turns),
-            "varpi_F": turns_sign(rt.varpi_F_turns(tower)),
+            "varpi_F": turns_sign(checked_varpi_F_turns(rt, tower)),
             "rechoice": "ok" if cov else "FAIL",
         })
     print(_table(rows, ["rho(-1)", "mu_power", "varpi_E", "varpi_F",

@@ -11,7 +11,6 @@ every exported result; they are never materialized.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 from math import isqrt
 
 from ._modp import CheckFailed
@@ -260,9 +259,6 @@ class LevelZeroChar:
     def minus_one(self) -> int:
         return self.mu_part.sign(-self.field.one())
 
-    def mu_is_trivial(self) -> bool:
-        return self.mu_part.is_trivial()
-
     def varpi_F_turns(self, tower: TowerSpec) -> int:
         """Value at pi_F = u^{-1} pi_E^e, as its quarter-turn exponent."""
         if self.varpi_turns is None:
@@ -310,16 +306,25 @@ def p_primary_extension(e: int, known: int, minus_one: int) -> ExtensionChar:
     return ExtensionChar(varpi_E_turns=hits[0], minus_one_turns=minus_one % 4)
 
 
+def checked_varpi_F_turns(rho_tilde: LevelZeroChar, tower: TowerSpec) -> int:
+    """rho_tilde(pi_F) as its quarter-turn exponent, after the
+    varpi-extension check: p_primary_extension re-solves rho_tilde(pi_E)
+    from it through pi_E^e = u pi_F and rho_tilde(pi_E)^2 = rho_tilde(-1),
+    and must find the recorded value."""
+    varpi_F = rho_tilde.varpi_F_turns(tower)
+    known = (varpi_F + to_turns(rho_tilde.mu_part.sign(tower.u))) % 4
+    try:
+        ext = p_primary_extension(tower.e, known, to_turns(rho_tilde.minus_one()))
+    except NoConsistentValue as exc:
+        raise CheckFailed(f"varpi-extension check: {exc}") from exc
+    if ext.varpi_E_turns != rho_tilde.varpi_turns:
+        raise CheckFailed("varpi-extension check: the pi_E value re-solved "
+                          "from pi_F is not the recorded one")
+    return varpi_F
+
+
 # ---------------------------------------------------------------------------
-# Ranks and reducibility.
-
-
-def rank_values(rho_tilde: LevelZeroChar) -> tuple[int, int]:
-    """(r_y, r_z): r_y = 1 always; r_z = 1 exactly when the restriction of
-    the big character to the Teichmueller group is trivial."""
-    if rho_tilde.side != "gl":
-        raise ValueError("rank values are read off the GL-side character")
-    return (1, 1 if rho_tilde.mu_is_trivial() else 0)
+# Reducibility.
 
 
 @dataclass(frozen=True)
@@ -329,12 +334,6 @@ class ReducibilityReport:
     imag_token: str
     eigenvalues: dict
     branch: str
-
-    @property
-    def s_values(self) -> set:
-        return {abs(x) for x in self.real_points} | {
-            abs(x) for x in self.shifted_points
-        }
 
 
 def solve_reducibility(hp: HeckeParams, rho_tilde: LevelZeroChar,
@@ -421,6 +420,8 @@ def rechoice_covariance(rho_tilde: LevelZeroChar, rho: LevelZeroChar,
     big character at the new uniformizer picks up exactly the same factor,
     so the relation must hold verbatim for every unit row.
     """
+    if rho_tilde.side != "gl":
+        raise NotSelfDual("need the GL-side character")
     chi = quadratic_residue_char(tower.kE)
     base = turns_sign(rho_tilde.varpi_turns)
     if base is None:
@@ -432,41 +433,3 @@ def rechoice_covariance(rho_tilde: LevelZeroChar, rho: LevelZeroChar,
         if lhs != rho.minus_one() * row["sign"]:
             return False
     return True
-
-
-# ---------------------------------------------------------------------------
-# Parity.
-
-
-class ParityClass(Enum):
-    CONJUGATE_ORTHOGONAL = "ConjugateOrthogonal"
-    CONJUGATE_SYMPLECTIC = "ConjugateSymplectic"
-    NOT_CONJUGATE_SELF_DUAL = "NotConjugateSelfDual"
-
-
-def parity_classifier(chi: tuple[MultChar, int],
-                      tower: TowerSpec) -> ParityClass:
-    """Classify a tame character of F-cross under the ramified quadratic
-    descent.
-
-    ``chi`` is (restriction to the Teichmueller group of F, quarter-turn
-    exponent of the value at pi_F).
-    The conjugation fixes the residue field and sends pi_F to -pi_F, so
-    conjugate-self-duality means the square of the character is trivial on
-    units and chi(-1) chi(pi_F)^2 = 1.  A conjugate-self-dual character is
-    orthogonal exactly when its unit part is trivial (its restriction to
-    the index-2 subfield is then trivial); otherwise the restriction equals
-    the quadratic descent character and the parity is symplectic.
-    """
-    mu_char, varpi_turns = chi
-    k = mu_char.field
-    if k != tower.k:
-        raise ValueError("character must live on the residue field of F")
-    half = (k.q - 1) // 2
-    if mu_char.exponent % (k.q - 1) not in (0, half):
-        return ParityClass.NOT_CONJUGATE_SELF_DUAL
-    if turns_sign(2 * varpi_turns) != mu_char.sign(-k.one()):
-        return ParityClass.NOT_CONJUGATE_SELF_DUAL
-    if mu_char.is_trivial():
-        return ParityClass.CONJUGATE_ORTHOGONAL
-    return ParityClass.CONJUGATE_SYMPLECTIC

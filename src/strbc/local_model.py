@@ -97,9 +97,6 @@ class EElem:
         inside = 0 <= k < len(self.rows)
         return self.rows[k] if inside else np.zeros(self.tower.f, dtype=np.int64)
 
-    def coeff(self, i: int) -> FqElem:
-        return self.tower.kE.element(self.row(i).tolist())
-
     def exponents(self) -> tuple[int, ...]:
         """The exponents i with a_i != 0, in increasing order."""
         return tuple((self.lo + np.flatnonzero(self.rows.any(axis=1))).tolist())
@@ -827,9 +824,14 @@ def build_Wz(tower: TowerSpec, stratum) -> WzSpace:
     for r in stratum.r_list:
         if r % 2 == 0:
             raise EvenExponent(f"exponent r = {r} must be odd")
-    key = ("Wz", stratum.d, tuple(c.key() for c in stratum.c_elems),
-           tuple(stratum.s_list))
-    return tower.memo(key, lambda: _build_Wz(tower, stratum))
+    return tower.memo(("Wz",) + _stratum_key(stratum),
+                      lambda: _build_Wz(tower, stratum))
+
+
+def _stratum_key(stratum) -> tuple:
+    """What a memo value built from a stratum reads of it."""
+    return (stratum.d, tuple(c.key() for c in stratum.c_elems),
+            tuple(stratum.s_list))
 
 
 def _build_Wz(tower: TowerSpec, stratum) -> WzSpace:
@@ -996,8 +998,14 @@ def iwahori_indices(tower: TowerSpec, stratum) -> tuple[int, int]:
 
     c_z = q_E * #W_z.  c_y = [J_P^+ : s_y J_P^- s_y] counted in the block
     model: the X-coordinate contributes [J-tilde-0 : H-tilde-1] and the
-    Y-coordinate the alpha-fixed part of w_E^{-1} h / w_E j.
+    Y-coordinate the alpha-fixed part of w_E^{-1} h / w_E j.  Built once
+    per stratum content.
     """
+    return tower.memo(("iwahori",) + _stratum_key(stratum),
+                      lambda: _iwahori_indices(tower, stratum))
+
+
+def _iwahori_indices(tower: TowerSpec, stratum) -> tuple[int, int]:
     wz = build_Wz(tower, stratum)
     c_z = tower.kE.q * wz.size
     h1 = h1_lattice(tower, stratum)

@@ -119,7 +119,9 @@ class StratumSpec:
 
     Validates odd strictly-decreasing exponents, skewness, membership of each
     c_j in its level subfield, sufficient precision, and minimality of each
-    c_j relative to the next level's centralizer.
+    c_j relative to the next level's centralizer.  At d = 0 the minimality
+    check compares that with the quotient form of c_0, which decides
+    absolute minimality; at d >= 1 the two notions differ.
     """
 
     def __init__(self, tower: TowerSpec, c_elems):
@@ -160,7 +162,12 @@ class StratumSpec:
                 f"precision N = {tower.N} too low for r_0 = {r_list[0]}"
             )
         for j in range(self.d + 1):
-            if not self._level_minimal(j):
+            minimal = self._level_minimal(j)
+            if self.d == 0 and minimal != quotient_form(
+                    tower, c_elems[0], tower.kE.one()).is_nondegenerate():
+                raise _modp.CheckFailed("minimality check: the quotient form "
+                                        "and the centralizer of c_0 disagree")
+            if not minimal:
                 raise NotMinimal(f"c_{j} is not minimal at level {j}")
 
     def _level_minimal(self, j: int) -> bool:
@@ -184,24 +191,6 @@ def _declared_gens(tower: TowerSpec, j: int) -> tuple[EElem, ...]:
         sub_generator = tower.kE.exp((tower.kE.q - 1) // (tower.p**f_j - 1))
         gens.append(tower.e_monomial(0, sub_generator))
     return tuple(gens)
-
-
-def minimality_check(t: TowerSpec, c: EElem) -> bool:
-    """Whether the single-element stratum generated by c is minimal.
-
-    Graded criterion: the kernel of ad_c from the degree-0 layer to the
-    degree-v(c) layer must be exactly one copy of the residue field of E,
-    i.e. commuting with c to leading order already forces membership in the
-    E-line modulo depth.
-    """
-    if c.is_zero():
-        raise ZeroElement("zero element")
-    v = c.val()
-    if v >= 0:
-        raise NonNegativeValuation(f"v(c) = {v} must be negative")
-    # Only the leading monomial of c brackets the degree-0 layer into degree v.
-    lead = EElem(t, v, c.rows[:1], c.prec)
-    return t.cent_layer((lead,), 0).shape[0] == t.f
 
 
 # ---------------------------------------------------------------------------
@@ -261,7 +250,8 @@ def quotient_form(t: TowerSpec, c: EElem, y: FqElem) -> QuadSpace:
     the centralizer of c inside the degree-s layer, s = (r - 1) / 2.
 
     Well defined on the complement for any c (the centralizer is in the
-    radical); nondegenerate exactly when c is minimal.
+    radical); nondegenerate exactly when c is minimal over F (absolute
+    minimality, not minimality relative to a larger level field).
     """
     if c.is_zero():
         raise ZeroElement("zero element")
@@ -950,7 +940,6 @@ _CASE_DATA = {
 }
 
 BUILTIN_CASE_NAMES = tuple(_CASE_DATA)
-R1_CASE_NAMES = ("u1", "e3f1", "e1f2", "e3f2", "e5f1")
 
 
 def builtin_case(name: str) -> StratumSpec:

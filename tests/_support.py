@@ -7,12 +7,16 @@ centralizer, the zeta-conjugation index, the graded layer maps one basis
 matrix at a time, the ad-kernel minimality test and the two-branch W_z
 complement) or a check of an identity the package relies on (the embedding
 relations of E in the matrices, the independence of a path-A term from its
-auxiliary degree-0 component).
+auxiliary degree-0 component).  The rest is data that only the tests read:
+the five depth-one case names, a coefficient of an E-element in k_E, the
+leading-term minimality test, the rank values and s-values of the Hecke
+datum and the parity of a tame character of F-cross.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from enum import Enum
 from itertools import product
 from pathlib import Path
 
@@ -23,11 +27,13 @@ from strbc.cli import ExperimentConfig
 from strbc.cyclotomic import CycNum, cyc_root
 from strbc.finite_field import AddChar, FqElem, MultChar, pow_fq
 from strbc.gauss import EnumerationTooLarge, QuadSpace, TrivialAdditiveCharacter
+from strbc.hecke_bc import LevelZeroChar, ReducibilityReport, turns_sign
 from strbc.local_model import (
     EElem,
     MatF,
     NotInSubfield,
     TowerSpec,
+    ZeroElement,
     _in_level,
     _index_exponent,
     build_Wz,
@@ -39,6 +45,7 @@ from strbc.local_model import (
 )
 
 GOLDEN_CONFIGS = Path(__file__).resolve().parent / "golden" / "configs"
+R1_CASE_NAMES = ("u1", "e3f1", "e1f2", "e3f2", "e5f1")
 
 
 def golden_stratum(name: str):
@@ -105,6 +112,11 @@ def trace_EF(tower: TowerSpec, x: EElem) -> tuple[dict[int, int], int]:
     the extraction functional tau at shift 0, e * Tr_{k_E/k}(a_{et} u^t)."""
     coeffs, fprec = tower.tau(x, 0)
     return {t: v for t, c in coeffs.items() if (v := c * tower.e % tower.p)}, fprec
+
+
+def coeff(x: EElem, i: int) -> FqElem:
+    """The coefficient a_i of x as an element of k_E."""
+    return x.tower.kE.element(x.row(i).tolist())
 
 
 def e_from_mat(tower: TowerSpec, X: MatF) -> EElem:
@@ -212,7 +224,7 @@ def cent_layer_loop(tower: TowerSpec, gens: tuple[EElem, ...], m: int) -> np.nda
     maps = []
     for g in gens:
         for i in g.exponents():
-            mg = tower.m_of(tower.e_monomial(i, g.coeff(i), prec=g.prec))
+            mg = tower.m_of(tower.e_monomial(i, coeff(g, i), prec=g.prec))
             cols = [tower.layer_coords((Xk @ mg) - (mg @ Xk), m + i)
                     for Xk in layer_basis_loop(tower, m)]
             maps.append(np.array(cols, dtype=np.int64).T)
@@ -256,6 +268,24 @@ def minimal_by_ad_kernel(tower: TowerSpec, c: EElem, j: int | None = None) -> bo
     lower = cent_layer_loop(tower, stratum._declared_gens(tower, j), 0)
     return (_modp.rank(ad_kernel(tower, c, upper), tower.p)
             == _modp.rank(lower, tower.p))
+
+
+def minimality_check(t: TowerSpec, c: EElem) -> bool:
+    """Whether the single-element stratum generated by c is minimal.
+
+    Graded criterion: the kernel of ad_c from the degree-0 layer to the
+    degree-v(c) layer must be exactly one copy of the residue field of E,
+    i.e. commuting with c to leading order already forces membership in the
+    E-line modulo depth.
+    """
+    if c.is_zero():
+        raise ZeroElement("zero element")
+    v = c.val()
+    if v >= 0:
+        raise stratum.NonNegativeValuation(f"v(c) = {v} must be negative")
+    # Only the leading monomial of c brackets the degree-0 layer into degree v.
+    lead = EElem(t, v, c.rows[:1], c.prec)
+    return t.cent_layer((lead,), 0).shape[0] == t.f
 
 
 def orthogonal_complement_branches(tower: TowerSpec, stratum, j: int, m: int,
@@ -344,3 +374,56 @@ def bz_aux_independence(s, chars, y: FqElem, xv, aux_list) -> bool:
     base = cyc_root(s.tower.p, stratum._bz_chunk(s, big, root, wz, logs, X)[0])
     return all(_bz_term_with_aux(s, big, root, wz, y, X, a) == base
                for a in aux_list)
+
+
+# ---------------------------------------------------------------------------
+# Hecke data: ranks, reducibility values and parity.
+
+
+def rank_values(rho_tilde: LevelZeroChar) -> tuple[int, int]:
+    """(r_y, r_z): r_y = 1 always; r_z = 1 exactly when the restriction of
+    the big character to the Teichmueller group is trivial."""
+    if rho_tilde.side != "gl":
+        raise ValueError("rank values are read off the GL-side character")
+    return (1, 1 if rho_tilde.mu_part.is_trivial() else 0)
+
+
+def s_values(rep: ReducibilityReport) -> set:
+    """The absolute real parts of every reducibility point of a report."""
+    return {abs(x) for x in rep.real_points} | {
+        abs(x) for x in rep.shifted_points
+    }
+
+
+class ParityClass(Enum):
+    CONJUGATE_ORTHOGONAL = "ConjugateOrthogonal"
+    CONJUGATE_SYMPLECTIC = "ConjugateSymplectic"
+    NOT_CONJUGATE_SELF_DUAL = "NotConjugateSelfDual"
+
+
+def parity_classifier(chi: tuple[MultChar, int],
+                      tower: TowerSpec) -> ParityClass:
+    """Classify a tame character of F-cross under the ramified quadratic
+    descent.
+
+    ``chi`` is (restriction to the Teichmueller group of F, quarter-turn
+    exponent of the value at pi_F).
+    The conjugation fixes the residue field and sends pi_F to -pi_F, so
+    conjugate-self-duality means the square of the character is trivial on
+    units and chi(-1) chi(pi_F)^2 = 1.  A conjugate-self-dual character is
+    orthogonal exactly when its unit part is trivial (its restriction to
+    the index-2 subfield is then trivial); otherwise the restriction equals
+    the quadratic descent character and the parity is symplectic.
+    """
+    mu_char, varpi_turns = chi
+    k = mu_char.field
+    if k != tower.k:
+        raise ValueError("character must live on the residue field of F")
+    half = (k.q - 1) // 2
+    if mu_char.exponent % (k.q - 1) not in (0, half):
+        return ParityClass.NOT_CONJUGATE_SELF_DUAL
+    if turns_sign(2 * varpi_turns) != mu_char.sign(-k.one()):
+        return ParityClass.NOT_CONJUGATE_SELF_DUAL
+    if mu_char.is_trivial():
+        return ParityClass.CONJUGATE_ORTHOGONAL
+    return ParityClass.CONJUGATE_SYMPLECTIC

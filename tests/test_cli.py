@@ -12,7 +12,9 @@ from hypothesis import given, settings, strategies as st
 from strbc import gauss, stratum
 from strbc.cli import ConfigError, ExperimentConfig, main
 from strbc.finite_field import FqField
+from strbc.hecke_bc import LevelZeroChar
 from strbc.local_model import TowerSpec
+from strbc.stratum import StratumSpec
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
@@ -572,6 +574,21 @@ def _break_walk_domain(setattr):
     setattr(TowerSpec, "valuation", lambda self, X: 0 * valuation(self, X))
 
 
+def _break_minimality(setattr):
+    # The centralizer route calls the minimal c_0 of e1f2 non-minimal; the
+    # check must see it before NotMinimal would refuse the stratum.
+    level_minimal = StratumSpec._level_minimal
+    setattr(StratumSpec, "_level_minimal",
+            lambda self, j: not level_minimal(self, j))
+
+
+def _break_varpi_extension(setattr):
+    # A half turn more at pi_F re-solves to a half turn more at pi_E.
+    varpi_F = LevelZeroChar.varpi_F_turns
+    setattr(LevelZeroChar, "varpi_F_turns",
+            lambda self, tower: (varpi_F(self, tower) + 2) % 4)
+
+
 BREAKS = {
     "brute-closed": (_break_brute_sum, "sign",
                      "brute and closed Gauss sums disagree"),
@@ -586,6 +603,9 @@ BREAKS = {
                  "direct term value disagrees with its Gauss-sum phase"),
     "walk-domain": (_break_walk_domain, "reducibility",
                     "g - 1 must have positive valuation"),
+    "minimality": (_break_minimality, "sign", "minimality check"),
+    "varpi-extension": (_break_varpi_extension, "base-change",
+                        "varpi-extension check"),
 }
 
 

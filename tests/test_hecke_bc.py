@@ -12,14 +12,11 @@ from strbc.hecke_bc import (
     MissingSign,
     NoConsistentValue,
     NotSelfDual,
-    ParityClass,
     QPower,
     base_change,
     hecke_eigenvalues,
     normalized_spectrum,
     p_primary_extension,
-    parity_classifier,
-    rank_values,
     rechoice_covariance,
     solve_reducibility,
     to_turns,
@@ -27,10 +24,17 @@ from strbc.hecke_bc import (
 )
 from strbc.local_model import TowerConfig, build_tower
 from strbc.stratum import (
-    R1_CASE_NAMES,
     builtin_case,
     epsilon_z,
     epsilon_z_invariance,
+)
+
+from _support import (
+    R1_CASE_NAMES,
+    ParityClass,
+    parity_classifier,
+    rank_values,
+    s_values,
 )
 
 HALF = Fraction(1, 2)
@@ -168,7 +172,7 @@ def test_reducibility_flipped_branch_swaps_real_parts():
     assert matched.real_points == flipped.shifted_points
     assert matched.shifted_points == flipped.real_points
     # the invariant unordered pair of nonnegative real parts is unchanged
-    assert matched.s_values == flipped.s_values == {Fraction(0), Fraction(1)}
+    assert s_values(matched) == s_values(flipped) == {Fraction(0), Fraction(1)}
 
 
 def test_reducibility_half_integral_branch():
@@ -178,7 +182,7 @@ def test_reducibility_half_integral_branch():
     rep = solve_reducibility(hp, rt, rho, 1)
     assert rep.real_points == frozenset({HALF, -HALF})
     assert rep.shifted_points == frozenset({HALF, -HALF})
-    assert rep.s_values == {HALF}
+    assert s_values(rep) == {HALF}
 
 
 def test_reducibility_s_pair_invariant():
@@ -190,7 +194,7 @@ def test_reducibility_s_pair_invariant():
         else:
             rt = gl_char(exp=1, turns=1)
         rep = solve_reducibility(hp, rt, u_char(0), 1)
-        assert rep.s_values == want
+        assert s_values(rep) == want
 
 
 def test_reducibility_requires_sign():
@@ -283,7 +287,7 @@ def test_base_change_u1_both_signs():
     for exp, expect in [(0, 1), (1, -1)]:
         rho = LevelZeroChar(tower.kE, MultChar(tower.kE, exp), side="u")
         rt = base_change(rho, eps, tower)
-        assert rt.mu_is_trivial()
+        assert rt.mu_part.is_trivial()
         assert cyc_root(4, rt.varpi_turns).as_int() == expect
         assert cyc_root(4, rt.varpi_F_turns(tower)).as_int() == expect
 

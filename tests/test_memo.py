@@ -22,10 +22,13 @@ from strbc.local_model import (
     build_tower,
     build_Wz,
     h1_lattice,
+    iwahori_indices,
     j0_lattice,
     level_gens,
 )
-from strbc.stratum import R1_CASE_NAMES, builtin_case
+from strbc.stratum import builtin_case
+
+from _support import R1_CASE_NAMES, coeff
 
 
 def outcome(build):
@@ -46,7 +49,7 @@ def generators(t, s):
     """c_0 at two short precisions (shortest first) and at full precision."""
     c = s.c_elems[0]
     v = c.val()
-    return [t.e_monomial(v, c.coeff(v), prec=prec) for prec in (2, 4)] + [c]
+    return [t.e_monomial(v, coeff(c, v), prec=prec) for prec in (2, 4)] + [c]
 
 
 FAMILIES = {
@@ -55,6 +58,7 @@ FAMILIES = {
     "cent": lambda t, s: [outcome(lambda: t.cent_layer((c,), m))
                           for c in generators(t, s) for m in (0, 1, 6)],
     "Wz": lambda t, s: build_Wz(t, s),
+    "iwahori": lambda t, s: iwahori_indices(t, s),
     "lattice-layer": lambda t, s: [(h1_lattice(t, s).layer(m), j0_lattice(t, s).layer(m))
                                    for m in window(t, s)],
     "alpha": lambda t, s: [outcome(lambda: _alpha_matrix(t, m)) for m in range(-2, 4)],

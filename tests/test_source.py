@@ -121,10 +121,10 @@ def test_cyc_root_scan_flags_each_use(snippet, flagged):
     assert list(_cyc_root_uses(ast.parse(snippet))) == flagged
 
 
-def _unread_private_names(trees: dict[str, ast.AST]) -> list[str]:
-    """Private (one leading underscore) functions, methods, classes and
-    module-level names that the modules define but never read: no load of
-    the name and no attribute of that name anywhere in them."""
+def _unread_names(trees: dict[str, ast.AST]) -> list[str]:
+    """Functions, methods, properties, classes and module-level names, public
+    or private, that the modules define but never read: no load of the name
+    and no attribute of that name anywhere in them.  Dunders are exempt."""
     defined = {}
     for module, tree in trees.items():
         for node in ast.walk(tree):
@@ -143,17 +143,18 @@ def _unread_private_names(trees: dict[str, ast.AST]) -> list[str]:
         or isinstance(node, ast.Attribute)
     }
     return sorted(f"{where} {name}" for name, where in defined.items()
-                  if name.startswith("_") and not name.startswith("__")
+                  if not (name.startswith("__") and name.endswith("__"))
                   and name not in read)
 
 
-def test_every_private_name_is_read_in_package():
+def test_every_name_is_read_in_package():
     # Code that only the tests reach belongs in tests/_support.py, not in
-    # src/strbc, so every private name there has a reader in the package.
+    # src/strbc, so every name there, public or private, has a reader in
+    # the package.
     trees = {path.name: ast.parse(path.read_text(), str(path))
              for path in sorted(SRC.glob("*.py"))}
-    found = _unread_private_names(trees)
-    assert not found, f"private names read nowhere in src/strbc: {found}"
+    found = _unread_names(trees)
+    assert not found, f"names read nowhere in src/strbc: {found}"
 
 
 @pytest.mark.parametrize("snippet,unread", [
@@ -161,13 +162,30 @@ def test_every_private_name_is_read_in_package():
     ("class _C: pass", ["m:1 _C"]),
     ("_X = 1", ["m:1 _X"]),
     ("_X: int = 1", ["m:1 _X"]),
-    ("class C:\n    def _m(self): pass", ["m:2 _m"]),
-    ("def _f(): pass\ng = _f", []),
-    ("_X = 1\ny = obj._X", []),
-    ("def __init__(self): pass\ndef f(): pass", []),
+    ("class C:\n    def _m(self): pass", ["m:1 C", "m:2 _m"]),
+    ("def _f(): pass\ng = _f", ["m:2 g"]),
+    ("_X = 1\ny = obj._X", ["m:2 y"]),
+    ("def __init__(self): pass\ndef f(): pass", ["m:2 f"]),
 ])
 def test_private_name_scan_flags_each_unread_definition(snippet, unread):
-    assert _unread_private_names({"m": ast.parse(snippet)}) == unread
+    assert _unread_names({"m": ast.parse(snippet)}) == unread
+
+
+@pytest.mark.parametrize("snippet,unread", [
+    ("def f(): pass", ["m:1 f"]),
+    ("class C: pass", ["m:1 C"]),
+    ("X = 1", ["m:1 X"]),
+    ("X: int = 1", ["m:1 X"]),
+    ("x = C()\nclass C:\n    def m(self): pass", ["m:1 x", "m:3 m"]),
+    ("x = C()\nclass C:\n    @property\n    def p(self): return 1", ["m:1 x", "m:4 p"]),
+    ("def f(): pass\nf()", []),
+    ("X = 1\nprint(X)", []),
+    ("class C:\n    def m(self): pass\nC().m()", []),
+    ("class C:\n    @property\n    def p(self): return 1\nprint(C().p)", []),
+    ("class C:\n    def __repr__(self): return ''\nprint(C())", []),
+])
+def test_name_scan_flags_each_unread_public_definition(snippet, unread):
+    assert _unread_names({"m": ast.parse(snippet)}) == unread
 
 
 def test_tracer_finds_every_target(monkeypatch):

@@ -32,7 +32,6 @@ from strbc.local_model import (
 )
 from strbc.stratum import (
     BUILTIN_CASE_NAMES,
-    R1_CASE_NAMES,
     DegenerateX,
     LinearizationInvalid,
     NonNegativeValuation,
@@ -51,12 +50,17 @@ from strbc.stratum import (
     epsilon_z,
     epsilon_z_invariance,
     eval_simple_char,
-    minimality_check,
     quotient_form,
     solve_Y_from_X,
 )
 
-from _support import bz_aux_independence, in_row_space, minimal_by_ad_kernel
+from _support import (
+    R1_CASE_NAMES,
+    bz_aux_independence,
+    in_row_space,
+    minimal_by_ad_kernel,
+    minimality_check,
+)
 
 CLOSED_MAGNITUDE = {"u1": 2, "e3f1": 6, "e1f2": 24, "e3f2": 1944, "e5f1": 18}
 
@@ -252,6 +256,27 @@ def test_minimality_nondegeneracy_grid():
                 assert minimality_check(t, c) == form.is_nondegenerate()
                 tested += 1
     assert tested >= 8
+
+
+def test_minimality_routes_agree_on_the_sweep_grid():
+    # Every stratum c = zeta^a w_E^-v of the grid is built or refused
+    # NotMinimal, as the quotient form and the leading-term test both say.
+    built = refused = 0
+    for q, e, f, a, v in itertools.product((3, 5, 7), (1, 3, 5), (1, 2, 3),
+                                           (0, 1), (1, 3, 5)):
+        t = build_tower(TowerConfig(q=q, e=e, f=f))
+        c = t.e_monomial(-v, t.kE.exp(a))
+        minimal = quotient_form(t, c, t.kE.one()).is_nondegenerate()
+        assert minimality_check(t, c) == minimal, (q, e, f, a, v)
+        try:
+            StratumSpec(t, [c])
+        except NotMinimal:
+            assert not minimal, (q, e, f, a, v)
+            refused += 1
+        else:
+            assert minimal, (q, e, f, a, v)
+            built += 1
+    assert (built, refused) == (84, 78)
 
 
 # -- the sign ----------------------------------------------------------------
