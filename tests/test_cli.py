@@ -9,8 +9,9 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from strbc import gauss, stratum
+from strbc import cli, gauss, stratum
 from strbc.cli import ConfigError, ExperimentConfig, main
+from strbc.cyclotomic import cyc_root
 from strbc.finite_field import FqField
 from strbc.hecke_bc import LevelZeroChar
 from strbc.local_model import TowerSpec
@@ -589,6 +590,20 @@ def _break_varpi_extension(setattr):
             lambda self, tower: (varpi_F(self, tower) + 2) % 4)
 
 
+def _break_rational_b_y(setattr):
+    # Times zeta_p, the b_y total is no longer an integer.
+    oracle = stratum.by_oracle
+    setattr(cli, "by_oracle",
+            lambda s, *a, **k: oracle(s, *a, **k) * cyc_root(s.tower.p, 1))
+
+
+def _break_rational_b_z(setattr):
+    # Times zeta_p, the nonzero b_z total is no longer an integer.
+    oracle = stratum.bz_oracle
+    setattr(cli, "bz_oracle", lambda s, *a, **k: tuple(
+        v * cyc_root(s.tower.p, 1) for v in oracle(s, *a, **k)))
+
+
 BREAKS = {
     "brute-closed": (_break_brute_sum, "sign",
                      "brute and closed Gauss sums disagree"),
@@ -606,6 +621,8 @@ BREAKS = {
     "minimality": (_break_minimality, "sign", "minimality check"),
     "varpi-extension": (_break_varpi_extension, "base-change",
                         "varpi-extension check"),
+    "rational-b_y": (_break_rational_b_y, "reducibility", "b_y must be rational"),
+    "rational-b_z": (_break_rational_b_z, "reducibility", "b_z must be rational"),
 }
 
 
