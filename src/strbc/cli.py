@@ -9,7 +9,8 @@ Four subcommands assemble the library into reproducible experiments:
 
 Experiments are selected either with ``--case <name>`` (one of the built-in
 desk instances) or with a JSON config file (schema_version 1; unknown keys
-are errors), never both; a config names either a case or a tower and
+are errors, and so is a run key or character block that the subcommand
+never reads), never both; a config names either a case or a tower and
 stratum.  ``--json <path>`` writes the machine-readable payload, and a path
 that cannot be written is refused before any work.
 
@@ -103,6 +104,11 @@ _SCHEMA = {
 }
 
 
+# The run keys each subcommand reads besides seed, which all of them accept.
+_RUN_KEYS = {"gauss": {"grid_q", "grid_n", "grid_count"},
+             "reducibility": {"sample"}}
+
+
 def _check_keys(block: dict, allowed, where: str):
     bad = set(block) - set(allowed)
     if bad:
@@ -159,6 +165,15 @@ class ExperimentConfig:
         if not isinstance(data, dict):
             raise ConfigError("config must be a JSON object")
         return ExperimentConfig.from_dict(data)
+
+    def refuse_unread(self, command: str):
+        """A run key or character block that the subcommand never reads is
+        a ConfigError; gauss always uses the psi twist 1."""
+        unread = set(self.run) - {"seed"} - _RUN_KEYS.get(command, set())
+        if unread:
+            raise ConfigError(f"{command} does not read run keys {sorted(unread)}")
+        if command == "gauss" and self.character:
+            raise ConfigError("gauss does not read the character block")
 
     def build_stratum(self) -> StratumSpec:
         """Re-runs every tower, stratum and character constraint on the
@@ -330,18 +345,18 @@ def cmd_reducibility(cfg: ExperimentConfig, args) -> int:
     twist = cfg.character.get("psi_twist", 1)
     chars = default_chars(s, AddChar(tower.k, twist))
     by_val = by_oracle(s, chars, (1, 1), sample=sample, seed=seed,
-                       bound=args.bound).as_int()
+                       bound=args.bound)
     half = (qE - 1) // 2
     mu_lo = MultChar(tower.kE, half * (tower.f - 1))
     mu_hi = MultChar(tower.kE, half * tower.f)
-    bz_lo, bz_hi = (v.as_int() for v in bz_oracle(
-        s, chars, (mu_lo, mu_hi), sample=sample, seed=seed, bound=args.bound))
+    bz_lo, bz_hi = bz_oracle(s, chars, (mu_lo, mu_hi), sample=sample,
+                             seed=seed, bound=args.bound)
     c_y, c_z = iwahori_indices(tower, s)
-    eps_y = 1 if by_val > 0 else -1
-    eps_z = 1 if bz_lo > 0 else -1
-    hp = HeckeParams(qE, 1, 1, c_y, c_z, eps_y=eps_y, eps_z=eps_z,
-                     b_y=by_val, b_z=bz_lo)
+    # HeckeParams refuses a total that is not an integer; past it, each is.
+    hp = HeckeParams(qE, 1, 1, c_y, c_z, b_y=by_val, b_z=bz_lo)
     hp0 = HeckeParams(qE, 1, 0, c_y, c_z, b_z=bz_hi)
+    by_val, bz_lo, bz_hi = (v.as_int() for v in (by_val, bz_lo, bz_hi))
+    eps_z = 1 if bz_lo > 0 else -1
     spec = normalized_spectrum(hp)
     rho = LevelZeroChar(tower.kE, MultChar(tower.kE, half), side="u")
     rows = []
@@ -388,7 +403,7 @@ def cmd_base_change(cfg: ExperimentConfig, args) -> int:
     twist = cfg.character.get("psi_twist", 1)
     psi = AddChar(tower.k, twist)
     report = epsilon_z_invariance(s, psi, bound=args.bound)
-    eps = report["base"]
+    eps = report["base"].value
     half = (tower.kE.q - 1) // 2
     rows = []
     ok = report["ok"]
@@ -407,10 +422,10 @@ def cmd_base_change(cfg: ExperimentConfig, args) -> int:
     print(_table(rows, ["rho(-1)", "mu_power", "varpi_E", "varpi_F",
                         "rechoice"]))
     print(f"base-change suite: {'pass' if ok else 'FAIL'} "
-          f"(epsilon = {eps.value})")
+          f"(epsilon = {eps})")
     payload = {
         "command": "base-change",
-        "epsilon": eps.value,
+        "epsilon": eps,
         "rows": rows,
         "provenance": _stratum_provenance(s, twist),
         "ok": ok,
@@ -482,6 +497,7 @@ def main(argv=None) -> int:
         else:
             print("error: need a config file or --case", file=sys.stderr)
             return 2
+        cfg.refuse_unread(args.command)
         return args.fn(cfg, args)
     except (ConfigError, OSError, EnumerationTooLarge) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -229,10 +229,6 @@ def cyc_embed(src: CycNum, modulus: int) -> CycNum:
 
 def cyc_is_rational_sign_times(value: CycNum, reference: CycNum) -> int | None:
     """+1 or -1 when value = (+-1) * reference exactly, else None."""
-    if isinstance(reference, int):
-        reference = CycNum.integer(reference)
-    if isinstance(value, int):
-        value = CycNum.integer(value)
     if not reference:
         raise ZeroReference("sign extraction against zero reference")
     if value == reference:

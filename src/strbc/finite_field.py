@@ -141,9 +141,6 @@ class FqField:
             raise ValueError("too many coefficients")
         return FqElem(self, cs)
 
-    def zero(self) -> "FqElem":
-        return self.element(())
-
     def one(self) -> "FqElem":
         return self.element((1,))
 
@@ -293,9 +290,6 @@ class MultChar:
         if 2 * a % m:
             raise ValueError(f"{self!r} at {x!r} is not a sign")
         return -1 if a else 1
-
-    def is_trivial(self) -> bool:
-        return self.exponent == 0
 
     def __eq__(self, other):
         return (

@@ -225,14 +225,12 @@ def gauss_sum_closed(space: QuadSpace, psi: AddChar) -> CycNum:
 
 @dataclass(frozen=True)
 class SignResult:
-    """A normalized Gauss sum: a sign (or classified fourth root) plus the
-    exact witnesses it was extracted from."""
+    """A normalized Gauss sum: a sign (or classified fourth root) and the
+    number of points summed over."""
 
     value: int | None  # +1 or -1 when the quotient is rational
     fourth_root: str  # "+1", "-1", "+i", "-i", or "(+-)g/sqrt(q)" diagnostics
-    sum: CycNum
     space_size: int
-    reference: CycNum
 
     def __post_init__(self):
         if self.value not in (None, 1, -1):
@@ -261,7 +259,7 @@ def normalized_sign(space: QuadSpace, psi: AddChar,
             # The sum is +-g_p^pdim and g_p^2 = chi(-1) p: a sign times p^(pdim/2).
             raise CheckFailed("normalized quotient is not +-1")
         quadrant = "+1" if s == 1 else "-1"
-        return SignResult(s, quadrant, closed, npoints, ref)
+        return SignResult(s, quadrant, npoints)
     # Odd F_p-dimension: express against the one-dimensional Gauss value.
     fp = get_field(fld.p)
     g = one_dim_gauss_value(fp, psi_restricted(psi))
@@ -271,7 +269,7 @@ def normalized_sign(space: QuadSpace, psi: AddChar,
         raise CheckFailed("normalized quotient is not a fourth root")
     real = quadratic_residue_char(fp).sign(-fp.one()) == 1
     quadrant = ("+" if s == 1 else "-") + ("g/sqrt(q):real" if real else "g/sqrt(q):imag")
-    return SignResult(None, quadrant, closed, npoints, ref)
+    return SignResult(None, quadrant, npoints)
 
 
 def psi_restricted(psi: AddChar) -> AddChar:

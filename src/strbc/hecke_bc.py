@@ -16,7 +16,6 @@ from math import isqrt
 from ._modp import CheckFailed
 from .cyclotomic import CycNum
 from .finite_field import FqField, MultChar, quadratic_residue_char
-from .gauss import SignResult
 from .local_model import TowerSpec
 
 
@@ -118,37 +117,40 @@ def _power_of(q: int, c: int) -> int:
 
 
 class HeckeParams:
-    """The rank-2 datum: two generators, each with an index c_w, a rank
-    r_w in {0, 1}, a sign eps_w, and the coefficient b_w of its quadratic
-    relation T^2 = b T + c.
+    """The rank-2 datum: two generators w in {y, z}, each with an index
+    c_w = q_E^k_w, a rank r_w in {0, 1}, a sign eps_w, and the coefficient
+    b_w of its quadratic relation T^2 = b T + c.
 
     b_w is pinned by the invariant b_w = eps_w (q_E - 1)(c_w/q_E)^{1/2}
-    when r_w = 1 and b_w = 0 when r_w = 0; a passed b_w is validated.
+    when r_w = 1 and b_w = 0 when r_w = 0.  A passed b_w, an integer or an
+    exact cyclotomic total, is validated; eps_w defaults to +1, or to -1
+    when a passed b_w is not positive.  ``rank``, ``k`` and ``b`` map each
+    generator to r_w, k_w and b_w (a QPower without its factor q_E - 1).
     """
 
     def __init__(self, q_E: int, r_y: int, r_z: int, c_y: int, c_z: int,
-                 eps_y: int = 1, eps_z: int = 1,
+                 eps_y: int | None = None, eps_z: int | None = None,
                  b_y=None, b_z=None):
         if q_E < 3:
             raise InconsistentParams("q_E must be an odd prime power >= 3")
         if r_y not in (0, 1) or r_z not in (0, 1):
             raise InconsistentParams("ranks must be 0 or 1")
-        if eps_y not in (-1, 1) or eps_z not in (-1, 1):
+        if eps_y not in (None, -1, 1) or eps_z not in (None, -1, 1):
             raise InconsistentParams("eps_w must be signs")
         self.q_E = q_E
-        self.r_y, self.r_z = r_y, r_z
-        self.c_y, self.c_z = c_y, c_z
-        self.eps_y, self.eps_z = eps_y, eps_z
-        self.k_y = _power_of(q_E, c_y)
-        self.k_z = _power_of(q_E, c_z)
-        self.b_y = self._coefficient("y", b_y)
-        self.b_z = self._coefficient("z", b_z)
+        self.rank = {"y": r_y, "z": r_z}
+        self.k = {"y": _power_of(q_E, c_y), "z": _power_of(q_E, c_z)}
+        self.b = {"y": self._coefficient("y", eps_y, b_y),
+                  "z": self._coefficient("z", eps_z, b_z)}
 
-    def _coefficient(self, w: str, given) -> QPower:
-        r = getattr(self, f"r_{w}")
-        eps = getattr(self, f"eps_{w}")
-        k = getattr(self, f"k_{w}")
-        if r == 0:
+    def _coefficient(self, w: str, eps: int | None, given) -> QPower:
+        got = given.as_int() if isinstance(given, CycNum) else given
+        if given is not None and got is None:
+            raise InconsistentParams(f"b_{w} must be rational")
+        if eps is None:
+            eps = -1 if got is not None and got <= 0 else 1
+        k = self.k[w]
+        if self.rank[w] == 0:
             expect = QPower.zero()
         else:
             if (k - 1) % 2 and isqrt(self.q_E) ** 2 != self.q_E:
@@ -156,12 +158,7 @@ class HeckeParams:
                     f"(c_{w}/q_E)^(1/2) must be integral when r_{w} = 1"
                 )
             expect = QPower(eps, k - 1)  # times (q_E - 1), tracked separately
-        if given is not None:
-            got = given
-            if isinstance(got, CycNum):
-                got = got.as_int()
-                if got is None:
-                    raise InconsistentParams(f"b_{w} must be rational")
+        if got is not None:
             want = 0 if expect.is_zero() else (
                 (self.q_E - 1) * expect.as_int(self.q_E)
             )
@@ -172,10 +169,7 @@ class HeckeParams:
         return expect
 
     def __repr__(self):
-        return (
-            f"HeckeParams(q_E={self.q_E}, r=({self.r_y},{self.r_z}), "
-            f"c=({self.c_y},{self.c_z}), eps=({self.eps_y},{self.eps_z}))"
-        )
+        return f"HeckeParams(q_E={self.q_E}, r={self.rank}, k={self.k}, b={self.b})"
 
 
 def hecke_eigenvalues(hp: HeckeParams) -> dict[str, tuple[QPower, QPower]]:
@@ -188,8 +182,7 @@ def hecke_eigenvalues(hp: HeckeParams) -> dict[str, tuple[QPower, QPower]]:
     """
     out = {}
     for w in ("y", "z"):
-        b = getattr(hp, f"b_{w}")
-        k = getattr(hp, f"k_{w}")
+        b, k = hp.b[w], hp.k[w]
         if b.is_zero():
             out[w] = (QPower(-1, k), QPower(1, k))
         else:
@@ -210,10 +203,9 @@ def normalized_spectrum(hp: HeckeParams) -> dict[str, tuple[int, int]]:
                 f"spectrum of T_{w} is not q_E^r apart for an integer r"
             )
         out[w] = (-1, hp.q_E**r)
-        if r != getattr(hp, f"r_{w}"):
+        if r != hp.rank[w]:
             raise InconsistentParams(
-                f"spectrum of T_{w} implies rank {r}, datum says "
-                f"{getattr(hp, f'r_{w}')}"
+                f"spectrum of T_{w} implies rank {r}, datum says {hp.rank[w]}"
             )
     return out
 
@@ -275,22 +267,13 @@ class LevelZeroChar:
         )
 
 
-@dataclass(frozen=True)
-class ExtensionChar:
-    """The p-primary extension datum: trivial on the Teichmueller group, value
-    1 at pi_F and a 4-th root of unity at pi_E, each kept as its exponent."""
-
-    varpi_E_turns: int
-    minus_one_turns: int
-    varpi_F_turns: int = 0
-
-
-def p_primary_extension(e: int, known: int, minus_one: int) -> ExtensionChar:
+def p_primary_extension(e: int, known: int, minus_one: int) -> int:
     """The unique z mod 4 with e z = known and 2 z = minus_one, e odd.
 
-    i^z is the value at pi_E, i^known the value forced on the pi_E^e side
-    and i^minus_one the value at -1.  Oddness of e makes z -> e z injective
-    mod 4, so a consistent pair has exactly one solution.
+    i^z is the value at pi_E of the p-primary extension (trivial on the
+    Teichmueller group, 1 at pi_F), i^known the value forced on the pi_E^e
+    side and i^minus_one the value at -1.  Oddness of e makes z -> e z
+    injective mod 4, so a consistent pair has exactly one solution.
     """
     if e % 2 == 0:
         raise ValueError("e must be odd")
@@ -303,7 +286,7 @@ def p_primary_extension(e: int, known: int, minus_one: int) -> ExtensionChar:
         )
     if len(hits) != 1:
         raise CheckFailed("solution must be unique for odd e")
-    return ExtensionChar(varpi_E_turns=hits[0], minus_one_turns=minus_one % 4)
+    return hits[0]
 
 
 def checked_varpi_F_turns(rho_tilde: LevelZeroChar, tower: TowerSpec) -> int:
@@ -314,10 +297,11 @@ def checked_varpi_F_turns(rho_tilde: LevelZeroChar, tower: TowerSpec) -> int:
     varpi_F = rho_tilde.varpi_F_turns(tower)
     known = (varpi_F + to_turns(rho_tilde.mu_part.sign(tower.u))) % 4
     try:
-        ext = p_primary_extension(tower.e, known, to_turns(rho_tilde.minus_one()))
+        varpi_E = p_primary_extension(tower.e, known,
+                                      to_turns(rho_tilde.minus_one()))
     except NoConsistentValue as exc:
         raise CheckFailed(f"varpi-extension check: {exc}") from exc
-    if ext.varpi_E_turns != rho_tilde.varpi_turns:
+    if varpi_E != rho_tilde.varpi_turns:
         raise CheckFailed("varpi-extension check: the pi_E value re-solved "
                           "from pi_F is not the recorded one")
     return varpi_F
@@ -332,12 +316,11 @@ class ReducibilityReport:
     real_points: frozenset
     shifted_points: frozenset  # real parts of points offset by pi*i/log qE
     imag_token: str
-    eigenvalues: dict
     branch: str
 
 
 def solve_reducibility(hp: HeckeParams, rho_tilde: LevelZeroChar,
-                       rho: LevelZeroChar, eps_z) -> ReducibilityReport:
+                       rho: LevelZeroChar, eps_z: int) -> ReducibilityReport:
     """The reducibility points of the family attached to the datum.
 
     Matches rho-tilde(pi_E) q_E^s against each product branch of the two
@@ -347,14 +330,13 @@ def solve_reducibility(hp: HeckeParams, rho_tilde: LevelZeroChar,
     """
     if rho_tilde.side != "gl":
         raise NotSelfDual("need the GL-side character")
-    eps = eps_z.value if isinstance(eps_z, SignResult) else eps_z
-    if eps not in (-1, 1):
+    if eps_z not in (-1, 1):
         raise MissingSign("eps_z sign unavailable")
     from fractions import Fraction  # here, since it also loads decimal
-    eig = hecke_eigenvalues(hp)
-    s1 = Fraction(hp.r_y + hp.r_z, 2)
-    s2 = Fraction(abs(hp.r_y - hp.r_z), 2)
-    if hp.r_z == 1:
+    r_y, r_z = hp.rank["y"], hp.rank["z"]
+    s1 = Fraction(r_y + r_z, 2)
+    s2 = Fraction(abs(r_y - r_z), 2)
+    if r_z == 1:
         # Both coefficients are nonzero; after cancelling the scalar
         # normalizations the matching relation reads
         # rho-tilde(pi_E) q_E^s = rho(-1) eps_z * (q_E^{+-1} or -1).
@@ -363,7 +345,7 @@ def solve_reducibility(hp: HeckeParams, rho_tilde: LevelZeroChar,
             raise NotSelfDual(
                 "the r_z = 1 branch needs a rational uniformizer value"
             )
-        agree = w == rho.minus_one() * eps
+        agree = w == rho.minus_one() * eps_z
         if agree:
             real = {s1, -s1}
             shifted = {s2} if s2 == 0 else {s2, -s2}
@@ -382,7 +364,6 @@ def solve_reducibility(hp: HeckeParams, rho_tilde: LevelZeroChar,
         real_points=frozenset(real),
         shifted_points=frozenset(shifted),
         imag_token=IMAG_TOKEN,
-        eigenvalues=eig,
         branch=branch,
     )
 
@@ -391,7 +372,7 @@ def solve_reducibility(hp: HeckeParams, rho_tilde: LevelZeroChar,
 # Base change.
 
 
-def base_change(rho: LevelZeroChar, eps_z, tower: TowerSpec) -> LevelZeroChar:
+def base_change(rho: LevelZeroChar, eps_z: int, tower: TowerSpec) -> LevelZeroChar:
     """The GL-side tame datum matched to the U-side one.
 
     The restriction to the Teichmueller group is the (f-1)-th power of the
@@ -400,14 +381,11 @@ def base_change(rho: LevelZeroChar, eps_z, tower: TowerSpec) -> LevelZeroChar:
     """
     if rho.side != "u":
         raise ValueError("base change starts from the U-side character")
-    if eps_z is None:
-        raise MissingSign("the Gauss-sum sign is required")
-    eps = eps_z.value if isinstance(eps_z, SignResult) else eps_z
-    if eps not in (-1, 1):
+    if eps_z not in (-1, 1):
         raise MissingSign("the Gauss-sum sign must be +-1")
     kE = tower.kE
     mu = MultChar(kE, (kE.q - 1) // 2 * (tower.f - 1))
-    return LevelZeroChar(kE, mu, varpi_turns=to_turns(rho.minus_one() * eps),
+    return LevelZeroChar(kE, mu, varpi_turns=to_turns(rho.minus_one() * eps_z),
                          side="gl")
 
 

@@ -137,19 +137,6 @@ class EElem:
         signs = 1 - 2 * ((self.lo + np.arange(len(self.rows))) % 2)
         return EElem(self.tower, self.lo, self.rows * signs[:, None], self.prec)
 
-    def inverse(self) -> "EElem":
-        """x = w_E^v (a_0 + a_1 w_E + ...) is inverted row by row: the
-        coefficients y_k of w_E^v / x solve sum_j a_j y_(k-j) = [k = 0]."""
-        v, a, t = self.val(), self.rows, self.tower
-        lead_inv = _modp.mat_inv(t._kE_mul(a[0]), t.p)
-        y = np.zeros((self.prec - v, t.f), dtype=np.int64)
-        for k in range(len(y)):
-            j = np.arange(1, min(k, len(a) - 1) + 1)
-            rhs = -np.einsum("js,jt,stl->l", a[j], y[k - j], t.kE.mul_tensor)
-            rhs[0] += k == 0
-            y[k] = lead_inv @ rhs % t.p
-        return EElem(t, -v, y, self.prec - 2 * v)
-
     def is_zero(self) -> bool:
         return len(self.rows) == 0
 
@@ -519,7 +506,7 @@ class TowerSpec:
         self.levels = levels
         self.k = kk
         self.kE = get_field(q, f)
-        self.u = self.kE.from_int(config.u) if isinstance(config.u, int) else config.u
+        self.u = self.kE.from_int(config.u)
         if not self.u:
             raise BadChain("unit u must be nonzero")
         self.N = config.N if config.N is not None else 2 * e + 6
@@ -528,7 +515,6 @@ class TowerSpec:
         # Generous internal precision caps (exact monomial data lives here).
         self.Ecap = self.N + 2 * e + 2
         self.fcap = self.Ecap // e + 4
-        self.zeta = self.kE.generator
         # Change of basis between the polynomial basis of k_E and the
         # Teichmueller basis 1, zeta, ..., zeta^{f-1}.
         self.Zmat = np.array([self.kE.exp(b).coeffs for b in range(f)], dtype=np.int64).T
@@ -568,9 +554,6 @@ class TowerSpec:
             raise MixedFields(f"{c.field} vs {self.kE}")
         row = [c] + [0] * (self.f - 1) if isinstance(c, int) else c.coeffs
         return EElem(self, i, row, self.Ecap if prec is None else prec)
-
-    def e_zero(self, prec: int | None = None) -> EElem:
-        return EElem(self, 0, [], self.Ecap if prec is None else prec)
 
     def varpi_E(self) -> EElem:
         return self.e_monomial(1)

@@ -164,7 +164,7 @@ class StratumSpec:
         for j in range(self.d + 1):
             minimal = self._level_minimal(j)
             if self.d == 0 and minimal != quotient_form(
-                    tower, c_elems[0], tower.kE.one()).is_nondegenerate():
+                    tower, c_elems[0]).is_nondegenerate():
                 raise _modp.CheckFailed("minimality check: the quotient form "
                                         "and the centralizer of c_0 disagree")
             if not minimal:
@@ -245,9 +245,9 @@ def _symmetrized_space(tower: TowerSpec, raw: np.ndarray) -> QuadSpace:
     return QuadSpace.from_ints(tower.k, sym)
 
 
-def quotient_form(t: TowerSpec, c: EElem, y: FqElem) -> QuadSpace:
-    """The form X -> Tr(y^-1 w_E (X c - c X) alpha(X)) on a complement of
-    the centralizer of c inside the degree-s layer, s = (r - 1) / 2.
+def quotient_form(t: TowerSpec, c: EElem) -> QuadSpace:
+    """The form X -> Tr(w_E (X c - c X) alpha(X)) on a complement of the
+    centralizer of c inside the degree-s layer, s = (r - 1) / 2.
 
     Well defined on the complement for any c (the centralizer is in the
     radical); nondegenerate exactly when c is minimal over F (absolute
@@ -255,8 +255,6 @@ def quotient_form(t: TowerSpec, c: EElem, y: FqElem) -> QuadSpace:
     """
     if c.is_zero():
         raise ZeroElement("zero element")
-    if not y:
-        raise ZeroY("y must be a unit")
     v = c.val()
     if v >= 0:
         raise NonNegativeValuation(f"v(c) = {v} must be negative")
@@ -267,18 +265,16 @@ def quotient_form(t: TowerSpec, c: EElem, y: FqElem) -> QuadSpace:
     # for any c, and its radical there detects non-minimality.
     lower = t.cent_layer(_declared_gens(t, 0), grade)
     comp = _modp.complete_basis(lower, np.eye(t.n * t.f, dtype=np.int64), t.p)
-    raw = _block_gram_raw(t, c, comp, grade, t.e_monomial(1, y.inverse()))
+    raw = _block_gram_raw(t, c, comp, grade, t.varpi_E())
     return _symmetrized_space(t, raw)
 
 
-def build_Dj_forms(s: StratumSpec, y: FqElem) -> list[QuadSpace]:
-    """The block forms D_j(X, X) = Tr(y^-1 w_E (X c_j - c_j X) alpha(X)) on
-    the graded coset space, one QuadSpace per level."""
-    if not y:
-        raise ZeroY("y must be a unit")
+def build_Dj_forms(s: StratumSpec) -> list[QuadSpace]:
+    """The block forms D_j(X, X) = Tr(w_E (X c_j - c_j X) alpha(X)) on the
+    graded coset space, one QuadSpace per level."""
     tower = s.tower
     wz = build_Wz(tower, s)
-    scalar = tower.e_monomial(1, y.inverse())
+    scalar = tower.varpi_E()
     out = []
     for block in wz.blocks:
         if block.basis.shape[0] == 0:
@@ -337,14 +333,14 @@ def epsilon_z(s: StratumSpec, psi: AddChar, scale_unit: FqElem | None = None,
             raise NonUnitQuotient(
                 "degenerate phase form: the normalized sum is not a unit"
             )
-        return SignResult(sign, f"{sign:+d}", total, wz.size, root)
+        return SignResult(sign, f"{sign:+d}", wz.size)
     res = normalized_sign(space, psi, bound=bound)
     if res.value is None:
         raise _modp.CheckFailed("Gauss-sum quotient is not a rational sign")
-    # Cross-check against the D-form assembly at y = 1 (opposite bracket
-    # order: complex conjugate sum, identical rational sign).
+    # Cross-check against the D-form assembly (opposite bracket order:
+    # complex conjugate sum, identical rational sign).
     if scale_unit is None:
-        d_forms = build_Dj_forms(s, tower.kE.one())
+        d_forms = build_Dj_forms(s)
         d_sign = 1
         for f in d_forms:
             d_sign *= normalized_sign(f, psi, bound=bound).value
@@ -396,14 +392,15 @@ def epsilon_z_invariance(s: StratumSpec, psi: AddChar | None = None,
 class SimpleCharSpec:
     """A simple character over a stratum.
 
-    ``xi_elems`` lists b_0, ..., b_{d+1} in F; only the residue of the last
-    one enters the evaluation window (the deeper xi's are pinned by the
-    gluing conditions and cancel in every oracle product).  ``side`` is
-    "gl" for the big character theta-tilde and "u" for its square root
-    theta, realized by halving both twist elements.
+    Of its twist elements b_0, ..., b_{d+1} in F only the last one enters
+    the evaluation window, through the residue ``det_twist`` in F_p of
+    w_F b_{d+1} (the deeper ones are pinned by the gluing conditions and
+    cancel in every oracle product).  ``side`` is "gl" for the big
+    character theta-tilde and "u" for its square root theta, realized by
+    halving c_0 and the twist.
     """
 
-    def __init__(self, stratum: StratumSpec, psi: AddChar, xi_elems,
+    def __init__(self, stratum: StratumSpec, psi: AddChar, det_twist: int,
                  side: str = "gl"):
         if side not in ("gl", "u"):
             raise ValueError(f"side must be 'gl' or 'u', got {side!r}")
@@ -412,31 +409,16 @@ class SimpleCharSpec:
             raise ValueError("psi must live on the residue field of F")
         if psi.is_trivial():
             raise ValueError("psi must be nontrivial")
-        xi_elems = tuple(xi_elems)
-        if len(xi_elems) != stratum.d + 2:
-            raise ValueError(
-                f"need {stratum.d + 2} xi elements, got {len(xi_elems)}"
-            )
-        for b in xi_elems:
-            if not _in_level(tower, b, -1):
-                raise NotInSubfield("xi elements must lie in F")
-            if not b.is_zero() and b.val() < -tower.e:
-                raise ValueError("xi elements must have depth at most one")
         self.stratum = stratum
         self.psi = psi
-        self.xi_elems = xi_elems
+        self.det_twist = det_twist % tower.p
         self.side = side
-        # Residue of the det-part twist: b_{d+1} = bhat / w_F.
-        bh = (xi_elems[-1] * tower.varpi_F()).row(0)
-        if bh[1:].any():
-            raise NotInSubfield("det-part twist residue must be in k")
-        bhat = int(bh[0])
         half = (tower.p + 1) // 2
         if side == "u":
-            self.bhat = bhat * half % tower.p
+            self.bhat = self.det_twist * half % tower.p
             self.c_eff = tuple(c.scale(half) for c in stratum.c_elems)
         else:
-            self.bhat = bhat
+            self.bhat = self.det_twist
             self.c_eff = stratum.c_elems
 
 
@@ -446,11 +428,9 @@ def default_chars(s: StratumSpec, psi: AddChar | None = None
     tower = s.tower
     if psi is None:
         psi = AddChar(tower.k, 1)
-    xi = [tower.e_zero()] * (s.d + 1)
-    xi.append(tower.e_monomial(-tower.e, tower.u))
     return (
-        SimpleCharSpec(s, psi, xi, side="gl"),
-        SimpleCharSpec(s, psi, xi, side="u"),
+        SimpleCharSpec(s, psi, 1, side="gl"),
+        SimpleCharSpec(s, psi, 1, side="u"),
     )
 
 
@@ -675,8 +655,8 @@ def _check_char_pair(s: StratumSpec, chars) -> tuple[SimpleCharSpec, SimpleCharS
         raise ValueError("chars must be a (big, square-root) pair")
     if big.stratum is not s or root.stratum is not s:
         raise ValueError("character pair must sit on the given stratum")
-    if big.xi_elems != root.xi_elems:
-        raise ValueError("character pair must share xi data")
+    if big.det_twist != root.det_twist:
+        raise ValueError("character pair must share the det twist")
     return big, root
 
 

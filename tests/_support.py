@@ -8,8 +8,9 @@ matrix at a time, the ad-kernel minimality test and the two-branch W_z
 complement) or a check of an identity the package relies on (the embedding
 relations of E in the matrices, the independence of a path-A term from its
 auxiliary degree-0 component).  The rest is data that only the tests read:
-the five depth-one case names, a coefficient of an E-element in k_E, the
-leading-term minimality test, the rank values and s-values of the Hecke
+the five depth-one case names, a coefficient and the inverse of an
+E-element, the zero of F_q, the triviality of a multiplicative character,
+the leading-term minimality test, the rank values and s-values of the Hecke
 datum and the parity of a tame character of F-cross.
 """
 
@@ -25,7 +26,7 @@ import numpy as np
 from strbc import _modp, stratum
 from strbc.cli import ExperimentConfig
 from strbc.cyclotomic import CycNum, cyc_root
-from strbc.finite_field import AddChar, FqElem, MultChar, pow_fq
+from strbc.finite_field import AddChar, FqElem, FqField, MultChar, pow_fq
 from strbc.gauss import EnumerationTooLarge, QuadSpace, TrivialAdditiveCharacter
 from strbc.hecke_bc import LevelZeroChar, ReducibilityReport, turns_sign
 from strbc.local_model import (
@@ -57,6 +58,14 @@ def golden_stratum(name: str):
 # Character values and Gauss sums point by point.
 
 
+def zero(field: FqField) -> FqElem:
+    return field.element(())
+
+
+def is_trivial(chi: MultChar) -> bool:
+    return chi.exponent == 0
+
+
 def mult_value(chi: MultChar, x: FqElem) -> CycNum:
     """chi(x) = zeta_{q-1}^(a log x) for chi = MultChar(k, a)."""
     return cyc_root(chi.field.q - 1, chi.exponent * x.discrete_log())
@@ -69,7 +78,7 @@ def add_value(psi: AddChar, x: FqElem) -> CycNum:
 
 def evaluate(space: QuadSpace, xs: list[FqElem]) -> FqElem:
     """Q(xs) = xs^T S xs, entry by entry over F_q."""
-    acc = space.field.zero()
+    acc = zero(space.field)
     for i in range(space.dim):
         if not xs[i]:
             continue
@@ -119,20 +128,34 @@ def coeff(x: EElem, i: int) -> FqElem:
     return x.tower.kE.element(x.row(i).tolist())
 
 
+def e_inverse(x: EElem) -> EElem:
+    """x = w_E^v (a_0 + a_1 w_E + ...) is inverted row by row: the
+    coefficients y_k of w_E^v / x solve sum_j a_j y_(k-j) = [k = 0]."""
+    v, a, t = x.val(), x.rows, x.tower
+    lead_inv = _modp.mat_inv(t._kE_mul(a[0]), t.p)
+    y = np.zeros((x.prec - v, t.f), dtype=np.int64)
+    for k in range(len(y)):
+        j = np.arange(1, min(k, len(a) - 1) + 1)
+        rhs = -np.einsum("js,jt,stl->l", a[j], y[k - j], t.kE.mul_tensor)
+        rhs[0] += k == 0
+        y[k] = lead_inv @ rhs % t.p
+    return EElem(t, -v, y, x.prec - 2 * v)
+
+
 def e_from_mat(tower: TowerSpec, X: MatF) -> EElem:
     """Image of 1 = w_{0,0} under X, as an element of E."""
     col = tower.basis_index(0, 0)
     prec = X.fprec * tower.e
-    out = tower.e_zero(prec)
+    out = EElem(tower, 0, [], prec)
     for k in range(X.arr.shape[0]):
         t = X.g + k
         uinv_t = pow_fq(tower.u, -t)
         for a in range(tower.e):
-            c = tower.kE.zero()
+            c = zero(tower.kE)
             for b in range(tower.f):
                 v = int(X.arr[k, tower.basis_index(a, b), col])
                 if v:
-                    c = c + pow_fq(tower.zeta, b) * v
+                    c = c + pow_fq(tower.kE.generator, b) * v
             if c:
                 out = out + tower.e_monomial(a + tower.e * t, c * uinv_t, prec)
     return out
@@ -148,7 +171,7 @@ def embed_E_in_matrices(tower: TowerSpec) -> dict:
         acc = acc @ we
     if acc != mu @ wf:
         raise AssertionError("m_{w_E}^e != m_u m_{w_F}")
-    mz = tower.m_of(tower.e_monomial(0, tower.zeta))
+    mz = tower.m_of(tower.e_monomial(0, tower.kE.generator))
     order = 1
     cur = mz
     ident = MatF.identity(tower)
@@ -161,7 +184,7 @@ def embed_E_in_matrices(tower: TowerSpec) -> dict:
         raise AssertionError(f"m_zeta has order {order}, wanted {tower.kE.q - 1}")
     # alpha(m_x) = -m_{sigma(x)} on a sample of monomials.
     for i in (-1, 0, 1, 2):
-        for c in (tower.kE.one(), tower.zeta):
+        for c in (tower.kE.one(), tower.kE.generator):
             x = tower.e_monomial(i, c)
             lhs = tower.alpha(tower.m_of(x))
             rhs = -tower.m_of(x.sigma())
@@ -385,7 +408,7 @@ def rank_values(rho_tilde: LevelZeroChar) -> tuple[int, int]:
     the big character to the Teichmueller group is trivial."""
     if rho_tilde.side != "gl":
         raise ValueError("rank values are read off the GL-side character")
-    return (1, 1 if rho_tilde.mu_part.is_trivial() else 0)
+    return (1, 1 if is_trivial(rho_tilde.mu_part) else 0)
 
 
 def s_values(rep: ReducibilityReport) -> set:
@@ -424,6 +447,6 @@ def parity_classifier(chi: tuple[MultChar, int],
         return ParityClass.NOT_CONJUGATE_SELF_DUAL
     if turns_sign(2 * varpi_turns) != mu_char.sign(-k.one()):
         return ParityClass.NOT_CONJUGATE_SELF_DUAL
-    if mu_char.is_trivial():
+    if is_trivial(mu_char):
         return ParityClass.CONJUGATE_ORTHOGONAL
     return ParityClass.CONJUGATE_SYMPLECTIC

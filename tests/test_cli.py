@@ -195,6 +195,39 @@ def test_cli_threads_belongs_to_gauss_only(command, capsys):
     assert "--threads" in capsys.readouterr().err
 
 
+# A run key or block that the subcommand never reads is refused, not
+# ignored; run.seed and, in a gauss config, a case stay accepted.
+_UNREAD = [(command, "run", key, value)
+           for key, value, commands in [
+               ("sample", 3, ("sign", "base-change", "gauss")),
+               ("grid_q", [5], ("sign", "reducibility", "base-change")),
+               ("grid_n", 2, ("sign", "reducibility", "base-change")),
+               ("grid_count", 2, ("sign", "reducibility", "base-change"))]
+           for command in commands] + [("gauss", "character", "psi_twist", 2)]
+
+
+@pytest.mark.parametrize("command, block, key, value", _UNREAD)
+def test_cli_refuses_a_key_the_command_never_reads(command, block, key, value,
+                                                   capsys, tmp_path):
+    cfgp = tmp_path / "cfg.json"
+    cfgp.write_text(json.dumps({"schema_version": 1, "case": "u1",
+                                block: {key: value}}))
+    code, out, err = run([command, str(cfgp)], capsys)
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: {command} does not read ")
+    assert len(err.splitlines()) == 1
+    assert (key if block == "run" else "character") in err
+
+
+@pytest.mark.parametrize("command", ["gauss", "sign", "reducibility", "base-change"])
+def test_cli_accepts_a_seed_and_a_case_everywhere(command, capsys, tmp_path):
+    cfgp = tmp_path / "cfg.json"
+    cfgp.write_text(json.dumps({"schema_version": 1, "case": "u1",
+                                "run": {"seed": 3}}))
+    code, _, err = run([command, str(cfgp)], capsys)
+    assert (code, err) == (0, "")
+
+
 def test_cli_bad_config_path(capsys):
     code, _, err = run(["sign", "/nonexistent/x.json"], capsys)
     assert code == 2

@@ -19,7 +19,7 @@ from strbc.finite_field import (
 )
 from strbc.local_model import TowerConfig, build_tower
 
-from _support import add_value, mult_value
+from _support import add_value, is_trivial, mult_value, zero
 
 SUPPORTED = [(3, 1), (3, 2), (3, 3), (5, 1), (5, 2), (7, 1), (11, 1), (13, 1)]
 
@@ -72,9 +72,9 @@ def test_mixed_field_error():
 def test_divide_by_zero_errors():
     f3 = get_field(3)
     with pytest.raises(DivisionByZero):
-        f3.zero().inverse()
+        zero(f3).inverse()
     with pytest.raises(DivisionByZero):
-        f3.zero().discrete_log()
+        zero(f3).discrete_log()
 
 
 def test_quadratic_character_values():
@@ -83,7 +83,7 @@ def test_quadratic_character_values():
     assert mult_value(chi, f3.one()).as_int() == 1
     assert mult_value(chi, f3.from_int(2)).as_int() == -1
     with pytest.raises(EvalAtZero):
-        chi.sign(f3.zero())
+        chi.sign(zero(f3))
     f9 = get_field(3, 2)
     chi9 = quadratic_residue_char(f9)
     assert mult_value(chi9, -f9.one()).as_int() == 1  # -1 = x^2 for modulus x^2+1
@@ -113,7 +113,7 @@ def test_additive_character_values():
 def frobenius_trace(x):
     """x + x^p + ... + x^(p^(f-1)), which lies in the prime field."""
     fld = x.field
-    acc, y = fld.zero(), x
+    acc, y = zero(fld), x
     for _ in range(fld.f):
         acc = acc + y
         y = pow_fq(y, fld.p)
@@ -145,7 +145,7 @@ def test_character_sums_vanish():
         assert sum((add_value(psi, x) for x in fld.elements()), CycNum.zero()) == 0
         for k in (1, 2, (fld.q - 1) // 2):
             chi = MultChar(fld, k)
-            if chi.is_trivial():
+            if is_trivial(chi):
                 continue
             assert sum((mult_value(chi, x) for x in fld.units()),
                        CycNum.zero()) == 0
@@ -266,7 +266,7 @@ def test_character_sign_matches_its_value(pf):
                 with pytest.raises(ValueError, match="is not a sign"):
                     chi.sign(x)
     with pytest.raises(EvalAtZero):
-        quadratic_residue_char(fld).sign(fld.zero())
+        quadratic_residue_char(fld).sign(zero(fld))
 
 
 def test_one_field_object_per_order(monkeypatch):

@@ -25,7 +25,7 @@ from strbc.gauss import (
     one_dim_gauss_value,
 )
 
-from _support import evaluate, gauss_sum_brute_slow, mult_value
+from _support import evaluate, gauss_sum_brute_slow, mult_value, zero
 
 
 def std_psi(field):
@@ -34,7 +34,7 @@ def std_psi(field):
 
 def random_symmetric(field, n, rng):
     elems = list(field.elements())
-    m = [[field.zero()] * n for _ in range(n)]
+    m = [[zero(field)] * n for _ in range(n)]
     for i in range(n):
         for j in range(i, n):
             m[i][j] = m[j][i] = rng.choice(elems)
@@ -127,9 +127,9 @@ def test_orthogonal_sum_multiplicativity():
         a = random_symmetric(f5, 2, rng)
         b = random_symmetric(f5, 1, rng)
         joint = [
-            [a[0][0], a[0][1], f5.zero()],
-            [a[1][0], a[1][1], f5.zero()],
-            [f5.zero(), f5.zero(), b[0][0]],
+            [a[0][0], a[0][1], zero(f5)],
+            [a[1][0], a[1][1], zero(f5)],
+            [zero(f5), zero(f5), b[0][0]],
         ]
         psi = std_psi(f5)
         assert gauss_sum_brute(QuadSpace(f5, coeff_array(f5, joint)), psi) == (
@@ -206,7 +206,7 @@ def polarized_prime_gram(space, psi):
     basis = []
     for i in range(n):
         for b in range(f):
-            vec = [fld.zero()] * n
+            vec = [zero(fld)] * n
             vec[i] = fld.element(tuple(1 if k == b else 0 for k in range(f)))
             basis.append(vec)
     d = n * f
@@ -327,7 +327,7 @@ def elementwise_det(gram):
     for i in range(n):
         piv = next((r for r in range(i, n) if m[r][i]), None)
         if piv is None:
-            return fld.zero()
+            return zero(fld)
         if piv != i:
             m[i], m[piv] = m[piv], m[i]
             det = -det
@@ -393,7 +393,7 @@ def test_diagonalization_matches_elementwise(pf, n, zero_rate, zero_diag, rng):
     # repair and the radical skip; the zero rate 1.0 is the zero form.
     fld = get_field(*pf)
     elems = list(fld.elements())
-    m = [[fld.zero()] * n for _ in range(n)]
+    m = [[zero(fld)] * n for _ in range(n)]
     for i in range(n):
         for j in range(i, n):
             if rng.random() >= zero_rate and not (zero_diag and i == j):

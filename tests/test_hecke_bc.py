@@ -3,7 +3,7 @@ import itertools
 import pytest
 from fractions import Fraction
 
-from strbc.cyclotomic import cyc_root
+from strbc.cyclotomic import CycNum, cyc_root
 from strbc.finite_field import MultChar, get_field, quadratic_residue_char
 from strbc.hecke_bc import (
     HeckeParams,
@@ -32,6 +32,7 @@ from strbc.stratum import (
 from _support import (
     R1_CASE_NAMES,
     ParityClass,
+    is_trivial,
     parity_classifier,
     rank_values,
     s_values,
@@ -79,6 +80,13 @@ def test_params_reject_wrong_b():
     with pytest.raises(InconsistentParams):
         HeckeParams(3, 1, 0, 3, 9, b_z=2)
     HeckeParams(3, 1, 0, 3, 9, b_z=0)
+
+
+def test_params_read_eps_from_a_passed_b():
+    hp = HeckeParams(3, 1, 1, 3, 3, b_y=-2, b_z=CycNum.integer(2, 3))
+    assert (hp.b["y"].sign, hp.b["z"].sign) == (-1, 1)
+    with pytest.raises(InconsistentParams, match="b_y must be rational"):
+        HeckeParams(3, 1, 1, 3, 3, b_y=cyc_root(3, 1))
 
 
 def test_params_reject_odd_half_exponent_with_rank_one():
@@ -210,8 +218,8 @@ def test_reducibility_requires_sign():
 def test_p_primary_examples():
     one = cyc_root(4, 0)
     plus, minus = to_turns(1), to_turns(-1)
-    assert cyc_root(4, p_primary_extension(1, plus, plus).varpi_E_turns) == one
-    assert (cyc_root(4, p_primary_extension(3, minus, plus).varpi_E_turns)
+    assert cyc_root(4, p_primary_extension(1, plus, plus)) == one
+    assert (cyc_root(4, p_primary_extension(3, minus, plus))
             == cyc_root(4, 2))
     with pytest.raises(NoConsistentValue):
         p_primary_extension(3, 1, plus)
@@ -225,8 +233,7 @@ def test_p_primary_uniqueness_exhaustive():
                 ze = ze * z
             got = p_primary_extension(e, ZETA4_POWERS.index(ze),
                                       ZETA4_POWERS.index(z * z))
-            assert cyc_root(4, got.varpi_E_turns) == z
-            assert cyc_root(4, got.varpi_F_turns) == cyc_root(4, 0)
+            assert cyc_root(4, got) == z
 
 
 def test_p_primary_rejects_even_e():
@@ -282,12 +289,12 @@ def test_base_change_u1_both_signs():
 
     case = builtin_case("u1")
     tower = case.tower
-    eps = epsilon_z(case, AddChar(tower.k, 1))
-    assert eps.value == 1
+    eps = epsilon_z(case, AddChar(tower.k, 1)).value
+    assert eps == 1
     for exp, expect in [(0, 1), (1, -1)]:
         rho = LevelZeroChar(tower.kE, MultChar(tower.kE, exp), side="u")
         rt = base_change(rho, eps, tower)
-        assert rt.mu_part.is_trivial()
+        assert is_trivial(rt.mu_part)
         assert cyc_root(4, rt.varpi_turns).as_int() == expect
         assert cyc_root(4, rt.varpi_F_turns(tower)).as_int() == expect
 
@@ -308,7 +315,7 @@ def test_base_change_rechoice_covariance(name):
     report = epsilon_z_invariance(case, AddChar(tower.k, 1))
     assert report["ok"]
     rho = LevelZeroChar(tower.kE, MultChar(tower.kE, 1), side="u")
-    rt = base_change(rho, report["base"], tower)
+    rt = base_change(rho, report["base"].value, tower)
     chi = quadratic_residue_char(tower.kE)
     assert rt.mu_part.exponent == chi.exponent * (tower.f - 1) % (
         tower.kE.q - 1)
@@ -353,7 +360,7 @@ def test_base_change_feeds_reducibility_point_one():
     for name in ("u1", "e3f1", "e1f2"):
         case = builtin_case(name)
         tower = case.tower
-        eps = epsilon_z(case, AddChar(tower.k, 1))
+        eps = epsilon_z(case, AddChar(tower.k, 1)).value
         from strbc.local_model import iwahori_indices
 
         c_y, c_z = iwahori_indices(tower, case)

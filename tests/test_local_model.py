@@ -9,6 +9,7 @@ from strbc import _modp
 from strbc.finite_field import MixedFields, get_field, pow_fq
 from strbc.local_model import (
     BadChain,
+    EElem,
     EvenExponent,
     EvenRamification,
     MatF,
@@ -34,6 +35,7 @@ from _support import (
     centralizer_filtration,
     coeff,
     e_from_mat,
+    e_inverse,
     embed_E_in_matrices,
     golden_stratum,
     in_row_space,
@@ -79,13 +81,13 @@ def tower_d1(N=8):
 CASE_STRATA = {
     "u1": (tower_u1, lambda t: mk_stratum(t, [t.e_monomial(-1)], [1])),
     "e3f1": (tower_e3f1, lambda t: mk_stratum(t, [t.e_monomial(-1)], [1])),
-    "e1f2": (tower_e1f2, lambda t: mk_stratum(t, [t.e_monomial(-1, t.zeta)], [1])),
-    "e3f2": (tower_e3f2, lambda t: mk_stratum(t, [t.e_monomial(-1, t.zeta)], [1])),
+    "e1f2": (tower_e1f2, lambda t: mk_stratum(t, [t.e_monomial(-1, t.kE.generator)], [1])),
+    "e3f2": (tower_e3f2, lambda t: mk_stratum(t, [t.e_monomial(-1, t.kE.generator)], [1])),
     "e5f1": (tower_e5f1, lambda t: mk_stratum(t, [t.e_monomial(-1)], [1])),
     "d1": (
         tower_d1,
         lambda t: mk_stratum(
-            t, [t.e_monomial(-3, t.zeta), t.e_monomial(-1, 1)], [3, 1]
+            t, [t.e_monomial(-3, t.kE.generator), t.e_monomial(-1, 1)], [3, 1]
         ),
     ),
 }
@@ -106,7 +108,7 @@ def test_eelem_ring_ops():
     y = t.e_monomial(1)
     assert coeff(x * y, 0) == t.kE.one()
     assert x * y == y * x
-    inv = y.inverse()
+    inv = e_inverse(y)
     assert coeff(y * inv, 0) == t.kE.one()
     assert (x - x).is_zero()
     assert x.val() == -1
@@ -125,8 +127,9 @@ def test_eelem_inverse_of_a_series(name):
     # Not only monomials: x has three terms, and x * x^-1 = 1 to the
     # precision of the product.
     t, _ = get_case(name)
-    x = t.e_monomial(-1, t.zeta) + t.e_monomial(0, 2) + t.e_monomial(3, t.zeta, prec=9)
-    inv = x.inverse()
+    z = t.kE.generator
+    x = t.e_monomial(-1, z) + t.e_monomial(0, 2) + t.e_monomial(3, z, prec=9)
+    inv = e_inverse(x)
     assert (inv.val(), inv.prec) == (1, 11)
     assert x * inv == t.e_monomial(0) and inv * x == t.e_monomial(0)
     assert (x * inv).prec == 10
@@ -158,7 +161,7 @@ def test_skew_iff_odd_support():
 def test_build_tower_valid_cases():
     for name in CASE_STRATA:
         t, _ = get_case(name)
-        assert t.varpi_E() * t.varpi_E().inverse() == t.e_monomial(0)
+        assert t.varpi_E() * e_inverse(t.varpi_E()) == t.e_monomial(0)
 
 
 def test_even_ramification_rejected():
@@ -201,7 +204,7 @@ def test_trace_vanishes_iff_wild():
     for x in (t.e_monomial(0), t.e_monomial(3), t.e_monomial(-3, 2)):
         assert not trace_EF(t, x)[0]
     tu = tower_e1f2()  # unramified quadratic: Tr(zeta) = zeta + zeta^3
-    z = tu.zeta
+    z = tu.kE.generator
     tr = trace_EF(tu, tu.e_monomial(0, z))
     from strbc.finite_field import pow_fq
 
@@ -216,7 +219,7 @@ def test_trace_vanishes_iff_wild():
 def test_m_of_roundtrip():
     for name in ("e3f1", "e1f2", "e3f2"):
         t, _ = get_case(name)
-        for x in (t.varpi_E(), t.e_monomial(-2, t.zeta), t.e_monomial(0, 2)):
+        for x in (t.varpi_E(), t.e_monomial(-2, t.kE.generator), t.e_monomial(0, 2)):
             X = t.m_of(x)
             back = e_from_mat(t, X)
             assert back == x
@@ -269,8 +272,8 @@ def test_adjoint_independent_of_form_rescaling():
     for name in ("e3f1", "e1f2"):
         t, _ = get_case(name)
         M = t.m_of(t.varpi_E())
-        Minv = t.m_of(t.varpi_E().inverse())
-        X = t.m_of(t.e_monomial(-1) + t.e_monomial(2, t.zeta))
+        Minv = t.m_of(e_inverse(t.varpi_E()))
+        X = t.m_of(t.e_monomial(-1) + t.e_monomial(2, t.kE.generator))
         alt = (Minv @ t.Hinv) @ X.conj().transpose() @ (t.H @ M)
         ref = t.adjoint(X)
         fp = min(alt.fprec, ref.fprec)
@@ -283,7 +286,7 @@ def test_valuations():
     assert t.valuation(t.m_of(t.e_monomial(-3, 2))) == -3
     assert t.valuation(MatF.identity(t)) == 0
     t2 = tower_e1f2()
-    assert t2.valuation(t2.m_of(t2.e_monomial(-3, t2.zeta))) == -3
+    assert t2.valuation(t2.m_of(t2.e_monomial(-3, t2.kE.generator))) == -3
 
 
 # -- matrix series utilities -------------------------------------------------
@@ -395,7 +398,7 @@ def test_centralizer_filtration_dims():
     deep = centralizer_filtration(t, t.e_monomial(-1), t.N, horizon=2)
     assert all(deep.dim_k(m) == 0 for m in deep.grades)
     t2 = tower_e3f2()
-    c2 = centralizer_filtration(t2, t2.e_monomial(-1, t2.zeta), 0, horizon=3)
+    c2 = centralizer_filtration(t2, t2.e_monomial(-1, t2.kE.generator), 0, horizon=3)
     assert all(c2.dim_k(m) == t2.f for m in c2.grades)
 
 
@@ -577,7 +580,7 @@ def ref_mat_from_layer(t, m, vec, fprec=None):
             d = t.kE.element(tuple(int(vec[col * f + k]) for k in range(f)))
             if not d:
                 continue
-            val = d * pow_fq(t.zeta, b) * pow_fq(t.u, tt)
+            val = d * pow_fq(t.kE.generator, b) * pow_fq(t.u, tt)
             coords = t.Zinv @ np.array(val.coeffs, dtype=np.int64) % p
             for b2 in range(f):
                 arr[tt - g, t.basis_index(a2, b2), col] = coords[b2]
@@ -599,7 +602,7 @@ def ref_layer_coords(t, X, m):
             col = t.basis_index(a, b)
             poly = np.array([lay[t.basis_index(a2, b2), col] for b2 in range(f)])
             kappa = t.kE.element(tuple((t.Zmat @ poly) % p))
-            d = kappa * pow_fq(t.u, -tt) * pow_fq(t.zeta, -b)
+            d = kappa * pow_fq(t.u, -tt) * pow_fq(t.kE.generator, -b)
             out[col * f : (col + 1) * f] = d.coeffs
     return out
 
@@ -675,7 +678,7 @@ def loop_m_of(t, x):
                 continue
             scalar = c * pow_fq(t.u, tt)
             for b in range(f):
-                val = scalar * pow_fq(t.zeta, b)
+                val = scalar * pow_fq(t.kE.generator, b)
                 coords = t.Zinv @ np.array(val.coeffs, dtype=np.int64) % p
                 for b2 in range(f):
                     row, col = t.basis_index(a2, b2), t.basis_index(a, b)
@@ -691,7 +694,7 @@ def test_m_of_matches_per_entry_definition(name, data):
         st.tuples(st.integers(-4, 11), st.integers(0, t.kE.q - 1)),
         min_size=1, max_size=3))
     prec = data.draw(st.integers(-3, t.Ecap))
-    x = t.e_zero(prec)
+    x = EElem(t, 0, [], prec)
     for i, k in terms:
         coeffs = tuple(k // t.p**j % t.p for j in range(t.f))
         x = x + t.e_monomial(i, t.kE.element(coeffs), prec=prec)

@@ -188,6 +188,64 @@ def test_name_scan_flags_each_unread_public_definition(snippet, unread):
     assert _unread_names({"m": ast.parse(snippet)}) == unread
 
 
+def _is_dataclass(decorator: ast.AST) -> bool:
+    f = decorator.func if isinstance(decorator, ast.Call) else decorator
+    return (f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)) == "dataclass"
+
+
+def _unread_attributes(trees: dict[str, ast.AST]) -> list[str]:
+    """'module:line name' for each attribute stored on self, or declared as
+    a dataclass field, that no module loads as an attribute.  A read through
+    getattr with a computed name does not count."""
+    stored = {}
+    for module, tree in trees.items():
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.ClassDef)
+                    and any(map(_is_dataclass, node.decorator_list))):
+                for field in node.body:
+                    if (isinstance(field, ast.AnnAssign)
+                            and isinstance(field.target, ast.Name)):
+                        stored.setdefault(field.target.id, f"{module}:{field.lineno}")
+            elif (isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)
+                  and isinstance(node.value, ast.Name) and node.value.id == "self"):
+                stored.setdefault(node.attr, f"{module}:{node.lineno}")
+    read = {node.attr for tree in trees.values() for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    return sorted(f"{where} {name}" for name, where in stored.items()
+                  if not (name.startswith("__") and name.endswith("__"))
+                  and name not in read)
+
+
+def test_every_attribute_is_read_in_package():
+    # A field that the package writes and never reads is dead state: it
+    # goes, or moves with its only readers to the tests.
+    trees = {path.name: ast.parse(path.read_text(), str(path))
+             for path in sorted(SRC.glob("*.py"))}
+    found = _unread_attributes(trees)
+    assert not found, f"attributes read nowhere in src/strbc: {found}"
+
+
+@pytest.mark.parametrize("snippet,unread", [
+    ("class C:\n    def __init__(self):\n        self.x = 1", ["m:3 x"]),
+    ("class C:\n    def __init__(self):\n        self.x, self.y = 1, 2\n"
+     "print(C().y)", ["m:3 x"]),
+    ("@dataclass\nclass C:\n    x: int\n    y: int = 0\nprint(C(1).y)", ["m:3 x"]),
+    ("@dataclass(frozen=True)\nclass C:\n    x: int", ["m:3 x"]),
+    ("@dataclasses.dataclass\nclass C:\n    x: int", ["m:3 x"]),
+    ("class C:\n    def __init__(self):\n        self.r_y = 1\n"
+     "    def f(self, w):\n        return getattr(self, f'r_{w}')", ["m:3 r_y"]),
+    ("@dataclass\nclass C:\n    x: int\nw = 'x'\nprint(getattr(C(1), f'{w}'))",
+     ["m:3 x"]),
+    ("class C:\n    def __init__(self):\n        self.x = 1\n"
+     "    def f(self):\n        return self.x", []),
+    ("@dataclass\nclass C:\n    x: int\nprint(C(1).x)", []),
+    ("class C:\n    x: int\n    def __init__(self):\n        self.__dict__ = {}", []),
+    ("class C:\n    def __init__(self, o):\n        o.x = 1", []),
+])
+def test_attribute_scan_flags_each_unread_store(snippet, unread):
+    assert _unread_attributes({"m": ast.parse(snippet)}) == unread
+
+
 def test_tracer_finds_every_target(monkeypatch):
     # The benchmark's tracer wraps functions of the package by name; a
     # renamed or removed target shows here, not only in its own self-test.
