@@ -228,6 +228,41 @@ def test_cli_accepts_a_seed_and_a_case_everywhere(command, capsys, tmp_path):
     assert (code, err) == (0, "")
 
 
+_ONE_FORM = {"run": {"grid_q": [3], "grid_n": 1, "grid_count": 1}}
+
+
+@pytest.mark.parametrize("blocks", [
+    # An even e and a non-negative valuation, which sign refuses as well.
+    {"tower": {"q": 5, "e": 2, "f": 1}, "stratum": {"c": [[0, 2]]}},
+    {"tower": {"q": 3, "e": 3, "f": 1}},
+    {"stratum": {"c": [[0, -1]]}},
+])
+def test_cli_gauss_refuses_a_tower_or_stratum_block(blocks, capsys, tmp_path):
+    # gauss reads no stratum, so a tower or stratum block is refused, not
+    # ignored.
+    cfgp = tmp_path / "cfg.json"
+    cfgp.write_text(json.dumps({"schema_version": 1, **blocks, **_ONE_FORM}))
+    line = run_refused(["gauss", str(cfgp)], capsys)
+    assert line.startswith("error: gauss does not read ")
+    assert all(name in line for name in blocks)
+
+
+def test_cli_gauss_needs_no_case(capsys, tmp_path):
+    cfgp = tmp_path / "cfg.json"
+    cfgp.write_text(json.dumps({"schema_version": 1, **_ONE_FORM}))
+    code, out, err = run(["gauss", str(cfgp), "--seed", "5"], capsys)
+    assert (code, err) == (0, "")
+    assert out.splitlines()[-1] == "gauss cross-validation: all-match"
+
+
+@pytest.mark.parametrize("command", ["sign", "reducibility", "base-change"])
+def test_cli_needs_a_case_or_a_tower(command, capsys, tmp_path):
+    cfgp = tmp_path / "cfg.json"
+    cfgp.write_text(json.dumps({"schema_version": 1}))
+    line = run_refused([command, str(cfgp)], capsys)
+    assert line == "error: config needs either a case or a tower block"
+
+
 def test_cli_bad_config_path(capsys):
     code, _, err = run(["sign", "/nonexistent/x.json"], capsys)
     assert code == 2
