@@ -574,6 +574,19 @@ def test_by_oracle_off_window():
         by_oracle(s, chars, (1, 1))
 
 
+@pytest.mark.parametrize("oracle", ["by", "bz"])
+def test_oracles_refuse_a_pair_with_two_psi(oracle):
+    # A pair that does not share psi is bad input, not a failed cross-check.
+    s = builtin_case("e3f1")
+    chars = (SimpleCharSpec(s, AddChar(s.tower.k, 1), 1, side="gl"),
+             SimpleCharSpec(s, AddChar(s.tower.k, 2), 1, side="u"))
+    with pytest.raises(ValueError, match="share psi"):
+        if oracle == "by":
+            by_oracle(s, chars, (1, 1))
+        else:
+            bz_oracle(s, chars, (MultChar(s.tower.kE, 0),))
+
+
 def test_bz_oracle_vanishing_and_nonvanishing():
     for name in R1_CASE_NAMES:
         s = builtin_case(name)
