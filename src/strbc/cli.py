@@ -144,8 +144,6 @@ class ExperimentConfig:
             raise ConfigError("config must declare schema_version: 1")
         cfg = ExperimentConfig(case=data.get("case"),
                                **{name: _check_block(data, name) for name in _SCHEMA})
-        if cfg.case is None and not cfg.tower:
-            raise ConfigError("config needs either a case or a tower block")
         if cfg.case is not None and {"tower", "stratum"} & set(data):
             raise ConfigError("config names a case and a tower or stratum "
                               "block; give one of the two")
@@ -167,19 +165,24 @@ class ExperimentConfig:
         return ExperimentConfig.from_dict(data)
 
     def refuse_unread(self, command: str):
-        """A run key or character block that the subcommand never reads is
-        a ConfigError; gauss always uses the psi twist 1."""
+        """A run key or block that the subcommand never reads is a
+        ConfigError; gauss reads no stratum and always uses the psi twist 1."""
         unread = set(self.run) - {"seed"} - _RUN_KEYS.get(command, set())
         if unread:
             raise ConfigError(f"{command} does not read run keys {sorted(unread)}")
-        if command == "gauss" and self.character:
-            raise ConfigError("gauss does not read the character block")
+        blocks = [name for name in ("tower", "stratum", "character")
+                  if getattr(self, name)]
+        if command == "gauss" and blocks:
+            raise ConfigError(f"gauss does not read the {' and '.join(blocks)} "
+                              f"block{'s' if len(blocks) > 1 else ''}")
 
     def build_stratum(self) -> StratumSpec:
         """Re-runs every tower, stratum and character constraint on the
         loaded data; a violated one is a ConfigError."""
         if self.case is not None:
             s = builtin_case(self.case)
+        elif not self.tower:
+            raise ConfigError("config needs either a case or a tower block")
         elif not self.stratum.get("c"):
             raise ConfigError("stratum block needs a nonempty c list")
         elif {"q", "e", "f"} - set(self.tower):
@@ -491,9 +494,7 @@ def main(argv=None) -> int:
         elif args.config is not None:
             cfg = ExperimentConfig.load(args.config)
         elif args.fn is cmd_gauss:
-            cfg = ExperimentConfig.from_dict(
-                {"schema_version": 1, "case": "u1"}
-            )
+            cfg = ExperimentConfig()
         else:
             print("error: need a config file or --case", file=sys.stderr)
             return 2

@@ -655,6 +655,8 @@ def _check_char_pair(s: StratumSpec, chars) -> tuple[SimpleCharSpec, SimpleCharS
         raise ValueError("chars must be a (big, square-root) pair")
     if big.stratum is not s or root.stratum is not s:
         raise ValueError("character pair must sit on the given stratum")
+    if big.psi != root.psi:
+        raise ValueError("character pair must share psi")
     if big.det_twist != root.det_twist:
         raise ValueError("character pair must share the det twist")
     return big, root

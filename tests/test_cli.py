@@ -75,8 +75,10 @@ def test_config_rejects_bad_sample(sample, capsys, tmp_path):
 
 
 def test_config_needs_case_or_tower():
-    with pytest.raises(ConfigError):
-        ExperimentConfig.from_dict({"schema_version": 1})
+    # The check sits with its only reader, since gauss reads no stratum.
+    cfg = ExperimentConfig.from_dict({"schema_version": 1})
+    with pytest.raises(ConfigError, match="either a case or a tower block"):
+        cfg.build_stratum()
 
 
 def test_config_builds_stratum_from_tower_block():
