@@ -20,21 +20,24 @@ a determinant, is a layer array too: the int64 vector of its w_F^0, w_F^1,
 window raise PrecisionTooLow instead of silently truncating.
 
 The valuation grading is E-normalized: v(w_E) = 1, and the degree-m
-homogeneous layer of the algebra is an n*f-dimensional k-space.  One
-memoised degree map per grade holds both directions: mat_from_layer reads
-its layer map, layer_coords its inverse and valuation its w_F-layer span;
-m_of(x) sums the layer maps of the monomials of x.  Graded
-layers of centralizers, the coset spaces W_z, and the unipotent-radical
-index counts are all computed by small exact linear algebra over k.
-cent_layer is the one solver for a centralizer layer; minimality is read
-from it too.  The basis of a degree-m layer enters such a computation as
-one MatF stack, mat_from_layer(m, identity), not one matrix per row.
+homogeneous layer of the algebra is an n*f-dimensional k-space.  One degree
+map per grade holds both directions: mat_from_layer reads its layer map,
+layer_coords its inverse and valuation its w_F-layer span; m_of(x) sums the
+layer maps of the monomials of x.  Graded layers of centralizers, the coset
+spaces W_z, and the unipotent-radical index counts are all computed by
+small exact linear algebra over k.  cent_layer is the one solver for a
+centralizer layer; minimality is read from it too.  The basis of a degree-m
+layer enters such a computation as one MatF stack, mat_from_layer(m,
+identity), not one matrix per row.  Each of these is built once per tower
+by a builder decorated with memoized, which keys the tower's memo by the
+builder's name and the content of its arguments; no key is written by hand.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, wraps
 
 import numpy as np
 
@@ -460,6 +463,38 @@ def _series_inverse(u: np.ndarray, p: int) -> np.ndarray:
 # Tower construction.
 
 
+def memoized(build):
+    """Build once per tower: build(tower, *args) is kept in the tower's memo,
+    keyed by the builder's name and the content of its other arguments, and
+    shared, never mutated; its arrays, alone or in a tuple, are read-only."""
+
+    @wraps(build)
+    def cached(tower, *args):
+        key = (build.__name__,) + tuple(map(_content, args))
+        hit = tower._memo.get(key)
+        if hit is None:
+            hit = tower._memo[key] = build(tower, *args)
+            for part in hit if isinstance(hit, tuple) else (hit,):
+                if isinstance(part, np.ndarray):
+                    part.setflags(write=False)
+        return hit
+
+    return cached
+
+
+def _content(x):
+    """What a memo key names of an argument: each element of a tuple, the
+    shape and bytes of an array, the elements and exponents r_j of a stratum
+    (all its other data follow from them), key() of an EElem, an integer."""
+    if isinstance(x, tuple):
+        return tuple(map(_content, x))
+    if isinstance(x, np.ndarray):
+        return x.shape, x.dtype.str, x.tobytes()
+    if hasattr(x, "r_list"):
+        return _content(tuple(x.c_elems)), tuple(x.r_list)
+    return x.key() if isinstance(x, EElem) else operator.index(x)
+
+
 @dataclass(frozen=True)
 class TowerConfig:
     q: int
@@ -535,18 +570,6 @@ class TowerSpec:
         self.Hinv = inverse_unit(self.H)
         self._memo: dict = {}
 
-    def memo(self, key, build):
-        """The derived tower data stored under a content key, built once.
-
-        Values are shared between callers and must never be mutated; an
-        array value is stored read-only."""
-        hit = self._memo.get(key)
-        if hit is None:
-            hit = self._memo[key] = build()
-            if isinstance(hit, np.ndarray):
-                hit.setflags(write=False)
-        return hit
-
     # -- E-element helpers ---------------------------------------------------
 
     def e_monomial(self, i: int, c: FqElem | int = 1, prec: int | None = None) -> EElem:
@@ -567,19 +590,17 @@ class TowerSpec:
     def basis_index(self, a: int, b: int) -> int:
         return a * self.f + b
 
+    @memoized
     def m_of(self, x: EElem) -> "MatF":
         """Matrix of multiplication by x on the basis w_E^a zeta^b: the sum,
         over the monomials c w_E^i of x, of the degree-i layer map with every
         coordinate d_{a,b} = c."""
-        def build():
-            fprec = -((self.e - 1 - x.prec) // self.e)
-            out = MatF.zero(self, fprec)
-            for i in x.exponents():
-                out = out + self.mat_from_layer(i, np.tile(x.row(i), self.n), fprec)
-            out.arr.setflags(write=False)
-            return out
-
-        return self.memo(("m_of", x.key()), build)
+        fprec = -((self.e - 1 - x.prec) // self.e)
+        out = MatF.zero(self, fprec)
+        for i in x.exponents():
+            out = out + self.mat_from_layer(i, np.tile(x.row(i), self.n), fprec)
+        out.arr.setflags(write=False)
+        return out
 
     # -- the Hermitian structure ---------------------------------------------
 
@@ -662,6 +683,7 @@ class TowerSpec:
         """Polynomial-basis coordinates of zeta^b u^t."""
         return self.kE.exp(b + t * self.u.discrete_log()).coeffs
 
+    @memoized
     def _degree_map(self, m: int) -> tuple:
         """(ts, T, slots, K): the degree-m layer map and its inverse, built
         together once per grade.
@@ -674,27 +696,24 @@ class TowerSpec:
         block diagonal K turns them back into d = kappa u^-t zeta^-b in the
         polynomial basis.
         """
-        def build():
-            e, f, n, p = self.e, self.f, self.n, self.p
-            ts = tuple((m + a) // e for a in range(e))
-            tensor = np.zeros((ts[-1] - ts[0] + 1, n, n, n * f), dtype=np.int64)
-            layer, row, col = (np.zeros(n * f, dtype=np.int64) for _ in range(3))
-            kmat = np.zeros((n * f, n * f), dtype=np.int64)
-            for a, t in enumerate(ts):
-                a2 = (m + a) % e
-                rows = np.arange(a2 * f, (a2 + 1) * f)
-                for b in range(f):
-                    c = self.basis_index(a, b)
-                    out = slice(c * f, (c + 1) * f)
-                    scale = self._kE_mul(self._zeta_u(b, t))
-                    tensor[t - ts[0], rows, c, out] = self.Zinv @ scale % p
-                    kmat[out, out] = self._kE_mul(self._zeta_u(-b, -t)) @ self.Zmat % p
-                    layer[out], row[out], col[out] = t - ts[0], rows, c
-            for arr in (tensor, layer, row, col, kmat):
-                arr.setflags(write=False)
-            return ts, tensor, (layer, row, col), kmat
-
-        return self.memo(("degree-map", m), build)
+        e, f, n, p = self.e, self.f, self.n, self.p
+        ts = tuple((m + a) // e for a in range(e))
+        tensor = np.zeros((ts[-1] - ts[0] + 1, n, n, n * f), dtype=np.int64)
+        layer, row, col = (np.zeros(n * f, dtype=np.int64) for _ in range(3))
+        kmat = np.zeros((n * f, n * f), dtype=np.int64)
+        for a, t in enumerate(ts):
+            a2 = (m + a) % e
+            rows = np.arange(a2 * f, (a2 + 1) * f)
+            for b in range(f):
+                c = self.basis_index(a, b)
+                out = slice(c * f, (c + 1) * f)
+                scale = self._kE_mul(self._zeta_u(b, t))
+                tensor[t - ts[0], rows, c, out] = self.Zinv @ scale % p
+                kmat[out, out] = self._kE_mul(self._zeta_u(-b, -t)) @ self.Zmat % p
+                layer[out], row[out], col[out] = t - ts[0], rows, c
+        for arr in (tensor, layer, row, col, kmat):
+            arr.setflags(write=False)
+        return ts, tensor, (layer, row, col), kmat
 
     def valuation(self, X: "MatF"):
         """v(X) = max{k : X L(m) in L(m+k) for all m}, E-normalized; for a
@@ -714,12 +733,9 @@ class TowerSpec:
 
     # -- centralizer layers --------------------------------------------------
 
+    @memoized
     def cent_layer(self, gens: tuple[EElem, ...], m: int) -> np.ndarray:
         """Basis (rows) of the degree-m layer of the centralizer of gens."""
-        return self.memo(("cent", tuple(g.key() for g in gens), m),
-                         lambda: self._build_cent_layer(gens, m))
-
-    def _build_cent_layer(self, gens: tuple[EElem, ...], m: int) -> np.ndarray:
         if not gens:
             return np.eye(self.n * self.f, dtype=np.int64)
         # Brackets with distinct-grade monomial parts vanish independently,
@@ -799,25 +815,14 @@ def level_gens(stratum, j: int) -> tuple[EElem, ...]:
     return tuple(c for c in stratum.c_elems[j:] if not _in_level(stratum.tower, c, -1))
 
 
+@memoized
 def build_Wz(tower: TowerSpec, stratum) -> WzSpace:
     """Graded coset space W_z = sum_j of layer quotients, with bases taken
     inside the trace-orthogonal complement of the lower level.
 
     Built once per stratum content; the block bases are read-only."""
-    for r in stratum.r_list:
-        if r % 2 == 0:
-            raise EvenExponent(f"exponent r = {r} must be odd")
-    return tower.memo(("Wz",) + _stratum_key(stratum),
-                      lambda: _build_Wz(tower, stratum))
-
-
-def _stratum_key(stratum) -> tuple:
-    """What a memo value built from a stratum reads of it."""
-    return (stratum.d, tuple(c.key() for c in stratum.c_elems),
-            tuple(stratum.s_list))
-
-
-def _build_Wz(tower: TowerSpec, stratum) -> WzSpace:
+    if even := [r for r in stratum.r_list if r % 2 == 0]:
+        raise EvenExponent(f"exponent r = {even[0]} must be odd")
     blocks: list[WzBlock] = []
     for j in range(stratum.d + 1):
         s_j = stratum.s_list[j]
@@ -891,17 +896,18 @@ class GradedLattice:
         )
 
     def layer(self, m: int) -> np.ndarray:
-        """Row-reduced basis of the degree-m layer, built once per content."""
-        active = tuple(gens for gens, thr in self.terms if m >= thr)
-        key = ("lattice-layer", tuple(tuple(g.key() for g in gens) for gens in active), m)
-        return self.tower.memo(key, lambda: self._build_layer(active, m))
+        """Row-reduced basis of the degree-m layer."""
+        return _lattice_layer(self.tower, tuple(g for g, t in self.terms if m >= t), m)
 
-    def _build_layer(self, active, m: int) -> np.ndarray:
-        rows = [self.tower.cent_layer(gens, m) for gens in active]
-        rows = [r for r in rows if r.size]
-        if not rows:
-            return np.zeros((0, self.tower.n * self.tower.f), dtype=np.int64)
-        return _modp.row_space_basis(np.vstack(rows), self.tower.p)
+
+@memoized
+def _lattice_layer(tower: TowerSpec, active: tuple, m: int) -> np.ndarray:
+    """The degree-m layer of every lattice with these active terms."""
+    rows = [tower.cent_layer(gens, m) for gens in active]
+    rows = [r for r in rows if r.size]
+    if not rows:
+        return np.zeros((0, tower.n * tower.f), dtype=np.int64)
+    return _modp.row_space_basis(np.vstack(rows), tower.p)
 
 
 def h1_lattice(tower: TowerSpec, stratum) -> GradedLattice:
@@ -929,20 +935,19 @@ def e_full_gens(tower: TowerSpec, stratum) -> tuple[EElem, ...]:
     raise NotInSubfield("stratum carries no generator of E over F")
 
 
+@memoized
 def _alpha_matrix(tower: TowerSpec, m: int) -> np.ndarray:
     """Matrix of alpha on degree-m layer coordinates (columns are images)."""
-    return tower.memo(("alpha", m), lambda: tower.layer_coords(tower.alpha(
-        tower.mat_from_layer(m, np.eye(tower.n * tower.f, dtype=np.int64))), m).T)
+    return tower.layer_coords(tower.alpha(
+        tower.mat_from_layer(m, np.eye(tower.n * tower.f, dtype=np.int64))), m).T
 
 
+@memoized
 def _alpha_fixed_basis(tower: TowerSpec, m: int) -> np.ndarray:
     """Basis (rows) of the degree-m coordinate vectors that alpha fixes."""
-    def build():
-        amat = _alpha_matrix(tower, m)
-        eye = np.eye(amat.shape[0], dtype=np.int64)
-        return _modp.nullspace((amat - eye) % tower.p, tower.p)
-
-    return tower.memo(("alpha-fixed", m), build)
+    amat = _alpha_matrix(tower, m)
+    eye = np.eye(amat.shape[0], dtype=np.int64)
+    return _modp.nullspace((amat - eye) % tower.p, tower.p)
 
 
 def _alpha_fixed_dim(tower: TowerSpec, space: np.ndarray, m: int) -> int:
@@ -976,6 +981,7 @@ def _index_exponent(tower, big: GradedLattice, small: GradedLattice,
     return total
 
 
+@memoized
 def iwahori_indices(tower: TowerSpec, stratum) -> tuple[int, int]:
     """(c_y, c_z): indices of unipotent-radical congruence subgroups.
 
@@ -984,11 +990,6 @@ def iwahori_indices(tower: TowerSpec, stratum) -> tuple[int, int]:
     Y-coordinate the alpha-fixed part of w_E^{-1} h / w_E j.  Built once
     per stratum content.
     """
-    return tower.memo(("iwahori",) + _stratum_key(stratum),
-                      lambda: _iwahori_indices(tower, stratum))
-
-
-def _iwahori_indices(tower: TowerSpec, stratum) -> tuple[int, int]:
     wz = build_Wz(tower, stratum)
     c_z = tower.kE.q * wz.size
     h1 = h1_lattice(tower, stratum)

@@ -71,6 +71,7 @@ from .local_model import (
     iwahori_indices,
     j0_lattice,
     level_gens,
+    memoized,
 )
 
 
@@ -503,25 +504,29 @@ def _fail_first(bad, exc: type, message: str, index=None):
         raise exc(message)
 
 
+@memoized
 def _annihilator(tower: TowerSpec, basis: np.ndarray) -> np.ndarray:
     """Rows N with v in the row space of basis exactly when N v = 0."""
-    key = ("annihilator", basis.shape, basis.tobytes())
-    return tower.memo(key, lambda: _modp.nullspace(basis % tower.p, tower.p))
+    return _modp.nullspace(basis % tower.p, tower.p)
+
+
+@memoized
+def _unit_mat_stack(tower: TowerSpec, i: int) -> MatF:
+    """The stack of m_of(g^k w_E^i) over every discrete log k."""
+    return MatF.stack([tower.m_of(tower.e_monomial(i, tower.kE.exp(k)))
+                       for k in range(tower.kE.q - 1)])
 
 
 def _unit_mats(tower: TowerSpec, i: int, logs) -> MatF:
-    """The stack of m_of(g^k w_E^i) for the discrete logs k in ``logs`` (to
-    the generator g of k_E), taken from the stack over all logs, built once."""
-    kE = tower.kE
-    mats = tower.memo(("unit-mats", i), lambda: MatF.stack(
-        [tower.m_of(tower.e_monomial(i, kE.exp(k))) for k in range(kE.q - 1)]))
-    return mats.take(np.asarray(logs) % (kE.q - 1))
+    """The matrices of _unit_mat_stack(tower, i) at the discrete logs ``logs``."""
+    return _unit_mat_stack(tower, i).take(np.asarray(logs) % (tower.kE.q - 1))
 
 
 # ---------------------------------------------------------------------------
 # Coset representative solvers.
 
 
+@memoized
 def _one_minus_alpha_solver(tower: TowerSpec, gens: tuple, m: int):
     """(S, C) for Z - alpha(Z) = rhs with Z in the degree-m layer of the
     centralizer of gens: rhs is reached exactly when C rhs = 0, and Z then
@@ -531,23 +536,17 @@ def _one_minus_alpha_solver(tower: TowerSpec, gens: tuple, m: int):
     to reduced echelon form give both: the rows past the rank are the
     consistency conditions, and the pivot rows the particular solution whose
     free variables are zero.  Built once per (level, degree)."""
-    def build():
-        p, nf = tower.p, tower.n * tower.f
-        sub = tower.cent_layer(gens, m)
-        amat = _alpha_matrix(tower, m)
-        A = (sub - sub @ amat.T).T % p
-        red, piv = _modp.rref(
-            np.concatenate([A, np.eye(nf, dtype=np.int64)], axis=1), p,
-            pivot_cols=A.shape[1])
-        ops = red[:, A.shape[1]:]
-        x = np.zeros((sub.shape[0], nf), dtype=np.int64)
-        x[piv] = ops[: len(piv)]
-        S, C = x.T @ sub % p, ops[len(piv):]
-        S.setflags(write=False)
-        C.setflags(write=False)
-        return S, C
-
-    return tower.memo(("one-minus-alpha", tuple(g.key() for g in gens), m), build)
+    p, nf = tower.p, tower.n * tower.f
+    sub = tower.cent_layer(gens, m)
+    amat = _alpha_matrix(tower, m)
+    A = (sub - sub @ amat.T).T % p
+    red, piv = _modp.rref(
+        np.concatenate([A, np.eye(nf, dtype=np.int64)], axis=1), p,
+        pivot_cols=A.shape[1])
+    ops = red[:, A.shape[1]:]
+    x = np.zeros((sub.shape[0], nf), dtype=np.int64)
+    x[piv] = ops[: len(piv)]
+    return x.T @ sub % p, ops[len(piv):]
 
 
 def _solve_one_minus_alpha(tower: TowerSpec, m: int, gens: tuple,

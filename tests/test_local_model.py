@@ -1034,7 +1034,7 @@ def test_one_degree_map_per_grade(make):
         assert np.array_equal(t.layer_coords(X, m), vecs)
         assert t.valuation(X).tolist() == [m] * 3
     added = set(t._memo) - before
-    assert {key[0] for key in added} == {"degree-map"}
+    assert {key[0] for key in added} == {"_degree_map"}
     assert {key[1] for key in added} >= set(range(-4, 5))
     for _, m in added:
         ts, tensor, slots, kmat = t._degree_map(m)
