@@ -1,4 +1,4 @@
-"""Every TowerSpec.memo family gives the same value whatever ran before it.
+"""Every memoized family gives the same value whatever ran before it.
 
 A memo key must name everything its value reads.  For each family, the
 value built on a fresh tower is compared with the value built on another
@@ -26,7 +26,7 @@ from strbc.local_model import (
     j0_lattice,
     level_gens,
 )
-from strbc.stratum import builtin_case
+from strbc.stratum import StratumSpec, builtin_case
 
 from _support import R1_CASE_NAMES, coeff
 
@@ -54,20 +54,20 @@ def generators(t, s):
 
 FAMILIES = {
     "m_of": lambda t, s: [t.m_of(c) for c in generators(t, s)],
-    "degree-map": lambda t, s: [t._degree_map(m) for m in window(t, s)],
-    "cent": lambda t, s: [outcome(lambda: t.cent_layer((c,), m))
+    "_degree_map": lambda t, s: [t._degree_map(m) for m in window(t, s)],
+    "cent_layer": lambda t, s: [outcome(lambda: t.cent_layer((c,), m))
                           for c in generators(t, s) for m in (0, 1, 6)],
-    "Wz": lambda t, s: build_Wz(t, s),
-    "iwahori": lambda t, s: iwahori_indices(t, s),
-    "lattice-layer": lambda t, s: [(h1_lattice(t, s).layer(m), j0_lattice(t, s).layer(m))
+    "build_Wz": lambda t, s: build_Wz(t, s),
+    "iwahori_indices": lambda t, s: iwahori_indices(t, s),
+    "_lattice_layer": lambda t, s: [(h1_lattice(t, s).layer(m), j0_lattice(t, s).layer(m))
                                    for m in window(t, s)],
-    "alpha": lambda t, s: [outcome(lambda: _alpha_matrix(t, m)) for m in range(-2, 4)],
-    "alpha-fixed": lambda t, s: [outcome(lambda: _alpha_fixed_basis(t, m))
+    "_alpha_matrix": lambda t, s: [outcome(lambda: _alpha_matrix(t, m)) for m in range(-2, 4)],
+    "_alpha_fixed_basis": lambda t, s: [outcome(lambda: _alpha_fixed_basis(t, m))
                                  for m in range(-2, 4)],
-    "annihilator": lambda t, s: [stratum._annihilator(t, b.basis)
+    "_annihilator": lambda t, s: [stratum._annihilator(t, b.basis)
                                  for b in build_Wz(t, s).blocks],
-    "unit-mats": lambda t, s: stratum._unit_mats(t, 1, -np.arange(t.kE.q - 1)),
-    "one-minus-alpha": lambda t, s: [
+    "_unit_mat_stack": lambda t, s: stratum._unit_mats(t, 1, -np.arange(t.kE.q - 1)),
+    "_one_minus_alpha_solver": lambda t, s: [
         stratum._one_minus_alpha_solver(t, level_gens(s, 0), m)
         for m in range(2 * s.s_list[0] + 1)],
 }
@@ -117,3 +117,29 @@ def test_short_generator_raises_after_full_precision_call():
     assert t.cent_layer((t.e_monomial(-1),), 6).shape == (1, 3)
     with pytest.raises(PrecisionTooLow, match="precision is 2"):
         t.cent_layer(short, 6)
+
+
+def e5f1_strata():
+    """c = w_E^-1 and c = w_E^-3 on one fresh e5f1 tower."""
+    t = build_tower(TowerConfig(q=3, e=5, f=1, N=12))
+    return [StratumSpec(t, [t.e_monomial(r)]) for r in (-1, -3)]
+
+
+def test_two_strata_on_one_tower_differ_in_Wz_not_in_iwahori():
+    a, b = e5f1_strata()
+    assert [blk.grade for blk in build_Wz(a.tower, a).blocks] == [0]
+    assert [blk.grade for blk in build_Wz(b.tower, b).blocks] == [1]
+    # Equal values: only the key rule keeps the iwahori family apart here.
+    assert iwahori_indices(a.tower, a) == iwahori_indices(b.tower, b) == (243, 243)
+
+
+@pytest.mark.parametrize("warm_with", [0, 1])
+@pytest.mark.parametrize("name", FAMILIES)
+def test_memo_values_tell_two_strata_on_one_tower_apart(name, warm_with):
+    build = FAMILIES[name]
+    fresh = e5f1_strata()[1 - warm_with]
+    first = build(fresh.tower, fresh)
+    warm = e5f1_strata()
+    build(warm[warm_with].tower, warm[warm_with])
+    other = warm[1 - warm_with]
+    assert same(first, build(other.tower, other)), name
