@@ -121,6 +121,58 @@ def test_cyc_root_scan_flags_each_use(snippet, flagged):
     assert list(_cyc_root_uses(ast.parse(snippet))) == flagged
 
 
+def _hand_memo_uses(tree: ast.AST):
+    """Line numbers of hand-kept memo code in a module: a ._memo or .memo
+    attribute, or a .key() or .tobytes() call, outside the memoized
+    decorator, its _content and a key() method.  Creating the memo, a store
+    of an empty dict into ._memo, is exempt."""
+    def walk(node, exempt):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            exempt = exempt or node.name in ("memoized", "_content", "key")
+        targets = getattr(node, "targets", [getattr(node, "target", None)])
+        if (isinstance(node, (ast.Assign, ast.AnnAssign))
+                and isinstance(node.value, ast.Dict) and not node.value.keys
+                and all(isinstance(t, ast.Attribute) and t.attr == "_memo"
+                        for t in targets)):
+            return
+        if not exempt and (
+                isinstance(node, ast.Attribute) and node.attr in ("_memo", "memo")
+                or isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr in ("key", "tobytes")):
+            yield node.lineno
+        for child in ast.iter_child_nodes(node):
+            yield from walk(child, exempt)
+
+    return list(walk(tree, False))
+
+
+def test_memo_keys_come_only_from_the_decorator():
+    # One key rule: a memoized builder is keyed by its name and the content
+    # of its arguments, and nothing else reads, writes or keys a tower's memo.
+    found = [
+        f"{path.name}:{line}"
+        for path in sorted(SRC.glob("*.py"))
+        for line in _hand_memo_uses(ast.parse(path.read_text(), str(path)))
+    ]
+    assert not found, f"memo kept by hand in src/strbc: {found}"
+
+
+@pytest.mark.parametrize("snippet, flagged", [
+    ("t._memo[k] = v", [1]), ("hit = t._memo.get(k)", [1]),
+    ("t._memo = {1: 2}", [1]), ("v = t.memo(('cent', m), build)", [1]),
+    ("key = ('cent', tuple(g.key() for g in gens), m)", [1]),
+    ("key = (b.shape, b.tobytes())", [1]),
+    ("def build(t):\n    return t._memo", [2]),
+    ("def memoized(build):\n    def cached(t, *a):\n        return t._memo.get(a)", []),
+    ("def _content(x):\n    return x.key(), x.tobytes()", []),
+    ("class E:\n    def key(self):\n        return self.rows.tobytes()", []),
+    ("class T:\n    def __init__(self):\n        self._memo: dict = {}", []),
+    ("self._memo = {}", []), ("@memoized\ndef f(t, m):\n    return m", []),
+])
+def test_memo_scan_flags_each_hand_kept_use(snippet, flagged):
+    assert _hand_memo_uses(ast.parse(snippet)) == flagged
+
+
 def _unread_names(trees: dict[str, ast.AST]) -> list[str]:
     """Functions, methods, properties, classes and module-level names, public
     or private, that the modules define but never read: no load of the name
