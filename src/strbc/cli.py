@@ -8,9 +8,10 @@ Four subcommands assemble the library into reproducible experiments:
 * ``base-change``  the tame base-change datum with its covariance checks.
 
 Experiments are selected either with ``--case <name>`` (one of the built-in
-desk instances) or with a JSON config file (schema_version 1; unknown keys
-are errors, and so is a run key or character block that the subcommand
-never reads), never both; a config names either a case or a tower and
+desk instances) or with a JSON config file (schema_version 1), never both.
+Unknown keys are errors, and so is a run key or block that the subcommand
+never reads: ``gauss`` reads no stratum, so it refuses a tower, stratum or
+character block.  Every other subcommand needs a case or a tower and
 stratum.  ``--json <path>`` writes the machine-readable payload, and a path
 that cannot be written is refused before any work.
 
@@ -170,11 +171,9 @@ class ExperimentConfig:
         unread = set(self.run) - {"seed"} - _RUN_KEYS.get(command, set())
         if unread:
             raise ConfigError(f"{command} does not read run keys {sorted(unread)}")
-        blocks = [name for name in ("tower", "stratum", "character")
-                  if getattr(self, name)]
+        blocks = [b for b in ("tower", "stratum", "character") if getattr(self, b)]
         if command == "gauss" and blocks:
-            raise ConfigError(f"gauss does not read the {' and '.join(blocks)} "
-                              f"block{'s' if len(blocks) > 1 else ''}")
+            raise ConfigError(f"gauss does not read blocks {blocks}")
 
     def build_stratum(self) -> StratumSpec:
         """Re-runs every tower, stratum and character constraint on the
