@@ -28,9 +28,8 @@ spaces W_z, and the unipotent-radical index counts are all computed by
 small exact linear algebra over k.  cent_layer is the one solver for a
 centralizer layer; minimality is read from it too.  The basis of a degree-m
 layer enters such a computation as one MatF stack, mat_from_layer(m,
-identity), not one matrix per row.  Each of these is built once per tower
-by a builder decorated with memoized, which keys the tower's memo by the
-builder's name and the content of its arguments; no key is written by hand.
+identity), not one matrix per row.  Each is built once per tower by a
+memoized builder, keyed by its name and the content of its arguments.
 """
 
 from __future__ import annotations

@@ -157,6 +157,19 @@ def test_memo_keys_come_only_from_the_decorator():
     assert not found, f"memo kept by hand in src/strbc: {found}"
 
 
+def test_memoized_builder_names_are_unique():
+    # A memo key starts with the builder's name, so two builders of one
+    # name would share entries.
+    names = [
+        node.name
+        for path in sorted(SRC.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, ast.FunctionDef)
+        and any(isinstance(d, ast.Name) and d.id == "memoized" for d in node.decorator_list)
+    ]
+    assert len(names) == len(set(names)) == 11, names
+
+
 @pytest.mark.parametrize("snippet, flagged", [
     ("t._memo[k] = v", [1]), ("hit = t._memo.get(k)", [1]),
     ("t._memo = {1: 2}", [1]), ("v = t.memo(('cent', m), build)", [1]),
