@@ -6,9 +6,11 @@ The commands cover ``sign`` and ``base-change`` on the five d = 0 cases,
 ``sign`` on the two q7 configs, ``reducibility`` on u1, e3f1, e1f2, e5f1 and
 the sampled e3f2 config, ``gauss`` at its default and at a seed with three
 threads, the gauss grid config at one and two threads, the three
-out-of-scope d1-tower runs, and eight configs off the built-in cases: W_z
+out-of-scope d1-tower runs, eight configs off the built-in cases (W_z
 blocks past grade 0 (r_0 = 3 or 5, wild and tame), f = 3, q = 5, the least
-allowed precision N = 3 and a non-minimal c_0 that exits 2.  A change that is meant to alter an output
+allowed precision N = 3 and a non-minimal c_0 that exits 2), and ``sign`` and
+``base-change`` at depth 1 on q3_e3f2_d1, whose W_z has two blocks and
+whose per-block D-forms are checked.  A change that is meant to alter an output
 regenerates the files with ``PYTHONPATH=src python tests/test_golden.py``
 and says why.
 """
@@ -51,7 +53,8 @@ COMMANDS = (
         ("sign", "q3_e3f1_r5"), ("sign", "q3_e3f2_r5"),
         ("base-change", "q3_e5f1_r3"), ("sign", "q5_e1f2_r3"),
         ("sign", "q3_e1f3"), ("reducibility", "q3_e3f1_N3"),
-        ("reducibility", "q5_e3f1"), ("sign", "q3_e3f2_nonminimal"))]
+        ("reducibility", "q5_e3f1"), ("sign", "q3_e3f2_nonminimal"),
+        ("sign", "q3_e3f2_d1"), ("base-change", "q3_e3f2_d1"))]
 )
 
 
