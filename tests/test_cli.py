@@ -265,6 +265,24 @@ def test_cli_needs_a_case_or_a_tower(command, capsys, tmp_path):
     assert line == "error: config needs either a case or a tower block"
 
 
+_DEPTH_ONE = {"q": 3, "e": 3, "f": 2, "levels": [[3, 2], [1, 2], [1, 1]]}
+
+
+@pytest.mark.parametrize("tower, message", [
+    ({**_DEPTH_ONE, "d": 1}, "error: unknown keys in tower block: ['d']"),
+    ({"q": 3, "e": 1, "f": 1, "levels": [[1, 1]]},
+     "error: invalid tower or stratum: chain must run from E_0 = E down to "
+     "E_{d+1} = F, d >= 0"),
+], ids=["depth-key", "one-level"])
+def test_cli_refuses_a_depth_key_or_a_short_chain(tower, message, capsys,
+                                                 tmp_path):
+    # The depth d is len(levels) - 2, so the config cannot state it.
+    cfgp = tmp_path / "cfg.json"
+    cfgp.write_text(json.dumps({"schema_version": 1, "tower": tower,
+                                "stratum": {"c": [[0, -5], [1, -3]]}}))
+    assert run_refused(["sign", str(cfgp)], capsys) == message
+
+
 def test_cli_bad_config_path(capsys):
     code, _, err = run(["sign", "/nonexistent/x.json"], capsys)
     assert code == 2

@@ -184,6 +184,13 @@ def test_bad_chains_rejected():
         build_tower(TowerConfig(q=3, e=3, f=1, levels=((3, 1), (3, 1))))
 
 
+@pytest.mark.parametrize("levels", [((1, 1),), ()])
+def test_a_chain_needs_two_levels(levels):
+    # d = len(levels) - 2 must not be negative.
+    with pytest.raises(BadChain):
+        build_tower(TowerConfig(q=3, e=1, f=1, levels=levels))
+
+
 def test_nonprime_or_even_q_rejected():
     with pytest.raises(ValueError):
         build_tower(TowerConfig(q=9, e=1, f=1))
