@@ -47,6 +47,7 @@ from .gauss import (
     gauss_sum_closed,
 )
 from .hecke_bc import (
+    IMAG_TOKEN,
     HeckeParams,
     InconsistentParams,
     LevelZeroChar,
@@ -88,7 +89,6 @@ def _or_null(kind: tuple) -> tuple:
 # What each key of a block holds, as (description, check).
 _INT = ("an integer", _is_int)
 _POS = ("an integer >= 1", lambda v: _is_int(v, 1))
-_NAT = ("an integer >= 0", lambda v: _is_int(v, 0))
 _PRIMES = (f"a non-empty list of odd primes up to {_MAX_ORDER}",
            lambda v: isinstance(v, list) and v != [] and all(
                _is_int(x, 3) and x <= _MAX_ORDER and _is_prime(x) for x in v))
@@ -96,7 +96,7 @@ _PAIRS = ("a list of integer pairs", lambda v: isinstance(v, list) and all(
     isinstance(x, list) and len(x) == 2 and all(map(_is_int, x)) for x in v))
 _TOP_KEYS = {"schema_version", "case", "tower", "stratum", "character", "run"}
 _SCHEMA = {
-    "tower": {"q": _POS, "e": _POS, "f": _POS, "d": _NAT, "N": _or_null(_INT),
+    "tower": {"q": _POS, "e": _POS, "f": _POS, "N": _or_null(_INT),
               "levels": _or_null(_PAIRS), "u": _INT},
     "stratum": {"c": _PAIRS},
     "character": {"psi_twist": _INT},
@@ -191,7 +191,7 @@ class ExperimentConfig:
             levels = t.get("levels")
             try:
                 tower = build_tower(TowerConfig(
-                    q=t["q"], e=t["e"], f=t["f"], d=t.get("d", 0),
+                    q=t["q"], e=t["e"], f=t["f"],
                     N=t.get("N"), u=t.get("u", 1),
                     levels=None if levels is None else tuple(map(tuple, levels)),
                 ))
@@ -333,7 +333,7 @@ def _fmt_points(rep) -> str:
     real = sorted(rep.real_points)
     shifted = sorted(rep.shifted_points)
     parts = [str(x) for x in real]
-    parts += [f"{x} + {rep.imag_token}" if x else rep.imag_token
+    parts += [f"{x} + {IMAG_TOKEN}" if x else IMAG_TOKEN
               for x in shifted]
     return "{" + ", ".join(parts) + "}"
 
@@ -346,7 +346,7 @@ def cmd_reducibility(cfg: ExperimentConfig, args) -> int:
     sample = cfg.run.get("sample")
     twist = cfg.character.get("psi_twist", 1)
     chars = default_chars(s, AddChar(tower.k, twist))
-    by_val = by_oracle(s, chars, (1, 1), sample=sample, seed=seed,
+    by_val = by_oracle(s, chars, sample=sample, seed=seed,
                        bound=args.bound)
     half = (qE - 1) // 2
     mu_lo = MultChar(tower.kE, half * (tower.f - 1))
@@ -358,15 +358,15 @@ def cmd_reducibility(cfg: ExperimentConfig, args) -> int:
     hp = HeckeParams(qE, 1, 1, c_y, c_z, b_y=by_val, b_z=bz_lo)
     hp0 = HeckeParams(qE, 1, 0, c_y, c_z, b_z=bz_hi)
     by_val, bz_lo, bz_hi = (v.as_int() for v in (by_val, bz_lo, bz_hi))
-    eps_z = 1 if bz_lo > 0 else -1
+    eps_z = hp.b["z"].sign
     spec = normalized_spectrum(hp)
-    rho = LevelZeroChar(tower.kE, MultChar(tower.kE, half), side="u")
+    rho_minus_one = MultChar(tower.kE, half).sign(-tower.kE.one())
     rows = []
     reports = {}
-    for label, varpi in [("matched", to_turns(rho.minus_one() * eps_z)),
-                         ("twisted", to_turns(-rho.minus_one() * eps_z))]:
-        rt = LevelZeroChar(tower.kE, mu_lo, varpi_turns=varpi, side="gl")
-        rep = solve_reducibility(hp, rt, rho, eps_z)
+    for label, varpi in [("matched", to_turns(rho_minus_one * eps_z)),
+                         ("twisted", to_turns(-rho_minus_one * eps_z))]:
+        rt = LevelZeroChar(tower.kE, mu_lo, varpi_turns=varpi)
+        rep = solve_reducibility(hp, rt, rho_minus_one, eps_z)
         reports[label] = rep
         rows.append({"candidate": label, "branch": rep.branch,
                      "points": _fmt_points(rep)})
@@ -410,12 +410,12 @@ def cmd_base_change(cfg: ExperimentConfig, args) -> int:
     rows = []
     ok = report["ok"]
     for exp in (0, half):
-        rho = LevelZeroChar(tower.kE, MultChar(tower.kE, exp), side="u")
-        rt = base_change(rho, eps, tower)
-        cov = rechoice_covariance(rt, rho, report, tower)
+        rho_minus_one = MultChar(tower.kE, exp).sign(-tower.kE.one())
+        rt = base_change(rho_minus_one, eps, tower)
+        cov = rechoice_covariance(rt, rho_minus_one, report, tower)
         ok = ok and cov
         rows.append({
-            "rho(-1)": rho.minus_one(),
+            "rho(-1)": rho_minus_one,
             "mu_power": rt.mu_part.exponent,
             "varpi_E": turns_sign(rt.varpi_turns),
             "varpi_F": turns_sign(checked_varpi_F_turns(rt, tower)),

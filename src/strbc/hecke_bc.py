@@ -123,32 +123,28 @@ class HeckeParams:
 
     b_w is pinned by the invariant b_w = eps_w (q_E - 1)(c_w/q_E)^{1/2}
     when r_w = 1 and b_w = 0 when r_w = 0.  A passed b_w, an integer or an
-    exact cyclotomic total, is validated; eps_w defaults to +1, or to -1
-    when a passed b_w is not positive.  ``rank``, ``k`` and ``b`` map each
-    generator to r_w, k_w and b_w (a QPower without its factor q_E - 1).
+    exact cyclotomic total, is validated; eps_w is -1 when a passed b_w is
+    not positive, else +1.  ``rank``, ``k`` and ``b`` map each generator to
+    r_w, k_w and b_w (a QPower of sign eps_w, without its factor q_E - 1).
     """
 
     def __init__(self, q_E: int, r_y: int, r_z: int, c_y: int, c_z: int,
-                 eps_y: int | None = None, eps_z: int | None = None,
                  b_y=None, b_z=None):
         if q_E < 3:
             raise InconsistentParams("q_E must be an odd prime power >= 3")
         if r_y not in (0, 1) or r_z not in (0, 1):
             raise InconsistentParams("ranks must be 0 or 1")
-        if eps_y not in (None, -1, 1) or eps_z not in (None, -1, 1):
-            raise InconsistentParams("eps_w must be signs")
         self.q_E = q_E
         self.rank = {"y": r_y, "z": r_z}
         self.k = {"y": _power_of(q_E, c_y), "z": _power_of(q_E, c_z)}
-        self.b = {"y": self._coefficient("y", eps_y, b_y),
-                  "z": self._coefficient("z", eps_z, b_z)}
+        self.b = {"y": self._coefficient("y", b_y),
+                  "z": self._coefficient("z", b_z)}
 
-    def _coefficient(self, w: str, eps: int | None, given) -> QPower:
+    def _coefficient(self, w: str, given) -> QPower:
         got = given.as_int() if isinstance(given, CycNum) else given
         if given is not None and got is None:
             raise InconsistentParams(f"b_{w} must be rational")
-        if eps is None:
-            eps = -1 if got is not None and got <= 0 else 1
+        eps = -1 if got is not None and got <= 0 else 1
         k = self.k[w]
         if self.rank[w] == 0:
             expect = QPower.zero()
@@ -215,46 +211,37 @@ def normalized_spectrum(hp: HeckeParams) -> dict[str, tuple[int, int]]:
 
 
 class LevelZeroChar:
-    """A tame character datum: a multiplicative character of the residue
-    Teichmueller group plus its value i^k at the uniformizer, kept as k.
+    """The tame datum of the big character rho-tilde: a multiplicative
+    character of the residue Teichmueller group plus its value i^k at the
+    uniformizer, kept as k.
 
-    GL side: the big character rho-tilde, with at most quadratic restriction
-    and rho-tilde(pi_E)^2 = rho-tilde(-1) (self-duality under the chosen
-    conjugation, which sends pi_E to -pi_E^{-1}).  U side: rho, where only
-    rho(-1) enters downstream.
+    The restriction is at most quadratic and rho-tilde(pi_E)^2 =
+    rho-tilde(-1) (self-duality under the chosen conjugation, which sends
+    pi_E to -pi_E^{-1}).  Of the U-side rho only rho(-1) enters, as a sign.
     """
 
     def __init__(self, field: FqField, mu_part: MultChar, *,
-                 varpi_turns: int | None = None, side: str = "gl"):
-        if side not in ("gl", "u"):
-            raise ValueError(f"side must be 'gl' or 'u', got {side!r}")
+                 varpi_turns: int):
         if mu_part.field != field:
             raise ValueError("mu_part must live on the given field")
         self.field = field
         self.mu_part = mu_part
-        self.side = side
-        if side == "gl":
-            half = (field.q - 1) // 2
-            if mu_part.exponent not in (0, half):
-                raise NotSelfDual(
-                    "restriction to the Teichmueller group must be at most "
-                    "quadratic"
-                )
-            if varpi_turns is None:
-                raise ValueError("the GL side needs a uniformizer value")
-            if turns_sign(2 * varpi_turns) != self.minus_one():
-                raise NotSelfDual(
-                    "uniformizer value squared must equal the value at -1"
-                )
-        self.varpi_turns = None if varpi_turns is None else varpi_turns % 4
+        if mu_part.exponent not in (0, (field.q - 1) // 2):
+            raise NotSelfDual(
+                "restriction to the Teichmueller group must be at most "
+                "quadratic"
+            )
+        if turns_sign(2 * varpi_turns) != self.minus_one():
+            raise NotSelfDual(
+                "uniformizer value squared must equal the value at -1"
+            )
+        self.varpi_turns = varpi_turns % 4
 
     def minus_one(self) -> int:
         return self.mu_part.sign(-self.field.one())
 
     def varpi_F_turns(self, tower: TowerSpec) -> int:
         """Value at pi_F = u^{-1} pi_E^e, as its quarter-turn exponent."""
-        if self.varpi_turns is None:
-            raise MissingSign("no uniformizer value recorded")
         # the restriction to units is at most quadratic, so its value on
         # u^{-1} is a plain sign
         unit = to_turns(self.mu_part.sign(tower.u.inverse()))
@@ -262,7 +249,7 @@ class LevelZeroChar:
 
     def __repr__(self):
         return (
-            f"LevelZeroChar({self.side}, mu^{self.mu_part.exponent} over "
+            f"LevelZeroChar(mu^{self.mu_part.exponent} over "
             f"F_{self.field.q}, varpi=i^{self.varpi_turns})"
         )
 
@@ -314,22 +301,19 @@ def checked_varpi_F_turns(rho_tilde: LevelZeroChar, tower: TowerSpec) -> int:
 @dataclass(frozen=True)
 class ReducibilityReport:
     real_points: frozenset
-    shifted_points: frozenset  # real parts of points offset by pi*i/log qE
-    imag_token: str
+    shifted_points: frozenset  # real parts of points offset by IMAG_TOKEN
     branch: str
 
 
 def solve_reducibility(hp: HeckeParams, rho_tilde: LevelZeroChar,
-                       rho: LevelZeroChar, eps_z: int) -> ReducibilityReport:
+                       rho_minus_one: int, eps_z: int) -> ReducibilityReport:
     """The reducibility points of the family attached to the datum.
 
     Matches rho-tilde(pi_E) q_E^s against each product branch of the two
     eigenvalue lists (with both generator normalizations cancelled) and
     solves for s by exponent comparison; a sign mismatch contributes the
-    offset pi*i/log q_E.
+    offset pi*i/log q_E.  rho_minus_one is rho(-1) of the U-side character.
     """
-    if rho_tilde.side != "gl":
-        raise NotSelfDual("need the GL-side character")
     if eps_z not in (-1, 1):
         raise MissingSign("eps_z sign unavailable")
     from fractions import Fraction  # here, since it also loads decimal
@@ -345,7 +329,7 @@ def solve_reducibility(hp: HeckeParams, rho_tilde: LevelZeroChar,
             raise NotSelfDual(
                 "the r_z = 1 branch needs a rational uniformizer value"
             )
-        agree = w == rho.minus_one() * eps_z
+        agree = w == rho_minus_one * eps_z
         if agree:
             real = {s1, -s1}
             shifted = {s2} if s2 == 0 else {s2, -s2}
@@ -363,7 +347,6 @@ def solve_reducibility(hp: HeckeParams, rho_tilde: LevelZeroChar,
     return ReducibilityReport(
         real_points=frozenset(real),
         shifted_points=frozenset(shifted),
-        imag_token=IMAG_TOKEN,
         branch=branch,
     )
 
@@ -372,24 +355,22 @@ def solve_reducibility(hp: HeckeParams, rho_tilde: LevelZeroChar,
 # Base change.
 
 
-def base_change(rho: LevelZeroChar, eps_z: int, tower: TowerSpec) -> LevelZeroChar:
-    """The GL-side tame datum matched to the U-side one.
+def base_change(rho_minus_one: int, eps_z: int, tower: TowerSpec) -> LevelZeroChar:
+    """The GL-side tame datum matched to the U-side one, given by rho(-1).
 
     The restriction to the Teichmueller group is the (f-1)-th power of the
     quadratic character and the uniformizer value is rho(-1) times the
     computed Gauss-sum sign.
     """
-    if rho.side != "u":
-        raise ValueError("base change starts from the U-side character")
     if eps_z not in (-1, 1):
         raise MissingSign("the Gauss-sum sign must be +-1")
     kE = tower.kE
     mu = MultChar(kE, (kE.q - 1) // 2 * (tower.f - 1))
-    return LevelZeroChar(kE, mu, varpi_turns=to_turns(rho.minus_one() * eps_z),
-                         side="gl")
+    return LevelZeroChar(kE, mu,
+                         varpi_turns=to_turns(rho_minus_one * eps_z))
 
 
-def rechoice_covariance(rho_tilde: LevelZeroChar, rho: LevelZeroChar,
+def rechoice_covariance(rho_tilde: LevelZeroChar, rho_minus_one: int,
                         invariance_report: dict, tower: TowerSpec) -> bool:
     """Whether the base-change relation is stable under every uniformizer
     rechoice pi_E -> u pi_E recorded in an epsilon_z_invariance report.
@@ -398,8 +379,6 @@ def rechoice_covariance(rho_tilde: LevelZeroChar, rho: LevelZeroChar,
     big character at the new uniformizer picks up exactly the same factor,
     so the relation must hold verbatim for every unit row.
     """
-    if rho_tilde.side != "gl":
-        raise NotSelfDual("need the GL-side character")
     chi = quadratic_residue_char(tower.kE)
     base = turns_sign(rho_tilde.varpi_turns)
     if base is None:
@@ -408,6 +387,6 @@ def rechoice_covariance(rho_tilde: LevelZeroChar, rho: LevelZeroChar,
     for row in invariance_report["uniformizer"]:
         u = tower.kE.element(row["unit"])
         lhs = base * (chi.sign(u) ** (tower.f - 1))
-        if lhs != rho.minus_one() * row["sign"]:
+        if lhs != rho_minus_one * row["sign"]:
             return False
     return True

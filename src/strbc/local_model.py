@@ -499,7 +499,6 @@ class TowerConfig:
     q: int
     e: int
     f: int
-    d: int = 0
     N: int | None = None
     levels: tuple[tuple[int, int], ...] | None = None
     u: int = 1
@@ -518,13 +517,9 @@ class TowerSpec:
         # which would vanish identically there.
         levels = config.levels
         if levels is None:
-            if config.d != 0:
-                raise BadChain("explicit levels are required when d > 0")
             levels = ((e, f), (1, 1))
         levels = tuple(tuple(x) for x in levels)
-        if len(levels) != config.d + 2:
-            raise BadChain("levels must list E_0..E_{d+1}")
-        if levels[0] != (e, f) or levels[-1] != (1, 1):
+        if len(levels) < 2 or levels[0] != (e, f) or levels[-1] != (1, 1):
             raise BadChain("chain must run from E_0 = E down to E_{d+1} = F")
         for (ea, fa), (eb, fb) in zip(levels, levels[1:]):
             if ea % eb or fa % fb:
@@ -536,7 +531,7 @@ class TowerSpec:
         self.e = e
         self.f = f
         self.n = e * f
-        self.d = config.d
+        self.d = len(levels) - 2
         self.levels = levels
         self.k = kk
         self.kE = get_field(q, f)

@@ -48,6 +48,7 @@ from .gauss import (
     SignResult,
     gauss_sum_brute,
     normalized_sign,
+    phase_sum,
 )
 from .local_model import (
     EElem,
@@ -394,14 +395,13 @@ class SimpleCharSpec:
     """A simple character over a stratum.
 
     Of its twist elements b_0, ..., b_{d+1} in F only the last one enters
-    the evaluation window, through the residue ``det_twist`` in F_p of
-    w_F b_{d+1} (the deeper ones are pinned by the gluing conditions and
-    cancel in every oracle product).  ``side`` is "gl" for the big
-    character theta-tilde and "u" for its square root theta, realized by
-    halving c_0 and the twist.
+    the evaluation window, through the residue 1 of w_F b_{d+1} in F_p (the
+    deeper ones are pinned by the gluing conditions and cancel in every
+    oracle product).  ``side`` is "gl" for the big character theta-tilde and
+    "u" for its square root theta, realized by halving c_0 and the twist.
     """
 
-    def __init__(self, stratum: StratumSpec, psi: AddChar, det_twist: int,
+    def __init__(self, stratum: StratumSpec, psi: AddChar,
                  side: str = "gl"):
         if side not in ("gl", "u"):
             raise ValueError(f"side must be 'gl' or 'u', got {side!r}")
@@ -412,26 +412,25 @@ class SimpleCharSpec:
             raise ValueError("psi must be nontrivial")
         self.stratum = stratum
         self.psi = psi
-        self.det_twist = det_twist % tower.p
         self.side = side
         half = (tower.p + 1) // 2
         if side == "u":
-            self.bhat = self.det_twist * half % tower.p
+            self.bhat = half
             self.c_eff = tuple(c.scale(half) for c in stratum.c_elems)
         else:
-            self.bhat = self.det_twist
+            self.bhat = 1
             self.c_eff = stratum.c_elems
 
 
 def default_chars(s: StratumSpec, psi: AddChar | None = None
                   ) -> tuple[SimpleCharSpec, SimpleCharSpec]:
-    """A matched (big, square-root) character pair with det twist 1."""
+    """A matched (big, square-root) character pair."""
     tower = s.tower
     if psi is None:
         psi = AddChar(tower.k, 1)
     return (
-        SimpleCharSpec(s, psi, 1, side="gl"),
-        SimpleCharSpec(s, psi, 1, side="u"),
+        SimpleCharSpec(s, psi, side="gl"),
+        SimpleCharSpec(s, psi, side="u"),
     )
 
 
@@ -481,10 +480,9 @@ def eval_simple_char(chi: SimpleCharSpec, g: MatF):
     if not W.is_zero():
         prod = tower.m_of(chi.c_eff[0]) @ W
         phase = np.trace(prod.layer(0), axis1=-2, axis2=-1) % p
-    if chi.bhat:
-        det = det_unit(g.truncated(2))
-        _fail_first(det[..., 0] != 1, NotInDomain, "determinant is not a one-unit")
-        phase = phase + chi.bhat * det[..., 1]
+    det = det_unit(g.truncated(2))
+    _fail_first(det[..., 0] != 1, NotInDomain, "determinant is not a one-unit")
+    phase = phase + chi.bhat * det[..., 1]
     expo = chi.psi.twist.coeffs[0] * phase % p
     return expo if g.batch else int(expo)
 
@@ -656,8 +654,6 @@ def _check_char_pair(s: StratumSpec, chars) -> tuple[SimpleCharSpec, SimpleCharS
         raise ValueError("character pair must sit on the given stratum")
     if big.psi != root.psi:
         raise ValueError("character pair must share psi")
-    if big.det_twist != root.det_twist:
-        raise ValueError("character pair must share the det twist")
     return big, root
 
 
@@ -684,15 +680,13 @@ def _y_side_zbases(s: StratumSpec) -> list[tuple[int, np.ndarray]]:
     return out
 
 
-def by_oracle(s: StratumSpec, chars, rho_signs: tuple[int, int],
+def by_oracle(s: StratumSpec, chars,
               sample: int | None = None, seed: int = 0,
               bound: int = DEFAULT_ENUMERATION_BOUND) -> CycNum:
     """Enumerates the first-generator coset representatives, checks that the
     normalized integrand is one and the same value at every representative,
-    and returns the full sum.
-
-    ``rho_signs`` carries the two residue-character constants (the value of
-    the big character at -2 and of its square root at -1).  With ``sample``
+    and returns the full sum (the two residue-character constants, the big
+    character at -2 and its square root at -1, count as +1).  With ``sample``
     set, constancy is verified on that many deterministically chosen
     representatives and the sum is count * constant.  A run over more than
     ``bound`` representatives raises EnumerationTooLarge up front.  The
@@ -700,9 +694,6 @@ def by_oracle(s: StratumSpec, chars, rho_signs: tuple[int, int],
     """
     _check_window(s, "by_oracle")
     big, root = _check_char_pair(s, chars)
-    rho1, rho2 = rho_signs
-    if rho1 * rho1 != 1 or rho2 * rho2 != 1:
-        raise ValueError("rho constants must be signs")
     tower = s.tower
     p, kE = tower.p, tower.kE
     zbases = _y_side_zbases(s)
@@ -735,7 +726,7 @@ def by_oracle(s: StratumSpec, chars, rho_signs: tuple[int, int],
 
     _walk(kE, p, zdim, sample, seed, bound, step,
           "integrand is not constant across representatives")
-    return (rho1 * rho2 * (kE.q - 1) * p**zdim) * cyc_root(p, const)
+    return ((kE.q - 1) * p**zdim) * cyc_root(p, const)
 
 
 # Oracle terms evaluated together on the batch axis of MatF.  A chunk may
@@ -810,7 +801,7 @@ def bz_oracle(s: StratumSpec, chars, mus: tuple,
     Path A evaluates, for each (y, X), the simple characters at the solved
     (Y', 1 - alpha(X) Y^-1 X) pair as an exponent of zeta_p, which must be
     the term's Gauss-sum phase psi(Q_y(X)); the determinant exchange identity
-    is asserted on it.  Path B sums psi(Q_y) with ``gauss_sum_brute``, and
+    is asserted on it.  Path B sums psi(Q_y) with ``phase_sum``, and
     the two totals must agree exactly.  With ``sample`` set, path A is
     verified on that many deterministically chosen terms and the path-B
     totals are returned (the per-term identity is what makes the totals
@@ -839,9 +830,9 @@ def bz_oracle(s: StratumSpec, chars, mus: tuple,
     # Row k belongs to the unit y = g^k: its phase form (scalar y^-1 w_E / 2),
     # its prime Gram and its weights mu(-y), where -y = g^(k + (q_E - 1) / 2).
     two = kE.from_int(2).discrete_log()
-    spaces = [_symmetrized_space(tower, _gauss_gram(
-        s, wz, tower.e_monomial(1, kE.exp(-k - two)))) for k in range(kE.q - 1)]
-    grams = np.stack([space.prime_gram(big.psi) for space in spaces])
+    grams = np.stack([_symmetrized_space(tower, _gauss_gram(
+        s, wz, tower.e_monomial(1, kE.exp(-k - two)))).prime_gram(big.psi)
+        for k in range(kE.q - 1)])
     signs = np.array([[mu.sign(kE.exp(k + (kE.q - 1) // 2)) for mu in mus]
                       for k in range(kE.q - 1)], dtype=np.int64)
 
@@ -858,8 +849,8 @@ def bz_oracle(s: StratumSpec, chars, mus: tuple,
                     "direct term value disagrees with its Gauss-sum phase")
     # Path B: one Gauss sum of the phase form per y.
     totals_b = [CycNum.zero(p)] * len(mus)
-    for space, row in zip(spaces, signs.tolist()):
-        gy = gauss_sum_brute(space, big.psi, bound=bound)
+    for gram, row in zip(grams, signs.tolist()):
+        gy = phase_sum(gram, p)
         totals_b = [t + w * gy for t, w in zip(totals_b, row)]
     totals_a = [CycNum(p, row.tolist()) for row in weights]
     if not sampled and totals_a != totals_b:
@@ -914,7 +905,7 @@ _CASE_DATA = {
     "e5f1": dict(config=TowerConfig(q=3, e=5, f=1, N=12), c=[(0, -1)]),
     "d1-tower": dict(
         config=TowerConfig(
-            q=3, e=3, f=2, d=1, N=8, levels=((3, 2), (3, 1), (1, 1))
+            q=3, e=3, f=2, N=8, levels=((3, 2), (3, 1), (1, 1))
         ),
         c=[(1, -3), (0, -1)],
     ),

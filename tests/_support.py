@@ -406,8 +406,6 @@ def bz_aux_independence(s, chars, y: FqElem, xv, aux_list) -> bool:
 def rank_values(rho_tilde: LevelZeroChar) -> tuple[int, int]:
     """(r_y, r_z): r_y = 1 always; r_z = 1 exactly when the restriction of
     the big character to the Teichmueller group is trivial."""
-    if rho_tilde.side != "gl":
-        raise ValueError("rank values are read off the GL-side character")
     return (1, 1 if is_trivial(rho_tilde.mu_part) else 0)
 
 

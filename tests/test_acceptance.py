@@ -198,7 +198,7 @@ def test_criterion_5_oracle_agreement():
         # constancy is asserted inside the oracle, at every representative;
         # value matches the closed form with the torsion normalization
         # divided out
-        assert by_oracle(s, chars, (1, 1)).as_int() == closed
+        assert by_oracle(s, chars).as_int() == closed
         mu_hi = MultChar(tower.kE, half * tower.f)
         mu_lo = MultChar(tower.kE, half * (tower.f - 1))
         hi, lo = bz_oracle(s, chars, (mu_hi, mu_lo), sample=sample)
@@ -247,22 +247,21 @@ def test_criterion_7_hecke_reducibility():
             r_y, r_z = hpx.rank["y"], hpx.rank["z"]
             want = {Fraction(r_y + r_z, 2), Fraction(abs(r_y - r_z), 2)}
             k = get_field(3, 1)
-            rho = LevelZeroChar(k, MultChar(k, 1), side="u")
+            rho = MultChar(k, 1).sign(-k.one())
             if r_z == 1:
                 rt = LevelZeroChar(k, MultChar(k, 0),
-                                   varpi_turns=to_turns(-1), side="gl")
+                                   varpi_turns=to_turns(-1))
                 rep = solve_reducibility(hpx, rt, rho, 1)
                 assert rep.real_points == frozenset({Fraction(1),
                                                      Fraction(-1)})
                 assert rep.shifted_points == frozenset({Fraction(0)})
                 flip = LevelZeroChar(k, MultChar(k, 0),
-                                     varpi_turns=to_turns(1), side="gl")
+                                     varpi_turns=to_turns(1))
                 rep2 = solve_reducibility(hpx, flip, rho, 1)
                 assert rep2.real_points == rep.shifted_points
                 assert rep2.shifted_points == rep.real_points
             else:
-                rt = LevelZeroChar(k, MultChar(k, 1), varpi_turns=1,
-                                   side="gl")
+                rt = LevelZeroChar(k, MultChar(k, 1), varpi_turns=1)
                 rep = solve_reducibility(hpx, rt, rho, 1)
                 assert rep.real_points == frozenset({HALF, -HALF})
                 assert rep.shifted_points == frozenset({HALF, -HALF})
@@ -278,8 +277,7 @@ def test_criterion_8_base_change():
     case = builtin_case("u1")
     eps = epsilon_z(case, _std_psi(case.tower)).value
     for exp, want in [(0, 1), (1, -1)]:
-        rho = LevelZeroChar(case.tower.kE, MultChar(case.tower.kE, exp),
-                            side="u")
+        rho = MultChar(case.tower.kE, exp).sign(-case.tower.kE.one())
         rt = base_change(rho, eps, case.tower)
         assert cyc_root(4, rt.varpi_F_turns(case.tower)).as_int() == want
     # rechoice invariance and composed reducibility point 1, per case
@@ -292,7 +290,7 @@ def test_criterion_8_base_change():
         c_y, c_z = iwahori_indices(tower, s)
         hp = HeckeParams(tower.kE.q, 1, 1, c_y, c_z)
         for exp in (0, half):
-            rho = LevelZeroChar(tower.kE, MultChar(tower.kE, exp), side="u")
+            rho = MultChar(tower.kE, exp).sign(-tower.kE.one())
             rt = base_change(rho, report["base"].value, tower)
             assert rechoice_covariance(rt, rho, report, tower)
             rep = solve_reducibility(hp, rt, rho, report["base"].value)

@@ -1,4 +1,5 @@
 import itertools
+from math import isqrt
 
 import pytest
 from fractions import Fraction
@@ -6,6 +7,7 @@ from fractions import Fraction
 from strbc.cyclotomic import CycNum, cyc_root
 from strbc.finite_field import MultChar, get_field, quadratic_residue_char
 from strbc.hecke_bc import (
+    IMAG_TOKEN,
     HeckeParams,
     InconsistentParams,
     LevelZeroChar,
@@ -45,12 +47,13 @@ ZETA4_POWERS = [cyc_root(4, k) for k in range(4)]
 
 def gl_char(exp=0, turns=0):
     k = get_field(3, 1)
-    return LevelZeroChar(k, MultChar(k, exp), varpi_turns=turns, side="gl")
+    return LevelZeroChar(k, MultChar(k, exp), varpi_turns=turns)
 
 
-def u_char(exp=0):
+def u_minus_one(exp=0):
+    """rho(-1) of the U-side character rho = mu^exp over F_3."""
     k = get_field(3, 1)
-    return LevelZeroChar(k, MultChar(k, exp), side="u")
+    return MultChar(k, exp).sign(-k.one())
 
 
 # ---------------------------------------------------------------------------
@@ -100,13 +103,13 @@ def test_params_reject_odd_half_exponent_with_rank_one():
 
 
 def test_eigenvalues_documented_example():
-    hp = HeckeParams(3, 1, 1, 3, 3, eps_y=1, eps_z=1, b_y=2, b_z=2)
+    hp = HeckeParams(3, 1, 1, 3, 3, b_y=2, b_z=2)
     ey = hecke_eigenvalues(hp)["y"]
     assert {v.as_int(3) for v in ey} == {-1, 3}
 
 
 def test_eigenvalues_sign_flip():
-    hp = HeckeParams(3, 1, 1, 3, 3, eps_y=-1, eps_z=1, b_y=-2)
+    hp = HeckeParams(3, 1, 1, 3, 3, b_y=-2, b_z=2)
     ey = hecke_eigenvalues(hp)["y"]
     assert {v.as_int(3) for v in ey} == {1, -3}
 
@@ -119,16 +122,20 @@ def test_eigenvalues_b_zero():
 
 def test_eigenvalues_large_index():
     # c = q^5 with r = 1: eps * {-q^2, q^3}
-    hp = HeckeParams(3, 1, 1, 243, 243, eps_y=1, eps_z=-1)
+    hp = HeckeParams(3, 1, 1, 243, 243, b_y=18, b_z=-18)
     eig = hecke_eigenvalues(hp)
     assert {v.as_int(3) for v in eig["y"]} == {-9, 27}
     assert {v.as_int(3) for v in eig["z"]} == {9, -27}
 
 
 def test_normalized_spectrum_is_rank_determined():
+    def b(r, c, eps):  # the b_w that the sign eps implies
+        return eps * 2 * isqrt(c // 3) if r else 0
+
     for (ry, rz, cy, cz) in [(1, 1, 3, 3), (1, 0, 3, 9), (1, 1, 27, 243)]:
         for ey, ez in itertools.product((-1, 1), repeat=2):
-            hp = HeckeParams(3, ry, rz, cy, cz, eps_y=ey, eps_z=ez)
+            hp = HeckeParams(3, ry, rz, cy, cz, b_y=b(ry, cy, ey),
+                             b_z=b(rz, cz, ez))
             spec = normalized_spectrum(hp)
             assert spec["y"] == (-1, 3**ry)
             assert spec["z"] == (-1, 3**rz)
@@ -142,15 +149,15 @@ def test_gl_char_needs_self_dual_data():
     k = get_field(3, 1)
     with pytest.raises(NotSelfDual):
         # quadratic restriction but uniformizer value squaring to +1
-        LevelZeroChar(k, MultChar(k, 1), varpi_turns=to_turns(1), side="gl")
+        LevelZeroChar(k, MultChar(k, 1), varpi_turns=to_turns(1))
     # the consistent choice is +-i
-    LevelZeroChar(k, MultChar(k, 1), varpi_turns=1, side="gl")
+    LevelZeroChar(k, MultChar(k, 1), varpi_turns=1)
 
 
 def test_gl_char_rejects_higher_order_restriction():
     k = get_field(3, 2)
     with pytest.raises(NotSelfDual):
-        LevelZeroChar(k, MultChar(k, 1), varpi_turns=to_turns(1), side="gl")
+        LevelZeroChar(k, MultChar(k, 1), varpi_turns=to_turns(1))
 
 
 def test_rank_values():
@@ -164,17 +171,17 @@ def test_rank_values():
 
 def test_reducibility_matched_branch():
     hp = HeckeParams(3, 1, 1, 3, 3)
-    rho = u_char(exp=1)  # rho(-1) = -1
+    rho = u_minus_one(exp=1)  # rho(-1) = -1
     rt = gl_char(exp=0, turns=to_turns(-1))  # rho-tilde(pi_E) = rho(-1) * eps_z, eps=+1
     rep = solve_reducibility(hp, rt, rho, 1)
     assert rep.real_points == frozenset({Fraction(1), Fraction(-1)})
     assert rep.shifted_points == frozenset({Fraction(0)})
-    assert rep.imag_token == "pi*i/log qE"
+    assert IMAG_TOKEN == "pi*i/log qE"
 
 
 def test_reducibility_flipped_branch_swaps_real_parts():
     hp = HeckeParams(3, 1, 1, 3, 3)
-    rho = u_char(exp=1)
+    rho = u_minus_one(exp=1)
     matched = solve_reducibility(hp, gl_char(exp=0, turns=to_turns(-1)), rho, 1)
     flipped = solve_reducibility(hp, gl_char(exp=0, turns=to_turns(1)), rho, 1)
     assert matched.real_points == flipped.shifted_points
@@ -185,7 +192,7 @@ def test_reducibility_flipped_branch_swaps_real_parts():
 
 def test_reducibility_half_integral_branch():
     hp = HeckeParams(3, 1, 0, 3, 9)
-    rho = u_char(exp=1)
+    rho = u_minus_one(exp=1)
     rt = gl_char(exp=1, turns=1)
     rep = solve_reducibility(hp, rt, rho, 1)
     assert rep.real_points == frozenset({HALF, -HALF})
@@ -201,14 +208,14 @@ def test_reducibility_s_pair_invariant():
             rt = gl_char(exp=0, turns=to_turns(1))
         else:
             rt = gl_char(exp=1, turns=1)
-        rep = solve_reducibility(hp, rt, u_char(0), 1)
+        rep = solve_reducibility(hp, rt, u_minus_one(0), 1)
         assert s_values(rep) == want
 
 
 def test_reducibility_requires_sign():
     hp = HeckeParams(3, 1, 1, 3, 3)
     with pytest.raises(MissingSign):
-        solve_reducibility(hp, gl_char(0, turns=to_turns(1)), u_char(0), None)
+        solve_reducibility(hp, gl_char(0, turns=to_turns(1)), u_minus_one(0), None)
 
 
 # ---------------------------------------------------------------------------
@@ -273,7 +280,7 @@ def test_varpi_F_turns_match_the_fourth_root_product(name):
         for turns in range(4):
             if cyc_root(4, 2 * turns) != mu.sign(-kE.one()):
                 continue
-            rt = LevelZeroChar(kE, mu, varpi_turns=turns, side="gl")
+            rt = LevelZeroChar(kE, mu, varpi_turns=turns)
             want = mu.sign(tower.u.inverse()) * cyc_root(4, turns) ** tower.e
             assert cyc_root(4, rt.varpi_F_turns(tower)) == want
             seen.add(cyc_root(4, turns).as_int())
@@ -292,7 +299,7 @@ def test_base_change_u1_both_signs():
     eps = epsilon_z(case, AddChar(tower.k, 1)).value
     assert eps == 1
     for exp, expect in [(0, 1), (1, -1)]:
-        rho = LevelZeroChar(tower.kE, MultChar(tower.kE, exp), side="u")
+        rho = MultChar(tower.kE, exp).sign(-tower.kE.one())
         rt = base_change(rho, eps, tower)
         assert is_trivial(rt.mu_part)
         assert cyc_root(4, rt.varpi_turns).as_int() == expect
@@ -301,7 +308,7 @@ def test_base_change_u1_both_signs():
 
 def test_base_change_missing_sign():
     case = builtin_case("u1")
-    rho = LevelZeroChar(case.tower.kE, MultChar(case.tower.kE, 1), side="u")
+    rho = MultChar(case.tower.kE, 1).sign(-case.tower.kE.one())
     with pytest.raises(MissingSign):
         base_change(rho, None, case.tower)
 
@@ -314,7 +321,7 @@ def test_base_change_rechoice_covariance(name):
     tower = case.tower
     report = epsilon_z_invariance(case, AddChar(tower.k, 1))
     assert report["ok"]
-    rho = LevelZeroChar(tower.kE, MultChar(tower.kE, 1), side="u")
+    rho = MultChar(tower.kE, 1).sign(-tower.kE.one())
     rt = base_change(rho, report["base"].value, tower)
     chi = quadratic_residue_char(tower.kE)
     assert rt.mu_part.exponent == chi.exponent * (tower.f - 1) % (
@@ -332,25 +339,11 @@ def test_rechoice_covariance_rejects_a_quarter_turn_uniformizer():
     tower = case.tower
     k = tower.kE
     report = epsilon_z_invariance(case, AddChar(tower.k, 1))
-    rho = LevelZeroChar(k, MultChar(k, 1), side="u")
+    rho = MultChar(k, 1).sign(-k.one())
     for turns in (1, 3):
-        rt = LevelZeroChar(k, MultChar(k, 1), varpi_turns=turns, side="gl")
+        rt = LevelZeroChar(k, MultChar(k, 1), varpi_turns=turns)
         with pytest.raises(NotSelfDual):
             rechoice_covariance(rt, rho, report, tower)
-
-
-def test_rechoice_covariance_rejects_a_u_side_rho_tilde():
-    # A U-side datum records no uniformizer value; the rechoice relation
-    # needs the GL-side one, as solve_reducibility does.
-    from strbc.finite_field import AddChar
-
-    case = builtin_case("u1")
-    tower = case.tower
-    k = tower.kE
-    report = epsilon_z_invariance(case, AddChar(tower.k, 1))
-    rho = LevelZeroChar(k, MultChar(k, 1), side="u")
-    with pytest.raises(NotSelfDual):
-        rechoice_covariance(rho, rho, report, tower)
 
 
 def test_base_change_feeds_reducibility_point_one():
@@ -366,7 +359,7 @@ def test_base_change_feeds_reducibility_point_one():
         c_y, c_z = iwahori_indices(tower, case)
         hp = HeckeParams(tower.kE.q, 1, 1, c_y, c_z)
         for exp in (0, (tower.kE.q - 1) // 2):
-            rho = LevelZeroChar(tower.kE, MultChar(tower.kE, exp), side="u")
+            rho = MultChar(tower.kE, exp).sign(-tower.kE.one())
             rt = base_change(rho, eps, tower)
             rep = solve_reducibility(hp, rt, rho, eps)
             assert Fraction(1) in rep.real_points

@@ -74,7 +74,7 @@ def tower_e5f1(N=12):
 
 def tower_d1(N=8):
     return build_tower(
-        TowerConfig(q=3, e=3, f=2, d=1, N=N, levels=((3, 2), (3, 1), (1, 1)))
+        TowerConfig(q=3, e=3, f=2, N=N, levels=((3, 2), (3, 1), (1, 1)))
     )
 
 
@@ -171,24 +171,18 @@ def test_even_ramification_rejected():
 
 def test_bad_chains_rejected():
     with pytest.raises(BadChain):
-        build_tower(TowerConfig(q=3, e=3, f=1, d=1))  # levels required
-    with pytest.raises(BadChain):
         build_tower(
-            TowerConfig(q=3, e=3, f=2, d=1, levels=((3, 2), (2, 1), (1, 1)))
+            TowerConfig(q=3, e=3, f=2, levels=((3, 2), (2, 1), (1, 1)))
         )
     with pytest.raises(BadChain):
         build_tower(
-            TowerConfig(q=3, e=3, f=2, d=1, levels=((3, 2), (3, 2), (1, 1)))
+            TowerConfig(q=3, e=3, f=2, levels=((3, 2), (3, 2), (1, 1)))
         )
+    for levels in [((1, 1),), ()]:  # d = len(levels) - 2 must be >= 0
+        with pytest.raises(BadChain):
+            build_tower(TowerConfig(q=3, e=1, f=1, levels=levels))
     with pytest.raises(BadChain):
         build_tower(TowerConfig(q=3, e=3, f=1, levels=((3, 1), (3, 1))))
-
-
-@pytest.mark.parametrize("levels", [((1, 1),), ()])
-def test_a_chain_needs_two_levels(levels):
-    # d = len(levels) - 2 must not be negative.
-    with pytest.raises(BadChain):
-        build_tower(TowerConfig(q=3, e=1, f=1, levels=levels))
 
 
 def test_nonprime_or_even_q_rejected():

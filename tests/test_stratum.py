@@ -178,7 +178,7 @@ def test_stratum_rejects_nonnegative_valuation():
 
 def test_stratum_rejects_increasing_exponents():
     t = build_tower(
-        TowerConfig(q=3, e=3, f=2, d=1, N=8, levels=((3, 2), (3, 1), (1, 1)))
+        TowerConfig(q=3, e=3, f=2, N=8, levels=((3, 2), (3, 1), (1, 1)))
     )
     with pytest.raises(ValueError):
         StratumSpec(t, [t.e_monomial(-1), t.e_monomial(-3, t.kE.generator)])
@@ -186,7 +186,7 @@ def test_stratum_rejects_increasing_exponents():
 
 def test_stratum_rejects_deep_element_off_its_level():
     t = build_tower(
-        TowerConfig(q=3, e=3, f=2, d=1, N=8, levels=((3, 2), (3, 1), (1, 1)))
+        TowerConfig(q=3, e=3, f=2, N=8, levels=((3, 2), (3, 1), (1, 1)))
     )
     # c_1 with a residue outside the level-1 subfield (f_1 = 1).
     with pytest.raises(NotInSubfield):
@@ -431,7 +431,7 @@ def test_eval_u_side_rejects_non_unitary():
 
 def test_eval_off_window_raises():
     s = builtin_case("d1-tower")
-    chi = SimpleCharSpec(s, std_psi(s.tower), 1, side="gl")
+    chi = SimpleCharSpec(s, std_psi(s.tower), side="gl")
     with pytest.raises(LinearizationInvalid):
         eval_simple_char(chi, MatF.identity(s.tower))
 
@@ -439,9 +439,9 @@ def test_eval_off_window_raises():
 def test_char_spec_validation():
     s = builtin_case("e3f1")
     with pytest.raises(ValueError):
-        SimpleCharSpec(s, std_psi(s.tower), 1, side="nope")
+        SimpleCharSpec(s, std_psi(s.tower), side="nope")
     with pytest.raises(ValueError):
-        SimpleCharSpec(s, AddChar(s.tower.k, 0), 1, side="gl")
+        SimpleCharSpec(s, AddChar(s.tower.k, 0), side="gl")
 
 
 # -- the coset solver --------------------------------------------------------
@@ -552,37 +552,30 @@ def test_by_oracle_closed_form():
     for name in R1_CASE_NAMES:
         s = builtin_case(name)
         chars = default_chars(s)
-        val = by_oracle(s, chars, (1, 1))
+        val = by_oracle(s, chars)
         assert val == CycNum.integer(CLOSED_MAGNITUDE[name], s.tower.p)
-
-
-def test_by_oracle_sign_linearity():
-    s = builtin_case("e3f1")
-    chars = default_chars(s)
-    assert by_oracle(s, chars, (1, -1)) == CycNum.integer(-6, 3)
-    assert by_oracle(s, chars, (-1, -1)) == CycNum.integer(6, 3)
 
 
 def test_by_oracle_off_window():
     s = builtin_case("d1-tower")
     psi = std_psi(s.tower)
     chars = (
-        SimpleCharSpec(s, psi, 1, side="gl"),
-        SimpleCharSpec(s, psi, 1, side="u"),
+        SimpleCharSpec(s, psi, side="gl"),
+        SimpleCharSpec(s, psi, side="u"),
     )
     with pytest.raises(LinearizationInvalid):
-        by_oracle(s, chars, (1, 1))
+        by_oracle(s, chars)
 
 
 @pytest.mark.parametrize("oracle", ["by", "bz"])
 def test_oracles_refuse_a_pair_with_two_psi(oracle):
     # A pair that does not share psi is bad input, not a failed cross-check.
     s = builtin_case("e3f1")
-    chars = (SimpleCharSpec(s, AddChar(s.tower.k, 1), 1, side="gl"),
-             SimpleCharSpec(s, AddChar(s.tower.k, 2), 1, side="u"))
+    chars = (SimpleCharSpec(s, AddChar(s.tower.k, 1), side="gl"),
+             SimpleCharSpec(s, AddChar(s.tower.k, 2), side="u"))
     with pytest.raises(ValueError, match="share psi"):
         if oracle == "by":
-            by_oracle(s, chars, (1, 1))
+            by_oracle(s, chars)
         else:
             bz_oracle(s, chars, (MultChar(s.tower.kE, 0),))
 
@@ -639,7 +632,7 @@ def test_oracles_do_no_residue_field_arithmetic_per_term(monkeypatch):
         s = builtin_case("e1f2")
         chars = default_chars(s)
         counts.clear()
-        by_oracle(s, chars, (1, 1), sample=sample)
+        by_oracle(s, chars, sample=sample)
         bz_oracle(s, chars, mu_pair(s.tower), sample=sample)
         seen[sample] = dict(counts)
     assert seen[1] == seen[None]
@@ -732,8 +725,8 @@ def test_bz_oracle_exhaustive_e1f2_term_count(monkeypatch):
 
 
 def test_bz_oracle_builds_one_phase_form_per_unit(monkeypatch):
-    # Each unit's phase form gives its prime Gram once to path A and once
-    # inside its path-B Gauss sum; a per-term rebuild would make 72 + 8.
+    # Each unit's phase form gives its prime Gram once, and paths A and B
+    # both read it; a per-term rebuild would make 72.
     s = builtin_case("e1f2")
     t = s.tower
     spaces = []
@@ -745,7 +738,7 @@ def test_bz_oracle_builds_one_phase_form_per_unit(monkeypatch):
 
     monkeypatch.setattr(gauss.QuadSpace, "prime_gram", spy)
     bz_oracle(s, default_chars(s), mu_pair(t))
-    assert len(spaces) == 2 * (t.kE.q - 1) == 16
+    assert len(spaces) == t.kE.q - 1 == 8
     assert len({id(space) for space in spaces}) == t.kE.q - 1
 
 
@@ -939,9 +932,9 @@ def test_oracles_refuse_past_bound(monkeypatch):
     assert len(seen) == 9
     # by_oracle: (q_E - 1) p^zdim = 24 representatives, or the sample.
     with pytest.raises(EnumerationTooLarge):
-        by_oracle(s, chars, (1, 1), bound=23)
-    assert by_oracle(s, chars, (1, 1), bound=24) == CycNum.integer(24, t.p)
-    assert by_oracle(s, chars, (1, 1), sample=5, bound=5) == CycNum.integer(24, t.p)
+        by_oracle(s, chars, bound=23)
+    assert by_oracle(s, chars, bound=24) == CycNum.integer(24, t.p)
+    assert by_oracle(s, chars, sample=5, bound=5) == CycNum.integer(24, t.p)
 
 
 def test_bz_oracle_refuses_before_any_phase_form(monkeypatch):
@@ -1154,7 +1147,7 @@ def test_chunked_by_oracle_matches_one_term_code(name, monkeypatch):
 
     monkeypatch.setattr(stratum, "eval_simple_char", spy_eval)
     sample = PIN_SAMPLE.get(name)
-    total = by_oracle(s, chars, (1, 1), sample=sample, seed=5)
+    total = by_oracle(s, chars, sample=sample, seed=5)
     assert total == CycNum.integer(CLOSED_MAGNITUDE[name], t.p)
     reps = ref_draw(ref_terms(list(t.kE.units()), t.p, zdim), sample, 5)
     assert [side for side, _, _ in evaluated] == ["gl", "u"] * len(evaluated[::2])
@@ -1283,7 +1276,7 @@ def test_by_oracle_names_a_term_that_breaks_constancy(monkeypatch):
 
     monkeypatch.setattr(stratum, "eval_simple_char", corrupt)
     with pytest.raises(CheckFailed, match=r"\(term 13\)"):
-        by_oracle(s, default_chars(s), (1, 1))
+        by_oracle(s, default_chars(s))
 
 
 def test_by_oracle_names_a_chunk_that_is_constant_on_its_own(monkeypatch):
@@ -1304,22 +1297,22 @@ def test_by_oracle_names_a_chunk_that_is_constant_on_its_own(monkeypatch):
 
     monkeypatch.setattr(stratum, "eval_simple_char", corrupt)
     with pytest.raises(CheckFailed, match=r"\(term 64\)"):
-        by_oracle(s, default_chars(s), (1, 1), sample=150, seed=5)
+        by_oracle(s, default_chars(s), sample=150, seed=5)
 
 
 def test_bz_oracle_compares_the_exhaustive_totals(monkeypatch):
     # Path B off by one at a single unit: every term still matches its own
     # phase, so only the comparison of the two totals can see it.
     s = builtin_case("e1f2")
-    brute = stratum.gauss_sum_brute
+    phase_sum = stratum.phase_sum
     calls = []
 
     def off_by_one(*args, **kwargs):
         calls.append(None)
-        total = brute(*args, **kwargs)
+        total = phase_sum(*args, **kwargs)
         return total + CycNum.one(s.tower.p) if len(calls) == 1 else total
 
-    monkeypatch.setattr(stratum, "gauss_sum_brute", off_by_one)
+    monkeypatch.setattr(stratum, "phase_sum", off_by_one)
     with pytest.raises(CheckFailed, match="two evaluation routes disagree"):
         bz_oracle(s, default_chars(s), mu_pair(s.tower))
     # A sampled run returns path B and compares no totals.
