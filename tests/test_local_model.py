@@ -183,6 +183,11 @@ def test_bad_chains_rejected():
             build_tower(TowerConfig(q=3, e=1, f=1, levels=levels))
     with pytest.raises(BadChain):
         build_tower(TowerConfig(q=3, e=3, f=1, levels=((3, 1), (3, 1))))
+    # A level degree that is not positive is named, not divided by.
+    for e, f, bad in [(3, 2, (0, 1)), (3, 2, (3, 0)), (3, 2, (-1, 2)),
+                      (9, 1, (-3, -1))]:
+        with pytest.raises(BadChain, match=r"must be positive: \(%d,%d\)" % bad):
+            build_tower(TowerConfig(q=3, e=e, f=f, levels=((e, f), bad, (1, 1))))
 
 
 def test_nonprime_or_even_q_rejected():
