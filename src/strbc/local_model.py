@@ -521,6 +521,9 @@ class TowerSpec:
         levels = tuple(tuple(x) for x in levels)
         if len(levels) < 2 or levels[0] != (e, f) or levels[-1] != (1, 1):
             raise BadChain("chain must run from E_0 = E down to E_{d+1} = F")
+        for ea, fa in levels:
+            if ea < 1 or fa < 1:
+                raise BadChain(f"level degrees must be positive: ({ea},{fa})")
         for (ea, fa), (eb, fb) in zip(levels, levels[1:]):
             if ea % eb or fa % fb:
                 raise BadChain(f"({eb},{fb}) must divide ({ea},{fa})")
