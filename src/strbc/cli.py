@@ -59,7 +59,7 @@ from .hecke_bc import (
     to_turns,
     turns_sign,
 )
-from .local_model import TowerConfig, build_tower, iwahori_indices
+from .local_model import TowerConfig, build_tower, build_Wz, iwahori_indices
 from .stratum import (
     BUILTIN_CASE_NAMES,
     LinearizationInvalid,
@@ -300,9 +300,9 @@ def cmd_sign(cfg: ExperimentConfig, args) -> int:
     twist = cfg.character.get("psi_twist", 1)
     psi = AddChar(s.tower.k, twist)
     report = epsilon_z_invariance(s, psi, bound=args.bound)
-    base = report["base"]
-    rows = [{"check": "base sign", "value": base.value,
-             "ok": base.value in (-1, 1)}]
+    eps = report["base"]
+    rows = [{"check": "base sign", "value": eps,
+             "ok": eps in (-1, 1)}]
     for r in report["psi_twists"]:
         rows.append({"check": f"psi twist {r['twist']}",
                      "value": r["sign"], "ok": r["matches"]})
@@ -310,13 +310,13 @@ def cmd_sign(cfg: ExperimentConfig, args) -> int:
         rows.append({"check": f"uniformizer unit {r['unit']}",
                      "value": r["sign"], "ok": r["matches"]})
     print(_table(rows, ["check", "value", "ok"]))
-    ok = report["ok"] and base.value in (-1, 1)
-    print(f"sign suite: {'pass' if ok else 'FAIL'} (epsilon = {base.value})")
+    ok = report["ok"] and eps in (-1, 1)
+    print(f"sign suite: {'pass' if ok else 'FAIL'} (epsilon = {eps})")
     payload = {
         "command": "sign",
-        "epsilon": base.value,
-        "fourth_root": base.fourth_root,
-        "space_size": base.space_size,
+        "epsilon": eps,
+        "fourth_root": f"{eps:+d}",
+        "space_size": build_Wz(s.tower, s).size,
         "provenance": _stratum_provenance(s, twist),
         "rows": rows,
         "ok": ok,
@@ -355,8 +355,8 @@ def cmd_reducibility(cfg: ExperimentConfig, args) -> int:
                              seed=seed, bound=args.bound)
     c_y, c_z = iwahori_indices(tower, s)
     # HeckeParams refuses a total that is not an integer; past it, each is.
-    hp = HeckeParams(qE, 1, 1, c_y, c_z, b_y=by_val, b_z=bz_lo)
-    hp0 = HeckeParams(qE, 1, 0, c_y, c_z, b_z=bz_hi)
+    hp = HeckeParams(qE, 1, c_y, c_z, b_y=by_val, b_z=bz_lo)
+    hp0 = HeckeParams(qE, 0, c_y, c_z, b_z=bz_hi)
     by_val, bz_lo, bz_hi = (v.as_int() for v in (by_val, bz_lo, bz_hi))
     eps_z = hp.b["z"].sign
     spec = normalized_spectrum(hp)
@@ -366,7 +366,7 @@ def cmd_reducibility(cfg: ExperimentConfig, args) -> int:
     for label, varpi in [("matched", to_turns(rho_minus_one * eps_z)),
                          ("twisted", to_turns(-rho_minus_one * eps_z))]:
         rt = LevelZeroChar(tower.kE, mu_lo, varpi_turns=varpi)
-        rep = solve_reducibility(hp, rt, rho_minus_one, eps_z)
+        rep = solve_reducibility(hp, rt, rho_minus_one)
         reports[label] = rep
         rows.append({"candidate": label, "branch": rep.branch,
                      "points": _fmt_points(rep)})
@@ -405,7 +405,7 @@ def cmd_base_change(cfg: ExperimentConfig, args) -> int:
     twist = cfg.character.get("psi_twist", 1)
     psi = AddChar(tower.k, twist)
     report = epsilon_z_invariance(s, psi, bound=args.bound)
-    eps = report["base"].value
+    eps = report["base"]
     half = (tower.kE.q - 1) // 2
     rows = []
     ok = report["ok"]

@@ -10,8 +10,9 @@ Two independent evaluation routes are provided and cross-checked everywhere:
   one-dimensional sum.
 
 ``normalized_sign`` divides by the square root of the space size and
-classifies the quotient as a fourth root of unity; with the even-dimension
-parity in force the result is a plain sign.
+returns the quotient, an int +1 or -1.  It refuses a space of odd
+F_p-dimension, where the quotient is not rational; every form the package
+builds has even F_p-dimension.
 
 A ``QuadSpace`` holds its Gram matrix only as a read-only int64 (n, n, f)
 array of polynomial-basis coefficients; the diagonalization and
@@ -20,7 +21,6 @@ array of polynomial-basis coefficients; the diagonalization and
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
@@ -32,7 +32,6 @@ from .finite_field import (
     FqElem,
     FqField,
     MixedFields,
-    get_field,
     quadratic_residue_char,
 )
 
@@ -223,57 +222,26 @@ def gauss_sum_closed(space: QuadSpace, psi: AddChar) -> CycNum:
     return chi.sign(space.det()) * g**space.dim
 
 
-@dataclass(frozen=True)
-class SignResult:
-    """A normalized Gauss sum: a sign (or classified fourth root) and the
-    number of points summed over."""
-
-    value: int | None  # +1 or -1 when the quotient is rational
-    fourth_root: str  # "+1", "-1", "+i", "-i", or "(+-)g/sqrt(q)" diagnostics
-    space_size: int
-
-    def __post_init__(self):
-        if self.value not in (None, 1, -1):
-            raise ValueError(f"sign value must be +1, -1 or None, got {self.value!r}")
-
-
 def normalized_sign(space: QuadSpace, psi: AddChar,
-                    bound: int = DEFAULT_ENUMERATION_BOUND) -> SignResult:
-    """The Gauss sum divided by sqrt(#space), classified as a fourth root."""
+                    bound: int = DEFAULT_ENUMERATION_BOUND) -> int:
+    """The Gauss sum divided by sqrt(#space): +1 or -1."""
+    fld = space.field
+    # F_p-dimension of the space; even dimension is the paper-side parity
+    # under which the normalized value is rational.
+    pdim = space.dim * fld.f
+    if pdim % 2:
+        raise CheckFailed(f"odd F_p-dimension {pdim}: the normalized Gauss "
+                          "sum is not a sign")
     if not space.is_nondegenerate():
         raise DegenerateForm("normalized sign requires nondegeneracy")
-    fld = space.field
     closed = gauss_sum_closed(space, psi)
     if fld.q**space.dim <= bound:
         brute = gauss_sum_brute(space, psi, bound=bound)
         if brute != closed:
             raise CheckFailed("brute and closed Gauss sums disagree")
-    npoints = fld.q**space.dim
-    # F_p-dimension of the space; even dimension is the paper-side parity
-    # under which the normalized value is rational.
-    pdim = space.dim * fld.f
-    if pdim % 2 == 0:
-        ref = CycNum.integer(fld.p ** (pdim // 2))
-        s = cyc_is_rational_sign_times(closed, ref)
-        if s is None:
-            # The sum is +-g_p^pdim and g_p^2 = chi(-1) p: a sign times p^(pdim/2).
-            raise CheckFailed("normalized quotient is not +-1")
-        quadrant = "+1" if s == 1 else "-1"
-        return SignResult(s, quadrant, npoints)
-    # Odd F_p-dimension: express against the one-dimensional Gauss value.
-    fp = get_field(fld.p)
-    g = one_dim_gauss_value(fp, psi_restricted(psi))
-    ref = CycNum.integer(fld.p ** ((pdim - 1) // 2)) * g
+    ref = CycNum.integer(fld.p ** (pdim // 2))
     s = cyc_is_rational_sign_times(closed, ref)
     if s is None:
-        raise CheckFailed("normalized quotient is not a fourth root")
-    real = quadratic_residue_char(fp).sign(-fp.one()) == 1
-    quadrant = ("+" if s == 1 else "-") + ("g/sqrt(q):real" if real else "g/sqrt(q):imag")
-    return SignResult(None, quadrant, npoints)
-
-
-def psi_restricted(psi: AddChar) -> AddChar:
-    """The restriction of psi to the prime field (twist = Tr of the twist)."""
-    fp = get_field(psi.field.p)
-    # For x in F_p, Tr_{F_q/F_p}(a x) = Tr(a) x.
-    return AddChar(fp, psi.field.trace(psi.twist))
+        # The sum is +-g_p^pdim and g_p^2 = chi(-1) p: a sign times p^(pdim/2).
+        raise CheckFailed("normalized quotient is not +-1")
+    return s

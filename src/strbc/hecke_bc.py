@@ -31,10 +31,6 @@ class NotSelfDual(ValueError):
     pass
 
 
-class MissingSign(ValueError):
-    pass
-
-
 IMAG_TOKEN = "pi*i/log qE"
 
 
@@ -71,14 +67,6 @@ class QPower:
 
     def is_zero(self) -> bool:
         return self.sign == 0
-
-    def __mul__(self, other: "QPower") -> "QPower":
-        if self.is_zero() or other.is_zero():
-            return QPower.zero()
-        return QPower(self.sign * other.sign, self.half + other.half)
-
-    def __neg__(self) -> "QPower":
-        return QPower(-self.sign, self.half)
 
     def as_int(self, q: int) -> int:
         if self.is_zero():
@@ -118,8 +106,8 @@ def _power_of(q: int, c: int) -> int:
 
 class HeckeParams:
     """The rank-2 datum: two generators w in {y, z}, each with an index
-    c_w = q_E^k_w, a rank r_w in {0, 1}, a sign eps_w, and the coefficient
-    b_w of its quadratic relation T^2 = b T + c.
+    c_w = q_E^k_w, a rank r_w (r_y = 1, r_z in {0, 1}), a sign eps_w, and
+    the coefficient b_w of its quadratic relation T^2 = b T + c.
 
     b_w is pinned by the invariant b_w = eps_w (q_E - 1)(c_w/q_E)^{1/2}
     when r_w = 1 and b_w = 0 when r_w = 0.  A passed b_w, an integer or an
@@ -128,14 +116,14 @@ class HeckeParams:
     r_w, k_w and b_w (a QPower of sign eps_w, without its factor q_E - 1).
     """
 
-    def __init__(self, q_E: int, r_y: int, r_z: int, c_y: int, c_z: int,
+    def __init__(self, q_E: int, r_z: int, c_y: int, c_z: int,
                  b_y=None, b_z=None):
         if q_E < 3:
             raise InconsistentParams("q_E must be an odd prime power >= 3")
-        if r_y not in (0, 1) or r_z not in (0, 1):
-            raise InconsistentParams("ranks must be 0 or 1")
+        if r_z not in (0, 1):
+            raise InconsistentParams("r_z must be 0 or 1")
         self.q_E = q_E
-        self.rank = {"y": r_y, "z": r_z}
+        self.rank = {"y": 1, "z": r_z}
         self.k = {"y": _power_of(q_E, c_y), "z": _power_of(q_E, c_z)}
         self.b = {"y": self._coefficient("y", b_y),
                   "z": self._coefficient("z", b_z)}
@@ -306,16 +294,15 @@ class ReducibilityReport:
 
 
 def solve_reducibility(hp: HeckeParams, rho_tilde: LevelZeroChar,
-                       rho_minus_one: int, eps_z: int) -> ReducibilityReport:
+                       rho_minus_one: int) -> ReducibilityReport:
     """The reducibility points of the family attached to the datum.
 
     Matches rho-tilde(pi_E) q_E^s against each product branch of the two
     eigenvalue lists (with both generator normalizations cancelled) and
     solves for s by exponent comparison; a sign mismatch contributes the
-    offset pi*i/log q_E.  rho_minus_one is rho(-1) of the U-side character.
+    offset pi*i/log q_E.  rho_minus_one is rho(-1) of the U-side character,
+    and eps_z is the sign of b_z in hp.
     """
-    if eps_z not in (-1, 1):
-        raise MissingSign("eps_z sign unavailable")
     from fractions import Fraction  # here, since it also loads decimal
     r_y, r_z = hp.rank["y"], hp.rank["z"]
     s1 = Fraction(r_y + r_z, 2)
@@ -324,6 +311,7 @@ def solve_reducibility(hp: HeckeParams, rho_tilde: LevelZeroChar,
         # Both coefficients are nonzero; after cancelling the scalar
         # normalizations the matching relation reads
         # rho-tilde(pi_E) q_E^s = rho(-1) eps_z * (q_E^{+-1} or -1).
+        eps_z = hp.b["z"].sign
         w = turns_sign(rho_tilde.varpi_turns)
         if w is None:
             raise NotSelfDual(
@@ -362,8 +350,6 @@ def base_change(rho_minus_one: int, eps_z: int, tower: TowerSpec) -> LevelZeroCh
     quadratic character and the uniformizer value is rho(-1) times the
     computed Gauss-sum sign.
     """
-    if eps_z not in (-1, 1):
-        raise MissingSign("the Gauss-sum sign must be +-1")
     kE = tower.kE
     mu = MultChar(kE, (kE.q - 1) // 2 * (tower.f - 1))
     return LevelZeroChar(kE, mu,

@@ -45,7 +45,6 @@ from .gauss import (
     DEFAULT_ENUMERATION_BOUND,
     EnumerationTooLarge,
     QuadSpace,
-    SignResult,
     gauss_sum_brute,
     normalized_sign,
     phase_sum,
@@ -307,7 +306,7 @@ def _gauss_gram(s: StratumSpec, wz, scalar: EElem) -> np.ndarray:
 
 
 def epsilon_z(s: StratumSpec, psi: AddChar, scale_unit: FqElem | None = None,
-              bound: int = DEFAULT_ENUMERATION_BOUND) -> SignResult:
+              bound: int = DEFAULT_ENUMERATION_BOUND) -> int:
     """The sign of the normalized quadratic Gauss sum attached to the stratum.
 
     Evaluates sum over X in W_z of psi(Tr(w_E (c_j X - X c_j) alpha(X)))
@@ -335,20 +334,18 @@ def epsilon_z(s: StratumSpec, psi: AddChar, scale_unit: FqElem | None = None,
             raise NonUnitQuotient(
                 "degenerate phase form: the normalized sum is not a unit"
             )
-        return SignResult(sign, f"{sign:+d}", wz.size)
-    res = normalized_sign(space, psi, bound=bound)
-    if res.value is None:
-        raise _modp.CheckFailed("Gauss-sum quotient is not a rational sign")
+        return sign
+    sign = normalized_sign(space, psi, bound=bound)
     # Cross-check against the D-form assembly (opposite bracket order:
     # complex conjugate sum, identical rational sign).
     if scale_unit is None:
         d_forms = build_Dj_forms(s)
         d_sign = 1
         for f in d_forms:
-            d_sign *= normalized_sign(f, psi, bound=bound).value
-        if d_sign != res.value:
+            d_sign *= normalized_sign(f, psi, bound=bound)
+        if d_sign != sign:
             raise _modp.CheckFailed("D-form sign disagrees with the Gauss sign")
-    return res
+    return sign
 
 
 def epsilon_z_invariance(s: StratumSpec, psi: AddChar | None = None,
@@ -372,13 +369,13 @@ def epsilon_z_invariance(s: StratumSpec, psi: AddChar | None = None,
     chi = quadratic_residue_char(tower.kE)
     psi_rows = []
     for a in tower.k.units():
-        sign_a = epsilon_z(s, AddChar(tower.k, a), bound=bound).value
+        sign_a = epsilon_z(s, AddChar(tower.k, a), bound=bound)
         psi_rows.append({"twist": a.coeffs[0], "sign": sign_a,
-                         "matches": sign_a == base.value})
+                         "matches": sign_a == base})
     unit_rows = []
     for u in tower.kE.units():
-        sign_u = epsilon_z(s, psi, scale_unit=u, bound=bound).value
-        predicted = base.value * chi.sign(u) ** (tower.f - 1)
+        sign_u = epsilon_z(s, psi, scale_unit=u, bound=bound)
+        predicted = base * chi.sign(u) ** (tower.f - 1)
         unit_rows.append({"unit": u.coeffs, "sign": sign_u,
                           "predicted": predicted,
                           "matches": sign_u == predicted})

@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import os
 import subprocess
@@ -611,7 +610,7 @@ def _break_d_form(setattr):
     def flipped(space, *a, **k):
         res = sign(space, *a, **k)
         if first and space is first[0]:
-            return dataclasses.replace(res, value=-res.value)
+            return -res
         return res
 
     setattr(stratum, "build_Dj_forms", forms)

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from strbc import stratum
+from strbc._modp import CheckFailed
 from strbc.cyclotomic import cyc_root
 from strbc.finite_field import (
     AddChar,
@@ -52,7 +53,7 @@ def test_empty_space():
     sp = QuadSpace(f3, [])
     assert gauss_sum_brute(sp, std_psi(f3)) == 1
     assert gauss_sum_closed(sp, std_psi(f3)) == 1
-    assert normalized_sign(sp, std_psi(f3)).fourth_root == "+1"
+    assert normalized_sign(sp, std_psi(f3)) == 1
 
 
 def test_f3_one_dim():
@@ -69,7 +70,7 @@ def test_f3_identity_two_dim():
     v = 1 + 2 * cyc_root(3, 1)
     assert gauss_sum_brute(sp, std_psi(f3)) == v * v
     assert gauss_sum_brute(sp, std_psi(f3)) == -3
-    assert normalized_sign(sp, std_psi(f3)).value == -1
+    assert normalized_sign(sp, std_psi(f3)) == -1
 
 
 def test_f3_diag_1_2():
@@ -77,7 +78,7 @@ def test_f3_diag_1_2():
     sp = QuadSpace.from_ints(f3, [[1, 0], [0, 2]])
     assert gauss_sum_closed(sp, std_psi(f3)) == 3
     assert gauss_sum_brute(sp, std_psi(f3)) == 3
-    assert normalized_sign(sp, std_psi(f3)).value == 1
+    assert normalized_sign(sp, std_psi(f3)) == 1
 
 
 def test_f5_one_dim():
@@ -166,12 +167,15 @@ def test_errors():
         gauss_sum_brute(sp, std_psi(f3), bound=2)
 
 
-def test_normalized_sign_odd_dimension_is_fourth_root():
-    f3 = get_field(3)
-    sp = QuadSpace.from_ints(f3, [[1]])
-    res = normalized_sign(sp, std_psi(f3))
-    assert res.value is None
-    assert "imag" in res.fourth_root  # chi(-1) = -1 over F_3
+def test_normalized_sign_refuses_odd_dimension():
+    # Over F_3 the sum on F_3^n is (i sqrt 3)^n, not real for odd n.  A line
+    # over F_9 has F_p-dimension 2 and its sum is -g_3^2 = 3 (Davenport-Hasse).
+    f3, f9 = get_field(3), get_field(3, 2)
+    for n in (1, 3):
+        sp = QuadSpace.from_ints(f3, np.eye(n, dtype=np.int64))
+        with pytest.raises(CheckFailed, match=f"odd F_p-dimension {n}:"):
+            normalized_sign(sp, std_psi(f3))
+    assert normalized_sign(QuadSpace.from_ints(f9, [[1]]), std_psi(f9)) == 1
 
 
 def test_psi_twist_scales_by_quadratic_character():

@@ -11,7 +11,6 @@ from strbc.hecke_bc import (
     HeckeParams,
     InconsistentParams,
     LevelZeroChar,
-    MissingSign,
     NoConsistentValue,
     NotSelfDual,
     QPower,
@@ -60,42 +59,43 @@ def u_minus_one(exp=0):
 # QPower and HeckeParams validation.
 
 
-def test_qpower_arithmetic():
+def test_qpower_as_int():
     a = QPower(1, 3)
-    b = QPower(-1, 1)
-    assert a * b == QPower(-1, 4)
-    assert (a * b).as_int(3) == -9
-    assert QPower.zero() * a == QPower.zero()
+    assert QPower(-1, 4).as_int(3) == -9
+    assert QPower.zero().as_int(3) == 0
+    assert a.as_int(9) == 27
     with pytest.raises(ValueError):
         a.as_int(3)
 
 
 def test_params_reject_bad_index():
     with pytest.raises(InconsistentParams):
-        HeckeParams(3, 1, 1, 5, 3)
+        HeckeParams(3, 1, 5, 3)
     with pytest.raises(InconsistentParams):
-        HeckeParams(3, 1, 1, 0, 3)
+        HeckeParams(3, 1, 0, 3)
+    with pytest.raises(InconsistentParams, match="r_z must be 0 or 1"):
+        HeckeParams(3, 2, 3, 3)
 
 
 def test_params_reject_wrong_b():
     with pytest.raises(InconsistentParams):
-        HeckeParams(3, 1, 1, 3, 3, b_y=4)
+        HeckeParams(3, 1, 3, 3, b_y=4)
     with pytest.raises(InconsistentParams):
-        HeckeParams(3, 1, 0, 3, 9, b_z=2)
-    HeckeParams(3, 1, 0, 3, 9, b_z=0)
+        HeckeParams(3, 0, 3, 9, b_z=2)
+    HeckeParams(3, 0, 3, 9, b_z=0)
 
 
 def test_params_read_eps_from_a_passed_b():
-    hp = HeckeParams(3, 1, 1, 3, 3, b_y=-2, b_z=CycNum.integer(2, 3))
+    hp = HeckeParams(3, 1, 3, 3, b_y=-2, b_z=CycNum.integer(2, 3))
     assert (hp.b["y"].sign, hp.b["z"].sign) == (-1, 1)
     with pytest.raises(InconsistentParams, match="b_y must be rational"):
-        HeckeParams(3, 1, 1, 3, 3, b_y=cyc_root(3, 1))
+        HeckeParams(3, 1, 3, 3, b_y=cyc_root(3, 1))
 
 
 def test_params_reject_odd_half_exponent_with_rank_one():
     # r_w = 1 forces (c_w/q)^{1/2} integral, so c_w = q^even is rejected
     with pytest.raises(InconsistentParams):
-        HeckeParams(3, 1, 1, 3, 9)
+        HeckeParams(3, 1, 3, 9)
 
 
 # ---------------------------------------------------------------------------
@@ -103,26 +103,26 @@ def test_params_reject_odd_half_exponent_with_rank_one():
 
 
 def test_eigenvalues_documented_example():
-    hp = HeckeParams(3, 1, 1, 3, 3, b_y=2, b_z=2)
+    hp = HeckeParams(3, 1, 3, 3, b_y=2, b_z=2)
     ey = hecke_eigenvalues(hp)["y"]
     assert {v.as_int(3) for v in ey} == {-1, 3}
 
 
 def test_eigenvalues_sign_flip():
-    hp = HeckeParams(3, 1, 1, 3, 3, b_y=-2, b_z=2)
+    hp = HeckeParams(3, 1, 3, 3, b_y=-2, b_z=2)
     ey = hecke_eigenvalues(hp)["y"]
     assert {v.as_int(3) for v in ey} == {1, -3}
 
 
 def test_eigenvalues_b_zero():
-    hp = HeckeParams(3, 1, 0, 3, 9)
+    hp = HeckeParams(3, 0, 3, 9)
     ez = hecke_eigenvalues(hp)["z"]
     assert {v.as_int(3) for v in ez} == {-3, 3}
 
 
 def test_eigenvalues_large_index():
     # c = q^5 with r = 1: eps * {-q^2, q^3}
-    hp = HeckeParams(3, 1, 1, 243, 243, b_y=18, b_z=-18)
+    hp = HeckeParams(3, 1, 243, 243, b_y=18, b_z=-18)
     eig = hecke_eigenvalues(hp)
     assert {v.as_int(3) for v in eig["y"]} == {-9, 27}
     assert {v.as_int(3) for v in eig["z"]} == {9, -27}
@@ -132,12 +132,12 @@ def test_normalized_spectrum_is_rank_determined():
     def b(r, c, eps):  # the b_w that the sign eps implies
         return eps * 2 * isqrt(c // 3) if r else 0
 
-    for (ry, rz, cy, cz) in [(1, 1, 3, 3), (1, 0, 3, 9), (1, 1, 27, 243)]:
+    for (rz, cy, cz) in [(1, 3, 3), (0, 3, 9), (1, 27, 243)]:
         for ey, ez in itertools.product((-1, 1), repeat=2):
-            hp = HeckeParams(3, ry, rz, cy, cz, b_y=b(ry, cy, ey),
+            hp = HeckeParams(3, rz, cy, cz, b_y=b(1, cy, ey),
                              b_z=b(rz, cz, ez))
             spec = normalized_spectrum(hp)
-            assert spec["y"] == (-1, 3**ry)
+            assert spec["y"] == (-1, 3)
             assert spec["z"] == (-1, 3**rz)
 
 
@@ -170,20 +170,20 @@ def test_rank_values():
 
 
 def test_reducibility_matched_branch():
-    hp = HeckeParams(3, 1, 1, 3, 3)
+    hp = HeckeParams(3, 1, 3, 3)
     rho = u_minus_one(exp=1)  # rho(-1) = -1
     rt = gl_char(exp=0, turns=to_turns(-1))  # rho-tilde(pi_E) = rho(-1) * eps_z, eps=+1
-    rep = solve_reducibility(hp, rt, rho, 1)
+    rep = solve_reducibility(hp, rt, rho)
     assert rep.real_points == frozenset({Fraction(1), Fraction(-1)})
     assert rep.shifted_points == frozenset({Fraction(0)})
     assert IMAG_TOKEN == "pi*i/log qE"
 
 
 def test_reducibility_flipped_branch_swaps_real_parts():
-    hp = HeckeParams(3, 1, 1, 3, 3)
+    hp = HeckeParams(3, 1, 3, 3)
     rho = u_minus_one(exp=1)
-    matched = solve_reducibility(hp, gl_char(exp=0, turns=to_turns(-1)), rho, 1)
-    flipped = solve_reducibility(hp, gl_char(exp=0, turns=to_turns(1)), rho, 1)
+    matched = solve_reducibility(hp, gl_char(exp=0, turns=to_turns(-1)), rho)
+    flipped = solve_reducibility(hp, gl_char(exp=0, turns=to_turns(1)), rho)
     assert matched.real_points == flipped.shifted_points
     assert matched.shifted_points == flipped.real_points
     # the invariant unordered pair of nonnegative real parts is unchanged
@@ -191,10 +191,10 @@ def test_reducibility_flipped_branch_swaps_real_parts():
 
 
 def test_reducibility_half_integral_branch():
-    hp = HeckeParams(3, 1, 0, 3, 9)
+    hp = HeckeParams(3, 0, 3, 9)
     rho = u_minus_one(exp=1)
     rt = gl_char(exp=1, turns=1)
-    rep = solve_reducibility(hp, rt, rho, 1)
+    rep = solve_reducibility(hp, rt, rho)
     assert rep.real_points == frozenset({HALF, -HALF})
     assert rep.shifted_points == frozenset({HALF, -HALF})
     assert s_values(rep) == {HALF}
@@ -202,20 +202,14 @@ def test_reducibility_half_integral_branch():
 
 def test_reducibility_s_pair_invariant():
     for rz, cz in [(1, 3), (0, 9)]:
-        hp = HeckeParams(3, 1, rz, 3, cz)
+        hp = HeckeParams(3, rz, 3, cz)
         want = {Fraction(1 + rz, 2), Fraction(1 - rz, 2)}
         if rz == 1:
             rt = gl_char(exp=0, turns=to_turns(1))
         else:
             rt = gl_char(exp=1, turns=1)
-        rep = solve_reducibility(hp, rt, u_minus_one(0), 1)
+        rep = solve_reducibility(hp, rt, u_minus_one(0))
         assert s_values(rep) == want
-
-
-def test_reducibility_requires_sign():
-    hp = HeckeParams(3, 1, 1, 3, 3)
-    with pytest.raises(MissingSign):
-        solve_reducibility(hp, gl_char(0, turns=to_turns(1)), u_minus_one(0), None)
 
 
 # ---------------------------------------------------------------------------
@@ -296,7 +290,7 @@ def test_base_change_u1_both_signs():
 
     case = builtin_case("u1")
     tower = case.tower
-    eps = epsilon_z(case, AddChar(tower.k, 1)).value
+    eps = epsilon_z(case, AddChar(tower.k, 1))
     assert eps == 1
     for exp, expect in [(0, 1), (1, -1)]:
         rho = MultChar(tower.kE, exp).sign(-tower.kE.one())
@@ -304,13 +298,6 @@ def test_base_change_u1_both_signs():
         assert is_trivial(rt.mu_part)
         assert cyc_root(4, rt.varpi_turns).as_int() == expect
         assert cyc_root(4, rt.varpi_F_turns(tower)).as_int() == expect
-
-
-def test_base_change_missing_sign():
-    case = builtin_case("u1")
-    rho = MultChar(case.tower.kE, 1).sign(-case.tower.kE.one())
-    with pytest.raises(MissingSign):
-        base_change(rho, None, case.tower)
 
 
 @pytest.mark.parametrize("name", ["u1", "e3f1", "e1f2"])
@@ -322,7 +309,7 @@ def test_base_change_rechoice_covariance(name):
     report = epsilon_z_invariance(case, AddChar(tower.k, 1))
     assert report["ok"]
     rho = MultChar(tower.kE, 1).sign(-tower.kE.one())
-    rt = base_change(rho, report["base"].value, tower)
+    rt = base_change(rho, report["base"], tower)
     chi = quadratic_residue_char(tower.kE)
     assert rt.mu_part.exponent == chi.exponent * (tower.f - 1) % (
         tower.kE.q - 1)
@@ -353,15 +340,18 @@ def test_base_change_feeds_reducibility_point_one():
     for name in ("u1", "e3f1", "e1f2"):
         case = builtin_case(name)
         tower = case.tower
-        eps = epsilon_z(case, AddChar(tower.k, 1)).value
+        eps = epsilon_z(case, AddChar(tower.k, 1))
         from strbc.local_model import iwahori_indices
 
         c_y, c_z = iwahori_indices(tower, case)
-        hp = HeckeParams(tower.kE.q, 1, 1, c_y, c_z)
+        qE = tower.kE.q
+        # b_z carries the sign to solve_reducibility.
+        hp = HeckeParams(qE, 1, c_y, c_z,
+                         b_z=eps * (qE - 1) * isqrt(c_z // qE))
         for exp in (0, (tower.kE.q - 1) // 2):
             rho = MultChar(tower.kE, exp).sign(-tower.kE.one())
             rt = base_change(rho, eps, tower)
-            rep = solve_reducibility(hp, rt, rho, eps)
+            rep = solve_reducibility(hp, rt, rho)
             assert Fraction(1) in rep.real_points
 
 

@@ -222,6 +222,41 @@ def test_Dj_forms_e3f1_nondegenerate_two_dim():
     assert forms[0].is_nondegenerate()
 
 
+def _sweep_chains(e, f):
+    """The chain of depth 0 and every chain of depth 1 from (e, f) to (1, 1)."""
+    yield ((e, f), (1, 1))
+    for e1, f1 in itertools.product(range(1, e + 1), range(1, f + 1)):
+        if not (e % e1 or f % f1 or (e1, f1) in ((e, f), (1, 1))):
+            yield ((e, f), (e1, f1), (1, 1))
+
+
+def test_sign_forms_have_even_prime_field_dimension():
+    # normalized_sign refuses an odd F_p-dimension, so no stratum may build
+    # one: W_z and every D_j block are even over every minimal stratum of
+    # q in {3, 5}, e in {1, 3, 5}, f in {1, 2, 3} and r_0 in {1, 3, 5}, with
+    # unit coefficients 1 or zeta and, at depth 1, every odd r_1 < r_0.
+    valid = {0: 0, 1: 0}
+    for q, e, f in itertools.product((3, 5), (1, 3, 5), (1, 2, 3)):
+        for levels in _sweep_chains(e, f):
+            t = build_tower(TowerConfig(q=q, e=e, f=f, levels=levels))
+            d = len(levels) - 2
+            for r0, z0 in itertools.product((1, 3, 5), (0, 1)):
+                tails = [[]] if d == 0 else [
+                    [(z1, -r1)] for r1 in range(1, r0, 2) for z1 in (0, 1)]
+                for tail in tails:
+                    c = [(z0, -r0)] + tail
+                    try:
+                        s = StratumSpec(t, [t.e_monomial(x, t.kE.exp(z))
+                                            for z, x in c])
+                    except (NotMinimal, NotInSubfield):
+                        continue
+                    valid[d] += 1
+                    dims = [build_Wz(t, s).dim_k]
+                    dims += [fm.dim * fm.field.f for fm in build_Dj_forms(s)]
+                    assert all(n % 2 == 0 for n in dims), (q, e, f, levels, c, dims)
+    assert valid == {0: 56, 1: 28}
+
+
 def test_quotient_form_degenerate_for_non_minimal():
     t = build_tower(TowerConfig(q=3, e=3, f=2, N=8))
     c = t.e_monomial(-3, t.kE.generator)  # not minimal, not central
@@ -281,15 +316,15 @@ def test_minimality_routes_agree_on_the_sweep_grid():
 
 def test_epsilon_u1_is_plus_one():
     s = builtin_case("u1")
-    assert epsilon_z(s, std_psi(s.tower)).value == 1
+    assert epsilon_z(s, std_psi(s.tower)) == 1
 
 
 def test_epsilon_all_r1_cases():
     for name in R1_CASE_NAMES:
         s = builtin_case(name)
         res = epsilon_z(s, std_psi(s.tower))
-        assert res.value == 1  # frozen by enumeration
-        assert res.value**2 == 1
+        assert res == 1  # frozen by enumeration
+        assert res**2 == 1
 
 
 def test_epsilon_d1_not_a_unit_quotient():
@@ -323,8 +358,7 @@ def test_epsilon_degenerate_form_reads_a_rational_sign(sign, monkeypatch):
             epsilon_z(s, std_psi(t))
         return
     res = epsilon_z(s, std_psi(t))
-    assert (res.value, res.fourth_root) == (sign, {1: "+1", -1: "-1"}[sign])
-    assert res.space_size == size
+    assert type(res) is int and res == sign
 
 
 def test_epsilon_invariance_suite():
@@ -341,7 +375,7 @@ def test_epsilon_invariance_multiplier_flips_for_f2():
     report = epsilon_z_invariance(s)
     chi = quadratic_residue_char(s.tower.kE)
     flips = [r for r in report["uniformizer"]
-             if r["sign"] != report["base"].value]
+             if r["sign"] != report["base"]]
     # Non-square units flip the sign when f is even.
     assert len(flips) == (s.tower.kE.q - 1) // 2
     for r in flips:
