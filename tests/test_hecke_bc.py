@@ -190,6 +190,19 @@ def test_reducibility_flipped_branch_swaps_real_parts():
     assert s_values(matched) == s_values(flipped) == {Fraction(0), Fraction(1)}
 
 
+def test_reducibility_reads_eps_z_from_b_z():
+    # A negative b_z puts eps_z = -1 in the datum, so the matched uniformizer
+    # value changes sign with it.
+    rho = u_minus_one(exp=1)
+    for b_z, eps in ((2, 1), (-2, -1)):
+        hp = HeckeParams(3, 1, 3, 3, b_z=b_z)
+        for turns, matched in ((to_turns(rho * eps), True),
+                               (to_turns(-rho * eps), False)):
+            rep = solve_reducibility(hp, gl_char(exp=0, turns=turns), rho)
+            assert (rep.branch == "rho-tilde(pi_E) = rho(-1) eps_z") == matched
+            assert (Fraction(1) in rep.real_points) == matched
+
+
 def test_reducibility_half_integral_branch():
     hp = HeckeParams(3, 0, 3, 9)
     rho = u_minus_one(exp=1)
