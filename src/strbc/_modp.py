@@ -70,8 +70,6 @@ def rank(mat: np.ndarray, p: int) -> int:
 
 
 def row_space_basis(mat: np.ndarray, p: int) -> np.ndarray:
-    if mat.size == 0:
-        return mat.reshape(0, mat.shape[1] if mat.ndim == 2 else 0)
     red, piv = rref(mat, p)
     return red[: len(piv)]
 

@@ -115,8 +115,6 @@ class CycNum:
     def _coerce(self, other) -> tuple["CycNum", "CycNum"]:
         if isinstance(other, int):
             other = CycNum.integer(other, self.modulus)
-        if not isinstance(other, CycNum):
-            return NotImplemented, NotImplemented
         if other.modulus == self.modulus:
             return self, other
         m = self.modulus * other.modulus // gcd(self.modulus, other.modulus)
@@ -124,8 +122,6 @@ class CycNum:
 
     def __add__(self, other):
         a, b = self._coerce(other)
-        if a is NotImplemented:
-            return NotImplemented
         return CycNum(a.modulus, [x + y for x, y in zip(a.coeffs, b.coeffs)])
 
     __radd__ = __add__
@@ -133,19 +129,8 @@ class CycNum:
     def __neg__(self):
         return CycNum(self.modulus, [-x for x in self.coeffs])
 
-    def __sub__(self, other):
-        a, b = self._coerce(other)
-        if a is NotImplemented:
-            return NotImplemented
-        return CycNum(a.modulus, [x - y for x, y in zip(a.coeffs, b.coeffs)])
-
-    def __rsub__(self, other):
-        return (-self) + other
-
     def __mul__(self, other):
         a, b = self._coerce(other)
-        if a is NotImplemented:
-            return NotImplemented
         deg = len(a.coeffs)
         raw = [0] * (2 * deg - 1)
         terms = [(j, y) for j, y in enumerate(b.coeffs) if y]
@@ -171,26 +156,11 @@ class CycNum:
         return out
 
     def __eq__(self, other):
-        if isinstance(other, (int, CycNum)):
-            a, b = self._coerce(other)
-            return a.coeffs == b.coeffs
-        return NotImplemented
-
-    def __hash__(self):
-        # Equal values may live in different ambient rings (cross-modulus
-        # __eq__ embeds into the lcm), so the hash must not depend on the
-        # representation.  Rationals hash by value; everything else shares a
-        # constant.  Fine: CycNum keys are never used in hot paths.
-        r = self.as_int()
-        if r is not None:
-            return hash(r)
-        return 0x5CBC
+        a, b = self._coerce(other)
+        return a.coeffs == b.coeffs
 
     def __bool__(self):
         return any(self.coeffs)
-
-    def __repr__(self):
-        return f"CycNum(M={self.modulus}, {list(self.coeffs)})"
 
     # -- queries -------------------------------------------------------------
 

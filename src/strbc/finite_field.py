@@ -125,15 +125,11 @@ class FqField:
 
     def _order_is_full(self, g: "FqElem") -> bool:
         n = self.q - 1
-        if pow_fq(g, n) != self.one():
-            return False
         return all(pow_fq(g, n // ell) != self.one() for ell in _prime_factors(n))
 
     # -- element constructors ------------------------------------------------
 
     def element(self, coeffs) -> "FqElem":
-        if isinstance(coeffs, int):
-            coeffs = (coeffs,)
         cs = tuple(c % self.p for c in coeffs)
         if len(cs) < self.f:
             cs = cs + (0,) * (self.f - len(cs))
@@ -291,16 +287,6 @@ class MultChar:
             raise ValueError(f"{self!r} at {x!r} is not a sign")
         return -1 if a else 1
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, MultChar)
-            and self.field == other.field
-            and self.exponent == other.exponent
-        )
-
-    def __hash__(self):
-        return hash((self.field, self.exponent))
-
     def __repr__(self):
         return f"MultChar(k={self.exponent} over F_{self.field.q})"
 
@@ -325,9 +311,6 @@ class AddChar:
 
     def __hash__(self):
         return hash((self.field, self.twist))
-
-    def __repr__(self):
-        return f"AddChar(a={self.twist.coeffs} over F_{self.field.q})"
 
 
 def quadratic_residue_char(field: FqField) -> MultChar:

@@ -78,14 +78,6 @@ class QPower:
             raise ValueError("half-integral exponent is not an integer")
         return self.sign * s**self.half
 
-    def __repr__(self):
-        if self.is_zero():
-            return "0"
-        s = "-" if self.sign < 0 else ""
-        if self.half % 2 == 0:
-            return f"{s}q^{self.half // 2}"
-        return f"{s}q^{self.half}/2"
-
 
 def _power_of(q: int, c: int) -> int:
     """log_q(c) for an exact positive power, else InconsistentParams."""
@@ -151,9 +143,6 @@ class HeckeParams:
                     f"b_{w} = {got} does not match the invariant value {want}"
                 )
         return expect
-
-    def __repr__(self):
-        return f"HeckeParams(q_E={self.q_E}, r={self.rank}, k={self.k}, b={self.b})"
 
 
 def hecke_eigenvalues(hp: HeckeParams) -> dict[str, tuple[QPower, QPower]]:
@@ -234,12 +223,6 @@ class LevelZeroChar:
         # u^{-1} is a plain sign
         unit = to_turns(self.mu_part.sign(tower.u.inverse()))
         return (unit + tower.e * self.varpi_turns) % 4
-
-    def __repr__(self):
-        return (
-            f"LevelZeroChar(mu^{self.mu_part.exponent} over "
-            f"F_{self.field.q}, varpi=i^{self.varpi_turns})"
-        )
 
 
 def p_primary_extension(e: int, known: int, minus_one: int) -> int:

@@ -147,17 +147,10 @@ class EElem:
         return all(i % 2 for i in self.exponents())
 
     def __eq__(self, other):
-        if not isinstance(other, EElem):
-            return NotImplemented
         return (self - other).is_zero()
 
     def key(self) -> tuple:
         return self.lo, self.prec, self.rows.tobytes()
-
-    def __repr__(self):
-        terms = " + ".join(f"{tuple(self.row(i).tolist())}*wE^{i}"
-                           for i in self.exponents())
-        return f"EElem({terms or '0'}; prec {self.prec})"
 
 
 # ---------------------------------------------------------------------------
@@ -335,17 +328,6 @@ class MatF:
         fp = min(self.fprec, fprec)
         keep = max(0, fp - self.g)
         return MatF(self.tower, self.g, self.arr[..., :keep, :, :], fp)
-
-    def __eq__(self, other):
-        if not isinstance(other, MatF):
-            return NotImplemented
-        return (self - other).is_zero()
-
-    def __repr__(self):
-        return (
-            f"MatF(g={self.g}, layers={self.arr.shape[-3]}, fprec={self.fprec}, "
-            f"n={self.tower.n})"
-        )
 
 
 @lru_cache(maxsize=None)
@@ -745,11 +727,6 @@ class TowerSpec:
                 maps.append(self.layer_coords((X @ mg) - (mg @ X), m + i).T)
         out = _modp.nullspace(np.vstack(maps), self.p)
         return _modp.row_space_basis(out, self.p) if out.size else out
-
-    def __repr__(self):
-        return (
-            f"TowerSpec(q={self.p}, e={self.e}, f={self.f}, d={self.d}, N={self.N})"
-        )
 
 
 def build_tower(config: TowerConfig) -> TowerSpec:

@@ -180,9 +180,6 @@ class StratumSpec:
         return (tower.cent_layer(cut, 0).shape[0]
                 == tower.cent_layer(_declared_gens(tower, j), 0).shape[0])
 
-    def __repr__(self):
-        return f"StratumSpec(r={list(self.r_list)}, d={self.d}, {self.tower!r})"
-
 
 def _declared_gens(tower: TowerSpec, j: int) -> tuple[EElem, ...]:
     """Field generators of the level-j subfield named in the tower chain."""
@@ -348,7 +345,7 @@ def epsilon_z(s: StratumSpec, psi: AddChar, scale_unit: FqElem | None = None,
     return sign
 
 
-def epsilon_z_invariance(s: StratumSpec, psi: AddChar | None = None,
+def epsilon_z_invariance(s: StratumSpec, psi: AddChar,
                          bound: int = DEFAULT_ENUMERATION_BOUND) -> dict:
     """Exhaustive invariance suite for the sign.
 
@@ -363,8 +360,6 @@ def epsilon_z_invariance(s: StratumSpec, psi: AddChar | None = None,
     calls = tower.k.q + tower.kE.q - 1
     if calls > bound:
         raise EnumerationTooLarge(f"{calls} sign evaluations exceeds bound {bound}")
-    if psi is None:
-        psi = AddChar(tower.k, 1)
     base = epsilon_z(s, psi, bound=bound)
     chi = quadratic_residue_char(tower.kE)
     psi_rows = []
@@ -419,12 +414,9 @@ class SimpleCharSpec:
             self.c_eff = stratum.c_elems
 
 
-def default_chars(s: StratumSpec, psi: AddChar | None = None
+def default_chars(s: StratumSpec, psi: AddChar
                   ) -> tuple[SimpleCharSpec, SimpleCharSpec]:
     """A matched (big, square-root) character pair."""
-    tower = s.tower
-    if psi is None:
-        psi = AddChar(tower.k, 1)
     return (
         SimpleCharSpec(s, psi, side="gl"),
         SimpleCharSpec(s, psi, side="u"),

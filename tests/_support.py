@@ -169,13 +169,13 @@ def embed_E_in_matrices(tower: TowerSpec) -> dict:
     acc = MatF.identity(tower)
     for _ in range(tower.e):
         acc = acc @ we
-    if acc != mu @ wf:
+    if not (acc - mu @ wf).is_zero():
         raise AssertionError("m_{w_E}^e != m_u m_{w_F}")
     mz = tower.m_of(tower.e_monomial(0, tower.kE.generator))
     order = 1
     cur = mz
     ident = MatF.identity(tower)
-    while cur != ident:
+    while not (cur - ident).is_zero():
         cur = cur @ mz
         order += 1
         if order > tower.kE.q:
@@ -188,8 +188,8 @@ def embed_E_in_matrices(tower: TowerSpec) -> dict:
             x = tower.e_monomial(i, c)
             lhs = tower.alpha(tower.m_of(x))
             rhs = -tower.m_of(x.sigma())
-            if lhs.truncated(rhs.fprec) != rhs.truncated(lhs.fprec):
-                raise AssertionError(f"alpha(m_x) != -m_sigma(x) at x = {x}")
+            if not (lhs.truncated(rhs.fprec) - rhs.truncated(lhs.fprec)).is_zero():
+                raise AssertionError(f"alpha(m_x) != -m_sigma(x) at x = {c!r} w_E^{i}")
     return {"varpi_E": we, "varpi_F": wf, "zeta": mz}
 
 

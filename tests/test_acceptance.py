@@ -191,7 +191,7 @@ def test_criterion_5_oracle_agreement():
         tower = s.tower
         qE = tower.kE.q
         half = (qE - 1) // 2
-        chars = default_chars(s)
+        chars = default_chars(s, _std_psi(s.tower))
         sample = 120 if name == "e3f2" else None
         c_y, c_z = iwahori_indices(tower, s)
         closed = (qE - 1) * isqrt(c_y // qE)
@@ -214,7 +214,7 @@ def test_criterion_6_simple_character_laws():
     rng = random.Random(11)
     for name in R1_CASE_NAMES:
         s = builtin_case(name)
-        big, root = default_chars(s)
+        big, root = default_chars(s, _std_psi(s.tower))
         p = s.tower.p
         for _ in range(200):
             g = _random_h1(s, rng)
@@ -230,7 +230,7 @@ def test_criterion_6_simple_character_laws():
     # small cases so every summand is exercised
     for name in ("u1", "e3f1", "e1f2"):
         s = builtin_case(name)
-        chars = default_chars(s)
+        chars = default_chars(s, _std_psi(s.tower))
         half = (s.tower.kE.q - 1) // 2
         bz_oracle(s, chars, (MultChar(s.tower.kE, half * (s.tower.f - 1)),))
     _report(6, "multiplicativity, square root, det identity", t0)

@@ -364,7 +364,7 @@ def test_epsilon_degenerate_form_reads_a_rational_sign(sign, monkeypatch):
 def test_epsilon_invariance_suite():
     for name in ("u1", "e3f1", "e1f2", "e5f1"):
         s = builtin_case(name)
-        report = epsilon_z_invariance(s)
+        report = epsilon_z_invariance(s, std_psi(s.tower))
         assert report["ok"]
         assert len(report["psi_twists"]) == s.tower.k.q - 1
         assert len(report["uniformizer"]) == s.tower.kE.q - 1
@@ -372,7 +372,7 @@ def test_epsilon_invariance_suite():
 
 def test_epsilon_invariance_multiplier_flips_for_f2():
     s = builtin_case("e1f2")
-    report = epsilon_z_invariance(s)
+    report = epsilon_z_invariance(s, std_psi(s.tower))
     chi = quadratic_residue_char(s.tower.kE)
     flips = [r for r in report["uniformizer"]
              if r["sign"] != report["base"]]
@@ -413,7 +413,7 @@ def random_unitary_element(s, rng, depth=3):
 def test_eval_identity_is_one():
     for name in R1_CASE_NAMES:
         s = builtin_case(name)
-        big, root = default_chars(s)
+        big, root = default_chars(s, std_psi(s.tower))
         p, one = s.tower.p, CycNum.one(s.tower.p)
         assert cyc_root(p, eval_simple_char(big, MatF.identity(s.tower))) == one
         assert cyc_root(p, eval_simple_char(root, MatF.identity(s.tower))) == one
@@ -423,7 +423,7 @@ def test_eval_multiplicative_on_random_pairs():
     rng = random.Random(5)
     for name in R1_CASE_NAMES:
         s = builtin_case(name)
-        big, _ = default_chars(s)
+        big, _ = default_chars(s, std_psi(s.tower))
         p = s.tower.p
         for _ in range(25):
             g = random_h1_element(s, rng)
@@ -437,7 +437,7 @@ def test_square_root_on_sigma_fixed():
     rng = random.Random(9)
     for name in R1_CASE_NAMES:
         s = builtin_case(name)
-        big, root = default_chars(s)
+        big, root = default_chars(s, std_psi(s.tower))
         for _ in range(10):
             g = random_unitary_element(s, rng)
             v = cyc_root(s.tower.p, eval_simple_char(root, g))
@@ -446,7 +446,7 @@ def test_square_root_on_sigma_fixed():
 
 def test_eval_rejects_unit_level_offset():
     s = builtin_case("e3f1")
-    big, _ = default_chars(s)
+    big, _ = default_chars(s, std_psi(s.tower))
     t = s.tower
     g = MatF.identity(t) + t.mat_from_layer(0, np.eye(t.n * t.f)[0])
     with pytest.raises(NotInDomain):
@@ -456,7 +456,7 @@ def test_eval_rejects_unit_level_offset():
 def test_eval_u_side_rejects_non_unitary():
     rng = random.Random(13)
     s = builtin_case("e3f1")
-    _, root = default_chars(s)
+    _, root = default_chars(s, std_psi(s.tower))
     g = random_h1_element(s, rng)
     with pytest.raises(NotInDomain):
         # A generic one-unit does not respect the Hermitian form.
@@ -551,7 +551,7 @@ def test_zero_aux_component_is_never_solved(monkeypatch):
         kE = s.tower.kE
         level0 = tuple(g.key() for g in level_gens(s, 0))
         seen.clear()
-        bz_oracle(s, default_chars(s), (MultChar(kE, (kE.q - 1) // 2),),
+        bz_oracle(s, default_chars(s, std_psi(s.tower)), (MultChar(kE, (kE.q - 1) // 2),),
                   sample=120 if name == "e3f2" else None)
         assert all(nonzero for _, nonzero in seen), name
         assert level0 not in {gens for gens, _ in seen}, name
@@ -568,7 +568,7 @@ def test_bz_term_independent_of_aux():
     for name in ("u1", "e3f1", "e1f2"):
         s = builtin_case(name)
         t = s.tower
-        chars = default_chars(s)
+        chars = default_chars(s, std_psi(s.tower))
         wz = build_Wz(t, s)
         dim = wz.dim_k
         xv = tuple([1] * dim)
@@ -585,7 +585,7 @@ def test_by_oracle_closed_form():
     # Exhaustive on every tower: e3f2 has 1,944 representatives.
     for name in R1_CASE_NAMES:
         s = builtin_case(name)
-        chars = default_chars(s)
+        chars = default_chars(s, std_psi(s.tower))
         val = by_oracle(s, chars)
         assert val == CycNum.integer(CLOSED_MAGNITUDE[name], s.tower.p)
 
@@ -619,7 +619,7 @@ def test_bz_oracle_vanishing_and_nonvanishing():
         s = builtin_case(name)
         kE = s.tower.kE
         f = s.tower.f
-        chars = default_chars(s)
+        chars = default_chars(s, std_psi(s.tower))
         half = (kE.q - 1) // 2
         sample = 120 if name == "e3f2" else None
         v_f, v_f1 = bz_oracle(s, chars, (MultChar(kE, half * f),
@@ -631,7 +631,7 @@ def test_bz_oracle_vanishing_and_nonvanishing():
 
 def test_bz_oracle_rejects_higher_order_restriction():
     s = builtin_case("e1f2")
-    chars = default_chars(s)
+    chars = default_chars(s, std_psi(s.tower))
     with pytest.raises(ValueError):
         bz_oracle(s, chars, (MultChar(s.tower.kE, 1),))
 
@@ -664,7 +664,7 @@ def test_oracles_do_no_residue_field_arithmetic_per_term(monkeypatch):
     seen = {}
     for sample in (1, None):
         s = builtin_case("e1f2")
-        chars = default_chars(s)
+        chars = default_chars(s, std_psi(s.tower))
         counts.clear()
         by_oracle(s, chars, sample=sample)
         bz_oracle(s, chars, mu_pair(s.tower), sample=sample)
@@ -737,7 +737,7 @@ def record_bz_terms(monkeypatch):
 def test_bz_oracle_sampled_terms_match_list_draw(monkeypatch):
     s = builtin_case("e3f2")
     t = s.tower
-    chars = default_chars(s)
+    chars = default_chars(s, std_psi(s.tower))
     mu = MultChar(t.kE, (t.kE.q - 1) // 2 * (t.f - 1))
     seen = record_bz_terms(monkeypatch)
     terms = ref_terms(list(t.kE.units()), t.p, build_Wz(t, s).dim_k)
@@ -752,7 +752,7 @@ def test_bz_oracle_exhaustive_e1f2_term_count(monkeypatch):
     t = s.tower
     seen = record_bz_terms(monkeypatch)
     mu = MultChar(t.kE, (t.kE.q - 1) // 2 * (t.f - 1))
-    bz_oracle(s, default_chars(s), (mu,))
+    bz_oracle(s, default_chars(s, std_psi(s.tower)), (mu,))
     dim = build_Wz(t, s).dim_k
     assert len(seen) == (t.kE.q - 1) * t.p**dim == 72
     assert len(set(seen)) == len(seen)
@@ -771,7 +771,7 @@ def test_bz_oracle_builds_one_phase_form_per_unit(monkeypatch):
         return prime_gram(space, psi)
 
     monkeypatch.setattr(gauss.QuadSpace, "prime_gram", spy)
-    bz_oracle(s, default_chars(s), mu_pair(t))
+    bz_oracle(s, default_chars(s, std_psi(s.tower)), mu_pair(t))
     assert len(spaces) == t.kE.q - 1 == 8
     assert len({id(space) for space in spaces}) == t.kE.q - 1
 
@@ -924,7 +924,7 @@ def mu_pair(t):
                                          ("e3f2", 12)])
 def test_bz_oracle_tuple_matches_single_calls(name, sample):
     s = builtin_case(name)
-    chars = default_chars(s)
+    chars = default_chars(s, std_psi(s.tower))
     mu_lo, mu_hi = mu_pair(s.tower)
     both = bz_oracle(s, chars, (mu_lo, mu_hi), sample=sample, seed=3)
     assert isinstance(both, tuple)
@@ -937,20 +937,21 @@ def test_bz_oracle_tuple_evaluates_each_term_once(monkeypatch):
     s = builtin_case("e1f2")
     t = s.tower
     seen = record_bz_terms(monkeypatch)
-    bz_oracle(s, default_chars(s), mu_pair(t))
+    bz_oracle(s, default_chars(s, std_psi(s.tower)), mu_pair(t))
     assert len(seen) == len(set(seen)) == (t.kE.q - 1) * t.p**2 == 72
 
 
 def test_bz_oracle_tuple_checks_every_character():
     s = builtin_case("e1f2")
     with pytest.raises(ValueError):
-        bz_oracle(s, default_chars(s), (mu_pair(s.tower)[0], MultChar(s.tower.kE, 1)))
+        bz_oracle(s, default_chars(s, std_psi(s.tower)),
+                  (mu_pair(s.tower)[0], MultChar(s.tower.kE, 1)))
 
 
 def test_oracles_refuse_past_bound(monkeypatch):
     s = builtin_case("e1f2")
     t = s.tower
-    chars = default_chars(s)
+    chars = default_chars(s, std_psi(s.tower))
     seen = record_bz_terms(monkeypatch)
     # One phase sum is p^dim = 9 points; path A has 72 terms, or the sample.
     with pytest.raises(EnumerationTooLarge):
@@ -980,9 +981,9 @@ def test_bz_oracle_refuses_before_any_phase_form(monkeypatch):
     monkeypatch.setattr(stratum, "_gauss_gram",
                         lambda *args: built.append(None) or gram(*args))
     with pytest.raises(EnumerationTooLarge, match="72 terms exceeds bound 71"):
-        bz_oracle(s, default_chars(s), mu_pair(s.tower), bound=71)
+        bz_oracle(s, default_chars(s, std_psi(s.tower)), mu_pair(s.tower), bound=71)
     assert built == []
-    bz_oracle(s, default_chars(s), mu_pair(s.tower), bound=72)
+    bz_oracle(s, default_chars(s, std_psi(s.tower)), mu_pair(s.tower), bound=72)
     assert len(built) == s.tower.kE.q - 1
 
 
@@ -1063,7 +1064,7 @@ def same_member(stack, k, single, exact=True):
     member = stack.take(k)
     t = single.tower
     constant = single.fprec == t.fcap and (single.is_zero() or
-                                           single == MatF.identity(t))
+                                           (single - MatF.identity(t)).is_zero())
     if member.fprec == single.fprec:
         return same_matf(member, single)
     return (constant or not exact) and member.fprec < single.fprec and \
@@ -1128,7 +1129,7 @@ PIN_SAMPLE = {"e3f2": 150}
 def test_chunked_bz_oracle_matches_one_term_code(name, monkeypatch):
     s = builtin_case(name)
     t = s.tower
-    chars = default_chars(s)
+    chars = default_chars(s, std_psi(s.tower))
     wz = build_Wz(t, s)
     sizes = [b.basis.shape[0] for b in wz.blocks]
     chunks = spy_chunks(monkeypatch)
@@ -1168,7 +1169,7 @@ def test_chunked_bz_oracle_matches_one_term_code(name, monkeypatch):
 def test_chunked_by_oracle_matches_one_term_code(name, monkeypatch):
     s = builtin_case(name)
     t = s.tower
-    big, root = chars = default_chars(s)
+    big, root = chars = default_chars(s, std_psi(s.tower))
     zbases = stratum._y_side_zbases(s)
     zdim = sum(b.shape[0] for _, b in zbases)
     evaluated = []
@@ -1220,7 +1221,7 @@ def path_a_terms(draw):
 @given(path_a_terms())
 def test_bz_chunks_match_one_term_code_on_random_terms(case):
     s, terms = case
-    chars = default_chars(s)
+    chars = default_chars(s, std_psi(s.tower))
     kE, p = s.tower.kE, s.tower.p
     wz = build_Wz(s.tower, s)
     dim = wz.dim_k
@@ -1272,7 +1273,7 @@ def test_bz_oracle_names_a_term_whose_phase_disagrees(term, monkeypatch):
 
     monkeypatch.setattr(stratum, "_bz_chunk", corrupt)
     with pytest.raises(CheckFailed, match=rf"\(term {term}\)"):
-        bz_oracle(s, default_chars(s), mu_pair(s.tower), sample=150, seed=5)
+        bz_oracle(s, default_chars(s, std_psi(s.tower)), mu_pair(s.tower), sample=150, seed=5)
 
 
 def test_exchange_identity_failure_names_its_term(monkeypatch):
@@ -1294,7 +1295,7 @@ def test_exchange_identity_failure_names_its_term(monkeypatch):
     X = np.array([[0, 0], [1, 0], [0, 2]])
     with pytest.raises(CheckFailed,
                        match=r"exchange identity fails \(stack index 2\)"):
-        stratum._bz_chunk(s, *default_chars(s), wz, logs_of([t.kE.one()] * 3), X)
+        stratum._bz_chunk(s, *default_chars(s, std_psi(s.tower)), wz, logs_of([t.kE.one()] * 3), X)
 
 
 def test_by_oracle_names_a_term_that_breaks_constancy(monkeypatch):
@@ -1310,7 +1311,7 @@ def test_by_oracle_names_a_term_that_breaks_constancy(monkeypatch):
 
     monkeypatch.setattr(stratum, "eval_simple_char", corrupt)
     with pytest.raises(CheckFailed, match=r"\(term 13\)"):
-        by_oracle(s, default_chars(s))
+        by_oracle(s, default_chars(s, std_psi(s.tower)))
 
 
 def test_by_oracle_names_a_chunk_that_is_constant_on_its_own(monkeypatch):
@@ -1331,7 +1332,7 @@ def test_by_oracle_names_a_chunk_that_is_constant_on_its_own(monkeypatch):
 
     monkeypatch.setattr(stratum, "eval_simple_char", corrupt)
     with pytest.raises(CheckFailed, match=r"\(term 64\)"):
-        by_oracle(s, default_chars(s), sample=150, seed=5)
+        by_oracle(s, default_chars(s, std_psi(s.tower)), sample=150, seed=5)
 
 
 def test_bz_oracle_compares_the_exhaustive_totals(monkeypatch):
@@ -1348,16 +1349,16 @@ def test_bz_oracle_compares_the_exhaustive_totals(monkeypatch):
 
     monkeypatch.setattr(stratum, "phase_sum", off_by_one)
     with pytest.raises(CheckFailed, match="two evaluation routes disagree"):
-        bz_oracle(s, default_chars(s), mu_pair(s.tower))
+        bz_oracle(s, default_chars(s, std_psi(s.tower)), mu_pair(s.tower))
     # A sampled run returns path B and compares no totals.
     calls.clear()
-    bz_oracle(s, default_chars(s), mu_pair(s.tower), sample=5)
+    bz_oracle(s, default_chars(s, std_psi(s.tower)), mu_pair(s.tower), sample=5)
 
 
 def test_chunk_failure_names_the_term(monkeypatch):
     # A check inside a chunk names its stack index and the chunk's start.
     s = builtin_case("e1f2")
-    chars = default_chars(s)
+    chars = default_chars(s, std_psi(s.tower))
     evaluate = stratum.eval_simple_char
 
     def refuse(chi, g):
@@ -1435,7 +1436,7 @@ def test_one_minus_alpha_solver_matches_elimination(name):
 def test_domain_checks_name_the_failing_member():
     s = builtin_case("e3f1")
     t = s.tower
-    big, root = default_chars(s)
+    big, root = default_chars(s, std_psi(s.tower))
     ident = MatF.identity(t)
     inside = ident + t.mat_from_layer(1, np.array([1, 0, 2]))
     outside = ident + t.mat_from_layer(0, np.array([0, 1, 0]))
@@ -1463,7 +1464,7 @@ def test_lattice_check_names_the_failing_member():
     escapes = [v for v in eye if not in_row_space(v, layer, t.p)]
     assert len(escapes) >= 2
     ident = MatF.identity(t)
-    big, _ = default_chars(s)
+    big, _ = default_chars(s, std_psi(s.tower))
     for v in escapes:
         members = [ident + t.mat_from_layer(1, w) for w in (layer[0], v)]
         with pytest.raises(NotInDomain, match=r"degree-1 component escapes "
@@ -1544,6 +1545,6 @@ def test_bz_chunk_takes_alpha_only_inside_the_solver(name, monkeypatch):
 
     monkeypatch.setattr(type(t), "alpha", spy_alpha)
     monkeypatch.setattr(stratum, "solve_Y_from_X", spy_solve)
-    stratum._bz_chunk(s, *default_chars(s), wz, logs_of(ys), X)
+    stratum._bz_chunk(s, *default_chars(s, std_psi(s.tower)), wz, logs_of(ys), X)
     assert calls["inside"] > 0
     assert calls["outside"] == 0
