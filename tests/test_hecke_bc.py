@@ -329,6 +329,26 @@ def test_base_change_rechoice_covariance(name):
     assert rechoice_covariance(rt, rho, report, tower)
 
 
+def test_rechoice_covariance_fails_on_one_flipped_uniformizer_row():
+    # A report whose sign at one unit u disagrees with chi^{f-1}(u) times
+    # the base sign breaks the relation at that row, whichever row it is.
+    from strbc.finite_field import AddChar
+
+    case = builtin_case("e1f2")
+    tower = case.tower
+    report = epsilon_z_invariance(case, AddChar(tower.k, 1))
+    rho = MultChar(tower.kE, 1).sign(-tower.kE.one())
+    rt = base_change(rho, report["base"], tower)
+    assert rechoice_covariance(rt, rho, report, tower)
+    rows = report["uniformizer"]
+    assert len(rows) == tower.kE.q - 1
+    for i in range(len(rows)):
+        flipped = [dict(r, sign=-r["sign"]) if j == i else r
+                   for j, r in enumerate(rows)]
+        assert not rechoice_covariance(rt, rho, dict(report, uniformizer=flipped),
+                                       tower)
+
+
 def test_rechoice_covariance_rejects_a_quarter_turn_uniformizer():
     # rho-tilde(pi_E) = +-i is self-dual when rho-tilde(-1) = -1, but the
     # rechoice relation compares signs, so it is refused like the r_z = 1
