@@ -10,9 +10,13 @@ out-of-scope d1-tower runs, eight configs off the built-in cases (W_z
 blocks past grade 0 (r_0 = 3 or 5, wild and tame), f = 3, q = 5, the least
 allowed precision N = 3 and a non-minimal c_0 that exits 2), and ``sign`` and
 ``base-change`` at depth 1 on q3_e3f2_d1, whose W_z has two blocks and
-whose per-block D-forms are checked.  A change that is meant to alter an output
-regenerates the files with ``PYTHONPATH=src python tests/test_golden.py``
-and says why.
+whose per-block D-forms are checked.  Three runs pin refusals that a user can
+reach: ``gauss`` on a one-form grid whose only form is degenerate, which
+compares nothing and exits 1; a bare ``sign``, which exits 2 for want of a
+config file or ``--case``; and ``sign`` on a q = 3, e = 1, f = 11 tower,
+whose field order 3^11 is past the cap and which exits 2.  A change that is
+meant to alter an output regenerates the files with
+``PYTHONPATH=src python tests/test_golden.py`` and says why.
 """
 
 from __future__ import annotations
@@ -55,6 +59,10 @@ COMMANDS = (
         ("sign", "q3_e1f3"), ("reducibility", "q3_e3f1_N3"),
         ("reducibility", "q5_e3f1"), ("sign", "q3_e3f2_nonminimal"),
         ("sign", "q3_e3f2_d1"), ("base-change", "q3_e3f2_d1"))]
+    + [("gauss-degenerate-seed1",
+        ["gauss", "configs/gauss_degenerate.json", "--seed", "1"]),
+       ("sign-no-config", ["sign"]),
+       ("sign-q3_e1f11", ["sign", "configs/q3_e1f11.json"])]
 )
 
 
