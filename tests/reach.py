@@ -141,12 +141,7 @@ def check(found: list[Range], entries) -> tuple[list[Range], list[tuple]]:
             left[r.key()] -= 1
         else:
             unlisted.append(r)
-    stale = []
-    for key, _ in entries:
-        if left[key]:
-            left[key] -= 1
-            stale.append(key)
-    return unlisted, stale
+    return unlisted, list(left.elements())
 
 
 def main() -> int:
