@@ -26,6 +26,7 @@ names the reason).
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import os
 import random
@@ -36,6 +37,10 @@ from dataclasses import dataclass, field
 # starts busy-waiting workers on the other cores when numpy loads; the pin
 # must precede that first import, and a value the caller set wins.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+# As a program, skip the collections numpy's import sets off; the __main__
+# block freezes what the imports left, so the exit collection skips it too.
+if __name__ == "__main__":
+    gc.disable()
 
 from ._modp import CheckFailed
 from .finite_field import _MAX_ORDER, AddChar, MultChar, _is_prime, get_field
@@ -513,4 +518,6 @@ def main(argv=None) -> int:
 
 
 if __name__ == "__main__":
+    gc.freeze()
+    gc.enable()
     sys.exit(main())

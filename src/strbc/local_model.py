@@ -299,7 +299,8 @@ class MatF:
         g = self.g + other.g
         L = fp - g
         if L <= 0:
-            return MatF.zero(t, fp, self._batch_with(other))
+            raise _modp.CheckFailed("MatF invariant broken: a nonzero factor "
+                                    "has g >= fprec")
         n = t.n
         a, b = self.arr[..., :L, :, :], other.arr[..., :L, :, :]
         la, lb = a.shape[-3], b.shape[-3]

@@ -3,15 +3,17 @@
 Replays every run of tests/golden/runs.json in-process through ``cli.main``
 under ``sys.settrace`` and prints each statement of the package that none of
 them executed, as ``module.py:first-last`` ranges of neighbouring unreached
-statements, each with the source of its first line.  ``raise`` statements
-are left out: a refusal that no golden run provokes is expected.  So are
-docstrings and ``nonlocal`` and ``global`` statements, which execute
-nothing.  A compound statement counts as reached when its header line or
-anything in its body runs.
+statements.  A range's text is the stripped first line of its first
+statement and, when it holds more than one, `` ... `` and that of its last
+one, so a range that grows gets a new text.  ``raise`` statements are left
+out: a refusal that no golden run provokes is expected.  So are docstrings
+and ``nonlocal`` and ``global`` statements, which execute nothing.  A
+compound statement counts as reached when its header line or anything in
+its body runs.
 
 Every range must be named in tests/reach_allow.txt, one line per range:
 
-    module.py | enclosing function | first source line, stripped | reason
+    module.py | enclosing function | text | reason
 
 The enclosing function is the qualified name of the innermost function or
 class around the range's first statement (``<module>`` at the top level).
@@ -44,7 +46,8 @@ ALLOW = Path(__file__).resolve().parent / "reach_allow.txt"
 
 
 class Range(NamedTuple):
-    """Neighbouring unreached statements of one module."""
+    """Neighbouring unreached statements of one module; text names the first
+    and the last of them."""
     module: str
     first: int
     last: int
@@ -95,7 +98,8 @@ def unreached(executed: dict[str, set[int]], src: Path = SRC) -> list[Range]:
     """Each run of neighbouring statements of src/*.py that did not execute.
 
     A statement executed when any line of it did: a line in the body of a
-    compound statement runs only after its header."""
+    compound statement runs only after its header.  A run is [first line,
+    last line, scope, first line of its last statement]."""
     out = []
     for path in sorted(src.glob("*.py")):
         text = path.read_text()
@@ -108,17 +112,18 @@ def unreached(executed: dict[str, set[int]], src: Path = SRC) -> list[Range]:
             if hit.intersection(range(first, last + 1)):
                 cur = None
             elif cur:
-                cur[1] = last
+                cur[1], cur[3] = last, first
             else:
-                cur = [first, last, scope]
+                cur = [first, last, scope, first]
                 runs.append(cur)
-        out += [Range(path.name, a, b, scope, lines[a - 1].strip())
-                for a, b, scope in runs]
+        out += [Range(path.name, a, b, scope, lines[a - 1].strip()
+                      + (f" ... {lines[z - 1].strip()}" if z != a else ""))
+                for a, b, scope, z in runs]
     return out
 
 
 def parse_allowlist(text: str) -> list[tuple[tuple[str, str, str], str]]:
-    """The (module, function, first line) key and the reason of each entry."""
+    """The (module, function, text) key and the reason of each entry."""
     entries = []
     for n, line in enumerate(text.splitlines(), 1):
         if not line.strip() or line.startswith("#"):
@@ -126,7 +131,7 @@ def parse_allowlist(text: str) -> list[tuple[tuple[str, str, str], str]]:
         parts = [p.strip() for p in line.split(" | ")]
         if len(parts) < 4 or not all(parts[:2]) or not parts[-1]:
             raise ValueError(f"reach_allow.txt:{n}: want 'module | function | "
-                             f"first line | reason', got {line!r}")
+                             f"text | reason', got {line!r}")
         key = (parts[0], parts[1], " | ".join(parts[2:-1]))
         entries.append((key, parts[-1]))
     return entries

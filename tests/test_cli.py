@@ -15,6 +15,7 @@ from strbc.finite_field import FqField
 from strbc.hecke_bc import LevelZeroChar
 from strbc.local_model import TowerSpec
 from strbc.stratum import StratumSpec
+from test_golden import RUNS
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
@@ -318,26 +319,55 @@ def test_cli_rejects_a_huge_q_without_a_float(command, blocks, capsys, tmp_path)
 
 
 def _import_cli(openblas_threads):
-    """(OS threads, OPENBLAS_NUM_THREADS) after a fresh process imports the
-    CLI with the variable unset or set to the given value."""
+    """(OS threads, OPENBLAS_NUM_THREADS, gc.isenabled(), gc.get_freeze_count())
+    after a fresh process imports the CLI with the variable unset or set to
+    the given value."""
     env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
     if openblas_threads is not None:
         env["OPENBLAS_NUM_THREADS"] = openblas_threads
-    probe = ("import os, strbc.cli; print(len(os.listdir('/proc/self/task')), "
-             "os.environ.get('OPENBLAS_NUM_THREADS'))")
+    probe = ("import gc, os, strbc.cli; print(len(os.listdir('/proc/self/task')), "
+             "os.environ.get('OPENBLAS_NUM_THREADS'), gc.isenabled(), "
+             "gc.get_freeze_count())")
     out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
                          capture_output=True, text=True).stdout.split()
-    return int(out[0]), out[1]
+    return int(out[0]), out[1], out[2] == "True", int(out[3])
 
 
 @pytest.mark.skipif(not os.path.isdir("/proc/self/task"),
                     reason="counts threads through /proc/self/task")
 def test_cli_import_pins_openblas_to_one_thread():
     # A fresh process each, since this one may have loaded numpy or set the
-    # variable already.  No BLAS worker starts; a caller's value wins.
-    assert _import_cli(None) == (1, "1")
+    # variable already.  No BLAS worker starts; a caller's value wins.  A
+    # library import leaves the collector on and freezes nothing.
+    assert _import_cli(None) == (1, "1", True, 0)
     assert _import_cli("2")[1] == "2"
+
+
+def test_cli_as_a_program_freezes_its_imports_and_collects_in_main(capsys, tmp_path):
+    # Run as __main__, the module pauses the collector through its imports,
+    # freezes what they left and turns it back on for main(), whose output is
+    # the golden run's and whose payload is that of a library call.
+    argv = ["reducibility", "--case", "e1f2", "--json"]
+    path = tmp_path / "program.json"
+    probe = ("import gc, runpy, sys\n"
+             f"sys.argv = ['strbc.cli'] + {argv + [str(path)]!r}\n"
+             "try:\n"
+             "    runpy.run_module('strbc.cli', run_name='__main__')\n"
+             "except SystemExit as exc:\n"
+             "    print(exc.code, gc.isenabled(), gc.get_freeze_count() > 0, "
+             "file=sys.stderr)\n")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", probe], env=env,
+                          capture_output=True, text=True)
+    assert done.returncode == 0
+    assert done.stderr.split() == ["0", "True", "True"]
+    golden = json.loads(RUNS.read_text())["reducibility-e1f2"]
+    assert done.stdout == golden["stdout"]
+    code, out, _ = run(argv + [str(tmp_path / "library.json")], capsys)
+    assert (code, out) == (0, done.stdout)
+    assert path.read_bytes() == (tmp_path / "library.json").read_bytes()
 
 
 @pytest.mark.parametrize("command", ["sign", "reducibility", "base-change"])

@@ -650,6 +650,18 @@ def test_matmul_matches_layer_pair_loop(name, seed, ga, la, xa, gb, lb, xb):
     assert same_matf(B @ A, ref_matmul(B, A))
 
 
+def test_matmul_refuses_a_factor_past_its_precision():
+    # Only a direct construction makes a nonzero MatF with g >= fprec, which
+    # the class docstring rules out; the product names the broken invariant.
+    t, _ = builtin_tower("e3f1")
+    past = MatF(t, 4, np.eye(t.n, dtype=np.int64)[None], 4)
+    assert not past.is_zero()
+    with pytest.raises(_modp.CheckFailed, match="g >= fprec"):
+        past @ MatF.identity(t, 6)
+    with pytest.raises(_modp.CheckFailed, match="g >= fprec"):
+        MatF.identity(t, 6) @ past
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.sampled_from(BUILTIN_CASE_NAMES), st.integers(0, 2**32 - 1),
        st.one_of(st.none(), st.integers(-4, 6)))

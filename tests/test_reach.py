@@ -88,6 +88,20 @@ def test_a_stale_entry_fails(tmp_path):
     assert stale == [("mod.py", "C.g", "return 0")]
 
 
+def test_a_range_that_grows_stops_matching_its_entry(tmp_path):
+    # f's return 1 joins its return 0 in one range, which the entry for
+    # return 0 alone does not name.
+    skipped = [_line(MODULE, "return 0"), _line(MODULE, "return 1")]
+    found = _found(tmp_path, MODULE, _run_all_but(MODULE, skipped))
+    assert [(r.function, r.text) for r in found] == [("f", "return 0 ... return 1")]
+    unlisted, stale = reach.check(
+        found, reach.parse_allowlist("mod.py | f | return 0 | tested elsewhere\n"))
+    assert unlisted == found
+    assert stale == [("mod.py", "f", "return 0")]
+    both = "mod.py | f | return 0 ... return 1 | tested elsewhere\n"
+    assert reach.check(found, reach.parse_allowlist(both)) == ([], [])
+
+
 def test_the_same_text_in_two_functions_is_told_apart(tmp_path):
     # C.g's return 0 is unreached, but the only entry names f's.
     found = _found(tmp_path, MODULE,
