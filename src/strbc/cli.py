@@ -31,7 +31,6 @@ import json
 import os
 import random
 import sys
-from dataclasses import dataclass, field
 
 # strbc's arithmetic is exact int64 and never reaches BLAS, yet OpenBLAS
 # starts busy-waiting workers on the other cores when numpy loads; the pin
@@ -133,15 +132,17 @@ def _check_block(data: dict, name: str) -> dict:
     return dict(block)
 
 
-@dataclass
 class ExperimentConfig:
     """Validated experiment description: tower + stratum + character + run."""
 
-    case: str | None = None
-    tower: dict = field(default_factory=dict)
-    stratum: dict = field(default_factory=dict)
-    character: dict = field(default_factory=dict)
-    run: dict = field(default_factory=dict)
+    __slots__ = ("case", "tower", "stratum", "character", "run")
+
+    def __init__(self, case: str | None = None, tower: dict | None = None,
+                 stratum: dict | None = None, character: dict | None = None,
+                 run: dict | None = None):
+        self.case = case
+        self.tower, self.stratum = tower or {}, stratum or {}
+        self.character, self.run = character or {}, run or {}
 
     @staticmethod
     def from_dict(data: dict) -> "ExperimentConfig":

@@ -21,6 +21,7 @@ array of polynomial-basis coefficients; the diagonalization and
 
 from __future__ import annotations
 
+import threading
 from functools import cached_property, lru_cache
 
 import numpy as np
@@ -168,15 +169,27 @@ def _phase_histogram(gram: np.ndarray, p: int, threads: int = 1) -> np.ndarray:
             vals = (tab[:, k, :, None] + vals[:, None, :]).reshape(len(tab), -1)
         return np.bincount((vals + q_lo).ravel(), minlength=top)
 
+    # The caller counts share 0 and one plain thread each of the others: a
+    # futures pool would also load logging into every cold process.
     blocks = range(0, len(hi), rows)
-    if threads > 1:
-        # Imported here, since it also loads logging, queue and traceback.
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            counts = sum(pool.map(process, blocks))
-    else:
-        counts = sum(map(process, blocks))
-    return np.pad(counts, (0, -top % p)).reshape(-1, p).sum(axis=0)
+    n = min(threads, len(blocks))
+    counts, errors = [0] * n, []
+
+    def share(i):
+        try:
+            counts[i] = sum(map(process, blocks[i::n]))
+        except Exception as exc:
+            errors.append(exc)
+
+    workers = [threading.Thread(target=share, args=(i,)) for i in range(1, n)]
+    for w in workers:
+        w.start()
+    share(0)
+    for w in workers:
+        w.join()
+    if errors:
+        raise errors[0]
+    return np.pad(sum(counts), (0, -top % p)).reshape(-1, p).sum(axis=0)
 
 
 def phase_sum(gram: np.ndarray, p: int, threads: int = 1) -> CycNum:

@@ -10,8 +10,8 @@ every exported result; they are never materialized.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import isqrt
+from typing import NamedTuple
 
 from ._modp import CheckFailed
 from .cyclotomic import CycNum
@@ -50,16 +50,15 @@ def turns_sign(k: int) -> int | None:
 # Exact q-power arithmetic.
 
 
-@dataclass(frozen=True)
 class QPower:
     """sign * q^(half/2), or zero; the exact scalar type for Hecke data."""
 
-    sign: int
-    half: int
+    __slots__ = ("sign", "half")
 
-    def __post_init__(self):
-        if self.sign not in (-1, 0, 1):
+    def __init__(self, sign: int, half: int):
+        if sign not in (-1, 0, 1):
             raise ValueError("sign must be -1, 0 or +1")
+        self.sign, self.half = sign, half
 
     @staticmethod
     def zero() -> "QPower":
@@ -269,8 +268,7 @@ def checked_varpi_F_turns(rho_tilde: LevelZeroChar, tower: TowerSpec) -> int:
 # Reducibility.
 
 
-@dataclass(frozen=True)
-class ReducibilityReport:
+class ReducibilityReport(NamedTuple):
     real_points: frozenset
     shifted_points: frozenset  # real parts of points offset by IMAG_TOKEN
     branch: str

@@ -35,8 +35,8 @@ memoized builder, keyed by its name and the content of its arguments.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 from functools import lru_cache, wraps
+from typing import NamedTuple
 
 import numpy as np
 
@@ -477,8 +477,7 @@ def _content(x):
     return x.key() if isinstance(x, EElem) else operator.index(x)
 
 
-@dataclass(frozen=True)
-class TowerConfig:
+class TowerConfig(NamedTuple):
     q: int
     e: int
     f: int
@@ -756,17 +755,19 @@ def _in_level(tower: TowerSpec, x: EElem, level: int) -> bool:
             and np.array_equal(fixed, x.rows))
 
 
-@dataclass(frozen=True)
 class WzBlock:
-    j: int
-    grade: int
-    basis: np.ndarray  # rows are layer coordinates at the given grade
+    __slots__ = ("j", "grade", "basis")
+
+    def __init__(self, j: int, grade: int, basis: np.ndarray):
+        # basis rows are layer coordinates at the given grade
+        self.j, self.grade, self.basis = j, grade, basis
 
 
-@dataclass(frozen=True)
 class WzSpace:
-    tower: TowerSpec
-    blocks: tuple[WzBlock, ...]
+    __slots__ = ("tower", "blocks")
+
+    def __init__(self, tower: TowerSpec, blocks: tuple[WzBlock, ...]):
+        self.tower, self.blocks = tower, blocks
 
     @property
     def dim_k(self) -> int:

@@ -319,19 +319,19 @@ def test_cli_rejects_a_huge_q_without_a_float(command, blocks, capsys, tmp_path)
 
 
 def _import_cli(openblas_threads):
-    """(OS threads, OPENBLAS_NUM_THREADS, gc.isenabled(), gc.get_freeze_count())
-    after a fresh process imports the CLI with the variable unset or set to
-    the given value."""
+    """(OS threads, OPENBLAS_NUM_THREADS, gc.isenabled(), gc.get_freeze_count(),
+    whether dataclasses is loaded) after a fresh process imports the CLI with
+    the variable unset or set to the given value."""
     env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
     if openblas_threads is not None:
         env["OPENBLAS_NUM_THREADS"] = openblas_threads
     probe = ("import gc, os, strbc.cli; print(len(os.listdir('/proc/self/task')), "
              "os.environ.get('OPENBLAS_NUM_THREADS'), gc.isenabled(), "
-             "gc.get_freeze_count())")
+             "gc.get_freeze_count(), 'dataclasses' in __import__('sys').modules)")
     out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
                          capture_output=True, text=True).stdout.split()
-    return int(out[0]), out[1], out[2] == "True", int(out[3])
+    return int(out[0]), out[1], out[2] == "True", int(out[3]), out[4] == "True"
 
 
 @pytest.mark.skipif(not os.path.isdir("/proc/self/task"),
@@ -339,8 +339,9 @@ def _import_cli(openblas_threads):
 def test_cli_import_pins_openblas_to_one_thread():
     # A fresh process each, since this one may have loaded numpy or set the
     # variable already.  No BLAS worker starts; a caller's value wins.  A
-    # library import leaves the collector on and freezes nothing.
-    assert _import_cli(None) == (1, "1", True, 0)
+    # library import leaves the collector on, freezes nothing and generates
+    # no dataclass code.
+    assert _import_cli(None) == (1, "1", True, 0, False)
     assert _import_cli("2")[1] == "2"
 
 
@@ -368,6 +369,34 @@ def test_cli_as_a_program_freezes_its_imports_and_collects_in_main(capsys, tmp_p
     code, out, _ = run(argv + [str(tmp_path / "library.json")], capsys)
     assert (code, out) == (0, done.stdout)
     assert path.read_bytes() == (tmp_path / "library.json").read_bytes()
+
+
+def test_cli_gauss_program_splits_on_plain_threads():
+    # The histogram's split starts threading.Thread workers, and no import
+    # of the run loads concurrent.futures, which would load logging too.
+    argv = ["gauss", str(RUNS.parent / "configs" / "gauss_grid.json"),
+            "--seed", "244470886", "--threads", "2"]
+    probe = ("import runpy, sys, threading\n"
+             "started, start = [], threading.Thread.start\n"
+             "threading.Thread.start = lambda t: (started.append(t), start(t))[1]\n"
+             f"sys.argv = ['strbc.cli'] + {argv!r}\n"
+             "try:\n"
+             "    runpy.run_module('strbc.cli', run_name='__main__')\n"
+             "except SystemExit as exc:\n"
+             "    print(exc.code, len(started) > 0, 'concurrent.futures' in "
+             "sys.modules, file=sys.stderr)\n")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", probe], env=env,
+                          capture_output=True, text=True)
+    assert done.stderr.split() == ["0", "True", "False"]
+    assert done.stdout == json.loads(RUNS.read_text())["gauss-grid-threads2"]["stdout"]
+
+
+def test_config_blocks_are_fresh_per_instance():
+    a, b = ExperimentConfig(), ExperimentConfig()
+    for name in ("tower", "stratum", "character", "run"):
+        assert getattr(a, name) == {} and getattr(a, name) is not getattr(b, name)
 
 
 @pytest.mark.parametrize("command", ["sign", "reducibility", "base-change"])

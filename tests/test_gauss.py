@@ -1,4 +1,6 @@
 import random
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -288,6 +290,56 @@ def test_phase_histogram_blocks_stay_bounded(monkeypatch, p, d):
     assert int(counts.sum()) == p**d
     assert sum(n for n, _ in seen) == p**d
     assert max(n for n, _ in seen) <= max(1 << 16, p ** ((d + 1) // 2))
+
+
+def test_phase_histogram_raises_a_worker_error_in_the_caller(monkeypatch):
+    # The exception object a worker raises is raised again in the calling
+    # thread, after every worker is done; none reaches threading.excepthook.
+    caller, real, boom, hooked = threading.get_ident(), np.bincount, KeyError(7), []
+
+    def bincount(x, *args, **kwargs):
+        if threading.get_ident() != caller:
+            raise boom
+        return real(x, *args, **kwargs)
+
+    monkeypatch.setattr(np, "bincount", bincount)
+    monkeypatch.setattr(threading, "excepthook", hooked.append)
+    with pytest.raises(KeyError) as info:
+        _phase_histogram(unreduced_gram(3, 11, seed=1, symmetric=True), 3, threads=2)
+    assert info.value is boom
+    assert hooked == [] and threading.active_count() == 1
+
+
+def test_phase_histogram_starts_fewer_threads_than_blocks(monkeypatch):
+    # However many threads are asked for, the caller counts one share and one
+    # thread each counts the others: a counting Thread sees blocks - 1.
+    gram = unreduced_gram(3, 11, seed=2, symmetric=True)
+    seen = spy_bincount(monkeypatch)
+    serial = _phase_histogram(gram, 3).tolist()
+    blocks, made, real = len(seen), [], threading.Thread
+
+    class Counting(real):
+        def __init__(self, *args, **kwargs):
+            made.append(self)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(threading, "Thread", Counting)
+    assert _phase_histogram(gram, 3, threads=64).tolist() == serial
+    assert 1 < blocks < 64 and len(made) == blocks - 1
+
+
+def test_phase_histogram_shares_survive_fast_thread_switching():
+    # More threads than cores, switching as often as the interpreter allows:
+    # a share lost or counted twice changes the total.
+    gram = unreduced_gram(3, 13, seed=3, symmetric=True)
+    serial = _phase_histogram(gram, 3).tolist()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        assert _phase_histogram(gram, 3, threads=5).tolist() == serial
+    finally:
+        sys.setswitchinterval(interval)
+    assert threading.active_count() == 1
 
 
 @settings(max_examples=15, deadline=None)

@@ -68,6 +68,11 @@ def test_qpower_as_int():
         a.as_int(3)
 
 
+def test_qpower_refuses_a_sign_off_minus_one_zero_one():
+    with pytest.raises(ValueError, match=r"^sign must be -1, 0 or \+1$"):
+        QPower(2, 0)
+
+
 def test_params_reject_bad_index():
     with pytest.raises(InconsistentParams):
         HeckeParams(3, 1, 5, 3)

@@ -253,24 +253,44 @@ def test_name_scan_flags_each_unread_public_definition(snippet, unread):
     assert _unread_names({"m": ast.parse(snippet)}) == unread
 
 
+def _last_name(node: ast.AST) -> str | None:
+    """The name of `name` or the last part of `a.b.name`."""
+    return node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+
+
 def _is_dataclass(decorator: ast.AST) -> bool:
     f = decorator.func if isinstance(decorator, ast.Call) else decorator
-    return (f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)) == "dataclass"
+    return _last_name(f) == "dataclass"
+
+
+def _declared_fields(node: ast.ClassDef):
+    """(name, line) of each field a class declares: annotated names of a
+    dataclass or NamedTuple, and the strings of a __slots__ tuple or list."""
+    record = (any(map(_is_dataclass, node.decorator_list))
+              or "NamedTuple" in map(_last_name, node.bases))
+    for stmt in node.body:
+        if (record and isinstance(stmt, ast.AnnAssign)
+                and isinstance(stmt.target, ast.Name)):
+            yield stmt.target.id, stmt.lineno
+        elif (isinstance(stmt, ast.Assign)
+              and [_last_name(t) for t in stmt.targets] == ["__slots__"]
+              and isinstance(stmt.value, (ast.Tuple, ast.List))):
+            for elt in stmt.value.elts:
+                if isinstance(elt, ast.Constant) and isinstance(elt.value, str):
+                    yield elt.value, stmt.lineno
 
 
 def _unread_attributes(trees: dict[str, ast.AST]) -> list[str]:
     """'module:line name' for each attribute stored on self, or declared as
-    a dataclass field, that no module loads as an attribute.  A read through
-    getattr with a computed name does not count."""
+    a field of a dataclass, a NamedTuple or a __slots__ class, that no module
+    loads as an attribute.  A read through getattr with a computed name does
+    not count."""
     stored = {}
     for module, tree in trees.items():
         for node in ast.walk(tree):
-            if (isinstance(node, ast.ClassDef)
-                    and any(map(_is_dataclass, node.decorator_list))):
-                for field in node.body:
-                    if (isinstance(field, ast.AnnAssign)
-                            and isinstance(field.target, ast.Name)):
-                        stored.setdefault(field.target.id, f"{module}:{field.lineno}")
+            if isinstance(node, ast.ClassDef):
+                for name, line in _declared_fields(node):
+                    stored.setdefault(name, f"{module}:{line}")
             elif (isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)
                   and isinstance(node.value, ast.Name) and node.value.id == "self"):
                 stored.setdefault(node.attr, f"{module}:{node.lineno}")
@@ -306,6 +326,11 @@ def test_every_attribute_is_read_in_package():
     ("@dataclass\nclass C:\n    x: int\nprint(C(1).x)", []),
     ("class C:\n    x: int\n    def __init__(self):\n        self.__dict__ = {}", []),
     ("class C:\n    def __init__(self, o):\n        o.x = 1", []),
+    ("class C(NamedTuple):\n    x: int\n    y: int = 0\nprint(C(1).y)", ["m:2 x"]),
+    ("class C(typing.NamedTuple):\n    x: int", ["m:2 x"]),
+    ("class C:\n    __slots__ = ('x', 'y')\nprint(C().y)", ["m:2 x"]),
+    ("class C:\n    __slots__ = ('x', '__weakref__')\n    def f(self):\n"
+     "        return self.x", []),
 ])
 def test_attribute_scan_flags_each_unread_store(snippet, unread):
     assert _unread_attributes({"m": ast.parse(snippet)}) == unread
