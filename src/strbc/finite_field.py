@@ -6,7 +6,8 @@ little-endian coefficient tuple), and the generator is the least element of
 multiplicative order q-1 in the same counting order.  A character value is a
 single root of unity, so it is read as its exponent: MultChar.sign gives the
 value of a character of order dividing 2 as +-1, and AddChar.residue_phase
-gives the exponent of zeta_p.  Only sums of such values are CycNums.
+gives the exponent of zeta_p.  Only sums of additive character values,
+elements of Z[zeta_p], are CycNums.
 """
 
 from __future__ import annotations
@@ -17,7 +18,20 @@ from math import isqrt
 import numpy as np
 
 from ._modp import CheckFailed, digit_table
-from .cyclotomic import poly_divmod
+
+
+def poly_rem(num, den, p: int) -> list[int]:
+    """Remainder of num by the monic den over F_p, both given by their
+    coefficients from low to high."""
+    rem = list(num)
+    dd = len(den) - 1
+    terms = [(j, d) for j, d in enumerate(den[:dd]) if d]
+    for i in range(len(rem) - 1, dd - 1, -1):
+        c = rem[i] % p
+        if c:
+            for j, d in terms:
+                rem[i - dd + j] -= c * d
+    return [c % p for c in rem[:dd]]
 
 
 class DivisionByZero(ZeroDivisionError):
@@ -102,7 +116,7 @@ class FqField:
         poly = list(low) + [1]
         for deg in range(1, f // 2 + 1):
             for div in digit_table(p, deg).tolist():
-                if not any(poly_divmod(poly, div + [1], p)[1]):
+                if not any(poly_rem(poly, div + [1], p)):
                     return False
         return True
 
@@ -226,8 +240,7 @@ class FqElem:
             if a:
                 for j, b in enumerate(other.coeffs):
                     raw[i + j] += a * b
-        _, rem = poly_divmod(raw, self.field.modulus, p)
-        return FqElem(self.field, tuple(rem))
+        return FqElem(self.field, tuple(poly_rem(raw, self.field.modulus, p)))
 
     __rmul__ = __mul__
 

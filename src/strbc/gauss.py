@@ -27,7 +27,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from ._modp import CheckFailed, digit_table
-from .cyclotomic import CycNum, cyc_is_rational_sign_times
+from .cyclotomic import CycNum
 from .finite_field import (
     AddChar,
     FqElem,
@@ -229,7 +229,7 @@ def gauss_sum_closed(space: QuadSpace, psi: AddChar) -> CycNum:
         raise DegenerateForm("closed form requires a nondegenerate Gram matrix")
     fld = space.field
     if space.dim == 0:
-        return CycNum.one()
+        return CycNum.one(fld.p)
     chi = quadratic_residue_char(fld)
     g = one_dim_gauss_value(fld, psi)
     return chi.sign(space.det()) * g**space.dim
@@ -252,8 +252,8 @@ def normalized_sign(space: QuadSpace, psi: AddChar,
         brute = gauss_sum_brute(space, psi, bound=bound)
         if brute != closed:
             raise CheckFailed("brute and closed Gauss sums disagree")
-    ref = CycNum.integer(fld.p ** (pdim // 2))
-    s = cyc_is_rational_sign_times(closed, ref)
+    root = fld.p ** (pdim // 2)
+    s = {root: 1, -root: -1}.get(closed.as_int())
     if s is None:
         # The sum is +-g_p^pdim and g_p^2 = chi(-1) p: a sign times p^(pdim/2).
         raise CheckFailed("normalized quotient is not +-1")

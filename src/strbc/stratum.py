@@ -34,7 +34,7 @@ import sys
 import numpy as np
 
 from . import _modp
-from .cyclotomic import CycNum, cyc_is_rational_sign_times, cyc_root
+from .cyclotomic import CycNum, cyc_root
 from .finite_field import (
     AddChar,
     FqElem,
@@ -324,9 +324,9 @@ def epsilon_z(s: StratumSpec, psi: AddChar, scale_unit: FqElem | None = None,
         # The phase form can degenerate (a wild sub-extension kills the
         # trace residue on a whole block); the raw sum is then a higher
         # power of p and there is no sign to extract.
-        total = gauss_sum_brute(space, psi, bound=bound)
-        root = CycNum.integer(math.isqrt(wz.size), tower.p)
-        sign = cyc_is_rational_sign_times(total, root)
+        total = gauss_sum_brute(space, psi, bound=bound).as_int()
+        root = math.isqrt(wz.size)
+        sign = {root: 1, -root: -1}.get(total)
         if sign is None:
             raise NonUnitQuotient(
                 "degenerate phase form: the normalized sum is not a unit"

@@ -1,8 +1,8 @@
 """Reference routes and checks that only the tests use.
 
 Each is an independent second route to something the package computes
-(a character value as an element of Z[zeta_M], the Gauss sum point by
-point, the trace and the inverse of the regular representation, the graded
+(exact sums in the general ring Z[zeta_M] of cyclotomic integers, a
+character value as an element of it, the Gauss sum point by point, the trace and the inverse of the regular representation, the graded
 centralizer, the zeta-conjugation index, the graded layer maps one basis
 matrix at a time, the ad-kernel minimality test and the two-branch W_z
 complement) or a check of an identity the package relies on (the embedding
@@ -18,8 +18,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 from itertools import product
+from math import gcd
 from pathlib import Path
+from typing import Iterable
 
 import numpy as np
 
@@ -55,6 +58,204 @@ def golden_stratum(name: str):
 
 
 # ---------------------------------------------------------------------------
+# The general ring Z[zeta_M]: the reference for the package's Z[zeta_p].
+#
+# Elements are stored on the power basis zeta_M^0, ..., zeta_M^(phi(M)-1),
+# reduced modulo the M-th cyclotomic polynomial, with arbitrary-precision
+# integer coefficients.  Values of different moduli coerce to their lcm.
+
+
+class NonDivisibleModulus(ValueError):
+    """Raised when embedding Z[zeta_M] -> Z[zeta_M'] with M not dividing M'."""
+
+
+class ZeroReference(ZeroDivisionError):
+    """Raised when extracting a sign against a zero reference value."""
+
+
+def euler_phi(m: int) -> int:
+    if m < 1:
+        raise ValueError("modulus must be positive")
+    result = m
+    n, p = m, 2
+    while p * p <= n:
+        if n % p == 0:
+            while n % p == 0:
+                n //= p
+            result -= result // p
+        p += 1
+    if n > 1:
+        result -= result // n
+    return result
+
+
+def poly_divmod(num, den) -> tuple[list[int], list[int]]:
+    """Quotient and remainder of num by the monic den over Z (coefficients
+    low to high)."""
+    rem = list(num)
+    dd = len(den) - 1
+    quo = [0] * max(0, len(rem) - dd)
+    if quo:
+        terms = [(j, d) for j, d in enumerate(den[:dd]) if d]
+        for i in range(len(rem) - 1, dd - 1, -1):
+            c = rem[i]
+            if c:
+                quo[i - dd] = c
+                for j, d in terms:
+                    rem[i - dd + j] -= c * d
+    return quo, rem[:dd]
+
+
+@lru_cache(maxsize=None)
+def cyclotomic_polynomial(m: int) -> tuple[int, ...]:
+    """Coefficient tuple (low to high) of the monic polynomial Phi_m."""
+    if m < 1:
+        raise ValueError("modulus must be positive")
+    if m == 1:
+        return (-1, 1)
+    # Phi_m = (x^m - 1) / prod_{d|m, d<m} Phi_d
+    num = [0] * (m + 1)
+    num[0], num[m] = -1, 1
+    for d in range(1, m):
+        if m % d == 0:
+            num, rem = poly_divmod(num, cyclotomic_polynomial(d))
+            if any(rem):
+                raise ArithmeticError("inexact polynomial division")
+    return tuple(num)
+
+
+class RefCycNum:
+    """An element of Z[zeta_M] in canonical (reduced power basis) form."""
+
+    __slots__ = ("modulus", "coeffs")
+
+    def __init__(self, modulus: int, coeffs: Iterable[int]):
+        coeffs = list(coeffs)
+        deg = euler_phi(modulus)
+        if len(coeffs) > deg:
+            coeffs = poly_divmod(coeffs, cyclotomic_polynomial(modulus))[1]
+        else:
+            coeffs += [0] * (deg - len(coeffs))
+        object.__setattr__(self, "modulus", modulus)
+        object.__setattr__(self, "coeffs", tuple(coeffs))
+
+    def __setattr__(self, *a):
+        raise AttributeError("RefCycNum is immutable")
+
+    @staticmethod
+    def integer(n: int, modulus: int = 1) -> "RefCycNum":
+        deg = euler_phi(modulus)
+        return RefCycNum(modulus, [n] + [0] * (deg - 1))
+
+    @staticmethod
+    def zero(modulus: int = 1) -> "RefCycNum":
+        return RefCycNum.integer(0, modulus)
+
+    @staticmethod
+    def one(modulus: int = 1) -> "RefCycNum":
+        return RefCycNum.integer(1, modulus)
+
+    def _coerce(self, other) -> tuple["RefCycNum", "RefCycNum"]:
+        if isinstance(other, int):
+            other = RefCycNum.integer(other, self.modulus)
+        if other.modulus == self.modulus:
+            return self, other
+        m = self.modulus * other.modulus // gcd(self.modulus, other.modulus)
+        return ref_embed(self, m), ref_embed(other, m)
+
+    def __add__(self, other):
+        a, b = self._coerce(other)
+        return RefCycNum(a.modulus, [x + y for x, y in zip(a.coeffs, b.coeffs)])
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return RefCycNum(self.modulus, [-x for x in self.coeffs])
+
+    def __mul__(self, other):
+        a, b = self._coerce(other)
+        deg = len(a.coeffs)
+        raw = [0] * (2 * deg - 1)
+        terms = [(j, y) for j, y in enumerate(b.coeffs) if y]
+        for i, x in enumerate(a.coeffs):
+            if x:
+                for j, y in terms:
+                    raw[i + j] += x * y
+        return RefCycNum(a.modulus, raw)
+
+    __rmul__ = __mul__
+
+    def __pow__(self, k: int):
+        if k < 0:
+            raise ValueError("only nonnegative powers are supported")
+        out = RefCycNum.one(self.modulus)
+        base = self
+        while k:
+            if k & 1:
+                out = out * base
+            k >>= 1
+            if k:
+                base = base * base
+        return out
+
+    def __eq__(self, other):
+        a, b = self._coerce(other)
+        return a.coeffs == b.coeffs
+
+    def __bool__(self):
+        return any(self.coeffs)
+
+    def as_int(self) -> int | None:
+        """The value as a plain integer, or None if it is not rational."""
+        if any(self.coeffs[1:]):
+            return None
+        return self.coeffs[0]
+
+
+def ref_root(modulus: int, k: int) -> RefCycNum:
+    """The root of unity zeta_M^k as an exact element of Z[zeta_M]."""
+    if modulus < 1:
+        raise ValueError("modulus must be positive")
+    k %= modulus
+    deg = euler_phi(modulus)
+    raw = [0] * (modulus if k >= deg else deg)
+    raw[k] = 1
+    return RefCycNum(modulus, raw)
+
+
+def ref_embed(src: RefCycNum, modulus: int) -> RefCycNum:
+    """The same algebraic number rewritten in Z[zeta_M'] for src.M | M'."""
+    if modulus % src.modulus != 0:
+        raise NonDivisibleModulus(
+            f"cannot embed Z[zeta_{src.modulus}] into Z[zeta_{modulus}]"
+        )
+    if modulus == src.modulus:
+        return src
+    step = modulus // src.modulus
+    raw = [0] * ((len(src.coeffs) - 1) * step + 1)
+    for i, c in enumerate(src.coeffs):
+        raw[i * step] += c
+    return RefCycNum(modulus, raw)
+
+
+def ref_is_rational_sign_times(value: RefCycNum, reference: RefCycNum) -> int | None:
+    """+1 or -1 when value = (+-1) * reference exactly, else None."""
+    if not reference:
+        raise ZeroReference("sign extraction against zero reference")
+    if value == reference:
+        return 1
+    if value == -reference:
+        return -1
+    return None
+
+
+def as_ref(x: CycNum) -> RefCycNum:
+    """A package element of Z[zeta_p] as the same element of the reference
+    ring: both store the coefficients of zeta_p^0, ..., zeta_p^(p-2)."""
+    return RefCycNum(x.p, x.coeffs)
+
+
+# ---------------------------------------------------------------------------
 # Character values and Gauss sums point by point.
 
 
@@ -66,14 +267,14 @@ def is_trivial(chi: MultChar) -> bool:
     return chi.exponent == 0
 
 
-def mult_value(chi: MultChar, x: FqElem) -> CycNum:
+def mult_value(chi: MultChar, x: FqElem) -> RefCycNum:
     """chi(x) = zeta_{q-1}^(a log x) for chi = MultChar(k, a)."""
-    return cyc_root(chi.field.q - 1, chi.exponent * x.discrete_log())
+    return ref_root(chi.field.q - 1, chi.exponent * x.discrete_log())
 
 
-def add_value(psi: AddChar, x: FqElem) -> CycNum:
+def add_value(psi: AddChar, x: FqElem) -> RefCycNum:
     """psi(x) = zeta_p^Tr(a x) for psi = AddChar(k, a)."""
-    return cyc_root(psi.field.p, psi.residue_phase(x))
+    return ref_root(psi.field.p, psi.residue_phase(x))
 
 
 def evaluate(space: QuadSpace, xs: list[FqElem]) -> FqElem:
@@ -88,16 +289,16 @@ def evaluate(space: QuadSpace, xs: list[FqElem]) -> FqElem:
 
 
 def gauss_sum_brute_slow(space: QuadSpace, psi: AddChar,
-                         bound: int = 10**5) -> CycNum:
+                         bound: int = 10**5) -> RefCycNum:
     """Pure point-by-point enumeration; cross-checks the vectorized route."""
     if psi.is_trivial():
         raise TrivialAdditiveCharacter("brute Gauss sum needs nontrivial psi")
     fld = space.field
     if fld.q**space.dim > bound:
         raise EnumerationTooLarge("slow brute route past its bound")
-    total = CycNum.zero(fld.p)
+    total = RefCycNum.zero(fld.p)
     for xs in product(list(fld.elements()), repeat=space.dim):
-        total = total + cyc_root(fld.p, psi.residue_phase(evaluate(space, list(xs))))
+        total = total + ref_root(fld.p, psi.residue_phase(evaluate(space, list(xs))))
     return total
 
 

@@ -62,6 +62,7 @@ from _support import (
     ParityClass,
     minimality_check,
     parity_classifier,
+    ref_root,
     s_values,
 )
 
@@ -279,7 +280,7 @@ def test_criterion_8_base_change():
     for exp, want in [(0, 1), (1, -1)]:
         rho = MultChar(case.tower.kE, exp).sign(-case.tower.kE.one())
         rt = base_change(rho, eps, case.tower)
-        assert cyc_root(4, rt.varpi_F_turns(case.tower)).as_int() == want
+        assert ref_root(4, rt.varpi_F_turns(case.tower)).as_int() == want
     # rechoice invariance and composed reducibility point 1, per case
     for name in R1_CASE_NAMES:
         s = builtin_case(name)
@@ -317,7 +318,7 @@ def test_criterion_9_parity():
         for vk in range(4):
             chi = (MultChar(k, exp), vk)
             cls = parity_classifier(chi, tower)
-            sq = cyc_root(4, (2 * vk) % 4).as_int()
+            sq = ref_root(4, (2 * vk) % 4).as_int()
             csd = ((2 * exp) % (k.q - 1) == 0 and sq is not None
                    and sq * MultChar(k, exp).sign(-k.one()) == 1)
             if not csd:
@@ -331,13 +332,13 @@ def test_criterion_9_parity():
 
 def test_criterion_10_uniqueness():
     t0 = time.monotonic()
-    fourth_roots = [cyc_root(4, k) for k in range(4)]
+    fourth_roots = [ref_root(4, k) for k in range(4)]
     for e in (1, 3, 5, 7):
         for z in fourth_roots:
-            ze = cyc_root(4, 0)
+            ze = ref_root(4, 0)
             for _ in range(e):
                 ze = ze * z
             got = p_primary_extension(e, fourth_roots.index(ze),
                                       fourth_roots.index(z * z))
-            assert cyc_root(4, got) == z
+            assert ref_root(4, got) == z
     _report(10, "p-primary extension unique for e in {1,3,5,7}", t0)

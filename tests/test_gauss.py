@@ -28,7 +28,15 @@ from strbc.gauss import (
     one_dim_gauss_value,
 )
 
-from _support import evaluate, gauss_sum_brute_slow, mult_value, zero
+from _support import (
+    RefCycNum,
+    as_ref,
+    evaluate,
+    gauss_sum_brute_slow,
+    mult_value,
+    ref_is_rational_sign_times,
+    zero,
+)
 
 
 def std_psi(field):
@@ -120,7 +128,12 @@ def test_vectorized_matches_slow_enumeration():
         for n in (1, 2, 3):
             sp = QuadSpace(fld, coeff_array(fld, random_symmetric(fld, n, rng)))
             psi = AddChar(fld, rng.choice([u for u in fld.units()]))
-            assert gauss_sum_brute(sp, psi) == gauss_sum_brute_slow(sp, psi)
+            slow = gauss_sum_brute_slow(sp, psi)
+            assert as_ref(gauss_sum_brute(sp, psi)) == slow
+            if n * f % 2 == 0 and sp.is_nondegenerate():
+                root = RefCycNum.integer(p ** (n * f // 2))
+                assert (normalized_sign(sp, psi)
+                        == ref_is_rational_sign_times(slow, root))
 
 
 def test_orthogonal_sum_multiplicativity():

@@ -36,12 +36,13 @@ from _support import (
     is_trivial,
     parity_classifier,
     rank_values,
+    ref_root,
     s_values,
 )
 
 HALF = Fraction(1, 2)
 # The reference values: i^k as an element of Z[zeta_4], for k = 0..3.
-ZETA4_POWERS = [cyc_root(4, k) for k in range(4)]
+ZETA4_POWERS = [ref_root(4, k) for k in range(4)]
 
 
 def gl_char(exp=0, turns=0):
@@ -91,7 +92,7 @@ def test_params_reject_wrong_b():
 
 
 def test_params_read_eps_from_a_passed_b():
-    hp = HeckeParams(3, 1, 3, 3, b_y=-2, b_z=CycNum.integer(2, 3))
+    hp = HeckeParams(3, 1, 3, 3, b_y=-2, b_z=CycNum(3, [2]))
     assert (hp.b["y"].sign, hp.b["z"].sign) == (-1, 1)
     with pytest.raises(InconsistentParams, match="b_y must be rational"):
         HeckeParams(3, 1, 3, 3, b_y=cyc_root(3, 1))
@@ -235,11 +236,11 @@ def test_reducibility_s_pair_invariant():
 
 
 def test_p_primary_examples():
-    one = cyc_root(4, 0)
+    one = ref_root(4, 0)
     plus, minus = to_turns(1), to_turns(-1)
-    assert cyc_root(4, p_primary_extension(1, plus, plus)) == one
-    assert (cyc_root(4, p_primary_extension(3, minus, plus))
-            == cyc_root(4, 2))
+    assert ref_root(4, p_primary_extension(1, plus, plus)) == one
+    assert (ref_root(4, p_primary_extension(3, minus, plus))
+            == ref_root(4, 2))
     with pytest.raises(NoConsistentValue):
         p_primary_extension(3, 1, plus)
 
@@ -247,12 +248,12 @@ def test_p_primary_examples():
 def test_p_primary_uniqueness_exhaustive():
     for e in (1, 3, 5, 7):
         for z in ZETA4_POWERS:
-            ze = cyc_root(4, 0)
+            ze = ref_root(4, 0)
             for _ in range(e):
                 ze = ze * z
             got = p_primary_extension(e, ZETA4_POWERS.index(ze),
                                       ZETA4_POWERS.index(z * z))
-            assert cyc_root(4, got) == z
+            assert ref_root(4, got) == z
 
 
 def test_p_primary_rejects_even_e():
@@ -266,10 +267,10 @@ def test_p_primary_rejects_even_e():
 
 def test_turns_match_fourth_root_products():
     for k, j in itertools.product(range(4), repeat=2):
-        assert turns_sign(k) == cyc_root(4, k).as_int()
-        assert cyc_root(4, (k + j) % 4) == cyc_root(4, k) * cyc_root(4, j)
+        assert turns_sign(k) == ref_root(4, k).as_int()
+        assert ref_root(4, (k + j) % 4) == ref_root(4, k) * ref_root(4, j)
     for sign in (1, -1):
-        assert cyc_root(4, to_turns(sign)) == sign
+        assert ref_root(4, to_turns(sign)) == sign
     for bad in (0, 2, -2):
         with pytest.raises(ValueError):
             to_turns(bad)
@@ -290,12 +291,12 @@ def test_varpi_F_turns_match_the_fourth_root_product(name):
     for exp in (0, (kE.q - 1) // 2):
         mu = MultChar(kE, exp)
         for turns in range(4):
-            if cyc_root(4, 2 * turns) != mu.sign(-kE.one()):
+            if ref_root(4, 2 * turns) != mu.sign(-kE.one()):
                 continue
             rt = LevelZeroChar(kE, mu, varpi_turns=turns)
-            want = mu.sign(tower.u.inverse()) * cyc_root(4, turns) ** tower.e
-            assert cyc_root(4, rt.varpi_F_turns(tower)) == want
-            seen.add(cyc_root(4, turns).as_int())
+            want = mu.sign(tower.u.inverse()) * ref_root(4, turns) ** tower.e
+            assert ref_root(4, rt.varpi_F_turns(tower)) == want
+            seen.add(ref_root(4, turns).as_int())
     assert {1, -1} <= seen
 
 
@@ -314,8 +315,8 @@ def test_base_change_u1_both_signs():
         rho = MultChar(tower.kE, exp).sign(-tower.kE.one())
         rt = base_change(rho, eps, tower)
         assert is_trivial(rt.mu_part)
-        assert cyc_root(4, rt.varpi_turns).as_int() == expect
-        assert cyc_root(4, rt.varpi_F_turns(tower)).as_int() == expect
+        assert ref_root(4, rt.varpi_turns).as_int() == expect
+        assert ref_root(4, rt.varpi_F_turns(tower)).as_int() == expect
 
 
 @pytest.mark.parametrize("name", ["u1", "e3f1", "e1f2"])
@@ -426,7 +427,7 @@ def test_parity_exhaustive_q3():
             # conjugate-self-duality by direct generator check:
             # the square must kill units and chi(-1) chi(pi_F)^2 = 1
             mu2_trivial = (2 * exp) % (k.q - 1) == 0
-            sq = cyc_root(4, (2 * vk) % 4).as_int()
+            sq = ref_root(4, (2 * vk) % 4).as_int()
             balanced = mu2_trivial and sq is not None and (
                 sq * MultChar(k, exp).sign(-k.one()) == 1)
             assert csd == balanced
