@@ -12,8 +12,8 @@ minimal at its level.  On top of a stratum sit:
 * simple characters (``SimpleCharSpec``/``eval_simple_char``), evaluated
   exactly on their linearization window r_0 = 1 as psi of a trace part
   plus a determinant-residue part;
-* the coset-representative solver ``solve_Y_from_X`` (gradewise linear
-  algebra for the relation X alpha(X) = Y - alpha(Y));
+* the coset-representative solver ``solve_Y_from_X`` (one (1 - alpha)
+  system for the relation X alpha(X) = Y - alpha(Y) on the window);
 * the two enumeration oracles ``by_oracle`` and ``bz_oracle`` that recompute
   the quadratic-relation coefficients from first principles and cross-check
   every identity they rely on term by term.  Both run on one term walk,
@@ -425,9 +425,9 @@ def default_chars(s: StratumSpec, psi: AddChar
 
 def _domain_check(chi: SimpleCharSpec, g: MatF) -> MatF:
     """Validate membership of g (each matrix of a stack) in the character's
-    domain; returns g - 1."""
-    s = chi.stratum
-    tower = s.tower
+    domain on the window, where s_0 = 0 and H-tilde-1 holds every g with
+    g - 1 of positive valuation; returns g - 1."""
+    tower = chi.stratum.tower
     if g.fprec < 2:
         raise PrecisionTooLow("need at least two coefficient layers")
     W = g - MatF.identity(tower, g.fprec)
@@ -437,14 +437,6 @@ def _domain_check(chi: SimpleCharSpec, g: MatF) -> MatF:
         v = tower.valuation(W if live.all() else W.take(terms))
         _fail_first(np.asarray(v) < 1, NotInDomain,
                     "g - 1 must have positive valuation", terms)
-        h1 = h1_lattice(tower, s)
-        for m in range(1, s.s_list[0] + 1):
-            layer = h1.layer(m)
-            if layer.shape[0] == tower.n * tower.f:
-                continue
-            escapes = tower.layer_coords(W, m) @ _annihilator(tower, layer).T % tower.p
-            _fail_first(escapes.any(axis=-1), NotInDomain,
-                        f"degree-{m} component escapes the lattice")
     if chi.side == "u":
         prod = tower.adjoint(g) @ g
         _fail_first((prod - MatF.identity(tower, prod.fprec)).nonzero_mask(),
@@ -456,14 +448,14 @@ def eval_simple_char(chi: SimpleCharSpec, g: MatF):
     """The simple character at g as the exponent a in [0, p) of its value
     zeta_p^a: an int, or for a stack the int64 array of its exponents.
 
-    Valid on the linearization window d = 0, r_0 = 1, where the exponent is
-    the twist of psi times the sum of a trace part and a det-residue part,
-    both additive in g.  Off-window input raises LinearizationInvalid.
+    Window-only: on d = 0, r_0 = 1 the exponent is the twist of psi times
+    the sum of a trace part and a det-residue part, both additive in g.  An
+    off-window stratum raises LinearizationInvalid before g is looked at.
     """
     s = chi.stratum
     tower = s.tower
-    W = _domain_check(chi, g)
     _check_window(s, "eval_simple_char")
+    W = _domain_check(chi, g)
     p = tower.p
     phase = np.zeros(g.batch, dtype=np.int64)
     if not W.is_zero():
@@ -547,80 +539,40 @@ def _solve_one_minus_alpha(tower: TowerSpec, m: int, gens: tuple,
     return rhs @ S % tower.p
 
 
-def solve_Y_from_X(s: StratumSpec, x_coords, logs, aux: EElem | None = None):
+def solve_Y_from_X(s: StratumSpec, x_coords, logs):
     """Solve the coset relation for Y given a stack of W_z representatives X.
 
-    ``logs`` holds the discrete logs of B units y of k_E and ``x_coords``
-    one (B, n f) coordinate array per graded block of W_z; ``aux`` is the
-    auxiliary degree-0 component X_0 in o_E (default 0), shared by the
-    stack.  Returns the stacks (Y', X, alpha(X)) of the solved Y' and the
-    assembled X with its alpha.  Y' is the sum of the P_t and Q_t terms,
-    each solved from its own (1 - alpha) system, and X alpha(X) =
-    Y - alpha(Y) with Y = y w_E^-1 (1 + Y') is verified exactly for every
-    term before returning; a term that fails a check is named by its stack
-    index.
+    Window-only (d = 0, r_0 = 1, where W_z is one block): ``logs`` holds the
+    discrete logs of B units y of k_E and ``x_coords`` the (B, n f)
+    coordinates of X in that block.  Returns the stacks (Y', X, alpha(X)).
+    Y' solves the one (1 - alpha) system of X alpha(X), at twice the block's
+    degree, and X alpha(X) = Y - alpha(Y) with Y = y w_E^-1 (1 + Y') is
+    verified exactly for every term before returning; a term that fails a
+    check is named by its stack index.
     """
+    _check_window(s, "solve_Y_from_X")
     tower = s.tower
     p, nf = tower.p, tower.n * tower.f
     logs = np.asarray(logs, dtype=np.int64)
-    wz = build_Wz(tower, s)
-    x_coords = [np.asarray(v, dtype=np.int64) % p for v in x_coords]
-    if len(x_coords) != len(wz.blocks):
-        raise DegenerateX(
-            f"need {len(wz.blocks)} block components, got {len(x_coords)}"
-        )
-    # Component index t: t = 0 is the auxiliary o_E piece (degree 0), and
-    # t = j + 1 is the block-j piece at degree s_j.
-    if aux is None or aux.is_zero():
-        comps = [MatF.zero(tower)]
-    elif aux.val() < 0:
-        raise DegenerateX("auxiliary part must be integral")
-    else:
-        comps = [tower.m_of(aux)]
-    grades = [0]
-    for block, vec in zip(wz.blocks, x_coords):
-        if vec.shape != (len(logs), nf):
-            raise DegenerateX("component has the wrong coordinate length")
-        _fail_first((vec @ _annihilator(tower, block.basis).T % p).any(axis=-1),
-                    DegenerateX, f"component at level {block.j} escapes its block")
-        comps.append(tower.mat_from_layer(block.grade, vec))
-        grades.append(block.grade)
-    # A zero component (X_0 unless aux is given) enters only terms that
-    # solve to zero, so its alpha, products and solves are skipped.
-    live = [t for t, C in enumerate(comps) if not C.is_zero()]
-    alphas = {t: tower.alpha(comps[t]) for t in live}
-    winv = _unit_mats(tower, 1, -logs)
+    (block,) = build_Wz(tower, s).blocks
+    vec = np.asarray(x_coords, dtype=np.int64) % p
+    if vec.shape != (len(logs), nf):
+        raise DegenerateX("X has the wrong coordinate shape")
+    _fail_first((vec @ _annihilator(tower, block.basis).T % p).any(axis=-1),
+                DegenerateX, "X escapes its block")
+    X = tower.mat_from_layer(block.grade, vec)
+    alpha_x = tower.alpha(X)
     yp = MatF.zero(tower, batch=(len(logs),))
-    for t in live:
-        gens = level_gens(s, t)
-        # Q_t: the diagonal square term, a single homogeneous degree.
-        terms = [(2 * grades[t], comps[t] @ alphas[t])]
-        # P_t: cross terms with max index t, grouped by degree.
-        by_grade: dict[int, MatF] = {}
-        for k in live:
-            for l in live:
-                if k != l and max(k, l) == t:
-                    gkl = grades[k] + grades[l]
-                    term = comps[k] @ alphas[l]
-                    prev = by_grade.get(gkl)
-                    by_grade[gkl] = term if prev is None else prev + term
-        for m, mat in terms + list(by_grade.items()):
-            z = _solve_one_minus_alpha(tower, m, gens, _coords_or_zero(tower, mat, m))
-            yp = yp + winv @ tower.mat_from_layer(m, z)
+    # A zero X solves to zero, so its product and solve are skipped.
+    if not X.is_zero():
+        m = 2 * block.grade
+        z = _solve_one_minus_alpha(tower, m, level_gens(s, 1),
+                                   tower.layer_coords(X @ alpha_x, m))
+        yp = yp + _unit_mats(tower, 1, -logs) @ tower.mat_from_layer(m, z)
     Y = _unit_mats(tower, -1, logs) @ (MatF.identity(tower, yp.fprec) + yp)
-    xtot = comps[0]
-    for C in comps[1:]:
-        xtot = xtot + C
-    alpha_x = tower.alpha(xtot)
-    _fail_first((xtot @ alpha_x - (Y - tower.alpha(Y))).nonzero_mask(),
+    _fail_first((X @ alpha_x - (Y - tower.alpha(Y))).nonzero_mask(),
                 NoSolution, "assembled Y fails the defining relation")
-    return yp, xtot, alpha_x
-
-
-def _coords_or_zero(tower: TowerSpec, mat: MatF, m: int) -> np.ndarray:
-    if mat.is_zero():
-        return np.zeros(mat.batch + (tower.n * tower.f,), dtype=np.int64)
-    return tower.layer_coords(mat, m)
+    return yp, X, alpha_x
 
 
 # ---------------------------------------------------------------------------
@@ -856,13 +808,7 @@ def _bz_chunk(s: StratumSpec, big: SimpleCharSpec, root: SimpleCharSpec,
     tower = s.tower
     p = tower.p
     ident = MatF.identity(tower)
-    x_coords = []
-    at = 0
-    for block in wz.blocks:
-        k = block.basis.shape[0]
-        x_coords.append(X[:, at : at + k] @ block.basis % p)
-        at += k
-    yp, xtot, alpha_x = solve_Y_from_X(s, x_coords, logs)
+    yp, xtot, alpha_x = solve_Y_from_X(s, X @ wz.blocks[0].basis % p, logs)
     one_plus = ident + yp
     g = MatF.zero(tower, batch=(len(logs),)) + ident
     live = np.broadcast_to(xtot.nonzero_mask(), g.batch)

@@ -4,10 +4,13 @@ Each is an independent second route to something the package computes
 (exact sums in the general ring Z[zeta_M] of cyclotomic integers, a
 character value as an element of it, the Gauss sum point by point, the trace and the inverse of the regular representation, the graded
 centralizer, the zeta-conjugation index, the graded layer maps one basis
-matrix at a time, the ad-kernel minimality test and the two-branch W_z
-complement) or a check of an identity the package relies on (the embedding
-relations of E in the matrices, the independence of a path-A term from its
-auxiliary degree-0 component).  The rest is data that only the tests read:
+matrix at a time, the ad-kernel minimality test, the two-branch W_z
+complement, and the general coset solver ``ref_solve_Y_from_X``, the
+reference for the window-only ``stratum.solve_Y_from_X``: one coordinate
+array per W_z block, an auxiliary degree-0 component and the cross terms of
+two live components) or a check of an identity the package relies on (the
+embedding relations of E in the matrices, the independence of a path-A term
+from its auxiliary degree-0 component).  The rest is data that only the tests read:
 the five depth-one case names, a coefficient and the inverse of an
 E-element, the zero of F_q, the triviality of a multiplicative character,
 the leading-term minimality test, the rank values and s-values of the Hecke
@@ -561,24 +564,113 @@ def zeta_conjugation_index(tower: TowerSpec, stratum) -> int:
 
 
 # ---------------------------------------------------------------------------
-# The b_z oracle.
+# The general coset solver and the b_z oracle.
+#
+# The package solver is window-only: one W_z block and no auxiliary
+# component.  The general form below takes one coordinate array per block
+# and an auxiliary degree-0 component, and adds the P_t cross terms of two
+# live components, so it also solves on strata of two blocks (d1-tower).
+
+
+def ref_solve_Y_from_X(s, x_coords, logs, aux: EElem | None = None):
+    """Solve the coset relation for Y given a stack of W_z representatives X.
+
+    ``logs`` holds the discrete logs of B units y of k_E and ``x_coords``
+    one (B, n f) coordinate array per graded block of W_z; ``aux`` is the
+    auxiliary degree-0 component X_0 in o_E (default 0), shared by the
+    stack.  Returns the stacks (Y', X, alpha(X)) of the solved Y' and the
+    assembled X with its alpha.  Y' is the sum of the P_t and Q_t terms,
+    each solved from its own (1 - alpha) system, and X alpha(X) =
+    Y - alpha(Y) with Y = y w_E^-1 (1 + Y') is verified exactly for every
+    term before returning; a term that fails a check is named by its stack
+    index.
+    """
+    tower = s.tower
+    p, nf = tower.p, tower.n * tower.f
+    logs = np.asarray(logs, dtype=np.int64)
+    wz = build_Wz(tower, s)
+    x_coords = [np.asarray(v, dtype=np.int64) % p for v in x_coords]
+    if len(x_coords) != len(wz.blocks):
+        raise stratum.DegenerateX(
+            f"need {len(wz.blocks)} block components, got {len(x_coords)}"
+        )
+    # Component index t: t = 0 is the auxiliary o_E piece (degree 0), and
+    # t = j + 1 is the block-j piece at degree s_j.
+    if aux is None or aux.is_zero():
+        comps = [MatF.zero(tower)]
+    elif aux.val() < 0:
+        raise stratum.DegenerateX("auxiliary part must be integral")
+    else:
+        comps = [tower.m_of(aux)]
+    grades = [0]
+    for block, vec in zip(wz.blocks, x_coords):
+        if vec.shape != (len(logs), nf):
+            raise stratum.DegenerateX("component has the wrong coordinate length")
+        stratum._fail_first(
+            (vec @ stratum._annihilator(tower, block.basis).T % p).any(axis=-1),
+            stratum.DegenerateX, f"component at level {block.j} escapes its block")
+        comps.append(tower.mat_from_layer(block.grade, vec))
+        grades.append(block.grade)
+    # A zero component (X_0 unless aux is given) enters only terms that
+    # solve to zero, so its alpha, products and solves are skipped.
+    live = [t for t, C in enumerate(comps) if not C.is_zero()]
+    alphas = {t: tower.alpha(comps[t]) for t in live}
+    winv = stratum._unit_mats(tower, 1, -logs)
+    yp = MatF.zero(tower, batch=(len(logs),))
+    for t in live:
+        gens = level_gens(s, t)
+        # Q_t: the diagonal square term, a single homogeneous degree.
+        terms = [(2 * grades[t], comps[t] @ alphas[t])]
+        # P_t: cross terms with max index t, grouped by degree.
+        by_grade: dict[int, MatF] = {}
+        for k in live:
+            for l in live:
+                if k != l and max(k, l) == t:
+                    gkl = grades[k] + grades[l]
+                    term = comps[k] @ alphas[l]
+                    prev = by_grade.get(gkl)
+                    by_grade[gkl] = term if prev is None else prev + term
+        for m, mat in terms + list(by_grade.items()):
+            z = stratum._solve_one_minus_alpha(tower, m, gens,
+                                               _coords_or_zero(tower, mat, m))
+            yp = yp + winv @ tower.mat_from_layer(m, z)
+    Y = stratum._unit_mats(tower, -1, logs) @ (MatF.identity(tower, yp.fprec) + yp)
+    xtot = comps[0]
+    for C in comps[1:]:
+        xtot = xtot + C
+    alpha_x = tower.alpha(xtot)
+    stratum._fail_first((xtot @ alpha_x - (Y - tower.alpha(Y))).nonzero_mask(),
+                        stratum.NoSolution, "assembled Y fails the defining relation")
+    return yp, xtot, alpha_x
+
+
+def _coords_or_zero(tower: TowerSpec, mat: MatF, m: int) -> np.ndarray:
+    if mat.is_zero():
+        return np.zeros(mat.batch + (tower.n * tower.f,), dtype=np.int64)
+    return tower.layer_coords(mat, m)
+
+
+def block_coords(wz, X: np.ndarray) -> list[np.ndarray]:
+    """The per-block coordinate arrays of ``ref_solve_Y_from_X`` for a
+    (B, dim) stack X of W_z coordinates."""
+    out, at = [], 0
+    for block in wz.blocks:
+        k = block.basis.shape[0]
+        out.append(X[:, at : at + k] @ block.basis % wz.tower.p)
+        at += k
+    return out
 
 
 def _bz_term_with_aux(s, big, root, wz, y: FqElem, X: np.ndarray,
                       aux: EElem) -> CycNum:
     """The path-A value of one term (unit y, W_z coordinates X, a (1, dim)
     array) whose representative also carries the auxiliary degree-0
-    component aux: the evaluation of ``stratum._bz_chunk``, with aux handed
-    to the solver."""
+    component aux: the evaluation of ``stratum._bz_chunk``, with the general
+    solver and aux handed to it."""
     tower = s.tower
     ident = MatF.identity(tower)
-    x_coords, at = [], 0
-    for block in wz.blocks:
-        k = block.basis.shape[0]
-        x_coords.append(X[:, at : at + k] @ block.basis % tower.p)
-        at += k
-    yp, xtot, alpha_x = stratum.solve_Y_from_X(s, x_coords, [y.discrete_log()],
-                                               aux=aux)
+    yp, xtot, alpha_x = ref_solve_Y_from_X(s, block_coords(wz, X),
+                                           [y.discrete_log()], aux=aux)
     one_plus = ident + yp
     g = MatF.zero(tower, batch=(1,)) + ident
     if not xtot.is_zero():

@@ -716,6 +716,29 @@ def _break_path_a(setattr):
             lambda s, *a: (chunk(s, *a) + 1) % s.tower.p)
 
 
+def _break_lattice_index(setattr):
+    # p^2 times the index c_y is p times the representative count it gives.
+    indices = stratum.iwahori_indices
+
+    def scaled(tower, s):
+        c_y, c_z = indices(tower, s)
+        return c_y * tower.p**2, c_z
+
+    setattr(stratum, "iwahori_indices", scaled)
+
+
+def _break_y_window(setattr):
+    # Every other alpha-fixed dimension one more: the big lattice's edge
+    # reading and the shifted lattice's then differ.
+    dim, calls = stratum._alpha_fixed_dim, [0]
+
+    def shifted(tower, space, m):
+        calls[0] += 1
+        return dim(tower, space, m) + calls[0] % 2
+
+    setattr(stratum, "_alpha_fixed_dim", shifted)
+
+
 def _break_walk_domain(setattr):
     valuation = TowerSpec.valuation
     setattr(TowerSpec, "valuation", lambda self, X: 0 * valuation(self, X))
@@ -764,6 +787,10 @@ BREAKS = {
                  "direct term value disagrees with its Gauss-sum phase"),
     "walk-domain": (_break_walk_domain, "reducibility",
                     "g - 1 must have positive valuation"),
+    "lattice-index": (_break_lattice_index, "reducibility",
+                      "representative count disagrees with the lattice index"),
+    "y-window": (_break_y_window, "reducibility",
+                 "Y-coordinate window is too narrow"),
     "minimality": (_break_minimality, "sign", "minimality check"),
     "varpi-extension": (_break_varpi_extension, "base-change",
                         "varpi-extension check"),

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 import random
@@ -55,11 +56,13 @@ from strbc.stratum import (
 
 from _support import (
     R1_CASE_NAMES,
+    block_coords,
     bz_aux_independence,
     e_inverse,
     in_row_space,
     minimal_by_ad_kernel,
     minimality_check,
+    ref_solve_Y_from_X,
 )
 
 CLOSED_MAGNITUDE = {"u1": 2, "e3f1": 6, "e1f2": 24, "e3f2": 1944, "e5f1": 18}
@@ -482,17 +485,24 @@ def test_char_spec_validation():
 
 
 def test_solve_zero_X_gives_zero():
+    # The package solves the five window towers; the general reference also
+    # solves the two blocks of d1-tower.
     for name in BUILTIN_CASE_NAMES:
         s = builtin_case(name)
         t = s.tower
-        wz = build_Wz(t, s)
-        zeros = [np.zeros((1, t.n * t.f), dtype=np.int64) for _ in wz.blocks]
-        yp, _, _ = solve_Y_from_X(s, zeros, logs_of([t.kE.one()]))
+        zero = np.zeros((1, t.n * t.f), dtype=np.int64)
+        if name in R1_CASE_NAMES:
+            yp, _, _ = solve_Y_from_X(s, zero, logs_of([t.kE.one()]))
+        else:
+            blocks = build_Wz(t, s).blocks
+            yp, _, _ = ref_solve_Y_from_X(s, [zero] * len(blocks),
+                                          logs_of([t.kE.one()]))
         assert yp.take(0).is_zero()
 
 
 def test_solve_random_X_verifies_relation():
-    # solve_Y_from_X asserts X alpha(X) = Y - alpha(Y) internally.
+    # Both solvers assert X alpha(X) = Y - alpha(Y) internally; d1-tower has
+    # two blocks and only the general reference solves it.
     rng = random.Random(3)
     for name in ("e3f1", "e1f2", "e5f1", "d1-tower"):
         s = builtin_case(name)
@@ -505,22 +515,45 @@ def test_solve_random_X_verifies_relation():
                     [rng.randrange(t.p) for _ in range(b.basis.shape[0])]
                 )
                 coords.append((combo @ b.basis % t.p)[None])
-            solve_Y_from_X(s, coords, logs_of([y]))
+            if name == "d1-tower":
+                ref_solve_Y_from_X(s, coords, logs_of([y]))
+            else:
+                solve_Y_from_X(s, coords[0], logs_of([y]))
 
 
 def test_solve_rejects_wrong_shape():
     s = builtin_case("e3f1")
-    with pytest.raises(DegenerateX):
-        solve_Y_from_X(s, [], logs_of([s.tower.kE.one()]))
+    t = s.tower
+    nf = t.n * t.f
+    for coords in ([], np.zeros((1, nf - 1)), np.zeros((2, nf)),
+                   np.zeros((1, 1, nf))):
+        with pytest.raises(DegenerateX, match="wrong coordinate shape"):
+            solve_Y_from_X(s, coords, logs_of([t.kE.one()]))
+
+
+@pytest.mark.parametrize("name", ["d1-tower", "r0-3"])
+def test_solve_refuses_an_off_window_stratum_first(name):
+    # LinearizationInvalid comes before the shape and block checks, so it is
+    # what a wrong shape, a vector outside the blocks or a well-formed X get.
+    s = builtin_case(name) if name == "d1-tower" else r0_3_stratum()
+    t = s.tower
+    nf = t.n * t.f
+    blocks = build_Wz(t, s).blocks
+    one = logs_of([t.kE.one()])
+    for coords in ([], np.ones((1, nf), dtype=np.int64), blocks[0].basis[:1],
+                   [b.basis[:1] for b in blocks]):
+        with pytest.raises(LinearizationInvalid, match="solve_Y_from_X"):
+            solve_Y_from_X(s, coords, one)
 
 
 def test_solve_aux_component_supported():
+    # The auxiliary component lives in the general reference only.
     s = builtin_case("e3f1")
     t = s.tower
     wz = build_Wz(t, s)
     coords = [b.basis[:1] for b in wz.blocks]
-    yp0 = solve_Y_from_X(s, coords, logs_of([t.kE.one()]))[0].take(0)
-    yp1 = solve_Y_from_X(
+    yp0 = ref_solve_Y_from_X(s, coords, logs_of([t.kE.one()]))[0].take(0)
+    yp1 = ref_solve_Y_from_X(
         s, coords, logs_of([t.kE.one()]), aux=t.e_monomial(0, t.kE.one())
     )[0].take(0)
     assert not (yp0 - yp1).is_zero()
@@ -531,13 +564,14 @@ def test_solve_refuses_a_non_integral_aux_component():
     t = s.tower
     coords = [b.basis[:1] for b in build_Wz(t, s).blocks]
     with pytest.raises(DegenerateX, match="must be integral"):
-        solve_Y_from_X(s, coords, logs_of([t.kE.one()]),
-                       aux=t.e_monomial(-1, t.kE.one()))
+        ref_solve_Y_from_X(s, coords, logs_of([t.kE.one()]),
+                           aux=t.e_monomial(-1, t.kE.one()))
 
 
 def test_zero_aux_component_is_never_solved(monkeypatch):
-    # X_0 is zero unless an aux is given, and a zero right side solves to
-    # zero, so path A solves no term of level 0 and no all-zero system.
+    # The package has no auxiliary component and solves only the block's
+    # level-1 system, never an all-zero one; the general reference solves at
+    # level 0 once an aux is given.
     seen = []
     solve = stratum._solve_one_minus_alpha
 
@@ -560,7 +594,8 @@ def test_zero_aux_component_is_never_solved(monkeypatch):
     level0 = tuple(g.key() for g in level_gens(s, 0))
     coords = [b.basis[:1] for b in build_Wz(t, s).blocks]
     seen.clear()
-    solve_Y_from_X(s, coords, logs_of([t.kE.one()]), aux=t.e_monomial(0, t.kE.one()))
+    ref_solve_Y_from_X(s, coords, logs_of([t.kE.one()]),
+                       aux=t.e_monomial(0, t.kE.one()))
     assert (level0, True) in seen
 
 
@@ -991,7 +1026,8 @@ def test_bz_oracle_refuses_before_any_phase_form(monkeypatch):
 
 
 def ref_bz_term(s, big, root, wz, y, xv, sizes):
-    """Test-local copy of the one-term path-A evaluation the chunks replaced.
+    """Test-local copy of the one-term path-A evaluation the chunks replaced,
+    on the general solver of tests/_support.py.
 
     Returns the term value with the quantities its checks compare: Y', the
     two matrices the characters are evaluated at, and the two sides of the
@@ -1007,7 +1043,7 @@ def ref_bz_term(s, big, root, wz, y, xv, sizes):
         block = wz.blocks[len(x_coords)]
         x_coords.append(coeffs @ block.basis % p if k else
                         np.zeros(tower.n * tower.f, dtype=np.int64))
-    yp = solve_Y_from_X(s, [v[None] for v in x_coords], logs_of([y]))[0].take(0)
+    yp = ref_solve_Y_from_X(s, [v[None] for v in x_coords], logs_of([y]))[0].take(0)
     xtot = MatF.zero(tower)
     for block, vec in zip(wz.blocks, x_coords):
         if vec.any():
@@ -1083,8 +1119,8 @@ def spy_chunks(monkeypatch):
     det, bz_chunk = stratum.det_unit, stratum._bz_chunk
     inside = []
 
-    def spy_solve(s, x_coords, y, aux=None):
-        out = solve(s, x_coords, y, aux=aux)
+    def spy_solve(s, x_coords, logs):
+        out = solve(s, x_coords, logs)
         if inside == ["chunk"]:
             chunks[-1]["yp"] = out[0]
         return out
@@ -1453,25 +1489,39 @@ def test_domain_checks_name_the_failing_member():
         eval_simple_char(root, MatF.stack([ident, inside]))
 
 
-def test_lattice_check_names_the_failing_member():
-    # r_0 = 3 gives s_0 = 1: the degree-1 part of g - 1 must lie in the
-    # H-tilde-1 lattice layer before the window check refuses the stratum.
+def r0_3_stratum():
+    """A minimal r_0 = 3 stratum (s_0 = 1) on the e5f1 tower: off the window."""
     t = build_tower(TowerConfig(q=3, e=5, f=1, N=12))
-    s = StratumSpec(t, [t.e_monomial(-3)])
+    return StratumSpec(t, [t.e_monomial(-3)])
+
+
+def test_r0_3_stratum_is_refused_before_any_domain_check(monkeypatch):
+    s = r0_3_stratum()
+    t = s.tower
+    big, root = default_chars(s, std_psi(t))
+    nf = t.n * t.f
+    # r_0 = 3 gives s_0 = 1: the degree-1 part of g - 1 can leave the
+    # H-tilde-1 lattice layer, which only an off-window stratum has.
     layer = stratum.h1_lattice(t, s).layer(1)
-    assert 0 < layer.shape[0] < t.n * t.f
-    eye = np.eye(t.n * t.f, dtype=np.int64)
-    escapes = [v for v in eye if not in_row_space(v, layer, t.p)]
-    assert len(escapes) >= 2
+    assert 0 < layer.shape[0] < nf
+    escape = next(v for v in np.eye(nf, dtype=np.int64)
+                  if not in_row_space(v, layer, t.p))
+
+    def domain_check(chi, g):
+        raise AssertionError("the domain check ran")
+
+    monkeypatch.setattr(stratum, "_domain_check", domain_check)
     ident = MatF.identity(t)
-    big, _ = default_chars(s, std_psi(s.tower))
-    for v in escapes:
-        members = [ident + t.mat_from_layer(1, w) for w in (layer[0], v)]
-        with pytest.raises(NotInDomain, match=r"degree-1 component escapes "
-                                              r"the lattice \(stack index 1\)"):
-            eval_simple_char(big, MatF.stack(members))
-    with pytest.raises(LinearizationInvalid):
-        eval_simple_char(big, MatF.stack(members[:1]))
+    outside = ident + t.mat_from_layer(0, np.eye(nf, dtype=np.int64)[0])
+    inside = ident + t.mat_from_layer(1, layer[0])
+    escaping = ident + t.mat_from_layer(1, escape)
+    # Each g would fail a domain check: an escaping degree-1 part, g - 1 of
+    # valuation 0, g - 1 known to one layer only, a non-unitary g on the
+    # square-root side.
+    for chi, g in ((big, escaping), (big, MatF.stack([inside, escaping])),
+                   (big, outside), (big, ident.truncated(1)), (root, inside)):
+        with pytest.raises(LinearizationInvalid, match="eval_simple_char"):
+            eval_simple_char(chi, g)
 
 
 @pytest.mark.parametrize("name", ["e3f1", "e3f2"])
@@ -1485,15 +1535,17 @@ def test_solve_names_a_member_outside_its_block(name):
     for escape in escapes:
         coords = np.stack([block.basis[0], (block.basis[0] + escape) % t.p])
         with pytest.raises(DegenerateX, match=r"escapes its block \(stack index 1\)"):
-            solve_Y_from_X(s, [coords], logs_of([t.kE.one()] * 2))
-    yp, _, _ = solve_Y_from_X(s, [block.basis[:2]], logs_of([t.kE.one()] * 2))
+            solve_Y_from_X(s, coords, logs_of([t.kE.one()] * 2))
+    yp, _, _ = solve_Y_from_X(s, block.basis[:2], logs_of([t.kE.one()] * 2))
     for k in range(2):
-        one = solve_Y_from_X(s, [block.basis[k : k + 1]], logs_of([t.kE.one()]))[0]
+        one = solve_Y_from_X(s, block.basis[k : k + 1], logs_of([t.kE.one()]))[0]
         assert same_member(yp, k, one.take(0))
 
 
 @pytest.mark.parametrize("name", R1_CASE_NAMES)
 def test_solve_returns_the_assembled_X_and_its_alpha(name):
+    # The package assembles X from its one block; the general reference adds
+    # the auxiliary component when one is given.
     s = builtin_case(name)
     t = s.tower
     wz = build_Wz(t, s)
@@ -1503,18 +1555,67 @@ def test_solve_returns_the_assembled_X_and_its_alpha(name):
     X = np.array([[rng.randrange(t.p) for _ in range(wz.dim_k)] for _ in ys],
                  dtype=np.int64)
     X[0] = 0
-    x_coords, at = [], 0
-    for block in wz.blocks:
-        k = block.basis.shape[0]
-        x_coords.append(X[:, at : at + k] @ block.basis % t.p)
-        at += k
+    x_coords = block_coords(wz, X)
     for aux in (None, t.e_monomial(0, t.kE.one())):
-        _, xtot, alpha_x = solve_Y_from_X(s, x_coords, logs_of(ys), aux=aux)
+        if aux is None:
+            _, xtot, alpha_x = solve_Y_from_X(s, x_coords[0], logs_of(ys))
+        else:
+            _, xtot, alpha_x = ref_solve_Y_from_X(s, x_coords, logs_of(ys), aux=aux)
         want = MatF.zero(t) if aux is None else t.m_of(aux)
         for block, vec in zip(wz.blocks, x_coords):
             want = want + t.mat_from_layer(block.grade, vec)
         assert same_matf(xtot, want)
         assert same_matf(alpha_x, t.alpha(want))
+
+
+@functools.lru_cache(maxsize=None)
+def null_product_X(name):
+    """The nonzero W_z coordinates X of a window case with X alpha(X) zero
+    mod precision (e3f1, e3f2 and e5f1 have some): the solver's right side
+    is then zero for a live X."""
+    s = builtin_case(name)
+    t = s.tower
+    (block,) = build_Wz(t, s).blocks
+    dim = block.basis.shape[0]
+    X = np.array(list(itertools.product(range(t.p), repeat=dim)),
+                 dtype=np.int64).reshape(t.p**dim, dim)
+    M = t.mat_from_layer(block.grade, X @ block.basis % t.p)
+    return X[M.nonzero_mask() & ~(M @ t.alpha(M)).nonzero_mask()]
+
+
+@st.composite
+def solver_stacks(draw):
+    """A window tower, its W_z and a stack of units and X coordinates: an
+    all-zero stack, nonzero X whose X alpha(X) is zero mod precision, or random
+    rows of which about a fifth are zero."""
+    name = draw(st.sampled_from(R1_CASE_NAMES))
+    s = builtin_case(name)
+    t = s.tower
+    wz = build_Wz(t, s)
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    count = draw(st.integers(1, 40))
+    kind = draw(st.sampled_from(["zero", "null product", "random"]))
+    X = np.array([[0 if rng.random() < 0.2 else rng.randrange(t.p)
+                   for _ in range(wz.dim_k)] for _ in range(count)],
+                 dtype=np.int64).reshape(count, wz.dim_k)
+    if kind == "zero":
+        X[:] = 0
+    elif kind == "null product" and len(nulls := null_product_X(name)):
+        X = nulls[[rng.randrange(len(nulls)) for _ in range(count)]]
+    units = list(t.kE.units())
+    return s, wz, [rng.choice(units) for _ in range(count)], X
+
+
+@settings(max_examples=30, deadline=None)
+@given(solver_stacks())
+def test_package_solver_matches_the_general_reference(case):
+    s, wz, ys, X = case
+    got = solve_Y_from_X(s, X @ wz.blocks[0].basis % s.tower.p, logs_of(ys))
+    want = ref_solve_Y_from_X(s, block_coords(wz, X), logs_of(ys))
+    for a, b in zip(got, want):
+        assert same_matf(a, b)
+        for k in range(len(ys)):
+            assert same_matf(a.take(k), b.take(k))
 
 
 @pytest.mark.parametrize("name", ["e3f1", "e1f2", "e3f2", "e5f1"])
