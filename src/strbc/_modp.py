@@ -64,8 +64,6 @@ def rref(mat: np.ndarray, p: int,
 
 
 def rank(mat: np.ndarray, p: int) -> int:
-    if mat.size == 0:
-        return 0
     return len(rref(mat, p)[1])
 
 

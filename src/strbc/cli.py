@@ -308,7 +308,7 @@ def cmd_sign(cfg: ExperimentConfig, args) -> int:
     report = epsilon_z_invariance(s, psi, bound=args.bound)
     eps = report["base"]
     # epsilon_z returns +1 or -1 or raises, so this row checks nothing here:
-    # perfbench/reference.json gates it, and ROADMAP item 2 replaces it with
+    # perfbench/reference.json gates it, and ROADMAP item 3 replaces it with
     # the routes that agreed.
     rows = [{"check": "base sign", "value": eps, "ok": True}]
     for r in report["psi_twists"]:

@@ -5,9 +5,10 @@ least monic irreducible polynomial of degree f over F_p (counting order on the
 little-endian coefficient tuple), and the generator is the least element of
 multiplicative order q-1 in the same counting order.  A character value is a
 single root of unity, so it is read as its exponent: MultChar.sign gives the
-value of a character of order dividing 2 as +-1, and AddChar.residue_phase
-gives the exponent of zeta_p.  Only sums of additive character values,
-elements of Z[zeta_p], are CycNums.
+value of a character of order dividing 2 as +-1.  An additive character
+lives on the prime field only: AddChar(F_p, a) is t -> zeta_p^(a t), with the
+twist a an int mod p.  Only sums of additive character values, elements of
+Z[zeta_p], are CycNums.
 """
 
 from __future__ import annotations
@@ -170,12 +171,6 @@ class FqField:
             if x:
                 yield x
 
-    def trace(self, x: "FqElem") -> int:
-        """Absolute trace Tr_{F_q/F_p}(x) as an integer in [0, p)."""
-        if x.field != self:
-            raise MixedFields(f"{x.field} vs {self}")
-        return int(np.dot(x.coeffs, self.trace_vector)) % self.p
-
     def __eq__(self, other):
         return (
             isinstance(other, FqField)
@@ -264,9 +259,6 @@ class FqElem:
             and self.coeffs == other.coeffs
         )
 
-    def __hash__(self):
-        return hash((self.field.p, self.field.f, self.coeffs))
-
     def __repr__(self):
         return f"FqElem({self.coeffs} over F_{self.field.q})"
 
@@ -305,15 +297,15 @@ class MultChar:
 
 
 class AddChar:
-    """Additive character x -> zeta_p^{Tr(a x)}."""
+    """Additive character t -> zeta_p^(a t) of the prime field F_p, with the
+    twist a an int mod p."""
 
-    def __init__(self, field: FqField, twist: FqElem | int = 1):
+    def __init__(self, field: FqField, twist: int = 1):
+        if field.f != 1:
+            raise ValueError(f"an additive character lives on a prime field, "
+                             f"not on {field}")
         self.field = field
-        self.twist = field.from_int(twist) if isinstance(twist, int) else twist
-
-    def residue_phase(self, x: FqElem) -> int:
-        """Tr(a x) in [0, p); the exponent of zeta_p in the value."""
-        return self.field.trace(self.twist * x)
+        self.twist = twist % field.p
 
     def is_trivial(self) -> bool:
         return not self.twist

@@ -1,8 +1,8 @@
-"""Quadratic Gauss sums over finite-dimensional F_q-spaces.
+"""Quadratic Gauss sums over finite-dimensional F_p-spaces.
 
 Two independent evaluation routes are provided and cross-checked everywhere:
 
-* ``gauss_sum_brute`` enumerates every point of F_q^n and adds the exact
+* ``gauss_sum_brute`` enumerates every point of F_p^n and adds the exact
   character values (the oracle route; refuses to run past a configured bound
   rather than approximate);
 * ``gauss_sum_closed`` diagonalizes the Gram matrix by congruence
@@ -11,30 +11,25 @@ Two independent evaluation routes are provided and cross-checked everywhere:
 
 ``normalized_sign`` divides by the square root of the space size and
 returns the quotient, an int +1 or -1.  It refuses a space of odd
-F_p-dimension, where the quotient is not rational; every form the package
-builds has even F_p-dimension.
+dimension, where the quotient is not rational; every form the package
+builds has even dimension.
 
-A ``QuadSpace`` holds its Gram matrix only as a read-only int64 (n, n, f)
-array of polynomial-basis coefficients; the diagonalization and
-``prime_gram`` multiply through ``FqField.mul_tensor``.
+A ``QuadSpace`` lives on a prime field F_p, as do the additive characters:
+it holds its Gram matrix as a read-only int64 (n, n) array mod p, and the
+diagonalization is an int64 elimination mod p.
 """
 
 from __future__ import annotations
 
 import threading
 from functools import cached_property, lru_cache
+from math import prod
 
 import numpy as np
 
-from ._modp import CheckFailed, digit_table
+from ._modp import CheckFailed, digit_table, inv_mod
 from .cyclotomic import CycNum
-from .finite_field import (
-    AddChar,
-    FqElem,
-    FqField,
-    MixedFields,
-    quadratic_residue_char,
-)
+from .finite_field import AddChar, FqField, MixedFields, quadratic_residue_char
 
 DEFAULT_ENUMERATION_BOUND = 10**7
 
@@ -52,16 +47,19 @@ class DegenerateForm(ValueError):
 
 
 class QuadSpace:
-    """A quadratic form Q(x) = x^T S x on F_q^n, S symmetric, held as gram:
-    the read-only int64 (n, n, f) array of the coefficients of S."""
+    """A quadratic form Q(x) = x^T S x on F_p^n, S symmetric, held as gram:
+    the read-only int64 (n, n) array of S mod p."""
 
     def __init__(self, field: FqField, gram):
-        """gram: an int (n, n, f) array of the coefficients of S."""
+        """gram: the int rows of S, lists or an (n, n) array."""
+        if field.f != 1:
+            raise ValueError(f"a quadratic space lives on a prime field, "
+                             f"not on {field}")
         n = len(gram)
         if any(len(row) != n for row in gram):
             raise ValueError("Gram matrix must be square")
-        gram = np.array(gram, dtype=np.int64).reshape(n, n, field.f) % field.p
-        if (gram != gram.swapaxes(0, 1)).any():
+        gram = np.array(gram, dtype=np.int64).reshape(n, n) % field.p
+        if (gram != gram.T).any():
             raise ValueError("Gram matrix must be symmetric")
         gram.setflags(write=False)
         self.field = field
@@ -70,24 +68,21 @@ class QuadSpace:
 
     @staticmethod
     def from_ints(field: FqField, rows) -> "QuadSpace":
-        """The form with prime-field entries rows, lists or an (n, n) array."""
-        ints = np.array(rows, dtype=np.int64)
-        return QuadSpace(field, ints[..., None] * np.eye(field.f, dtype=np.int64)[0])
+        """QuadSpace(field, rows), under the name the callers use."""
+        return QuadSpace(field, rows)
 
     @cached_property
-    def _diagonal(self) -> tuple[FqElem, ...]:
+    def _diagonal(self) -> tuple[int, ...]:
         """Diagonal of the congruence-diagonalized Gram matrix, computed once.
 
-        Int64 elimination on the (n, n, f) coefficient array: each pivot
-        clears its row and column with one Schur step on the trailing block,
-        multiplying through the field's mul_tensor."""
-        fld, n, p = self.field, self.dim, self.field.p
-        mul = fld.mul_tensor
+        Int64 elimination mod p: each pivot clears its row and column with
+        one Schur step on the trailing block."""
+        n, p = self.dim, self.field.p
         m = self.gram.copy()
         diag = []
         for i in range(n):
-            if not m[i, i].any():
-                piv = next((r for r in range(i + 1, n) if m[r, r].any()), None)
+            if not m[i, i]:
+                piv = next((r for r in range(i + 1, n) if m[r, r]), None)
                 if piv is not None:
                     m[[i, piv]] = m[[piv, i]]
                     m[:, [i, piv]] = m[:, [piv, i]]
@@ -95,47 +90,33 @@ class QuadSpace:
                     # Standard char != 2 pivot repair: e_i <- e_i + e_j with
                     # B(e_i, e_j) != 0 turns the zero diagonal entry into
                     # 2 S_ij != 0.
-                    piv = next((r for r in range(i + 1, n) if m[i, r].any()), None)
+                    piv = next((r for r in range(i + 1, n) if m[i, r]), None)
                     if piv is not None:
                         m[i] += m[piv]
                         m[:, i] += m[:, piv]
                         m %= p
-            pivot = fld.element(tuple(m[i, i].tolist()))
+            pivot = int(m[i, i])
             diag.append(pivot)
             if pivot:
                 # Schur step: S_rc -= (S_ri / S_ii) S_ic on the trailing block.
-                inv = np.array(pivot.inverse().coeffs, dtype=np.int64)
-                quot = np.einsum("rj,k,jkl->rl", m[i + 1:, i], inv, mul) % p
-                m[i + 1:, i + 1:] -= np.einsum("rj,ck,jkl->rcl", quot, m[i, i + 1:], mul)
+                quot = m[i + 1:, i] * inv_mod(pivot, p) % p
+                m[i + 1:, i + 1:] -= quot[:, None] * m[i, i + 1:]
                 m %= p
         return tuple(diag)
 
-    def det(self) -> FqElem:
-        """det S: every congruence step has determinant +-1, which squares
-        to 1, so it is the product of the diagonal."""
-        det = self.field.one()
-        for d in self._diagonal:
-            det = det * d
-        return det
+    def det(self) -> int:
+        """det S mod p: every congruence step has determinant +-1, which
+        squares to 1, so it is the product of the diagonal."""
+        return prod(self._diagonal) % self.field.p
 
     def is_nondegenerate(self) -> bool:
         return all(self._diagonal)
 
     def prime_gram(self, psi: AddChar) -> np.ndarray:
-        """Gram of the F_p-quadratic form x -> Tr(a Q(x)) after restriction
-        of scalars, on the coordinates of the F_p-basis of F_q^n.
-
-        The entry at (i, b), (j, c) is the bilinear form Tr(a S_ij w_b w_c)
-        on the basis vectors w_b e_i and w_c e_j, with w_b = t^b."""
-        fld, n, f, p = self.field, self.dim, self.field.f, self.field.p
-        if psi.field != fld:
-            raise MixedFields(f"character over {psi.field}, space over {fld}")
-        mul = fld.mul_tensor
-        # trip[x, b, c] = Tr(t^x w_b w_c); scaled[i, j] = a S_ij.
-        trip = np.einsum("bcy,xyl,l->xbc", mul, mul, fld.trace_vector)
-        twist = np.array(psi.twist.coeffs, dtype=np.int64)
-        scaled = np.einsum("k,ijy,kyx->ijx", twist, self.gram, mul)
-        return np.einsum("ijx,xbc->ibjc", scaled % p, trip).reshape(n * f, n * f) % p
+        """Gram of the form x -> a Q(x), a the twist of psi."""
+        if psi.field != self.field:
+            raise MixedFields(f"character over {psi.field}, space over {self.field}")
+        return psi.twist * self.gram % self.field.p
 
 
 def _phase_histogram(gram: np.ndarray, p: int, threads: int = 1) -> np.ndarray:
@@ -205,20 +186,23 @@ def gauss_sum_brute(space: QuadSpace, psi: AddChar,
     """Sum of psi(Q(x)) over all points of the space, exactly."""
     if psi.is_trivial():
         raise TrivialAdditiveCharacter("brute Gauss sum needs nontrivial psi")
-    fld = space.field
-    npoints = fld.q**space.dim
+    p = space.field.p
+    npoints = p**space.dim
     if npoints > bound:
         raise EnumerationTooLarge(f"{npoints} points exceeds bound {bound}")
-    return phase_sum(space.prime_gram(psi), fld.p, threads=threads)
+    return phase_sum(space.prime_gram(psi), p, threads=threads)
 
 
 @lru_cache(maxsize=None)
 def one_dim_gauss_value(field: FqField, psi: AddChar) -> CycNum:
     """g(psi) = sum over t of psi(t^2); computed once per (field, psi)."""
-    counts = [0] * field.p
-    for t in field.elements():
-        counts[psi.residue_phase(t * t)] += 1
-    return CycNum(field.p, counts)
+    if psi.field != field:
+        raise MixedFields(f"character over {psi.field}, sum over {field}")
+    p = field.p
+    counts = [0] * p
+    for t in range(p):
+        counts[psi.twist * t * t % p] += 1
+    return CycNum(p, counts)
 
 
 def gauss_sum_closed(space: QuadSpace, psi: AddChar) -> CycNum:
@@ -232,29 +216,28 @@ def gauss_sum_closed(space: QuadSpace, psi: AddChar) -> CycNum:
         return CycNum.one(fld.p)
     chi = quadratic_residue_char(fld)
     g = one_dim_gauss_value(fld, psi)
-    return chi.sign(space.det()) * g**space.dim
+    return chi.sign(fld.from_int(space.det())) * g**space.dim
 
 
 def normalized_sign(space: QuadSpace, psi: AddChar,
                     bound: int = DEFAULT_ENUMERATION_BOUND) -> int:
     """The Gauss sum divided by sqrt(#space): +1 or -1."""
-    fld = space.field
-    # F_p-dimension of the space; even dimension is the paper-side parity
-    # under which the normalized value is rational.
-    pdim = space.dim * fld.f
-    if pdim % 2:
-        raise CheckFailed(f"odd F_p-dimension {pdim}: the normalized Gauss "
+    p, dim = space.field.p, space.dim
+    # Even dimension is the paper-side parity under which the normalized
+    # value is rational.
+    if dim % 2:
+        raise CheckFailed(f"odd F_p-dimension {dim}: the normalized Gauss "
                           "sum is not a sign")
     if not space.is_nondegenerate():
         raise DegenerateForm("normalized sign requires nondegeneracy")
     closed = gauss_sum_closed(space, psi)
-    if fld.q**space.dim <= bound:
+    if p**dim <= bound:
         brute = gauss_sum_brute(space, psi, bound=bound)
         if brute != closed:
             raise CheckFailed("brute and closed Gauss sums disagree")
-    root = fld.p ** (pdim // 2)
+    root = p ** (dim // 2)
     s = {root: 1, -root: -1}.get(closed.as_int())
     if s is None:
-        # The sum is +-g_p^pdim and g_p^2 = chi(-1) p: a sign times p^(pdim/2).
+        # The sum is +-g_p^dim and g_p^2 = chi(-1) p: a sign times p^(dim/2).
         raise CheckFailed("normalized quotient is not +-1")
     return s

@@ -128,7 +128,7 @@ class HeckeParams:
         if self.rank[w] == 0:
             expect = QPower.zero()
         else:
-            if (k - 1) % 2 and isqrt(self.q_E) ** 2 != self.q_E:
+            if k == 0 or (k - 1) % 2 and isqrt(self.q_E) ** 2 != self.q_E:
                 raise InconsistentParams(
                     f"(c_{w}/q_E)^(1/2) must be integral when r_{w} = 1"
                 )

@@ -363,9 +363,9 @@ def epsilon_z_invariance(s: StratumSpec, psi: AddChar,
     base = epsilon_z(s, psi, bound=bound)
     chi = quadratic_residue_char(tower.kE)
     psi_rows = []
-    for a in tower.k.units():
+    for a in range(1, tower.p):
         sign_a = epsilon_z(s, AddChar(tower.k, a), bound=bound)
-        psi_rows.append({"twist": a.coeffs[0], "sign": sign_a,
+        psi_rows.append({"twist": a, "sign": sign_a,
                          "matches": sign_a == base})
     unit_rows = []
     for u in tower.kE.units():
@@ -464,7 +464,7 @@ def eval_simple_char(chi: SimpleCharSpec, g: MatF):
     det = det_unit(g.truncated(2))
     _fail_first(det[..., 0] != 1, NotInDomain, "determinant is not a one-unit")
     phase = phase + chi.bhat * det[..., 1]
-    expo = chi.psi.twist.coeffs[0] * phase % p
+    expo = chi.psi.twist * phase % p
     return expo if g.batch else int(expo)
 
 

@@ -275,19 +275,25 @@ def mult_value(chi: MultChar, x: FqElem) -> RefCycNum:
     return ref_root(chi.field.q - 1, chi.exponent * x.discrete_log())
 
 
+def add_phase(psi: AddChar, x: FqElem) -> int:
+    """The exponent a x of zeta_p in psi(x), psi = AddChar(F_p, a)."""
+    (c,) = x.coeffs
+    return psi.twist * c % psi.field.p
+
+
 def add_value(psi: AddChar, x: FqElem) -> RefCycNum:
-    """psi(x) = zeta_p^Tr(a x) for psi = AddChar(k, a)."""
-    return ref_root(psi.field.p, psi.residue_phase(x))
+    """psi(x) = zeta_p^(a x) for psi = AddChar(F_p, a)."""
+    return ref_root(psi.field.p, add_phase(psi, x))
 
 
 def evaluate(space: QuadSpace, xs: list[FqElem]) -> FqElem:
-    """Q(xs) = xs^T S xs, entry by entry over F_q."""
+    """Q(xs) = xs^T S xs, entry by entry over F_p."""
     acc = zero(space.field)
     for i in range(space.dim):
         if not xs[i]:
             continue
         for j in range(space.dim):
-            acc = acc + xs[i] * space.field.element(space.gram[i, j].tolist()) * xs[j]
+            acc = acc + xs[i] * space.field.from_int(int(space.gram[i, j])) * xs[j]
     return acc
 
 
@@ -297,11 +303,11 @@ def gauss_sum_brute_slow(space: QuadSpace, psi: AddChar,
     if psi.is_trivial():
         raise TrivialAdditiveCharacter("brute Gauss sum needs nontrivial psi")
     fld = space.field
-    if fld.q**space.dim > bound:
+    if fld.p**space.dim > bound:
         raise EnumerationTooLarge("slow brute route past its bound")
     total = RefCycNum.zero(fld.p)
     for xs in product(list(fld.elements()), repeat=space.dim):
-        total = total + ref_root(fld.p, psi.residue_phase(evaluate(space, list(xs))))
+        total = total + add_value(psi, evaluate(space, list(xs)))
     return total
 
 

@@ -495,7 +495,7 @@ def test_cli_reducibility_honours_psi_twist(capsys, tmp_path, monkeypatch):
     payload = json.loads(path.read_text())
     assert payload["provenance"]["psi_twist"] == 2
     assert (payload["b_y"], payload["b_z_low"], payload["b_z_high"]) == (6, 6, 0)
-    assert [psi.twist.coeffs for psi in seen] == [(2,)]
+    assert [psi.twist for psi in seen] == [2]
 
 
 @pytest.mark.parametrize("grid_q", [[4], [2], [9], [1], [3, 15], []])

@@ -99,9 +99,11 @@ def test_params_read_eps_from_a_passed_b():
 
 
 def test_params_reject_odd_half_exponent_with_rank_one():
-    # r_w = 1 forces (c_w/q)^{1/2} integral, so c_w = q^even is rejected
-    with pytest.raises(InconsistentParams):
-        HeckeParams(3, 1, 3, 9)
+    # r_w = 1 forces (c_w/q)^{1/2} integral, so c_w = q^even is rejected,
+    # and so is c_w = 1 even where q is a square: (1/q)^(1/2) is no integer.
+    for args in ((3, 1, 3, 9), (9, 1, 1, 9)):
+        with pytest.raises(InconsistentParams, match="must be integral when r_"):
+            HeckeParams(*args)
 
 
 # ---------------------------------------------------------------------------

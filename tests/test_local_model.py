@@ -1,9 +1,10 @@
 import functools
+import random
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from strbc import _modp
 from strbc.finite_field import MixedFields, get_field, pow_fq
@@ -364,12 +365,16 @@ def greedy_complete_basis(lower, upper, p):
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.sampled_from([3, 5, 7]), st.integers(1, 5), st.integers(0, 4),
+@given(st.sampled_from([3, 5, 7]), st.integers(0, 5), st.integers(0, 4),
        st.integers(0, 6), st.booleans(), st.randoms(use_true_random=False))
+@example(3, 0, 2, 3, False, random.Random(0))
+@example(3, 0, 0, 0, True, random.Random(0))
+@example(5, 3, 0, 0, True, random.Random(0))
 def test_complete_basis_matches_the_greedy_loop(p, n, nl, nu, inside, rng):
     # Rows are drawn from a few short combinations, so that dependent,
     # repeated and zero rows occur; with inside set, lower is built from
-    # rows of upper, otherwise it may leave the span of upper.
+    # rows of upper, otherwise it may leave the span of upper.  The
+    # examples give rank the empty shapes (k, 0), (0, 0) and (0, n).
     def combos(gens, k):
         return np.array([sum(rng.randrange(p) * g for g in gens)
                          if gens else np.zeros(n, dtype=np.int64)

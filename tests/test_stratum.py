@@ -790,7 +790,7 @@ def test_bz_oracle_exhaustive_e1f2_term_count(monkeypatch):
     bz_oracle(s, default_chars(s, std_psi(s.tower)), (mu,))
     dim = build_Wz(t, s).dim_k
     assert len(seen) == (t.kE.q - 1) * t.p**dim == 72
-    assert len(set(seen)) == len(seen)
+    assert len({(u.coeffs, x) for u, x in seen}) == len(seen)
 
 
 def test_bz_oracle_builds_one_phase_form_per_unit(monkeypatch):
@@ -973,7 +973,7 @@ def test_bz_oracle_tuple_evaluates_each_term_once(monkeypatch):
     t = s.tower
     seen = record_bz_terms(monkeypatch)
     bz_oracle(s, default_chars(s, std_psi(s.tower)), mu_pair(t))
-    assert len(seen) == len(set(seen)) == (t.kE.q - 1) * t.p**2 == 72
+    assert len(seen) == len({(u.coeffs, x) for u, x in seen}) == (t.kE.q - 1) * t.p**2 == 72
 
 
 def test_bz_oracle_tuple_checks_every_character():
